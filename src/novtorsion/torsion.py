@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .complexes import BasedComplex, ChainMap, ComplexStructureError, NotAcyclicError, mapping_cone
 from .lattice import g_neg
 from .linalg import (
+    IndeterminatePivotError,
     Matrix,
     ShapeError,
     as_matrix,
@@ -181,6 +182,13 @@ def milnor_torsion_unit(
     sel0 = select_column_pivots(lattice, d0, ncols=n0, column_order=order0)
     sel1 = select_column_pivots(lattice, d1, ncols=n1, column_order=order1)
     if n0 - sel0.rank != sel1.rank or n1 - sel1.rank != sel0.rank:
+        # columns declared zero only below a cutoff make the ranks lower bounds
+        zero_cutoff = _min_cutoff(sel0.cutoff, sel1.cutoff)
+        if zero_cutoff is not None and n0 == n1:
+            raise IndeterminatePivotError(
+                "ranks %d/%d on modules of rank %d/%d rest on columns known to vanish only "
+                "below weight %s" % (sel0.rank, sel1.rank, n0, n1, zero_cutoff)
+            )
         raise NotAcyclicError(
             "homology is nonzero: ranks %d/%d on modules of rank %d/%d"
             % (sel0.rank, sel1.rank, n0, n1)

@@ -29,7 +29,7 @@ assembled and fed to the torsion machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -70,13 +70,11 @@ class DegenerateEndpointError(ArithmeticError):
 @dataclass(frozen=True)
 class TorusSystem:
     b: Fraction = Fraction(1, 5)
+    bf: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b", Fraction(self.b))
-
-    @property
-    def bf(self) -> float:
-        return float(self.b)
+        object.__setattr__(self, "bf", float(self.b))
 
     # profile functions, numpy friendly
     def lam(self, x):
@@ -165,66 +163,73 @@ def _critical_points(deriv, samples: int = 4096) -> tuple[float, ...]:
     return tuple(sorted(np.mod(roots, 1.0)))
 
 
+def _flow_field(bf: float, cos, sin):
+    """Derivatives of (x, y, m11, m12, m21, m22) under the flow and M' = A M.
+
+    Only arithmetic and the given cos/sin, so the same code runs on floats
+    (math) and on 1-D arrays (numpy).  One cos/sin pair of 2 pi x and one of
+    2 pi (y - t) feed every profile derivative; nu's second harmonic comes
+    from the double-angle formulas.
+    """
+    lam1, lam2 = TWO_PI * bf, TWO_PI**2 * bf
+    nu1, nu2 = TWO_PI * NU_A1, 2 * TWO_PI * NU_A2
+    nu1d, nu2d = TWO_PI**2 * NU_A1, (2 * TWO_PI) ** 2 * NU_A2
+
+    def rhs(t, x, y, m11, m12, m21, m22):
+        cx, sx = cos(TWO_PI * x), sin(TWO_PI * x)
+        s = TWO_PI * (y - t)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam, d2lam = 1.0 + bf * cx, -lam1 * sx, -lam2 * cx
+        nu = 1.0 + NU_A1 * (c1 - 1.0) + NU_A2 * (c2 - 1.0)
+        dnu, d2nu = -nu1 * s1 - nu2 * s2, -nu1d * c1 - nu2d * c2
+        a11, a12, a21 = dlam * dnu, lam * d2nu, -d2lam * nu
+        return (
+            lam * dnu, -dlam * nu,
+            a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
+            a21 * m11 - a11 * m21, a21 * m12 - a11 * m22,
+        )
+
+    return rhs
+
+
 def vector_field(sys: TorusSystem, x, y, t):
     """Hamiltonian vector field (dh/dy, -dh/dx) of h = lam(x) nu(y - t)."""
-    s = y - t
-    return sys.lam(x) * sys.dnu(s), -sys.dlam(x) * sys.nu(s)
-
-
-def variational_matrix(sys: TorusSystem, x, y, t):
-    """Jacobian of the vector field in (x, y); trace free."""
-    s = y - t
-    a11 = sys.dlam(x) * sys.dnu(s)
-    a12 = sys.lam(x) * sys.d2nu(s)
-    a21 = -sys.d2lam(x) * sys.nu(s)
-    return np.stack(
-        [np.stack([a11, a12], axis=-1), np.stack([a21, -a11], axis=-1)], axis=-2
-    )
-
-
-def _rhs(sys: TorusSystem, t, state):
-    # state: (..., 6) = (x, y, m11, m12, m21, m22)
-    x, y = state[..., 0], state[..., 1]
-    dx, dy = vector_field(sys, x, y, t)
-    a = variational_matrix(sys, x, y, t)
-    m = state[..., 2:].reshape(state.shape[:-1] + (2, 2))
-    dm = a @ m
-    return np.concatenate(
-        [np.stack([dx, dy], axis=-1), dm.reshape(state.shape[:-1] + (4,))], axis=-1
-    )
+    return _flow_field(sys.bf, np.cos, np.sin)(t, x, y, 1.0, 0.0, 0.0, 1.0)[:2]
 
 
 def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
-    """Flow points for one period, carrying the variational 2x2 alongside.
+    """Flow points for one period with classical RK4, carrying M alongside.
 
-    Returns (endpoints, monodromies) and, when recording, the sampled
-    trajectory (steps+1, n, 2) and variational path (steps+1, n, 2, 2).
+    A single point runs on plain floats, a batch on 1-D arrays.  Returns
+    (endpoints, monodromies) and, when recording, the sampled trajectory
+    (steps+1, n, 2) and variational path (steps+1, n, 2, 2).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = points.shape[0]
-    state = np.concatenate([points, np.tile(np.eye(2).reshape(4), (n, 1))], axis=1)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(points)
+    rhs = _flow_field(sys.bf, *((math.cos, math.sin) if n == 1 else (np.cos, np.sin)))
+    x, y = points[0].tolist() if n == 1 else points.T
+    state = (x, y, 1.0, 0.0, 0.0, 1.0)
     h = 1.0 / steps
-    traj = var = None
     if record:
-        traj = np.empty((steps + 1, n, 2))
-        var = np.empty((steps + 1, n, 2, 2))
-        traj[0] = state[:, :2]
-        var[0] = state[:, 2:].reshape(n, 2, 2)
+        path = np.empty((steps + 1, n, 6))
+        path[0] = np.transpose(np.broadcast_arrays(*state))
     t = 0.0
     for k in range(steps):
-        k1 = _rhs(sys, t, state)
-        k2 = _rhs(sys, t + h / 2, state + (h / 2) * k1)
-        k3 = _rhs(sys, t + h / 2, state + (h / 2) * k2)
-        k4 = _rhs(sys, t + h, state + h * k3)
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = rhs(t, *state)
+        k2 = rhs(t + h / 2, *[u + (h / 2) * d for u, d in zip(state, k1)])
+        k3 = rhs(t + h / 2, *[u + (h / 2) * d for u, d in zip(state, k2)])
+        k4 = rhs(t + h, *[u + h * d for u, d in zip(state, k3)])
+        state = tuple(
+            u + (h / 6) * (d1 + 2 * d2 + 2 * d3 + d4) for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
+        )
         t += h
         if record:
-            traj[k + 1] = state[:, :2]
-            var[k + 1] = state[:, 2:].reshape(n, 2, 2)
-    ends = state[:, :2]
-    mons = state[:, 2:].reshape(n, 2, 2)
+            path[k + 1] = np.transpose(state)
+    final = np.transpose(np.broadcast_arrays(*state)).reshape(n, 6)
+    ends, mons = final[:, :2], final[:, 2:].reshape(n, 2, 2)
     if record:
-        return ends, mons, traj, var
+        return ends, mons, path[..., :2], path[..., 2:].reshape(steps + 1, n, 2, 2)
     return ends, mons
 
 
@@ -235,14 +240,8 @@ class PeriodicOrbit:
     monodromy: np.ndarray
     cz_index: int
     det_gap: float
-    trajectory: np.ndarray
     variational_path: np.ndarray
     richardson_gap: float
-    steps: int
-
-    @property
-    def base(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 def _residual(sys, points, steps):
@@ -354,7 +353,7 @@ def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:
     p = np.array(point, dtype=float)
     offset = np.array([0.0, 1.0])
     for _ in range(8):
-        ends, mons = _integrate(sys, p[None, :], steps)
+        ends, mons, _, var = _integrate(sys, p, steps, record=True)
         f = ends[0] - p - offset
         if np.abs(f).max() < tol:
             break
@@ -362,9 +361,8 @@ def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:
         p = p - np.linalg.solve(m, f)
     else:
         raise OrbitSearchError("orbit polish did not reach tolerance %g" % tol)
-    ends, mons, traj, var = _integrate(sys, p[None, :], steps, record=True)
     monodromy = mons[0]
-    _, mons2 = _integrate(sys, p[None, :], 2 * steps)
+    _, mons2 = _integrate(sys, p, 2 * steps)
     richardson = float(np.abs(mons2[0] - monodromy).max())
     if richardson > 1e-6:
         raise OrbitSearchError(
@@ -380,16 +378,14 @@ def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:
         monodromy=monodromy,
         cz_index=index,
         det_gap=gap,
-        trajectory=traj[:, 0],
         variational_path=var[:, 0],
         richardson_gap=richardson,
-        steps=steps,
     )
 
 
 def monodromy(sys: TorusSystem, base: tuple[float, float], steps: int = REFINE_STEPS):
     """Linearized time-1 return map along the trajectory through base."""
-    _, mons = _integrate(sys, np.asarray(base, dtype=float)[None, :], steps)
+    _, mons = _integrate(sys, base, steps)
     return mons[0]
 
 
@@ -473,13 +469,7 @@ def count_connecting(sys: TorusSystem) -> ConnectingCount:
     the sign.  The two arcs are labelled by distinct lattice elements: the
     winding of the arc, i.e. how often it crosses x = 0.
     """
-    sys.check()
-    zeros = reduced_equilibria(sys)
-    if len(zeros) != 2:
-        raise OrbitSearchError(
-            "reduced flow must have exactly 2 equilibria, found %d" % len(zeros)
-        )
-    z0, z1 = zeros
+    z0, z1 = sys.check()
     arcs = []
     entries = []
     for lo, hi in ((z0, z1), (z1, z0 + 1.0)):

@@ -88,6 +88,13 @@ def test_not_acyclic_is_validate_category(capsys):
     assert report_value(out, "category") == "validate"
 
 
+def test_truncated_rank_shortfall_is_indeterminate(capsys):
+    code, out = run(capsys, "torsion", fixture("short_tail.cplx"))
+    assert code == EXIT_INDETERMINATE
+    assert report_value(out, "category") == "indeterminate"
+    assert "below weight 1" in report_value(out, "message")
+
+
 def test_ambiguous_leading_term_is_indeterminate(capsys):
     code, out = run(capsys, "torsion", fixture("ambiguous.cplx"))
     assert code == EXIT_INDETERMINATE

@@ -16,7 +16,7 @@ from novtorsion import (
     two_term_complex,
     whitehead_normalize,
 )
-from novtorsion.linalg import as_matrix, identity
+from novtorsion.linalg import IndeterminatePivotError, as_matrix, identity
 from novtorsion.torsion import WhiteheadClass, milnor_torsion_unit
 
 from support import (
@@ -102,6 +102,23 @@ def test_elementary_matrix_complex_is_trivial():
 
 def test_not_acyclic_raises():
     cplx = BasedComplex(LAT, {0: ("a",), 1: ("b",)}, {}, None)
+    with pytest.raises(NotAcyclicError):
+        milnor_torsion(cplx)
+
+
+def test_truncated_rank_shortfall_is_indeterminate():
+    # d0 = [[1, 1], [1, 1 + O(z)]]: after the first pivot the second column
+    # is zero only below weight 1, so the missing rank is not proven absent
+    tail = NovikovElement(LAT, {(0,): 1}, cutoff=1)
+    cplx = BasedComplex(LAT, {0: ("a", "b"), 1: ("p", "q")}, {0: ((ONE, ONE), (ONE, tail))}, None)
+    with pytest.raises(IndeterminatePivotError, match="below weight 1"):
+        milnor_torsion(cplx)
+
+
+def test_parity_rank_mismatch_is_not_acyclic_despite_truncation():
+    # two even generators, one odd: no rank hidden above the cutoff helps
+    unknown = NovikovElement.zero(LAT, cutoff=1)
+    cplx = BasedComplex(LAT, {0: ("a", "b"), 1: ("p",)}, {0: ((unknown, unknown),)}, None)
     with pytest.raises(NotAcyclicError):
         milnor_torsion(cplx)
 

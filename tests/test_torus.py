@@ -16,6 +16,7 @@ from novtorsion.torus import (
     conley_zehnder,
     count_connecting,
     find_orbits,
+    monodromy,
     reduced_equilibria,
     torus_torsion,
     vector_field,
@@ -248,6 +249,74 @@ def test_flow_preserves_area_and_energy_bounded():
     h = np.array([s.hamiltonian(traj[k, :, 0], traj[k, :, 1], ts[k]) for k in range(traj.shape[0])])
     assert np.isfinite(h).all()
     assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
+
+
+def reference_integrate(s, points, steps):
+    """Numpy RK4 on stacked (n, 6) states with the 2x2 product A @ M.
+
+    Built from the profile methods of TorusSystem, independently of the
+    kernel's shared trigonometry; the kernel must reproduce it to round-off.
+    """
+
+    def rhs(t, state):
+        x, y = state[:, 0], state[:, 1]
+        u = y - t
+        a = np.empty((len(state), 2, 2))
+        a[:, 0, 0] = s.dlam(x) * s.dnu(u)
+        a[:, 0, 1] = s.lam(x) * s.d2nu(u)
+        a[:, 1, 0] = -s.d2lam(x) * s.nu(u)
+        a[:, 1, 1] = -a[:, 0, 0]
+        dm = a @ state[:, 2:].reshape(-1, 2, 2)
+        field = np.stack([s.lam(x) * s.dnu(u), -s.dlam(x) * s.nu(u)], axis=1)
+        return np.concatenate([field, dm.reshape(-1, 4)], axis=1)
+
+    state = np.concatenate([points, np.tile([1.0, 0.0, 0.0, 1.0], (len(points), 1))], axis=1)
+    h, t = 1.0 / steps, 0.0
+    for _ in range(steps):
+        k1 = rhs(t, state)
+        k2 = rhs(t + h / 2, state + (h / 2) * k1)
+        k3 = rhs(t + h / 2, state + (h / 2) * k2)
+        k4 = rhs(t + h, state + h * k3)
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return state[:, :2], state[:, 2:].reshape(-1, 2, 2)
+
+
+def test_float_and_array_paths_agree():
+    s = TorusSystem()
+    pts = np.random.RandomState(3).uniform(0, 1, (7, 2))
+    ends, mons = _integrate(s, pts, 128)
+    assert ends.shape == (7, 2) and mons.shape == (7, 2, 2)
+    for k, p in enumerate(pts):
+        end, mon = _integrate(s, p, 128)
+        assert np.abs(end[0] - ends[k]).max() <= 1e-12
+        assert np.abs(mon[0] - mons[k]).max() <= 1e-12
+    ref_ends, ref_mons = reference_integrate(s, pts, 128)
+    assert np.abs(ends - ref_ends).max() <= 1e-12
+    assert np.abs(mons - ref_mons).max() <= 1e-12
+
+
+@pytest.mark.parametrize("b", [Fraction(17, 100), Fraction(1, 5), Fraction(11, 50)])
+def test_monodromy_at_equilibria_is_expm(b):
+    # on the line y = t the co-moving flow sits at an equilibrium x with
+    # lam'(x) = -1, so the return map is exp(A) for the constant A
+    s = TorusSystem(b)
+    for x in oracle_equilibria(s.bf):
+        a = np.array([[0.0, -s.lam(x)], [-s.d2lam(x), 0.0]])
+        assert np.abs(monodromy(s, (x, 0.0)) - expm(a)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_recorded_path_ends_at_the_plain_result(n):
+    s = TorusSystem()
+    pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
+    ends, mons = _integrate(s, pts, 64)
+    r_ends, r_mons, traj, var = _integrate(s, pts, 64, record=True)
+    assert traj.shape == (65, n, 2) and var.shape == (65, n, 2, 2)
+    assert np.array_equal(r_ends, ends) and np.array_equal(r_mons, mons)
+    assert np.array_equal(traj[-1], ends) and np.array_equal(var[-1], mons)
+    assert np.array_equal(traj[0], pts)
+    assert np.array_equal(var[0], np.broadcast_to(np.eye(2), (n, 2, 2)))
 
 
 def test_orbit_set_stable_under_denser_seed_grid(torus_report):
