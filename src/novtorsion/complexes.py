@@ -15,6 +15,7 @@ from typing import Optional
 
 from .lattice import GroupElement, Lattice, g_neg
 from .linalg import (
+    IndeterminatePivotError,
     Matrix,
     ShapeError,
     as_matrix,
@@ -161,7 +162,12 @@ class BasedComplex:
         return ValidationReport(not failures, cutoff, tuple(failures))
 
     def homology_ranks(self) -> RanksReport:
-        """Per-degree homology ranks via unit-pivot Gaussian elimination."""
+        """Per-degree homology ranks via unit-pivot Gaussian elimination.
+
+        Columns known to vanish only below a cutoff make the differential
+        ranks lower bounds, so positive homology ranks then raise
+        IndeterminatePivotError naming that cutoff; ranks of 0 stay certified.
+        """
         ranks: dict[int, int] = {}
         rank_of_diff: dict[int, int] = {}
         cutoff: Optional[Fraction] = None
@@ -177,6 +183,11 @@ class BasedComplex:
                 raise ComplexStructureError(
                     "rank bookkeeping failed at degree %d; is d^2 = 0?" % d
                 )
+        if cutoff is not None and any(ranks.values()):
+            raise IndeterminatePivotError(
+                "positive homology ranks in degrees %s rest on columns known to vanish "
+                "only below weight %s" % (", ".join(str(d) for d in ranks if ranks[d]), cutoff)
+            )
         return RanksReport(ranks, cutoff)
 
     # -- parity collapse -----------------------------------------------------

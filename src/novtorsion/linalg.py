@@ -3,7 +3,9 @@
 Matrices are tuples of row tuples.  Determinants use a division-free
 subset expansion so truncation bookkeeping stays with the ring operations;
 pivot selection uses fraction-free column reduction where every pivot must
-carry an unambiguous invertible leading term.
+carry an unambiguous invertible leading term.  Each pivot step updates only
+the live submatrix (unused rows of unprocessed columns), the only entries a
+later step reads.
 """
 
 from __future__ import annotations
@@ -146,10 +148,6 @@ class PivotSelection:
     def columns(self) -> tuple[int, ...]:
         return tuple(sorted(c for _, c in self.pivots))
 
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return tuple(sorted(r for r, _ in self.pivots))
-
 
 def select_column_pivots(
     lattice: Lattice,
@@ -178,7 +176,7 @@ def select_column_pivots(
     used = [False] * m
     pivots = []
     cutoff: Optional[Fraction] = None
-    for j in order:
+    for pos, j in enumerate(order):
         pick = None
         ambiguous = False
         for i in range(m):
@@ -203,11 +201,11 @@ def select_column_pivots(
         pivot = cols[j][pick]
         pivots.append((pick, j))
         used[pick] = True
-        for k in range(ncols):
-            if k == j:
-                continue
+        free = [r for r in range(m) if not used[r]]
+        for k in order[pos + 1 :]:
             e = cols[k][pick]
             if e.is_zero and e.is_exact:
                 continue
-            cols[k] = [pivot * cols[k][r] - e * cols[j][r] for r in range(m)]
+            for r in free:
+                cols[k][r] = pivot * cols[k][r] - e * cols[j][r]
     return PivotSelection(tuple(pivots), cutoff)

@@ -242,9 +242,11 @@ class NovikovElement:
         """Multiplicative inverse, correct below the returned cutoff.
 
         The element is factored as c*g*(1 + r) with r supported at strictly
-        positive weight, and the alternating geometric series in r is summed
-        up to target_cutoff.  Pure monomials invert exactly and need no
-        target; everything else requires one.
+        positive weight.  The inverse s of 1 + r solves s = 1 - r*s, so over
+        the monoid generated by supp(r), taken in increasing weight, each
+        coefficient s_g = [g = 0] - sum_h r_h s_{g-h} needs only lighter ones.
+        Pure monomials invert exactly and need no target; everything else
+        requires one.
         """
         lt = self.leading_term()
         if lt is None:
@@ -260,12 +262,22 @@ class NovikovElement:
         # Work on 1 + r, then shift weights back by the leading monomial.
         inner_target = target + self.lattice.weight(lt.element)
         r = (inv_monomial * self) - NovikovElement.one(self.lattice)
-        acc = NovikovElement.one(self.lattice)
-        power = NovikovElement.one(self.lattice)
-        while power.terms:
-            power = (power * (-r)).truncate(inner_target)
-            acc = acc + power
-        return (acc * inv_monomial).truncate(target)
+        bound = _min_cutoff(r.cutoff, inner_target)
+        steps = [(h, c, self.lattice.weight(h)) for h, c in r.terms.items()]
+        weights = {self.lattice.identity(): Fraction(0)}
+        monoid = list(weights)
+        for g in monoid:
+            for h, _, wh in steps:
+                k, wk = g_add(g, h), weights[g] + wh
+                if wk < bound and k not in weights:
+                    weights[k] = wk
+                    monoid.append(k)
+        s: dict[GroupElement, Fraction] = {}
+        for g in sorted(monoid, key=weights.__getitem__):
+            s[g] = Fraction(1) if g == monoid[0] else Fraction(0)
+            for h, rh, _ in steps:
+                s[g] -= rh * s.get(tuple(x - y for x, y in zip(g, h)), 0)
+        return (NovikovElement(self.lattice, s, bound) * inv_monomial).truncate(target)
 
     # -- comparison --------------------------------------------------------
 

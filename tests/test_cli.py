@@ -1,3 +1,5 @@
+import glob
+import json
 import os
 
 from novtorsion.cli import (
@@ -10,6 +12,7 @@ from novtorsion.cli import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fixture(name):
@@ -93,6 +96,29 @@ def test_truncated_rank_shortfall_is_indeterminate(capsys):
     assert code == EXIT_INDETERMINATE
     assert report_value(out, "category") == "indeterminate"
     assert "below weight 1" in report_value(out, "message")
+
+
+def test_ranks_on_truncated_shortfall_is_indeterminate(capsys):
+    code, out = run(capsys, "ranks", fixture("short_tail.cplx"))
+    assert code == EXIT_INDETERMINATE
+    assert report_value(out, "category") == "indeterminate"
+    assert "below weight 1" in report_value(out, "message")
+    for name in ("not_acyclic.cplx", "selfmap.cplx"):
+        code, out = run(capsys, "ranks", fixture(name))
+        assert code == EXIT_OK
+        assert report_value(out, "acyclic") == "false"
+
+
+def test_reports_match_golden(capsys, monkeypatch):
+    """Full stdout and exit code of validate, ranks and torsion on every
+    fixture, plus two flagged calls, byte for byte against cli_golden.json."""
+    monkeypatch.chdir(ROOT)
+    with open(os.path.join(DATA, "cli_golden.json"), encoding="utf-8") as fh:
+        cases = json.load(fh)
+    covered = {case["argv"][1] for case in cases if case["argv"][0] == "validate"}
+    assert covered == set(glob.glob("tests/data/*.cplx"))
+    for case in cases:
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_ambiguous_leading_term_is_indeterminate(capsys):

@@ -6,6 +6,7 @@ from novtorsion import (
     BasedComplex,
     ChainMap,
     ComplexStructureError,
+    IndeterminatePivotError,
     NovikovElement,
     mapping_cone,
     rebase,
@@ -79,6 +80,25 @@ def test_homology_ranks_examples():
     report = unit_det.homology_ranks()
     assert report.ranks == {0: 0, 1: 0}
     assert report.acyclic
+
+
+def test_homology_ranks_resting_on_truncated_zeros():
+    # second column of [[1, 1], [1, 1 + O(z)]] vanishes only below weight 1
+    tail = NovikovElement(LAT, {(0,): 1}, cutoff=1)
+    short = BasedComplex(LAT, {0: ("a", "b"), 1: ("p", "q")}, {0: ((ONE, ONE), (ONE, tail))}, None)
+    with pytest.raises(IndeterminatePivotError, match="below weight 1"):
+        short.homology_ranks()
+    # a column zero below weight 3 that leaves every rank at 0 stays certified
+    maybe_zero = NovikovElement.zero(LAT, cutoff=3)
+    exact = BasedComplex(
+        LAT,
+        {0: ("a",), 1: ("p", "q"), 2: ("x",)},
+        {0: ((ONE,), (ZERO,)), 1: ((maybe_zero, ONE),)},
+        None,
+    )
+    report = exact.homology_ranks()
+    assert report.acyclic
+    assert report.cutoff == 3
 
 
 def test_euler_parity():

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from novtorsion import IndeterminatePivotError, NovikovElement, ShapeError, determinant
-from novtorsion.linalg import as_matrix, mat_mul, select_column_pivots
+from novtorsion.linalg import PivotSelection, as_matrix, mat_mul, select_column_pivots
+from novtorsion.series import AmbiguousLeadingTermError, _min_cutoff
 
 from support import k1_lattice, rand_element, tie_lattice
 
@@ -92,3 +94,94 @@ def test_truncated_zero_certification():
     sel = select_column_pivots(LAT, m)
     assert sel.rank == 1
     assert sel.cutoff is not None and sel.cutoff <= 7
+
+
+def full_update_pivots(lattice, rows, ncols, column_order=None):
+    """Reference column reduction that rewrites every row of every other
+    column after each pivot, including entries no later step reads."""
+    m = len(rows)
+    cols = [[rows[i][j] for i in range(m)] for j in range(ncols)]
+    order = list(column_order) if column_order is not None else list(range(ncols))
+    used = [False] * m
+    pivots = []
+    cutoff = None
+    for j in order:
+        pick = None
+        ambiguous = False
+        for i in range(m):
+            if used[i] or not cols[j][i].terms:
+                continue
+            try:
+                cols[j][i].leading_term()
+            except AmbiguousLeadingTermError:
+                ambiguous = True
+                continue
+            pick = i
+            break
+        if pick is None:
+            if ambiguous:
+                raise IndeterminatePivotError(
+                    "column %d has only ambiguous-leading-term entries left" % j
+                )
+            for i in range(m):
+                if not used[i]:
+                    cutoff = _min_cutoff(cutoff, cols[j][i].cutoff)
+            continue
+        pivot = cols[j][pick]
+        pivots.append((pick, j))
+        used[pick] = True
+        for k in range(ncols):
+            if k == j:
+                continue
+            e = cols[k][pick]
+            if e.is_zero and e.is_exact:
+                continue
+            cols[k] = [pivot * cols[k][r] - e * cols[j][r] for r in range(m)]
+    return PivotSelection(tuple(pivots), cutoff)
+
+
+def rand_pivot_entry(rng, lat):
+    """Exact zero, zero known only below a cutoff, or a small element that may
+    be truncated (and, on the tie lattice, may have an ambiguous lead)."""
+    roll = rng.random()
+    if roll < 0.25:
+        return NovikovElement.zero(lat)
+    if roll < 0.4:
+        return NovikovElement.zero(lat, cutoff=rng.randint(1, 6))
+    e = rand_element(rng, lat, 2)
+    return e.truncate(rng.randint(0, 6)) if rng.random() < 0.3 else e
+
+
+def pivot_outcome(fn, lat, rows, ncols, order):
+    try:
+        sel = fn(lat, rows, ncols=ncols, column_order=order)
+    except IndeterminatePivotError as exc:
+        return "indeterminate", str(exc)
+    return sel.pivots, sel.cutoff
+
+
+def test_live_submatrix_update_matches_full_update_reference():
+    rng = random.Random(29)
+    lattices = [LAT, tie_lattice()]
+    seen = Counter()
+    for case in range(500):
+        lat = lattices[case % 2]
+        m, n = rng.randint(0, 5), rng.randint(1, 5)
+        rows = as_matrix([[rand_pivot_entry(rng, lat) for _ in range(n)] for _ in range(m)])
+        if m and rng.random() < 0.4:
+            # rank-deficient: a product through a narrow middle
+            k = rng.randint(1, 2)
+            left = as_matrix([[rand_pivot_entry(rng, lat) for _ in range(k)] for _ in range(m)])
+            right = as_matrix([[rand_pivot_entry(rng, lat) for _ in range(n)] for _ in range(k)])
+            rows = mat_mul(left, right)
+        order = list(range(n))
+        rng.shuffle(order)
+        want = pivot_outcome(full_update_pivots, lat, rows, n, order)
+        got = pivot_outcome(select_column_pivots, lat, rows, n, order)
+        assert got == want
+        if want[0] == "indeterminate":
+            seen["indeterminate"] += 1
+        else:
+            seen["cutoff" if want[1] is not None else "exact"] += 1
+            seen["short rank" if len(want[0]) < min(m, n) else "full rank"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen

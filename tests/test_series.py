@@ -10,9 +10,10 @@ from novtorsion import (
     NotInvertibleError,
     NovikovElement,
 )
+from novtorsion.lattice import g_neg
 from novtorsion.series import divide
 
-from support import k1_lattice, k2_lattice, rand_unit, tie_lattice
+from support import k1_lattice, k2_lattice, rand_coeff, rand_coords, rand_unit, tie_lattice
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -207,3 +208,57 @@ def test_divide_requires_cutoff():
         divide(ONE, ONE + Z, None)
     out = divide(ONE, ONE + Z, Fraction(5))
     assert out.agree_below((ONE + Z).invert(5))
+
+
+def geometric_inverse(a, target_cutoff=None):
+    """Reference inverse: the alternating geometric series in r, each power a
+    full truncated product, for a = c*g*(1 + r)."""
+    lt = a.leading_term()
+    if lt is None:
+        raise NotInvertibleError("cannot invert an element with no known terms")
+    inv_monomial = NovikovElement.monomial(a.lattice, 1 / lt.coefficient, g_neg(lt.element))
+    if len(a.terms) == 1 and a.is_exact:
+        return inv_monomial
+    target = Fraction(target_cutoff)
+    inner_target = target + a.lattice.weight(lt.element)
+    one = NovikovElement.one(a.lattice)
+    r = (inv_monomial * a) - one
+    acc = power = one
+    while power.terms:
+        power = (power * (-r)).truncate(inner_target)
+        acc = acc + power
+    return (acc * inv_monomial).truncate(target)
+
+
+def rand_invertible(rng, lat):
+    """A unit whose lead is usually away from the identity, with heavier terms
+    that may tie with each other and sometimes a cutoff a little above the lead."""
+    lead = rand_coords(rng, lat, 2)
+    while not any(lead) and rng.random() < 0.8:
+        lead = rand_coords(rng, lat, 2)
+    lead_w = lat.weight(lead)
+    terms = [(lead, rand_coeff(rng))]
+    for _ in range(rng.randint(0, 3)):
+        step = rand_coords(rng, lat, 2)
+        while lat.weight(step) <= 0:
+            step = rand_coords(rng, lat, 2)
+        terms.append((tuple(x + y for x, y in zip(lead, step)), rand_coeff(rng)))
+    cutoff = None
+    if rng.random() < 0.4:
+        cutoff = lead_w + Fraction(rng.randint(1, 12), rng.choice([1, 2, 3]))
+    return NovikovElement(lat, terms, cutoff)
+
+
+def test_invert_matches_geometric_series_reference():
+    rng = random.Random(23)
+    lattices = [LAT, k2_lattice(), tie_lattice()]
+    for case in range(600):
+        lat = lattices[case % 3]
+        a = rand_invertible(rng, lat)
+        target = Fraction(rng.randint(-4, 40), 2)
+        want = geometric_inverse(a, target)
+        got = a.invert(target)
+        assert got.terms == want.terms, (a, target)
+        assert got.cutoff == want.cutoff, (a, target)
+        if a.is_exact and len(a.terms) == 1:
+            assert a.invert() == geometric_inverse(a)
