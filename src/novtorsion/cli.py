@@ -11,7 +11,7 @@ uncertifiable pivots, degenerate endpoints).
 from __future__ import annotations
 
 import argparse
-import sys
+import math
 from fractions import Fraction
 
 from .complexes import ComplexStructureError, NotAcyclicError
@@ -46,10 +46,22 @@ def _rational(text: str) -> Fraction:
 
 def _grid(text: str) -> tuple[int, int]:
     try:
-        nx, ny = text.lower().split("x")
-        return int(nx), int(ny)
+        nx, ny = (int(n) for n in text.lower().split("x"))
     except ValueError:
         raise _UsageError("invalid grid %r, expected like 12x6" % text)
+    if nx < 1 or ny < 1:
+        raise _UsageError("invalid grid %r, both counts must be at least 1" % text)
+    return nx, ny
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise _UsageError("invalid tolerance %r" % text)
+    if not 0 < tol < math.inf:
+        raise _UsageError("invalid tolerance %r, expected a finite positive number" % text)
+    return tol
 
 
 def _build_parser() -> _Parser:
@@ -73,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("torus-example", help="run the torus pipeline end to end")
     p.add_argument("--b", type=_rational, default=Fraction(1, 5))
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF)
     p.add_argument("--grid", type=_grid, default=(48, 24))
     return parser

@@ -20,7 +20,6 @@ from .linalg import (
     ShapeError,
     as_matrix,
     mat_mul,
-    mat_mul_shaped,
     mat_sub,
     select_column_pivots,
     zeros,
@@ -34,6 +33,17 @@ class ComplexStructureError(ValueError):
 
 class NotAcyclicError(ValueError):
     """The operation requires an acyclic complex."""
+
+
+def _coerce(mat, nrows: int, ncols: int, what: str) -> Matrix:
+    """``mat`` as an nrows x ncols matrix, or ComplexStructureError."""
+    try:
+        mat = as_matrix(mat, ncols)
+    except ShapeError:
+        mat = None
+    if mat is None or len(mat) != nrows:
+        raise ComplexStructureError("%s must be %dx%d" % (what, nrows, ncols))
+    return mat
 
 
 @dataclass(frozen=True)
@@ -77,23 +87,12 @@ class BasedComplex:
         diffs = {}
         for d, mat in self.differentials.items():
             d = int(d)
-            mat = as_matrix(mat)
-            t = self.shift(d, 1)
-            if len(mat) != self.rank(t):
-                raise ComplexStructureError(
-                    "differential at degree %d has %d rows, target rank is %d"
-                    % (d, len(mat), self.rank(t))
-                )
-            for row in mat:
-                if len(row) != self.rank(d):
-                    raise ComplexStructureError(
-                        "differential at degree %d has a row of length %d, source rank is %d"
-                        % (d, len(row), self.rank(d))
-                    )
-                for e in row:
-                    if e.lattice != self.lattice:
-                        raise ComplexStructureError("differential entry over a different lattice")
-            if mat:
+            mat = _coerce(
+                mat, self.rank(self.shift(d, 1)), self.rank(d), "differential at degree %d" % d
+            )
+            if any(e.lattice != self.lattice for row in mat for e in row):
+                raise ComplexStructureError("differential entry over a different lattice")
+            if mat and mat.ncols:
                 diffs[d] = mat
         object.__setattr__(self, "differentials", diffs)
 
@@ -140,9 +139,8 @@ class BasedComplex:
         failures = []
         cutoff: Optional[Fraction] = None
         for d, mat in sorted(self.differentials.items()):
-            t = self.shift(d, 1)
-            nxt = self.differentials.get(t)
-            if nxt is None or not mat:
+            nxt = self.differentials.get(self.shift(d, 1))
+            if nxt is None:
                 continue
             square = mat_mul(nxt, mat)
             for i, row in enumerate(square):
@@ -172,7 +170,7 @@ class BasedComplex:
         rank_of_diff: dict[int, int] = {}
         cutoff: Optional[Fraction] = None
         for d, mat in self.differentials.items():
-            sel = select_column_pivots(self.lattice, mat, ncols=self.rank(d))
+            sel = select_column_pivots(self.lattice, mat)
             rank_of_diff[d] = sel.rank
             cutoff = _min_cutoff(cutoff, sel.cutoff)
         for d in self.degrees():
@@ -198,35 +196,19 @@ class BasedComplex:
         Returns (even_names, odd_names, d_even, d_odd) where d_even maps the
         even part to the odd part and d_odd maps back.
         """
-        even_degrees = [d for d in self.degrees() if d % 2 == 0]
-        odd_degrees = [d for d in self.degrees() if d % 2 == 1]
-        names0 = [n for d in even_degrees for n in self.generators(d)]
-        names1 = [n for d in odd_degrees for n in self.generators(d)]
-        off0 = {}
-        pos = 0
-        for d in even_degrees:
-            off0[d] = pos
-            pos += self.rank(d)
-        off1 = {}
-        pos = 0
-        for d in odd_degrees:
-            off1[d] = pos
-            pos += self.rank(d)
+        names: tuple[list, list] = ([], [])
+        offset = {}
+        for d in self.degrees():
+            offset[d] = len(names[d % 2])
+            names[d % 2].extend(self.generators(d))
         z = NovikovElement.zero(self.lattice)
-        d0 = [[z] * len(names0) for _ in range(len(names1))]
-        d1 = [[z] * len(names1) for _ in range(len(names0))]
+        blocks = [[[z] * len(names[p]) for _ in names[1 - p]] for p in (0, 1)]
         for d, mat in self.differentials.items():
-            t = self.shift(d, 1)
-            if d % 2 == 0:
-                ro, co = off1[t], off0[d]
-                block = d0
-            else:
-                ro, co = off0[t], off1[d]
-                block = d1
+            ro, co = offset[self.shift(d, 1)], offset[d]
             for i, row in enumerate(mat):
-                for j, e in enumerate(row):
-                    block[ro + i][co + j] = e
-        return tuple(names0), tuple(names1), as_matrix(d0), as_matrix(d1)
+                blocks[d % 2][ro + i][co : co + len(row)] = row
+        d0, d1 = (as_matrix(blocks[p], len(names[p])) for p in (0, 1))
+        return tuple(names[0]), tuple(names[1]), d0, d1
 
 
 @dataclass(frozen=True)
@@ -243,12 +225,10 @@ class ChainMap:
         mats = {}
         for d, mat in self.matrices.items():
             d = int(d)
-            mat = as_matrix(mat)
-            if len(mat) != self.target.rank(d) or any(
-                len(r) != self.source.rank(d) for r in mat
-            ):
-                raise ComplexStructureError("chain map block at degree %d has wrong shape" % d)
-            if mat:
+            mat = _coerce(
+                mat, self.target.rank(d), self.source.rank(d), "chain map block at degree %d" % d
+            )
+            if mat and mat.ncols:
                 mats[d] = mat
         object.__setattr__(self, "matrices", mats)
 
@@ -262,26 +242,11 @@ class ChainMap:
         """Check the commuting condition d_target f = f d_source entrywise."""
         failures = []
         cutoff: Optional[Fraction] = None
-        lattice = self.source.lattice
         degrees = set(self.source.degrees()) | set(self.target.degrees())
         for d in sorted(degrees):
             t = self.source.shift(d, 1)
-            lhs = mat_mul_shaped(
-                lattice,
-                self.target.differential(d),
-                self.block(d),
-                self.target.rank(t),
-                self.target.rank(d),
-                self.source.rank(d),
-            )
-            rhs = mat_mul_shaped(
-                lattice,
-                self.block(t),
-                self.source.differential(d),
-                self.target.rank(t),
-                self.source.rank(t),
-                self.source.rank(d),
-            )
+            lhs = mat_mul(self.target.differential(d), self.block(d))
+            rhs = mat_mul(self.block(t), self.source.differential(d))
             for i, row in enumerate(mat_sub(lhs, rhs)):
                 for j, e in enumerate(row):
                     if e.terms:
@@ -323,24 +288,13 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         if names:
             modules[d] = names
     diffs = {}
+    z = NovikovElement.zero(lattice)
     for d in sorted(degrees):
         t = shift(d, 1)
-        r2, c2 = tgt.rank(t), tgt.rank(d)
-        r1, c1 = src.rank(shift(d, 2)), src.rank(t)
-        if (r2 + r1) == 0 or (c2 + c1) == 0:
-            continue
-        d2 = tgt.differential(d)
-        d1 = src.differential(t)
-        fb = f.block(t)
+        d2, d1, fb = tgt.differential(d), src.differential(t), f.block(t)
         sign = -1 if (d + 1) % 2 else 1
-        z = NovikovElement.zero(lattice)
-        rows = []
-        for i in range(r2):
-            top = [d2[i][j] for j in range(c2)]
-            cross = [fb[i][j] * sign for j in range(c1)]
-            rows.append(tuple(top + cross))
-        for i in range(r1):
-            rows.append(tuple([z] * c2 + [d1[i][j] for j in range(c1)]))
+        rows = [top + tuple(e * sign for e in cross) for top, cross in zip(d2, fb)]
+        rows += [(z,) * d2.ncols + row for row in d1]
         if any(e.terms or e.cutoff is not None for row in rows for e in row):
             diffs[d] = as_matrix(rows)
     return BasedComplex(lattice, modules, diffs, modulus)
@@ -386,30 +340,22 @@ def relabel_lifts(cplx: BasedComplex, shifts: dict[int, tuple[GroupElement, ...]
     that group element; the torsion class in the Whitehead quotient must not
     see the difference.
     """
+    lattice = cplx.lattice
+    z = NovikovElement.zero(lattice)
+
+    def diagonal(elems):
+        rows = [[z] * len(elems) for _ in elems]
+        for i, g in enumerate(elems):
+            rows[i][i] = NovikovElement.monomial(lattice, 1, g)
+        return as_matrix(rows, len(elems))
+
     transitions = {}
     inverses = {}
     for d, elems in shifts.items():
-        n = cplx.rank(d)
-        if len(elems) != n:
+        if len(elems) != cplx.rank(d):
             raise ShapeError("need one group element per degree-%d generator" % d)
-        z = NovikovElement.zero(cplx.lattice)
-        t_rows = []
-        i_rows = []
-        for i in range(n):
-            t_rows.append(
-                tuple(
-                    NovikovElement.monomial(cplx.lattice, 1, elems[i]) if i == j else z
-                    for j in range(n)
-                )
-            )
-            i_rows.append(
-                tuple(
-                    NovikovElement.monomial(cplx.lattice, 1, g_neg(elems[i])) if i == j else z
-                    for j in range(n)
-                )
-            )
-        transitions[d] = as_matrix(t_rows)
-        inverses[d] = as_matrix(i_rows)
+        transitions[d] = diagonal(elems)
+        inverses[d] = diagonal([g_neg(g) for g in elems])
     return rebase(cplx, transitions, inverses)
 
 

@@ -23,6 +23,7 @@ from typing import Optional
 
 from .complexes import BasedComplex, ChainMap
 from .lattice import Lattice
+from .linalg import Matrix, as_matrix
 from .series import NovikovElement
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
@@ -47,11 +48,10 @@ class ComplexDocument:
     maps: dict[str, dict[str, tuple[Entry, ...]]] = field(default_factory=dict)
     modulus: Optional[int] = None
 
-    def degree_of(self, name: str) -> int:
-        for d, names in self.modules.items():
-            if name in names:
-                return d
-        raise KeyError(name)
+
+def _positions(modules: dict[int, tuple[str, ...]]) -> dict[str, tuple[int, int]]:
+    """Generator name -> (degree, index within its module)."""
+    return {name: (d, i) for d, names in modules.items() for i, name in enumerate(names)}
 
 
 def _parse_rational(text: str, line: int, what: str) -> Fraction:
@@ -176,6 +176,7 @@ def parse(text: str) -> ComplexDocument:
     group_done = False
     modules: dict[int, list[str]] = {}
     gen_line: dict[str, int] = {}
+    position: dict[str, tuple[int, int]] = {}
     differential: dict[str, tuple[Entry, ...]] = {}
     maps: dict[str, dict[str, tuple[Entry, ...]]] = {}
     modulus: Optional[int] = None
@@ -282,6 +283,7 @@ def parse(text: str) -> ComplexDocument:
                     line_no, "duplicate generator %r (first declared on line %d)" % (name, gen_line[name])
                 )
             gen_line[name] = line_no
+            position[name] = (current_degree, len(modules[current_degree]))
             modules[current_degree].append(name)
         elif section in ("differential", "map"):
             src, sep, rhs = line.partition(":")
@@ -291,7 +293,7 @@ def parse(text: str) -> ComplexDocument:
             if src not in gen_line:
                 raise DocumentParseError(line_no, "undeclared generator %r" % src)
             entries = parse_lincomb(rhs, lattice, line_no)
-            src_degree = next(d for d, names in modules.items() if src in names)
+            src_degree = position[src][0]
             seen_targets = set()
             for elt, target in entries:
                 if target not in gen_line:
@@ -299,7 +301,7 @@ def parse(text: str) -> ComplexDocument:
                 if target in seen_targets:
                     raise DocumentParseError(line_no, "generator %r appears twice" % target)
                 seen_targets.add(target)
-                t_degree = next(d for d, names in modules.items() if target in names)
+                t_degree = position[target][0]
                 if section == "differential":
                     want = src_degree + 1 if modulus is None else (src_degree + 1) % modulus
                     if t_degree != want:
@@ -331,16 +333,13 @@ def parse(text: str) -> ComplexDocument:
     )
 
 
-def _render_lincomb(doc: ComplexDocument, entries) -> str:
-    order = {}
-    for d in sorted(doc.modules):
-        for i, name in enumerate(doc.modules[d]):
-            order[name] = (d, i)
-    ordered = sorted(entries, key=lambda e: order[e[1]])
+def _render_lincomb(position: dict[str, tuple[int, int]], entries) -> str:
+    ordered = sorted(entries, key=lambda e: position[e[1]])
     return " + ".join("(%s)*%s" % (elt, tgt) for elt, tgt in ordered)
 
 
 def render(doc: ComplexDocument) -> str:
+    position = _positions(doc.modules)
     lines = ["[group]", "rank: %d" % doc.lattice.rank]
     lines.append("phi: %s" % " ".join(str(p) for p in doc.lattice.phi))
     lines.append("c1: %s" % " ".join(str(c) for c in doc.lattice.c1))
@@ -355,7 +354,7 @@ def render(doc: ComplexDocument) -> str:
         for name in doc.modules[d]:
             entries = doc.differential.get(name)
             if entries:
-                diff_lines.append("%s: %s" % (name, _render_lincomb(doc, entries)))
+                diff_lines.append("%s: %s" % (name, _render_lincomb(position, entries)))
     if diff_lines:
         lines.append("")
         lines.append("[differential]")
@@ -368,30 +367,33 @@ def render(doc: ComplexDocument) -> str:
             for name in doc.modules[d]:
                 entries = body.get(name)
                 if entries:
-                    lines.append("%s: %s" % (name, _render_lincomb(doc, entries)))
+                    lines.append("%s: %s" % (name, _render_lincomb(position, entries)))
     return "\n".join(lines) + "\n"
 
 
-def build_complex(doc: ComplexDocument) -> BasedComplex:
-    position = {}
+def _place(doc: ComplexDocument, images: dict[str, tuple[Entry, ...]], step: int) -> dict[int, Matrix]:
+    """Matrices of ``images`` from each degree d into degree d + step.
+
+    Column j of the degree-d matrix holds the image of the j-th degree-d
+    generator; degrees where no generator has an image are left out.
+    """
+    position = _positions(doc.modules)
+    z = NovikovElement.zero(doc.lattice)
+    mats = {}
     for d, names in doc.modules.items():
-        for i, name in enumerate(names):
-            position[name] = (d, i)
-    diffs = {}
-    for d, names in doc.modules.items():
-        t = d + 1 if doc.modulus is None else (d + 1) % doc.modulus
-        targets = doc.modules.get(t, ())
-        if not targets:
+        if not any(images.get(name) for name in names):
             continue
-        z = NovikovElement.zero(doc.lattice)
-        rows = [[z] * len(names) for _ in targets]
-        touched = False
+        t = d + step if doc.modulus is None else (d + step) % doc.modulus
+        rows = [[z] * len(names) for _ in doc.modules.get(t, ())]
         for j, src in enumerate(names):
-            for elt, tgt in doc.differential.get(src, ()):
+            for elt, tgt in images.get(src, ()):
                 rows[position[tgt][1]][j] = elt
-                touched = True
-        if touched:
-            diffs[d] = tuple(tuple(r) for r in rows)
+        mats[d] = as_matrix(rows, len(names))
+    return mats
+
+
+def build_complex(doc: ComplexDocument) -> BasedComplex:
+    diffs = _place(doc, doc.differential, 1)
     return BasedComplex(doc.lattice, dict(doc.modules), diffs, doc.modulus)
 
 
@@ -401,22 +403,7 @@ def build_chain_map(doc: ComplexDocument, name: str, cplx: Optional[BasedComplex
         raise KeyError("no map named %r in document" % name)
     if cplx is None:
         cplx = build_complex(doc)
-    position = {}
-    for d, names in doc.modules.items():
-        for i, n in enumerate(names):
-            position[n] = (d, i)
-    mats = {}
-    for d, names in doc.modules.items():
-        z = NovikovElement.zero(doc.lattice)
-        rows = [[z] * len(names) for _ in names]
-        touched = False
-        for j, src in enumerate(names):
-            for elt, tgt in doc.maps[name].get(src, ()):
-                rows[position[tgt][1]][j] = elt
-                touched = True
-        if touched:
-            mats[d] = tuple(tuple(r) for r in rows)
-    return ChainMap(cplx, cplx, mats)
+    return ChainMap(cplx, cplx, _place(doc, doc.maps[name], 0))
 
 
 def document_from_complex(cplx: BasedComplex, maps: Optional[dict[str, ChainMap]] = None) -> ComplexDocument:

@@ -1,23 +1,24 @@
 """Small dense matrices over Novikov elements.
 
-Matrices are tuples of row tuples.  Determinants use a division-free
-subset expansion so truncation bookkeeping stays with the ring operations;
-pivot selection uses fraction-free column reduction where every pivot must
-carry an unambiguous invertible leading term.  Each pivot step updates only
-the live submatrix (unused rows of unprocessed columns), the only entries a
-later step reads.
+A ``Matrix`` is a tuple of row tuples that also records its column count
+and lattice, so a matrix with no rows or no columns keeps its shape and
+products through an empty dimension come out the right size.  Determinants
+use a division-free subset expansion so truncation bookkeeping stays with
+the ring operations; pivot selection uses fraction-free column reduction
+where every pivot must carry an unambiguous invertible leading term.  Each
+pivot step updates only the live submatrix (unused rows of unprocessed
+columns), the only entries a later step reads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import Lattice
 from .series import AmbiguousLeadingTermError, NovikovElement, _min_cutoff
-
-Matrix = tuple[tuple[NovikovElement, ...], ...]
 
 _DET_LIMIT = 14
 
@@ -31,62 +32,105 @@ class IndeterminatePivotError(ArithmeticError):
     ambiguous, so no certified-invertible pivot exists."""
 
 
-def as_matrix(rows) -> Matrix:
-    return tuple(tuple(r) for r in rows)
+class Matrix(tuple):
+    """Row tuples with a known ``ncols`` and ``lattice``.
+
+    Indexing, ``len`` and row iteration are those of the row tuple.
+    ``lattice`` is None only for a matrix given without entries.  Build one
+    with ``as_matrix``, ``zeros`` or ``identity``.
+    """
+
+    ncols: int
+    lattice: Optional[Lattice]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.ncols
+
+    def __eq__(self, other):
+        if isinstance(other, Matrix) and other.ncols != self.ncols:
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+
+def _matrix(rows: tuple, ncols: int, lattice: Optional[Lattice]) -> Matrix:
+    m = Matrix(rows)
+    m.ncols = ncols
+    m.lattice = lattice
+    return m
+
+
+def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
+    """The matrix with these rows; a row-less input needs ``ncols``.
+
+    Raises ShapeError on ragged rows or a column count they contradict.
+    """
+    if isinstance(rows, Matrix):
+        if ncols is not None and ncols != rows.ncols:
+            raise ShapeError("matrix has %d columns, expected %d" % (rows.ncols, ncols))
+        return rows
+    rows = tuple(tuple(r) for r in rows)
+    if ncols is None:
+        if not rows:
+            raise ShapeError("column count required for a matrix with no rows")
+        ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ShapeError("ragged matrix: every row needs %d entries" % ncols)
+    return _matrix(rows, ncols, rows[0][0].lattice if rows and ncols else None)
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:
-    z = NovikovElement.zero(lattice)
-    return tuple(tuple(z for _ in range(ncols)) for _ in range(nrows))
+    return _matrix(((NovikovElement.zero(lattice),) * ncols,) * nrows, ncols, lattice)
 
 
 def identity(lattice: Lattice, n: int) -> Matrix:
     one = NovikovElement.one(lattice)
     z = NovikovElement.zero(lattice)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+    rows = tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
+    return _matrix(rows, n, lattice)
+
+
+def _entrywise(op, a, b) -> Matrix:
+    a, b = as_matrix(a), as_matrix(b)
+    if a.shape != b.shape:
+        raise ShapeError("entrywise operation on %dx%d and %dx%d" % (a.shape + b.shape))
+    rows = tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _matrix(rows, a.ncols, a.lattice or b.lattice)
 
 
 def mat_add(a, b) -> Matrix:
-    if len(a) != len(b) or any(len(x) != len(y) for x, y in zip(a, b)):
-        raise ShapeError("matrix addition shape mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _entrywise(operator.add, a, b)
 
 
 def mat_sub(a, b) -> Matrix:
-    return mat_add(a, tuple(tuple(-e for e in r) for r in b))
+    return _entrywise(operator.sub, a, b)
+
+
+def _dot(row, col) -> NovikovElement:
+    acc = row[0] * col[0]
+    for x, y in zip(row[1:], col[1:]):
+        acc = acc + x * y
+    return acc
 
 
 def mat_mul(a, b) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeError(
-            "cannot multiply %dx%d by %dx%d"
-            % (len(a), len(a[0]), len(b), len(b[0]) if b else 0)
-        )
-    if not a or not b:
-        return tuple(tuple() for _ in a)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            acc = None
-            for k, e in enumerate(row):
-                term = e * b[k][j]
-                acc = term if acc is None else acc + term
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
-def mat_mul_shaped(lattice: Lattice, a, b, nrows: int, inner: int, ncols: int) -> Matrix:
-    """Product with explicit shapes; sound when a dimension is zero.
-
-    Plain mat_mul cannot represent the column count of a matrix with no
-    rows, so products through a zero-dimensional middle collapse it; this
-    variant returns the zero matrix of the right shape instead.
-    """
-    if nrows == 0 or ncols == 0 or inner == 0:
-        return zeros(lattice, nrows, ncols)
-    return mat_mul(a, b)
+    """Product of an r x k and a k x c matrix; an r x c zero matrix when k = 0."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a.ncols != len(b):
+        raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.shape + b.shape))
+    lattice = a.lattice or b.lattice
+    if not b:
+        if lattice is None and a and b.ncols:
+            raise ShapeError("a product through an empty dimension needs a matrix with entries")
+        return zeros(lattice, len(a), b.ncols)
+    cols = tuple(zip(*b))
+    return _matrix(tuple(tuple(_dot(row, col) for col in cols) for row in a), b.ncols, lattice)
 
 
 def determinant(lattice: Lattice, rows) -> NovikovElement:
@@ -161,14 +205,10 @@ def select_column_pivots(
     unambiguous leading term (hence be a unit over rational coefficients).
     A column whose free-row entries are nonzero but all ambiguous raises
     IndeterminatePivotError: its rank contribution cannot be certified.
+    ``rows`` and ``ncols`` go through ``as_matrix``.
     """
-    m = len(rows)
-    if ncols is None:
-        if m == 0:
-            raise ShapeError("column count required for a matrix with no rows")
-        ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ShapeError("ragged matrix")
+    rows = as_matrix(rows, ncols)
+    m, ncols = rows.shape
     cols = [[rows[i][j] for i in range(m)] for j in range(ncols)]
     order = list(column_order) if column_order is not None else list(range(ncols))
     if sorted(order) != list(range(ncols)):

@@ -24,10 +24,12 @@ from .linalg import (
     ShapeError,
     as_matrix,
     determinant,
+    identity,
     mat_add,
-    mat_mul_shaped,
+    mat_mul,
     mat_sub,
     select_column_pivots,
+    zeros,
 )
 from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, _min_cutoff, divide
 
@@ -141,20 +143,9 @@ def basis_change_class(
     The matrices express the new even and odd bases in the old ones; the
     class is det(even) / det(odd) modulo sign.
     """
-    det_even = determinant(lattice, as_matrix(even_transition))
-    det_odd = determinant(lattice, as_matrix(odd_transition))
+    det_even = determinant(lattice, even_transition)
+    det_odd = determinant(lattice, odd_transition)
     return BasisChangeClass.from_unit(divide(det_even, det_odd, cutoff))
-
-
-def _standard_column(lattice, n, j):
-    col = [NovikovElement.zero(lattice) for _ in range(n)]
-    col[j] = NovikovElement.one(lattice)
-    return col
-
-
-def _columns_to_matrix(cols):
-    n = len(cols)
-    return as_matrix(tuple(tuple(col[i] for col in cols) for i in range(n)))
 
 
 def milnor_torsion_unit(
@@ -179,8 +170,8 @@ def milnor_torsion_unit(
     lattice = cplx.lattice
     names0, names1, d0, d1 = cplx.collapse()
     n0, n1 = len(names0), len(names1)
-    sel0 = select_column_pivots(lattice, d0, ncols=n0, column_order=order0)
-    sel1 = select_column_pivots(lattice, d1, ncols=n1, column_order=order1)
+    sel0 = select_column_pivots(lattice, d0, column_order=order0)
+    sel1 = select_column_pivots(lattice, d1, column_order=order1)
     if n0 - sel0.rank != sel1.rank or n1 - sel1.rank != sel0.rank:
         # columns declared zero only below a cutoff make the ranks lower bounds
         zero_cutoff = _min_cutoff(sel0.cutoff, sel1.cutoff)
@@ -193,14 +184,13 @@ def milnor_torsion_unit(
             "homology is nonzero: ranks %d/%d on modules of rank %d/%d"
             % (sel0.rank, sel1.rank, n0, n1)
         )
-    s0 = list(sel0.columns)
-    s1 = list(sel1.columns)
-    even_cols = [[d1[i][j] for i in range(n0)] for j in s1]
-    even_cols += [_standard_column(lattice, n0, j) for j in s0]
-    odd_cols = [[d0[i][j] for i in range(n1)] for j in s0]
-    odd_cols += [_standard_column(lattice, n1, j) for j in s1]
-    det_even = determinant(lattice, _columns_to_matrix(even_cols))
-    det_odd = determinant(lattice, _columns_to_matrix(odd_cols))
+    # new bases as columns: image columns, then standard vectors
+    cols0, cols1 = tuple(zip(*d0)), tuple(zip(*d1))
+    e0, e1 = identity(lattice, n0), identity(lattice, n1)
+    even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
+    odd = [cols0[j] for j in sel0.columns] + [e1[j] for j in sel1.columns]
+    det_even = determinant(lattice, tuple(zip(*even)))
+    det_odd = determinant(lattice, tuple(zip(*odd)))
     rep = divide(det_even, det_odd, cutoff)
     certify = _min_cutoff(report.cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
     if certify is not None:
@@ -244,38 +234,18 @@ def homotopy_equivalent(f: ChainMap, g: ChainMap, homotopy: dict[int, Matrix]) -
     src, tgt = f.source, f.target
 
     def h_block(d):
-        mat = homotopy.get(d)
-        if mat is None:
-            from .linalg import zeros
-
-            return zeros(src.lattice, tgt.rank(src.shift(d, -1)), src.rank(d))
-        mat = as_matrix(mat)
-        if len(mat) != tgt.rank(src.shift(d, -1)) or any(len(r) != src.rank(d) for r in mat):
+        rows, cols = tgt.rank(src.shift(d, -1)), src.rank(d)
+        mat = as_matrix(homotopy[d], cols) if d in homotopy else zeros(src.lattice, rows, cols)
+        if len(mat) != rows:
             raise ShapeError("homotopy block at degree %d has wrong shape" % d)
         return mat
 
-    degrees = set(src.degrees()) | set(tgt.degrees())
-    lattice = src.lattice
-    for d in sorted(degrees):
+    for d in sorted(set(src.degrees()) | set(tgt.degrees())):
         lhs = mat_sub(f.block(d), g.block(d))
         below, above = src.shift(d, -1), src.shift(d, 1)
         rhs = mat_add(
-            mat_mul_shaped(
-                lattice,
-                tgt.differential(below),
-                h_block(d),
-                tgt.rank(d),
-                tgt.rank(below),
-                src.rank(d),
-            ),
-            mat_mul_shaped(
-                lattice,
-                h_block(above),
-                src.differential(d),
-                tgt.rank(d),
-                src.rank(above),
-                src.rank(d),
-            ),
+            mat_mul(tgt.differential(below), h_block(d)),
+            mat_mul(h_block(above), src.differential(d)),
         )
         for row in mat_sub(lhs, rhs):
             for e in row:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from novtorsion import BasedComplex, ChainMap, Lattice, NovikovElement, rebase
-from novtorsion.linalg import as_matrix, identity, mat_mul, zeros
+from novtorsion.linalg import as_matrix, identity, mat_add, mat_mul, mat_sub, zeros
 from novtorsion.series import divide
 from novtorsion.torsion import BasisChangeClass
 
@@ -189,8 +189,6 @@ def rand_degree_drop(rng: random.Random, f_source: BasedComplex, f_target: Based
 
 def perturb_by_homotopy(rng: random.Random, f: ChainMap):
     """Chain map g = f - (d2 H + H d1); returns (g, H)."""
-    from novtorsion.linalg import mat_add, mat_mul_shaped, mat_sub
-
     src, tgt = f.source, f.target
     lat = src.lattice
     h = rand_degree_drop(rng, src, tgt)
@@ -205,29 +203,13 @@ def perturb_by_homotopy(rng: random.Random, f: ChainMap):
     for d in set(src.degrees()) | set(tgt.degrees()):
         below, above = src.shift(d, -1), src.shift(d, 1)
         delta = mat_add(
-            mat_mul_shaped(
-                lat, tgt.differential(below), h_block(d), tgt.rank(d), tgt.rank(below), src.rank(d)
-            ),
-            mat_mul_shaped(
-                lat, h_block(above), src.differential(d), tgt.rank(d), src.rank(above), src.rank(d)
-            ),
+            mat_mul(tgt.differential(below), h_block(d)),
+            mat_mul(h_block(above), src.differential(d)),
         )
         mats[d] = mat_sub(f.block(d), delta)
     return ChainMap(src, tgt, mats), h
 
 
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
-    from novtorsion.linalg import mat_mul_shaped
-
-    lat = f.source.lattice
-    mats = {}
-    for d in set(f.source.degrees()) | set(g.target.degrees()):
-        mats[d] = mat_mul_shaped(
-            lat,
-            g.block(d),
-            f.block(d),
-            g.target.rank(d),
-            f.target.rank(d),
-            f.source.rank(d),
-        )
-    return ChainMap(f.source, g.target, mats)
+    degrees = set(f.source.degrees()) | set(g.target.degrees())
+    return ChainMap(f.source, g.target, {d: mat_mul(g.block(d), f.block(d)) for d in degrees})

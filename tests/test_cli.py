@@ -85,6 +85,14 @@ def test_bad_flag_is_usage(capsys):
     assert code == EXIT_USAGE
 
 
+def test_torus_example_rejects_bad_grid_and_tolerance(capsys):
+    for flag in ("--grid=0x0", "--grid=-2x4", "--grid=3x0", "--tol=nan", "--tol=0", "--tol=-1", "--tol=inf"):
+        code, out = run(capsys, "torus-example", flag)
+        assert code == EXIT_USAGE, flag
+        assert report_value(out, "category") == "usage", flag
+        assert report_value(out, "message").startswith("invalid "), flag
+
+
 def test_not_acyclic_is_validate_category(capsys):
     code, out = run(capsys, "torsion", fixture("not_acyclic.cplx"))
     assert code == EXIT_VALIDATE

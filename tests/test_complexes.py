@@ -8,10 +8,14 @@ from novtorsion import (
     ComplexStructureError,
     IndeterminatePivotError,
     NovikovElement,
+    ShapeError,
+    homotopy_equivalent,
     mapping_cone,
     rebase,
     relabel_lifts,
+    relative_torsion,
     two_term_complex,
+    whitehead_normalize,
 )
 from novtorsion.linalg import as_matrix
 
@@ -139,6 +143,25 @@ def test_mapping_cone_identity_is_acyclic():
     cone = mapping_cone(ChainMap(c, c, {0: ((ONE,),)}))
     assert cone.degrees() == (-1, 0)
     assert cone.homology_ranks().acyclic
+
+
+def test_gap_degree_complex_through_maps_cones_and_homotopies():
+    # modules in degrees 0 and 2 only: every differential and homotopy block
+    # has an empty side, and the homotopy products run through empty degrees
+    c = BasedComplex(LAT, {0: ("a",), 2: ("b",)}, {}, None)
+    assert c.differential(0).shape == (0, 1) and c.differential(1).shape == (1, 0)
+    f = ChainMap(c, c, {0: ((ONE - Z,),), 2: ((ONE + Z,),)})
+    assert f.validate().valid
+    cone = mapping_cone(f)
+    assert cone.degrees() == (-1, 0, 1, 2)
+    assert cone.validate().valid and cone.homology_ranks().acyclic
+    assert relative_torsion(f) == whitehead_normalize(ONE - Z * Z)
+    g = ChainMap(c, c, {0: ((ONE - Z,),), 2: ((ONE,),)})
+    h = {0: (), 2: ()}  # 0x1 blocks into the empty degrees -1 and 1
+    assert homotopy_equivalent(f, f, h)
+    assert not homotopy_equivalent(f, g, h)
+    with pytest.raises(ShapeError):
+        homotopy_equivalent(f, f, {0: ((ONE,),)})
 
 
 def test_mapping_cone_rejects_non_chain_map():

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from novtorsion import IndeterminatePivotError, NovikovElement, ShapeError, determinant
-from novtorsion.linalg import PivotSelection, as_matrix, mat_mul, select_column_pivots
+from novtorsion.linalg import (
+    PivotSelection,
+    as_matrix,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    select_column_pivots,
+    zeros,
+)
 from novtorsion.series import AmbiguousLeadingTermError, _min_cutoff
 
 from support import k1_lattice, rand_element, tie_lattice
@@ -50,6 +58,38 @@ def test_determinant_triangular_and_permutation():
 def test_determinant_shape_errors():
     with pytest.raises(ShapeError):
         determinant(LAT, ((ONE, Z),))
+
+
+def test_products_through_empty_dimensions_keep_their_shape():
+    prod = mat_mul(zeros(LAT, 2, 0), zeros(LAT, 0, 3))
+    assert prod.shape == (2, 3)
+    assert all(e.is_zero and e.is_exact and e.lattice == LAT for row in prod for e in row)
+    assert mat_mul(((ONE, Z),), zeros(LAT, 2, 0)).shape == (1, 0)
+    assert mat_mul(zeros(LAT, 0, 2), ((ONE,), (Z,))).shape == (0, 1)
+    assert mat_mul(as_matrix((), 2), zeros(LAT, 2, 4)).shape == (0, 4)
+    assert mat_add(zeros(LAT, 0, 4), as_matrix((), 4)).shape == (0, 4)
+    assert mat_sub(zeros(LAT, 3, 0), ((), (), ())).shape == (3, 0)
+    assert mat_mul(((ONE, Z),), ((Z,), (ONE,))) == ((2 * Z,),)
+
+
+def test_shape_mismatch_with_empty_operand_raises():
+    with pytest.raises(ShapeError):
+        mat_mul(((ONE,),), zeros(LAT, 0, 2))  # 1x1 by 0x2
+    with pytest.raises(ShapeError):
+        mat_mul(zeros(LAT, 2, 0), ((ONE,),))  # 2x0 by 1x1
+    with pytest.raises(ShapeError):
+        mat_mul(((ONE,),), ())  # a row-less operand needs a column count
+    with pytest.raises(ShapeError):
+        mat_mul(((), ()), as_matrix((), 3))  # no entries, so no lattice for the 2x3 zeros
+    with pytest.raises(ShapeError):
+        mat_add(zeros(LAT, 0, 2), zeros(LAT, 0, 3))
+    with pytest.raises(ShapeError):
+        mat_sub(zeros(LAT, 2, 0), zeros(LAT, 3, 0))
+    with pytest.raises(ShapeError):
+        as_matrix(((ONE, Z), (ONE,)))
+    with pytest.raises(ShapeError):
+        as_matrix(zeros(LAT, 0, 2), 3)
+    assert zeros(LAT, 0, 2) != zeros(LAT, 0, 3)
 
 
 def test_pivot_selection_rank():
@@ -167,7 +207,7 @@ def test_live_submatrix_update_matches_full_update_reference():
     for case in range(500):
         lat = lattices[case % 2]
         m, n = rng.randint(0, 5), rng.randint(1, 5)
-        rows = as_matrix([[rand_pivot_entry(rng, lat) for _ in range(n)] for _ in range(m)])
+        rows = as_matrix([[rand_pivot_entry(rng, lat) for _ in range(n)] for _ in range(m)], n)
         if m and rng.random() < 0.4:
             # rank-deficient: a product through a narrow middle
             k = rng.randint(1, 2)

@@ -391,7 +391,7 @@ def test_short_exact_sequence_additivity():
 
 def _extension(rng, sub: BasedComplex, quot: BasedComplex) -> BasedComplex:
     """Block complex [[d_sub, X], [0, d_quot]] with X = d Y - Y d."""
-    from novtorsion.linalg import mat_mul_shaped, mat_sub, zeros
+    from novtorsion.linalg import mat_mul, mat_sub
 
     lat = sub.lattice
     degrees = sorted(set(sub.degrees()) | set(quot.degrees()))
@@ -405,27 +405,13 @@ def _extension(rng, sub: BasedComplex, quot: BasedComplex) -> BasedComplex:
     y = {}
     for d in degrees + [degrees[-1] + 1]:
         rows, cols = sub.rank(d), quot.rank(d)
-        y[d] = (
-            as_matrix([[rand_element(rng, lat, 1) for _ in range(cols)] for _ in range(rows)])
-            if rows and cols
-            else zeros(lat, rows, cols)
-        )
+        y[d] = as_matrix([[rand_element(rng, lat, 1) for _ in range(cols)] for _ in range(rows)], cols)
     diffs = {}
+    zero = NovikovElement.zero(lat)
     for d in degrees:
-        t = d + 1
-        r_s, c_s = sub.rank(t), sub.rank(d)
-        r_q, c_q = quot.rank(t), quot.rank(d)
-        if (r_s + r_q) == 0 or (c_s + c_q) == 0:
-            continue
-        x = mat_sub(
-            mat_mul_shaped(lat, sub.differential(d), y[d], r_s, c_s, c_q),
-            mat_mul_shaped(lat, y[t], quot.differential(d), r_s, r_q, c_q),
-        )
-        rows = []
-        for i in range(r_s):
-            rows.append(tuple(sub.differential(d)[i]) + tuple(x[i]))
-        zero_row = [NovikovElement.zero(lat)] * c_s
-        for i in range(r_q):
-            rows.append(tuple(zero_row) + tuple(quot.differential(d)[i]))
-        diffs[d] = as_matrix(rows)
+        d_sub, d_quot = sub.differential(d), quot.differential(d)
+        x = mat_sub(mat_mul(d_sub, y[d]), mat_mul(y[d + 1], d_quot))
+        rows = [top + right for top, right in zip(d_sub, x)]
+        rows += [(zero,) * d_sub.ncols + row for row in d_quot]
+        diffs[d] = as_matrix(rows, d_sub.ncols + d_quot.ncols)
     return BasedComplex(lat, modules, diffs, None)
