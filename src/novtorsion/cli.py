@@ -134,13 +134,13 @@ def _cmd_ranks(args) -> int:
     return EXIT_OK
 
 
-def _torsion_lines(label, cls):
-    rep = cls.representative
+def _torsion_lines(label, cls, prefix=""):
+    """Report lines of a torsion class; ``prefix`` leads every key but the first."""
     return [
-        "%s: %s" % (label, format_element(rep, cutoff_suffix=False)),
-        "trivial: %s" % ("true" if cls.trivial else "false"),
-        "cutoff: %s" % _cutoff_str(cls.cutoff),
-        "leading-coefficient: %s" % cls.leading_coefficient,
+        "%s: %s" % (label, format_element(cls.representative, cutoff_suffix=False)),
+        "%strivial: %s" % (prefix, "true" if cls.trivial else "false"),
+        "%scutoff: %s" % (prefix, _cutoff_str(cls.cutoff)),
+        "%sleading-coefficient: %s" % (prefix, cls.leading_coefficient),
     ]
 
 
@@ -199,14 +199,8 @@ def _cmd_torus(args) -> int:
         low = min(cplx.differentials)
         entry = cplx.differentials[low][0][0]
         lines.append("differential %s: %s" % (convention, entry))
-        cls = report.torsions[convention]
-        rep = cls.representative
-        lines.append("torsion %s: %s" % (convention, format_element(rep, cutoff_suffix=False)))
-        lines.append("torsion %s trivial: %s" % (convention, "true" if cls.trivial else "false"))
-        lines.append("torsion %s cutoff: %s" % (convention, _cutoff_str(cls.cutoff)))
-        lines.append(
-            "torsion %s leading-coefficient: %s" % (convention, cls.leading_coefficient)
-        )
+        label = "torsion " + convention
+        lines.extend(_torsion_lines(label, report.torsions[convention], label + " "))
     _emit(lines)
     for convention in ("plus", "minus"):
         print("begin-document %s" % convention)

@@ -406,40 +406,32 @@ def build_chain_map(doc: ComplexDocument, name: str, cplx: Optional[BasedComplex
     return ChainMap(cplx, cplx, _place(doc, doc.maps[name], 0))
 
 
-def document_from_complex(cplx: BasedComplex, maps: Optional[dict[str, ChainMap]] = None) -> ComplexDocument:
-    differential: dict[str, tuple[Entry, ...]] = {}
-    for d, mat in cplx.differentials.items():
-        t = cplx.shift(d, 1)
-        sources = cplx.generators(d)
-        targets = cplx.generators(t)
-        for j, src in enumerate(sources):
-            entries = []
-            for i, tgt in enumerate(targets):
-                e = mat[i][j]
-                if e.terms or e.cutoff is not None:
-                    entries.append((e, tgt))
+def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str, tuple[Entry, ...]]:
+    """Inverse of ``_place``: the image line of each source generator.
+
+    An entry is kept when it is nonzero or carries a cutoff; generators
+    whose column keeps no entry get no line.
+    """
+    images = {}
+    for d, mat in mats.items():
+        targets = cplx.generators(cplx.shift(d, step))
+        for src, column in zip(cplx.generators(d), zip(*mat)):
+            entries = tuple((e, tgt) for e, tgt in zip(column, targets) if e.terms or e.cutoff is not None)
             if entries:
-                differential[src] = tuple(entries)
+                images[src] = entries
+    return images
+
+
+def document_from_complex(cplx: BasedComplex, maps: Optional[dict[str, ChainMap]] = None) -> ComplexDocument:
     map_blocks: dict[str, dict[str, tuple[Entry, ...]]] = {}
     for name, f in (maps or {}).items():
         if f.source != cplx or f.target != cplx:
             raise ValueError("documents can only carry endomorphisms of their complex")
-        body: dict[str, tuple[Entry, ...]] = {}
-        for d, mat in f.matrices.items():
-            gens = cplx.generators(d)
-            for j, src in enumerate(gens):
-                entries = []
-                for i, tgt in enumerate(gens):
-                    e = mat[i][j]
-                    if e.terms or e.cutoff is not None:
-                        entries.append((e, tgt))
-                if entries:
-                    body[src] = tuple(entries)
-        map_blocks[name] = body
+        map_blocks[name] = _images(cplx, f.matrices, 0)
     return ComplexDocument(
         lattice=cplx.lattice,
         modules=dict(cplx.modules),
-        differential=differential,
+        differential=_images(cplx, cplx.differentials, 1),
         maps=map_blocks,
         modulus=cplx.modulus,
     )

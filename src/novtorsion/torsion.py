@@ -2,11 +2,11 @@
 
 Units of the Novikov ring represent determinant classes: modulo sign only
 (basis-change classes) or modulo sign and group monomials (Whitehead
-classes).  The torsion of an acyclic parity-graded complex is computed by
-selecting pivot columns of the two differentials; the image columns
-together with the surviving standard basis vectors form new graded bases,
-and the torsion is the even transition determinant divided by the odd one.
-The convention is fixed so that a two-term complex whose generator sits in
+classes); both share one implementation and differ only in how a unit is
+normalized.  The torsion of an acyclic parity-graded complex is the ratio
+of two square minors of its differentials, one per parity, cut out by the
+pivot columns of a column reduction (see ``milnor_torsion_unit``).  The
+convention is fixed so that a two-term complex whose generator sits in
 odd degree, with differential a unit u, has torsion class u.
 """
 
@@ -24,7 +24,6 @@ from .linalg import (
     ShapeError,
     as_matrix,
     determinant,
-    identity,
     mat_add,
     mat_mul,
     mat_sub,
@@ -34,31 +33,33 @@ from .linalg import (
 from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, _min_cutoff, divide
 
 
-def _normalized_sign(u: NovikovElement) -> NovikovElement:
-    lt = u.leading_term()
-    if lt is None:
-        raise NotInvertibleError("not a unit: no known leading term")
-    return -u if lt.coefficient < 0 else u
-
-
 @dataclass(frozen=True, eq=False)
-class BasisChangeClass:
-    """A unit modulo sign; the determinant class of a change of graded basis."""
+class _DeterminantClass:
+    """A unit modulo a subgroup, stored as a normalized representative.
+
+    Subclasses say how ``_normalize`` picks the representative; products,
+    inverses and comparisons are only defined between classes of one kind.
+    """
 
     representative: NovikovElement
 
     @classmethod
-    def from_unit(cls, u: NovikovElement) -> "BasisChangeClass":
-        return cls(_normalized_sign(u))
+    def from_unit(cls, u: NovikovElement):
+        lt = u.leading_term()
+        if lt is None:
+            raise NotInvertibleError("not a unit: no known leading term")
+        return cls(cls._normalize(u, lt))
 
-    def __mul__(self, other: "BasisChangeClass") -> "BasisChangeClass":
-        return BasisChangeClass.from_unit(self.representative * other.representative)
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.from_unit(self.representative * other.representative)
 
-    def inverse(self, cutoff=None) -> "BasisChangeClass":
-        return BasisChangeClass.from_unit(self.representative.invert(cutoff))
+    def inverse(self, cutoff=None):
+        return self.from_unit(self.representative.invert(cutoff))
 
     def __eq__(self, other):
-        if not isinstance(other, BasisChangeClass):
+        if type(other) is not type(self):
             return NotImplemented
         return self.representative.agree_below(other.representative)
 
@@ -68,15 +69,22 @@ class BasisChangeClass:
     def cutoff(self) -> Optional[Fraction]:
         return self.representative.cutoff
 
-    def to_whitehead(self) -> "WhiteheadClass":
-        return WhiteheadClass.from_unit(self.representative)
-
     def __str__(self):
         return str(self.representative)
 
 
-@dataclass(frozen=True, eq=False)
-class WhiteheadClass:
+class BasisChangeClass(_DeterminantClass):
+    """A unit modulo sign; the determinant class of a change of graded basis."""
+
+    @staticmethod
+    def _normalize(u, lead):
+        return -u if lead.coefficient < 0 else u
+
+    def to_whitehead(self) -> "WhiteheadClass":
+        return WhiteheadClass.from_unit(self.representative)
+
+
+class WhiteheadClass(_DeterminantClass):
     """A unit modulo sign and group monomials, in normalized form.
 
     The representative is the unit divided by the signed monomial of its
@@ -85,16 +93,10 @@ class WhiteheadClass:
     is the constant 1; rational constants other than 1 stay non-trivial.
     """
 
-    representative: NovikovElement
-
-    @classmethod
-    def from_unit(cls, u: NovikovElement) -> "WhiteheadClass":
-        lt = u.leading_term()
-        if lt is None:
-            raise NotInvertibleError("not a unit: no known leading term")
-        sign = 1 if lt.coefficient > 0 else -1
-        rep = u * NovikovElement.monomial(u.lattice, sign, g_neg(lt.element))
-        return cls(rep)
+    @staticmethod
+    def _normalize(u, lead):
+        sign = 1 if lead.coefficient > 0 else -1
+        return u * NovikovElement.monomial(u.lattice, sign, g_neg(lead.element))
 
     @property
     def trivial(self) -> bool:
@@ -103,28 +105,8 @@ class WhiteheadClass:
         return self.representative.terms == {lattice.identity(): Fraction(1)}
 
     @property
-    def cutoff(self) -> Optional[Fraction]:
-        return self.representative.cutoff
-
-    @property
     def leading_coefficient(self) -> Fraction:
         return self.representative.leading_term().coefficient
-
-    def __mul__(self, other: "WhiteheadClass") -> "WhiteheadClass":
-        return WhiteheadClass.from_unit(self.representative * other.representative)
-
-    def inverse(self, cutoff=None) -> "WhiteheadClass":
-        return WhiteheadClass.from_unit(self.representative.invert(cutoff))
-
-    def __eq__(self, other):
-        if not isinstance(other, WhiteheadClass):
-            return NotImplemented
-        return self.representative.agree_below(other.representative)
-
-    __hash__ = None
-
-    def __str__(self):
-        return str(self.representative)
 
 
 def whitehead_normalize(u: NovikovElement) -> WhiteheadClass:
@@ -158,11 +140,13 @@ def milnor_torsion_unit(
 
     Collapse to the parity grading with differentials d0 (even to odd) and
     d1 (odd to even).  Pivot columns S0 of d0 have images forming a basis of
-    the odd boundaries, and similarly S1 for d1.  The new even basis is the
-    image columns d1[S1] followed by the standard vectors at S0 (the lifts
-    of their images); the new odd basis is d0[S0] followed by the standard
-    vectors at S1.  The torsion is det(even) / det(odd); the column orders
-    only steer pivot choice and must not change the class.
+    the odd boundaries, and similarly S1 for d1; R0 are the even indices
+    outside S0 and R1 the odd indices outside S1.  The new even basis, the
+    image columns d1[S1] with the standard vectors at S0, has transition
+    determinant +-det d1[R0, S1] (expand along the standard vectors), and
+    likewise the odd one +-det d0[R1, S0].  The torsion is the even minor
+    over the odd minor, modulo sign; the column orders only steer pivot
+    choice and must not change the class.
     """
     report = cplx.validate()
     if not report.valid:
@@ -184,13 +168,11 @@ def milnor_torsion_unit(
             "homology is nonzero: ranks %d/%d on modules of rank %d/%d"
             % (sel0.rank, sel1.rank, n0, n1)
         )
-    # new bases as columns: image columns, then standard vectors
-    cols0, cols1 = tuple(zip(*d0)), tuple(zip(*d1))
-    e0, e1 = identity(lattice, n0), identity(lattice, n1)
-    even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
-    odd = [cols0[j] for j in sel0.columns] + [e1[j] for j in sel1.columns]
-    det_even = determinant(lattice, tuple(zip(*even)))
-    det_odd = determinant(lattice, tuple(zip(*odd)))
+    s0, s1 = sel0.columns, sel1.columns
+    r0 = [i for i in range(n0) if i not in s0]
+    r1 = [i for i in range(n1) if i not in s1]
+    det_even = determinant(lattice, [[d1[i][j] for j in s1] for i in r0])
+    det_odd = determinant(lattice, [[d0[i][j] for j in s0] for i in r1])
     rep = divide(det_even, det_odd, cutoff)
     certify = _min_cutoff(report.cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
     if certify is not None:

@@ -16,8 +16,9 @@ from novtorsion import (
     two_term_complex,
     whitehead_normalize,
 )
-from novtorsion.linalg import IndeterminatePivotError, as_matrix, identity
-from novtorsion.torsion import WhiteheadClass, milnor_torsion_unit
+from novtorsion.linalg import IndeterminatePivotError, as_matrix, determinant, identity, select_column_pivots
+from novtorsion.series import NotInvertibleError, _min_cutoff, divide
+from novtorsion.torsion import BasisChangeClass, WhiteheadClass, milnor_torsion_unit
 
 from support import (
     CUT,
@@ -64,6 +65,18 @@ def test_rational_constants_stay_nontrivial():
     cls = whitehead_normalize(2 * ONE)
     assert not cls.trivial
     assert cls.leading_coefficient == 2
+
+
+def test_mixed_class_kinds_do_not_combine():
+    basis, white = BasisChangeClass.from_unit(Z * Z), WhiteheadClass.from_unit(Z * Z)
+    with pytest.raises(TypeError):
+        basis * white
+    with pytest.raises(TypeError):
+        white * basis
+    assert basis.__eq__(white) is NotImplemented
+    assert white.__eq__(basis) is NotImplemented
+    assert basis != white and white != basis
+    assert basis.to_whitehead() == white
 
 
 # -- milnor torsion ----------------------------------------------------------
@@ -148,6 +161,75 @@ def test_pivot_choice_independence():
         rng.shuffle(o0)
         rng.shuffle(o1)
         assert milnor_torsion(cplx, CUT, order0=o0, order1=o1) == reference
+
+
+def _padded_transition_torsion(cplx, cutoff, order0=None, order1=None) -> BasisChangeClass:
+    """Reference torsion from the full transition matrices.
+
+    The even basis is d1[S1] followed by the standard vectors at S0, the odd
+    basis d0[S0] followed by those at S1; the class is det(even) / det(odd)
+    with the certification cutoff of the pivots and of the validation.
+    """
+    lattice = cplx.lattice
+    _, _, d0, d1 = cplx.collapse()
+    sel0 = select_column_pivots(lattice, d0, column_order=order0)
+    sel1 = select_column_pivots(lattice, d1, column_order=order1)
+    cols0, cols1 = tuple(zip(*d0)), tuple(zip(*d1))
+    e0, e1 = identity(lattice, d0.ncols), identity(lattice, d1.ncols)
+    even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
+    odd = [cols0[j] for j in sel0.columns] + [e1[j] for j in sel1.columns]
+    rep = divide(determinant(lattice, tuple(zip(*even))), determinant(lattice, tuple(zip(*odd))), cutoff)
+    certify = _min_cutoff(cplx.validate().cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
+    return BasisChangeClass.from_unit(rep if certify is None else rep.truncate(certify))
+
+
+def _truncate_entries(rng, cplx: BasedComplex) -> BasedComplex:
+    """The complex with every nonzero differential entry cut 1-8 above its lead."""
+
+    def cut(e):
+        return e.truncate(e.min_weight() + rng.randint(1, 8)) if e.terms else e
+
+    diffs = {
+        d: as_matrix([[cut(e) for e in row] for row in m], m.ncols) for d, m in cplx.differentials.items()
+    }
+    return BasedComplex(cplx.lattice, cplx.modules, diffs, cplx.modulus)
+
+
+def test_minors_match_padded_transition_reference():
+    rng = random.Random(27)
+    compared = {False: 0, True: 0}
+    for lat in (LAT, k2_lattice()):
+        for truncated in (False, True):
+            for _ in range(40):
+                cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(1, 4))
+                if truncated:
+                    cplx = _truncate_entries(rng, cplx)
+                _, _, d0, d1 = cplx.collapse()
+                o0, o1 = list(range(d0.ncols)), list(range(d1.ncols))
+                rng.shuffle(o0)
+                rng.shuffle(o1)
+                try:
+                    got = milnor_torsion_unit(cplx, CUT, o0, o1)
+                except (IndeterminatePivotError, NotAcyclicError, NotInvertibleError):
+                    # short tails can leave no certified pivot, rank or lead
+                    assert truncated
+                    continue
+                want = _padded_transition_torsion(cplx, CUT, o0, o1)
+                assert got.representative.terms == want.representative.terms
+                assert got.cutoff == want.cutoff
+                assert not truncated or got.cutoff < CUT
+                compared[truncated] += 1
+    assert compared[False] == 80 and compared[True] >= 60
+
+
+@pytest.mark.parametrize("pairs", [15, 16])
+def test_fifteen_and_sixteen_pairs_past_the_old_generator_cap(pairs):
+    # 15-16 generators per parity, more than the 14x14 determinant cap
+    rng = random.Random(28)
+    for _ in range(2):
+        cplx, expected = random_acyclic(rng, LAT, pairs=pairs)
+        assert cplx.euler_parity() == (pairs, pairs)
+        assert milnor_torsion_unit(cplx, CUT) == expected
 
 
 def test_truncated_differential_certifies_torsion_below_cutoff():
