@@ -54,6 +54,12 @@ NONDEGENERACY_TOL = 1e-6
 SEARCH_STEPS = 256
 REFINE_STEPS = 2048
 
+#: Newton iterations a seed may go without beating its own best residual
+#: before it is retired as wandering.
+_PATIENCE = 3
+#: Torus distance below which two converged points are the same orbit.
+_DEDUPE_RADIUS = 1e-5
+
 
 class ProfileError(ValueError):
     """System parameters violate the profile conditions."""
@@ -251,15 +257,24 @@ def _residual(sys, points, steps):
 
 
 def _newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
+    """Clamped Newton iteration from all seeds in one batch; returns the
+    converged points in the order they converged.  A seed retired within
+    the dedupe radius of a converged point would only be merged with it."""
     pts = np.array(seeds, dtype=float)
     active = np.ones(len(pts), dtype=bool)
+    best = np.full(len(pts), np.inf)
+    stalls = np.zeros(len(pts), dtype=int)
     found = []
     for _ in range(max_iter):
         if not active.any():
             break
-        cur = pts[active]
+        idx = np.flatnonzero(active)
+        cur = pts[idx]
         f, mons = _residual(sys, cur, steps)
         res = np.abs(f).max(axis=1)
+        improved = res < best[idx]
+        best[idx[improved]] = res[improved]
+        stalls[idx] = np.where(improved, 0, stalls[idx] + 1)
         a = mons[:, 0, 0] - 1.0
         b = mons[:, 0, 1]
         c = mons[:, 1, 0]
@@ -274,14 +289,47 @@ def _newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
         too_big = norm > clamp
         step[too_big] *= (clamp / norm[too_big])[:, None]
         converged = res < tol
-        idx = np.flatnonzero(active)
-        for local in np.flatnonzero(converged):
-            found.append(cur[local])
+        found.extend(cur[converged])
         bad = ~ok | ~np.isfinite(step).all(axis=1)
-        keep = ~(converged | bad)
+        keep = ~(converged | bad | (stalls[idx] >= _PATIENCE))
         pts[idx[keep]] = cur[keep] + step[keep]
         active[idx[~keep]] = False
+        if found:
+            active &= _torus_dist(pts[:, None], np.array(found)).min(axis=1) >= _DEDUPE_RADIUS
     return found
+
+
+def _scan_candidates(sys, grid, steps):
+    """Well-separated grid points of lowest residual, in increasing residual.
+
+    One batched integration scans the grid; at most 40 points with residual
+    at most 1/2 are kept, each farther than one grid spacing from the others.
+    """
+    nx, ny = grid
+    xs = (np.arange(nx) + 0.5) / nx
+    ys = (np.arange(ny) + 0.5) / ny
+    seeds = np.array([(x, y) for x in xs for y in ys])
+    f, _ = _residual(sys, seeds, steps)
+    res = np.abs(f).max(axis=1)
+    separation = max(1.0 / nx, 1.0 / ny)
+    candidates = []
+    for i in np.argsort(res):
+        if res[i] > 0.5 or len(candidates) >= 40:
+            break
+        p = seeds[i]
+        if all(_torus_dist(p, q) > separation for q in candidates):
+            candidates.append(p)
+    return candidates
+
+
+def _distinct(found):
+    """Points reduced mod 1, dropping each within the dedupe radius of an earlier one."""
+    unique: list[np.ndarray] = []
+    for p in found:
+        q = np.mod(p, 1.0)
+        if not any(_torus_dist(q, u) < _DEDUPE_RADIUS for u in unique):
+            unique.append(q)
+    return unique
 
 
 def _wrap01(v: float, tol: float = 1e-9) -> float:
@@ -304,27 +352,18 @@ def find_orbits(
     The residual of the winding-1 return condition is scanned on the grid
     in one batched integration; Newton iteration (solved in the universal
     cover, with a step clamp) then runs from the well-separated lowest
-    residual seeds.  Converged points are deduplicated with the wrap-around
-    metric, polished at full resolution, and returned with monodromy, a
+    residual seeds.  A seed is retired once its residual has gone three
+    iterations without beating its own best, or once its step lands within
+    the dedupe radius (1e-5) of a converged point; the iteration ends when
+    every seed has converged, failed or been retired, after at most 20
+    steps.  Converged points are deduplicated with the wrap-around metric,
+    polished at full resolution, and returned with monodromy, a
     step-halving consistency gap, non-degeneracy gap and index, sorted by
-    x.  Exhaustiveness is guaranteed only up to the scan resolution.
+    x.  Exhaustiveness is guaranteed only up to the scan resolution: an
+    orbit that no scanned seed leads to is missed.
     """
     sys.check()
-    nx, ny = grid
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    seeds = np.array([(x, y) for x in xs for y in ys])
-    f, _ = _residual(sys, seeds, search_steps)
-    res = np.abs(f).max(axis=1)
-    order = np.argsort(res)
-    separation = max(1.0 / nx, 1.0 / ny)
-    candidates = []
-    for i in order:
-        if res[i] > 0.5 or len(candidates) >= 40:
-            break
-        p = seeds[i]
-        if all(_torus_dist(p, q) > separation for q in candidates):
-            candidates.append(p)
+    candidates = _scan_candidates(sys, grid, search_steps)
     if not candidates:
         raise OrbitSearchError("no seed on the %dx%d grid is near a winding-1 fixed point" % grid)
     found = _newton_search(sys, np.array(candidates), search_steps, tol)
@@ -332,21 +371,16 @@ def find_orbits(
         raise OrbitSearchError(
             "Newton iteration converged from none of %d candidate seeds" % len(candidates)
         )
-    unique: list[np.ndarray] = []
-    for p in found:
-        q = np.mod(p, 1.0)
-        if not any(_torus_dist(q, u) < 1e-5 for u in unique):
-            unique.append(q)
-    orbits = []
-    for p in sorted(unique, key=lambda u: u[0]):
-        orbits.append(_refine_orbit(sys, p, refine_steps, tol, nondegeneracy_tol))
-    return orbits
+    return [
+        _refine_orbit(sys, p, refine_steps, tol, nondegeneracy_tol)
+        for p in sorted(_distinct(found), key=lambda u: u[0])
+    ]
 
 
 def _torus_dist(p, q):
-    d = np.abs(np.asarray(p) - np.asarray(q))
-    d = np.minimum(d, 1.0 - d)
-    return float(d.max())
+    """Max-norm distance of points mod 1, broadcast over leading axes."""
+    d = np.abs(np.asarray(p) - np.asarray(q)) % 1.0
+    return np.minimum(d, 1.0 - d).max(axis=-1)
 
 
 def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:

@@ -177,3 +177,21 @@ def test_torus_example_report(capsys):
     assert {report_value(out, "orbit 0 index"), report_value(out, "orbit 1 index")} == {"1", "2"}
     assert "begin-document minus" in out
     assert "o1: (1 - 1*g(1))*o2" in out
+
+
+def test_torus_example_matches_golden(capsys):
+    """Full torus-example stdout against torus_golden.txt, line by line; the
+    step-halving gaps are round-off, so they are only bounded."""
+    code, out = run(capsys, "torus-example")
+    assert code == EXIT_OK
+    with open(fixture("torus_golden.txt"), encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        key, _, value = line.partition(":")
+        if key.endswith(" step-halving-gap"):
+            assert key == expected.partition(":")[0]
+            assert float(value) < 1e-6
+        else:
+            assert line == expected

@@ -5,13 +5,18 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from novtorsion import NovikovElement, milnor_torsion, relabel_lifts
+from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus
 from novtorsion.torus import (
+    NEWTON_TOL,
     DegenerateEndpointError,
     OrbitSearchError,
     ProfileError,
     TorusSystem,
+    _distinct,
     _integrate,
+    _newton_search,
+    _residual,
+    _scan_candidates,
     assemble_floer,
     conley_zehnder,
     count_connecting,
@@ -23,6 +28,9 @@ from novtorsion.torus import (
 )
 
 TWO_PI = 2 * math.pi
+
+#: The amplitudes the torus benchmark runs.
+AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
 
 def oracle_equilibria(b: float) -> tuple[float, float]:
@@ -328,7 +336,7 @@ def test_orbit_set_stable_under_denser_seed_grid(torus_report):
         assert a.cz_index == b.cz_index
 
 
-@pytest.mark.parametrize("b", [Fraction(17, 100), Fraction(1, 5), Fraction(11, 50)])
+@pytest.mark.parametrize("b", AMPLITUDES)
 def test_orbit_count_and_index_gap_across_b(b):
     orbits = find_orbits(TorusSystem(b), search_steps=128, refine_steps=512)
     assert len(orbits) == 2
@@ -336,3 +344,64 @@ def test_orbit_count_and_index_gap_across_b(b):
     assert indices[1] - indices[0] == 1
     cplx = assemble_floer(TorusSystem(b), "minus", orbits)
     assert not torus_torsion(TorusSystem(b), "minus", cplx).trivial
+
+
+def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
+    """Newton loop without seed retirement: every seed runs until it
+    converges, its step fails, or max_iter iterations have passed."""
+    pts = np.array(seeds, dtype=float)
+    active = np.ones(len(pts), dtype=bool)
+    found = []
+    for _ in range(max_iter):
+        if not active.any():
+            break
+        cur = pts[active]
+        f, mons = _residual(sys, cur, steps)
+        res = np.abs(f).max(axis=1)
+        a = mons[:, 0, 0] - 1.0
+        b = mons[:, 0, 1]
+        c = mons[:, 1, 0]
+        d = mons[:, 1, 1] - 1.0
+        det = a * d - b * c
+        ok = np.abs(det) > 1e-12
+        safe = np.where(ok, det, 1.0)
+        du = np.where(ok, (-f[:, 0] * d + f[:, 1] * b) / safe, np.nan)
+        dv = np.where(ok, (f[:, 0] * c - f[:, 1] * a) / safe, np.nan)
+        step = np.stack([du, dv], axis=1)
+        norm = np.abs(step).max(axis=1)
+        too_big = norm > clamp
+        step[too_big] *= (clamp / norm[too_big])[:, None]
+        converged = res < tol
+        idx = np.flatnonzero(active)
+        for local in np.flatnonzero(converged):
+            found.append(cur[local])
+        bad = ~ok | ~np.isfinite(step).all(axis=1)
+        keep = ~(converged | bad)
+        pts[idx[keep]] = cur[keep] + step[keep]
+        active[idx[~keep]] = False
+    return found
+
+
+@pytest.mark.parametrize("b", AMPLITUDES)
+def test_seed_retirement_keeps_the_first_found_points(b):
+    s = TorusSystem(b)
+    seeds = np.array(_scan_candidates(s, (48, 24), 128))
+    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
+    want = _distinct(_reference_newton_search(s, seeds, 128, NEWTON_TOL))
+    assert len(want) == 2
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+def test_newton_search_stops_early(monkeypatch):
+    sizes = []
+
+    def counting(sys, points, steps):
+        sizes.append(len(points))
+        return _residual(sys, points, steps)
+
+    monkeypatch.setattr(torus, "_residual", counting)
+    assert len(find_orbits(TorusSystem())) == 2
+    # the first batched call is the grid scan, every later one a Newton step;
+    # without retirement all 20 steps run (6 seeds still wander at the end)
+    assert sizes[0] == 48 * 24
+    assert len(sizes) - 1 <= 10
