@@ -70,33 +70,41 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="check shapes and that the differential squares to zero")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("ranks", help="homology ranks per degree")
     p.add_argument("file")
+    p.set_defaults(func=_cmd_ranks)
 
     p = sub.add_parser("torsion", help="torsion of an acyclic complex")
     p.add_argument("file")
     p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF)
+    p.set_defaults(func=_cmd_torsion)
 
     p = sub.add_parser("rel-torsion", help="torsion of a named self chain map")
     p.add_argument("file")
     p.add_argument("--map", required=True, dest="map_name")
     p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF)
+    p.set_defaults(func=_cmd_rel_torsion)
 
     p = sub.add_parser("torus-example", help="run the torus pipeline end to end")
     p.add_argument("--b", type=_rational, default=Fraction(1, 5))
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF)
     p.add_argument("--grid", type=_grid, default=(48, 24))
+    p.set_defaults(func=_cmd_torus)
     return parser
 
 
-def _read(path: str) -> str:
+def _load(path: str):
+    """The parsed document at ``path`` and its complex."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise _UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
+    doc = parse(text)
+    return doc, build_complex(doc)
 
 
 def _emit(lines):
@@ -109,8 +117,7 @@ def _cutoff_str(cutoff) -> str:
 
 
 def _cmd_validate(args) -> int:
-    doc = parse(_read(args.file))
-    cplx = build_complex(doc)
+    _, cplx = _load(args.file)
     report = cplx.validate()
     lines = ["file: %s" % args.file]
     lines.append("status: %s" % ("valid" if report.valid else "invalid"))
@@ -122,8 +129,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    doc = parse(_read(args.file))
-    cplx = build_complex(doc)
+    _, cplx = _load(args.file)
     report = cplx.homology_ranks()
     lines = ["file: %s" % args.file]
     for d in sorted(report.ranks):
@@ -145,8 +151,7 @@ def _torsion_lines(label, cls, prefix=""):
 
 
 def _cmd_torsion(args) -> int:
-    doc = parse(_read(args.file))
-    cplx = build_complex(doc)
+    _, cplx = _load(args.file)
     lines = ["file: %s" % args.file]
     cls = milnor_torsion(cplx, args.cutoff)
     lines.extend(_torsion_lines("torsion", cls))
@@ -155,8 +160,7 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_rel_torsion(args) -> int:
-    doc = parse(_read(args.file))
-    cplx = build_complex(doc)
+    doc, cplx = _load(args.file)
     if args.map_name not in doc.maps:
         raise _UsageError("document has no map named %r" % args.map_name)
     f = build_chain_map(doc, args.map_name, cplx)
@@ -214,17 +218,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "ranks":
-            return _cmd_ranks(args)
-        if args.command == "torsion":
-            return _cmd_torsion(args)
-        if args.command == "rel-torsion":
-            return _cmd_rel_torsion(args)
-        if args.command == "torus-example":
-            return _cmd_torus(args)
-        raise _UsageError("unknown command %r" % args.command)
+        return args.func(args)
     except _UsageError as exc:
         _emit(["status: error", "category: usage", "message: %s" % exc])
         return EXIT_USAGE

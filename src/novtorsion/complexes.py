@@ -19,12 +19,13 @@ from .linalg import (
     Matrix,
     ShapeError,
     as_matrix,
+    identity,
     mat_mul,
     mat_sub,
     select_column_pivots,
     zeros,
 )
-from .series import NovikovElement, _min_cutoff
+from .series import LatticeMismatchError, NovikovElement, _min_cutoff
 
 
 class ComplexStructureError(ValueError):
@@ -35,15 +36,34 @@ class NotAcyclicError(ValueError):
     """The operation requires an acyclic complex."""
 
 
-def _coerce(mat, nrows: int, ncols: int, what: str) -> Matrix:
-    """``mat`` as an nrows x ncols matrix, or ComplexStructureError."""
+def _coerce(mat, lattice: Lattice, nrows: int, ncols: int, what: str) -> Matrix:
+    """``mat`` as an nrows x ncols matrix over ``lattice``, or ComplexStructureError."""
     try:
         mat = as_matrix(mat, ncols)
+        foreign = mat.lattice not in (None, lattice)  # identity, then equality
     except ShapeError:
-        mat = None
+        mat = foreign = None
+    except LatticeMismatchError:
+        foreign = True
+    if foreign:
+        raise ComplexStructureError("%s has an entry over a different lattice" % what)
     if mat is None or len(mat) != nrows:
         raise ComplexStructureError("%s must be %dx%d" % (what, nrows, ncols))
     return mat
+
+
+def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]], Optional[Fraction]]:
+    """Entries with known terms as (row, column, entry), and the weakest
+    cutoff below which the other entries are certified zero."""
+    nonzero = []
+    cutoff: Optional[Fraction] = None
+    for i, row in enumerate(mat):
+        for j, e in enumerate(row):
+            if e.terms:
+                nonzero.append((i, j, e))
+            else:
+                cutoff = _min_cutoff(cutoff, e.cutoff)
+    return nonzero, cutoff
 
 
 @dataclass(frozen=True)
@@ -87,11 +107,8 @@ class BasedComplex:
         diffs = {}
         for d, mat in self.differentials.items():
             d = int(d)
-            mat = _coerce(
-                mat, self.rank(self.shift(d, 1)), self.rank(d), "differential at degree %d" % d
-            )
-            if any(e.lattice != self.lattice for row in mat for e in row):
-                raise ComplexStructureError("differential entry over a different lattice")
+            what = "differential at degree %d" % d
+            mat = _coerce(mat, self.lattice, self.rank(self.shift(d, 1)), self.rank(d), what)
             if mat and mat.ncols:
                 diffs[d] = mat
         object.__setattr__(self, "differentials", diffs)
@@ -142,21 +159,13 @@ class BasedComplex:
             nxt = self.differentials.get(self.shift(d, 1))
             if nxt is None:
                 continue
-            square = mat_mul(nxt, mat)
-            for i, row in enumerate(square):
-                for j, e in enumerate(row):
-                    if e.terms:
-                        failures.append(
-                            "d^2 from degree %d is nonzero at (%s <- %s): %s"
-                            % (
-                                d,
-                                self.generators(self.shift(d, 2))[i],
-                                self.generators(d)[j],
-                                e,
-                            )
-                        )
-                    else:
-                        cutoff = _min_cutoff(cutoff, e.cutoff)
+            nonzero, square_cutoff = _nonzero_entries(mat_mul(nxt, mat))
+            cutoff = _min_cutoff(cutoff, square_cutoff)
+            failures.extend(
+                "d^2 from degree %d is nonzero at (%s <- %s): %s"
+                % (d, self.generators(self.shift(d, 2))[i], self.generators(d)[j], e)
+                for i, j, e in nonzero
+            )
         return ValidationReport(not failures, cutoff, tuple(failures))
 
     def homology_ranks(self) -> RanksReport:
@@ -225,9 +234,8 @@ class ChainMap:
         mats = {}
         for d, mat in self.matrices.items():
             d = int(d)
-            mat = _coerce(
-                mat, self.target.rank(d), self.source.rank(d), "chain map block at degree %d" % d
-            )
+            what = "chain map block at degree %d" % d
+            mat = _coerce(mat, self.source.lattice, self.target.rank(d), self.source.rank(d), what)
             if mat and mat.ncols:
                 mats[d] = mat
         object.__setattr__(self, "matrices", mats)
@@ -247,14 +255,11 @@ class ChainMap:
             t = self.source.shift(d, 1)
             lhs = mat_mul(self.target.differential(d), self.block(d))
             rhs = mat_mul(self.block(t), self.source.differential(d))
-            for i, row in enumerate(mat_sub(lhs, rhs)):
-                for j, e in enumerate(row):
-                    if e.terms:
-                        failures.append(
-                            "square at degree %d fails at entry (%d,%d): %s" % (d, i, j, e)
-                        )
-                    else:
-                        cutoff = _min_cutoff(cutoff, e.cutoff)
+            nonzero, square_cutoff = _nonzero_entries(mat_sub(lhs, rhs))
+            cutoff = _min_cutoff(cutoff, square_cutoff)
+            failures.extend(
+                "square at degree %d fails at entry (%d,%d): %s" % (d, i, j, e) for i, j, e in nonzero
+            )
         return ValidationReport(not failures, cutoff, tuple(failures))
 
 
@@ -274,11 +279,7 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         )
     src, tgt = f.source, f.target
     lattice = tgt.lattice
-    modulus = tgt.modulus
-
-    def shift(d, by):
-        return d + by if modulus is None else (d + by) % modulus
-
+    shift = tgt.shift
     degrees = set(tgt.degrees()) | {shift(d, -1) for d in src.degrees()}
     modules = {}
     for d in degrees:
@@ -297,7 +298,7 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         rows += [(z,) * d2.ncols + row for row in d1]
         if any(e.terms or e.cutoff is not None for row in rows for e in row):
             diffs[d] = as_matrix(rows)
-    return BasedComplex(lattice, modules, diffs, modulus)
+    return BasedComplex(lattice, modules, diffs, tgt.modulus)
 
 
 def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[int, Matrix]) -> BasedComplex:
@@ -315,12 +316,9 @@ def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[in
         inv = inverses.get(d)
         if inv is None:
             raise ValueError("missing inverse transition for degree %d" % d)
-        prod = mat_mul(t, inv)
-        for i, row in enumerate(prod):
-            for j, e in enumerate(row):
-                want = Fraction(1) if i == j else Fraction(0)
-                if dict(e.terms) != ({cplx.lattice.identity(): want} if want else {}):
-                    raise ValueError("transition and inverse at degree %d do not cancel" % d)
+        nonzero, _ = _nonzero_entries(mat_sub(mat_mul(t, inv), identity(cplx.lattice, n)))
+        if nonzero:
+            raise ValueError("transition and inverse at degree %d do not cancel" % d)
     diffs = {}
     for d in set(cplx.differentials):
         t = cplx.shift(d, 1)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import Lattice
-from .series import AmbiguousLeadingTermError, NovikovElement, _min_cutoff
+from .series import AmbiguousLeadingTermError, LatticeMismatchError, NovikovElement, _min_cutoff
 
 _DET_LIMIT = 14
 
@@ -69,7 +69,8 @@ def _matrix(rows: tuple, ncols: int, lattice: Optional[Lattice]) -> Matrix:
 def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
     """The matrix with these rows; a row-less input needs ``ncols``.
 
-    Raises ShapeError on ragged rows or a column count they contradict.
+    Raises ShapeError on ragged rows or a column count they contradict, and
+    LatticeMismatchError on entries over different lattices.
     """
     if isinstance(rows, Matrix):
         if ncols is not None and ncols != rows.ncols:
@@ -82,7 +83,12 @@ def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
         ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ShapeError("ragged matrix: every row needs %d entries" % ncols)
-    return _matrix(rows, ncols, rows[0][0].lattice if rows and ncols else None)
+    lattice = rows[0][0].lattice if rows and ncols else None
+    for row in rows:
+        for e in row:
+            if e.lattice is not lattice and e.lattice != lattice:
+                raise LatticeMismatchError("matrix entries over different lattices")
+    return _matrix(rows, ncols, lattice)
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .complexes import BasedComplex, ChainMap, ComplexStructureError, NotAcyclicError, mapping_cone
+from .complexes import (
+    BasedComplex, ChainMap, ComplexStructureError, NotAcyclicError, _nonzero_entries, mapping_cone,
+)
 from .lattice import g_neg
 from .linalg import (
     IndeterminatePivotError,
@@ -229,8 +231,6 @@ def homotopy_equivalent(f: ChainMap, g: ChainMap, homotopy: dict[int, Matrix]) -
             mat_mul(tgt.differential(below), h_block(d)),
             mat_mul(h_block(above), src.differential(d)),
         )
-        for row in mat_sub(lhs, rhs):
-            for e in row:
-                if e.terms:
-                    return False
+        if _nonzero_entries(mat_sub(lhs, rhs))[0]:
+            return False
     return True

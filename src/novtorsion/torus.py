@@ -53,6 +53,12 @@ NEWTON_TOL = 1e-10
 NONDEGENERACY_TOL = 1e-6
 SEARCH_STEPS = 256
 REFINE_STEPS = 2048
+#: |det(M - I)| below which a path endpoint counts as having eigenvalue 1.
+_DEGENERACY_TOL = 1e-9
+
+#: Newton iterations per search and the max-norm clamp on each step.
+_MAX_NEWTON_ITER = 20
+_NEWTON_CLAMP = 0.25
 
 #: Newton iterations a seed may go without beating its own best residual
 #: before it is retired as wandering.
@@ -113,12 +119,14 @@ class TorusSystem:
         return self.lam(x) * self.nu(y - t)
 
     def check(self) -> tuple[float, float]:
-        """Verify the profile conditions and return the two equilibria.
+        """Verify that b is admissible and return the two equilibria.
 
-        Needs min lam' < -1 (two roots of lam' = -1); at each root,
-        0 < |lam''| < 2 pi and 0 < |lam| < 2 pi; and every critical level
-        of nu away from y = 0 below 1/(2 pi b), so no line y = t + y*
-        other than y = t carries period-1 solutions.
+        The admissible interval 1/(2 pi) < b < 1/(pi sqrt 2) is exactly the
+        range where sin(2 pi x) = 1/(2 pi b) has two roots (both in
+        (1/8, 3/8)) with 0 < |lam''| = 2 pi sqrt(4 pi^2 b^2 - 1) < 2 pi and
+        0 < |lam| < 2 pi at each, and where nu's only critical level away
+        from y = 0, nu(1/2) = 2/5, stays below 1/(2 pi b), so no line
+        y = t + y* other than y = t carries period-1 solutions.
         """
         lo, hi = 1.0 / TWO_PI, math.sqrt(0.5) / math.pi
         if not lo < self.bf < hi:
@@ -126,47 +134,7 @@ class TorusSystem:
                 "amplitude b=%s outside (1/(2 pi), 1/(pi sqrt 2)) ~ (%.6f, %.6f)"
                 % (self.b, lo, hi)
             )
-        roots = reduced_equilibria(self)
-        if len(roots) != 2:
-            raise ProfileError("expected 2 roots of lam'(x) = -1, found %d" % len(roots))
-        for x in roots:
-            if not 0.0 < abs(self.d2lam(x)) < TWO_PI:
-                raise ProfileError("|lam''| = %.6f at x=%.6f not in (0, 2 pi)" % (abs(self.d2lam(x)), x))
-            if not 0.0 < abs(self.lam(x)) < TWO_PI:
-                raise ProfileError("|lam| = %.6f at x=%.6f not in (0, 2 pi)" % (abs(self.lam(x)), x))
-        for y in _critical_points(self.dnu):
-            if min(y, 1.0 - y) < 1e-9:
-                continue
-            if abs(self.nu(y)) >= 1.0 / (TWO_PI * self.bf):
-                raise ProfileError(
-                    "nu has critical level %.6f at y=%.6f, at least 1/(2 pi b) = %.6f; "
-                    "the line y = t + %.6f would carry extra period-1 solutions"
-                    % (self.nu(y), y, 1.0 / (TWO_PI * self.bf), y)
-                )
-        return roots
-
-
-def _critical_points(deriv, samples: int = 4096) -> tuple[float, ...]:
-    """Zeros of a 1-periodic function on [0, 1), by scan and bisection."""
-    xs = np.linspace(0.0, 1.0, samples + 1)
-    vals = deriv(xs)
-    roots = []
-    for i in range(samples):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = deriv(m)
-                if fa * fm <= 0.0:
-                    b, fb = m, fm
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    return tuple(sorted(np.mod(roots, 1.0)))
+        return reduced_equilibria(self)
 
 
 def _flow_field(bf: float, cos, sin):
@@ -256,7 +224,7 @@ def _residual(sys, points, steps):
     return f, mons
 
 
-def _newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
+def _newton_search(sys, seeds, steps, tol):
     """Clamped Newton iteration from all seeds in one batch; returns the
     converged points in the order they converged.  A seed retired within
     the dedupe radius of a converged point would only be merged with it."""
@@ -265,7 +233,7 @@ def _newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
     best = np.full(len(pts), np.inf)
     stalls = np.zeros(len(pts), dtype=int)
     found = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -286,8 +254,8 @@ def _newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
         dv = np.where(ok, (f[:, 0] * c - f[:, 1] * a) / safe, np.nan)
         step = np.stack([du, dv], axis=1)
         norm = np.abs(step).max(axis=1)
-        too_big = norm > clamp
-        step[too_big] *= (clamp / norm[too_big])[:, None]
+        too_big = norm > _NEWTON_CLAMP
+        step[too_big] *= (_NEWTON_CLAMP / norm[too_big])[:, None]
         converged = res < tol
         found.extend(cur[converged])
         bad = ~ok | ~np.isfinite(step).all(axis=1)
@@ -332,9 +300,9 @@ def _distinct(found):
     return unique
 
 
-def _wrap01(v: float, tol: float = 1e-9) -> float:
+def _wrap01(v: float) -> float:
     w = float(np.mod(v, 1.0))
-    if w > 1.0 - tol:
+    if w > 1.0 - 1e-9:
         w = 0.0
     return w
 
@@ -345,7 +313,6 @@ def find_orbits(
     grid: tuple[int, int] = (48, 24),
     search_steps: int = SEARCH_STEPS,
     refine_steps: int = REFINE_STEPS,
-    nondegeneracy_tol: float = NONDEGENERACY_TOL,
 ) -> list[PeriodicOrbit]:
     """Locate the period-1 orbits of vertical winding 1.
 
@@ -372,7 +339,7 @@ def find_orbits(
             "Newton iteration converged from none of %d candidate seeds" % len(candidates)
         )
     return [
-        _refine_orbit(sys, p, refine_steps, tol, nondegeneracy_tol)
+        _refine_orbit(sys, p, refine_steps, tol)
         for p in sorted(_distinct(found), key=lambda u: u[0])
     ]
 
@@ -383,7 +350,7 @@ def _torus_dist(p, q):
     return np.minimum(d, 1.0 - d).max(axis=-1)
 
 
-def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:
+def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
     p = np.array(point, dtype=float)
     offset = np.array([0.0, 1.0])
     for _ in range(8):
@@ -403,7 +370,7 @@ def _refine_orbit(sys, point, steps, tol, nondegeneracy_tol) -> PeriodicOrbit:
             "integrator is not converged: step-halving changes the monodromy by %g" % richardson
         )
     gap = float(abs(np.linalg.det(np.eye(2) - monodromy)))
-    if gap <= nondegeneracy_tol:
+    if gap <= NONDEGENERACY_TOL:
         raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (p[0], gap))
     index = conley_zehnder(var[:, 0])
     return PeriodicOrbit(
@@ -433,7 +400,7 @@ def _winding(path, v):
     return float(inc.sum())
 
 
-def conley_zehnder(path, degeneracy_tol: float = 1e-9) -> int:
+def conley_zehnder(path) -> int:
     """Index of a sampled symplectic path from the identity.
 
     Rotation-number algorithm on Sp(2): track the angle swept by the image
@@ -451,7 +418,7 @@ def conley_zehnder(path, degeneracy_tol: float = 1e-9) -> int:
     end = path[-1]
     if abs(np.linalg.det(end) - 1.0) > 1e-6:
         raise ValueError("endpoint is not symplectic: det = %g" % np.linalg.det(end))
-    if abs(np.linalg.det(end - np.eye(2))) < degeneracy_tol:
+    if abs(np.linalg.det(end - np.eye(2))) < _DEGENERACY_TOL:
         raise DegenerateEndpointError("endpoint has eigenvalue 1 within tolerance")
     trace = end[0, 0] + end[1, 1]
     if abs(trace) < 2.0:
@@ -490,46 +457,29 @@ class ConnectingCount:
     arcs: tuple[Arc, ...]
 
 
-def reduced_equilibria(sys: TorusSystem, samples: int = 4096) -> tuple[float, ...]:
-    """Roots of 1 + lam'(x) on the circle, by scan and bisection."""
-    return _critical_points(lambda x: 1.0 + sys.dlam(x), samples)
+def reduced_equilibria(sys: TorusSystem) -> tuple[float, float]:
+    """Roots of 1 + lam'(x) on the circle for an admissible b, in closed form:
+    sin(2 pi x) = 1/(2 pi b) at x = asin(1/(2 pi b))/(2 pi) and 1/2 - x."""
+    x = math.asin(1.0 / (TWO_PI * sys.bf)) / TWO_PI
+    return x, 0.5 - x
 
 
 def count_connecting(sys: TorusSystem) -> ConnectingCount:
     """Count heteroclinics of the reduced circle flow x' = 1 + lam'(x).
 
-    Each arc between the two equilibria on which 1 + lam' keeps a fixed
-    sign carries exactly one trajectory (up to time shift), running with
-    the sign.  The two arcs are labelled by distinct lattice elements: the
-    winding of the arc, i.e. how often it crosses x = 0.
+    Each arc between the two equilibria carries exactly one trajectory (up
+    to time shift), running with the sign of 1 + lam' = 1 - 2 pi b sin(2 pi x):
+    -1 between the roots and +1 outside them, so both run from the second
+    equilibrium to the first.  The two arcs are labelled by distinct
+    lattice elements: the winding of the arc, i.e. how often it crosses
+    x = 0.
     """
     z0, z1 = sys.check()
-    arcs = []
-    entries = []
-    for lo, hi in ((z0, z1), (z1, z0 + 1.0)):
-        xs = np.linspace(lo, hi, 258)[1:-1]
-        vals = 1.0 + sys.dlam(xs)
-        if np.any(vals == 0.0) or vals.min() * vals.max() <= 0.0:
-            raise OrbitSearchError(
-                "reduced flow changes sign inside the arc (%.6f, %.6f)" % (lo, hi)
-            )
-        sign = 1 if vals[0] > 0 else -1
-        source, target = (lo, hi) if sign > 0 else (hi, lo)
-        # arc endpoints are never integers (the first equilibrium is > 0)
-        winding = int(math.floor(hi)) - int(math.floor(lo))
-        arcs.append(
-            Arc(
-                lower=lo,
-                upper=hi,
-                sign=sign,
-                source_x=float(np.mod(source, 1.0)),
-                target_x=float(np.mod(target, 1.0)),
-                winding=winding,
-            )
-        )
-        entries.append(((winding,), 1))
-    entries.sort(key=lambda e: e[0])
-    return ConnectingCount(tuple(entries), sum(m for _, m in entries), tuple(arcs))
+    arcs = (
+        Arc(lower=z0, upper=z1, sign=-1, source_x=z1, target_x=z0, winding=0),
+        Arc(lower=z1, upper=z0 + 1.0, sign=1, source_x=z1, target_x=z0, winding=1),
+    )
+    return ConnectingCount(tuple(((arc.winding,), 1) for arc in arcs), len(arcs), arcs)
 
 
 def laurent_lattice() -> Lattice:

@@ -4,6 +4,7 @@ import pytest
 
 from novtorsion import (
     BasedComplex,
+    Lattice,
     ChainMap,
     ComplexStructureError,
     IndeterminatePivotError,
@@ -136,6 +137,20 @@ def test_chain_map_validation():
     assert not bad.validate().valid
     with pytest.raises(ComplexStructureError):
         ChainMap(c, c, {1: ((ONE, Z),)})
+
+
+def test_entries_over_another_lattice_rejected_at_construction():
+    other = Lattice(1, [2], [0])
+    c = floer_like()
+    for entries in (((NovikovElement.one(other),),), ((ONE, NovikovElement.one(other)),)):
+        with pytest.raises(ComplexStructureError, match="different lattice"):
+            BasedComplex(LAT, {1: ("a", "c")[: len(entries[0])], 2: ("b",)}, {1: entries}, None)
+    with pytest.raises(ComplexStructureError, match="different lattice"):
+        ChainMap(c, c, {1: ((NovikovElement.one(other),),), 2: ((ONE,),)})
+    # an equal lattice built separately is the same lattice
+    same = k1_lattice()
+    assert same is not LAT
+    assert ChainMap(c, c, {1: ((NovikovElement.one(same),),), 2: ((ONE,),)}).validate().valid
 
 
 def test_mapping_cone_identity_is_acyclic():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from novtorsion import IndeterminatePivotError, NovikovElement, ShapeError, determinant
+from novtorsion import IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
 from novtorsion.linalg import (
     PivotSelection,
     as_matrix,
@@ -14,7 +14,7 @@ from novtorsion.linalg import (
     select_column_pivots,
     zeros,
 )
-from novtorsion.series import AmbiguousLeadingTermError, _min_cutoff
+from novtorsion.series import AmbiguousLeadingTermError, LatticeMismatchError, _min_cutoff
 
 from support import k1_lattice, rand_element, tie_lattice
 
@@ -90,6 +90,16 @@ def test_shape_mismatch_with_empty_operand_raises():
     with pytest.raises(ShapeError):
         as_matrix(zeros(LAT, 0, 2), 3)
     assert zeros(LAT, 0, 2) != zeros(LAT, 0, 3)
+
+
+def test_as_matrix_rejects_mixed_lattices():
+    other = NovikovElement.one(Lattice(1, [2], [0]))
+    with pytest.raises(LatticeMismatchError):
+        as_matrix(((ONE, other),))
+    with pytest.raises(LatticeMismatchError):
+        as_matrix(((ONE,), (other,)))
+    same = NovikovElement.one(k1_lattice())
+    assert as_matrix(((ONE, same),)).lattice is LAT
 
 
 def test_pivot_selection_rank():

@@ -103,6 +103,44 @@ def test_reduced_equilibria_match_oracle():
     assert z == pytest.approx((x0, x1), abs=1e-10)
 
 
+#: The admissible interval 1/(2 pi) < b < 1/(pi sqrt 2).
+B_LO, B_HI = 1.0 / TWO_PI, 1.0 / (math.pi * math.sqrt(2.0))
+
+#: The benchmark amplitudes plus points within 1e-3 of both ends.
+SWEEP = [float(b) for b in AMPLITUDES] + [B_LO + 1e-6, B_LO + 9e-4, B_HI - 9e-4, B_HI - 1e-6]
+
+
+@pytest.mark.parametrize("b", SWEEP)
+def test_admissible_interval_implies_the_profile_conditions(b):
+    s = TorusSystem(Fraction(b))
+    x0, x1 = s.check()
+    target = 1.0 / (TWO_PI * s.bf)
+    # two closed-form roots of sin(2 pi x) = 1/(2 pi b), both in (1/8, 3/8)
+    assert 1 / 8 < x0 < 1 / 4 < x1 < 3 / 8
+    for x in (x0, x1):
+        assert math.sin(TWO_PI * x) == pytest.approx(target, abs=1e-12)
+        assert 0.0 < abs(s.d2lam(x)) < TWO_PI
+        assert 0.0 < abs(s.lam(x)) < TWO_PI
+    # the reduced flow 1 + lam' is negative strictly between the roots, positive outside
+    inside = np.linspace(x0, x1, 66)[1:-1]
+    outside = np.linspace(x1, x0 + 1.0, 258)[1:-1]
+    assert (1.0 + s.dlam(inside) < 0.0).all()
+    assert (1.0 + s.dlam(outside) > 0.0).all()
+    # nu' changes sign only at 1/2 and 0 on the circle, and nu(1/2) = 2/5 < 1/(2 pi b)
+    ys = (np.arange(4096) + 0.5) / 4096
+    signs = np.sign(s.dnu(ys))
+    assert (signs != 0).all()
+    flips = ys[signs != np.roll(signs, -1)] + 0.5 / 4096
+    assert flips == pytest.approx([0.5, 1.0], abs=1e-12)
+    assert s.nu(0.5) == pytest.approx(0.4, abs=1e-12)
+    assert s.nu(0.5) < target
+    # count_connecting's arcs carry the sign of the flow on them
+    arcs = count_connecting(s).arcs
+    assert [arc.sign for arc in arcs] == [-1, 1]
+    for arc in arcs:
+        assert np.sign(1.0 + s.dlam(0.5 * (arc.lower + arc.upper))) == arc.sign
+
+
 def test_find_orbits_default(torus_report):
     orbits = torus_report.orbits
     assert len(orbits) == 2
