@@ -4,11 +4,16 @@ A lattice is Z^k together with two additive maps given by their values on
 the standard generators: a rational weight (used to order series supports)
 and an integer degree map ("chern").  Group elements are plain coordinate
 tuples; the group law is coordinate-wise addition.
+
+Internal weights are scaled integers ``D*weight(g)`` over a common
+denominator ``D`` of ``phi``; the private helpers skip re-validation, while
+the public ``weight`` validates its input and returns a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -39,6 +44,9 @@ class Lattice:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "c1", c1)
+        den = math.lcm(*(p.denominator for p in phi))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", tuple(p.numerator * (den // p.denominator) for p in phi))
 
     def _check(self, g: GroupElement) -> GroupElement:
         g = tuple(int(x) for x in g)
@@ -53,8 +61,15 @@ class Lattice:
 
     def weight(self, g: GroupElement) -> Fraction:
         """Value of the weighting homomorphism, sum of phi[i]*g[i]."""
-        g = self._check(g)
-        return sum((p * x for p, x in zip(self.phi, g)), Fraction(0))
+        return Fraction(self._scaled_weight(self._check(g)), self._den)
+
+    def _scaled_weight(self, g: GroupElement) -> int:
+        """D * weight(g) for an already checked element g."""
+        return sum(map(operator.mul, self._num, g))
+
+    def _scaled_ceil(self, w: Fraction) -> int:
+        """Ceiling of D * w: an integer n is below it exactly when n < D * w."""
+        return -(-w.numerator * self._den // w.denominator)
 
     def chern(self, g: GroupElement) -> int:
         """Value of the integral homomorphism, sum of c1[i]*g[i]."""
@@ -77,7 +92,7 @@ class Lattice:
 
 
 def g_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def g_neg(a: GroupElement) -> GroupElement:

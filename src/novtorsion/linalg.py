@@ -144,10 +144,13 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
 
     Division free, so exact inputs give an exact determinant and truncated
     inputs propagate their cutoffs through the ordinary ring operations.
+    Raises LatticeMismatchError on an entry over another lattice.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeError("determinant of a non-square matrix")
+    if n and as_matrix(rows).lattice not in (None, lattice):
+        raise LatticeMismatchError("matrix entries not over the given lattice")
     if n == 0:
         return NovikovElement.one(lattice)
     if n > _DET_LIMIT:
@@ -211,9 +214,12 @@ def select_column_pivots(
     unambiguous leading term (hence be a unit over rational coefficients).
     A column whose free-row entries are nonzero but all ambiguous raises
     IndeterminatePivotError: its rank contribution cannot be certified.
-    ``rows`` and ``ncols`` go through ``as_matrix``.
+    ``rows`` and ``ncols`` go through ``as_matrix``; an entry over another
+    lattice raises LatticeMismatchError.
     """
     rows = as_matrix(rows, ncols)
+    if rows.lattice not in (None, lattice):
+        raise LatticeMismatchError("matrix entries not over the given lattice")
     m, ncols = rows.shape
     cols = [[rows[i][j] for i in range(m)] for j in range(ncols)]
     order = list(column_order) if column_order is not None else list(range(ncols))

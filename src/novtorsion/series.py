@@ -10,10 +10,15 @@ computation never silently claims more precision than its inputs carry.
 The string form of an element is a sum of ``coeff*g(a1,...,ak)`` terms
 ordered by increasing weight, with identity-supported terms written as a
 bare rational, e.g. ``1 - 1*g(1)`` or ``2 + 1/2*g(0,1) @cutoff=5``.
+
+Weights are compared as the lattice's scaled integers (``Fraction`` only at
+the public API).  The public constructor validates its input; the results of
+``+``, ``*``, ``invert`` and ``truncate`` come from ``_new``, which skips it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -71,25 +76,31 @@ class NovikovElement:
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
         if cutoff is not None:
             cutoff = Fraction(cutoff)
-        tidy: dict[GroupElement, Fraction] = {}
+        merged: dict[GroupElement, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for g, c in items:
-                g = lattice._check(g)
-                c = Fraction(c)
-                if not c:
-                    continue
-                if cutoff is not None and lattice.weight(g) >= cutoff:
-                    continue
-                prev = tidy.get(g)
-                c = c if prev is None else prev + c
-                if c:
-                    tidy[g] = c
-                elif prev is not None:
-                    del tidy[g]
+                g, c = lattice._check(g), Fraction(c)
+                prev = merged.get(g)
+                merged[g] = c if prev is None else prev + c
         self.lattice = lattice
-        self.terms = tidy
+        self.terms = NovikovElement._new(lattice, merged, cutoff).terms
         self.cutoff = cutoff
+
+    @classmethod
+    def _new(cls, lattice: Lattice, terms: dict, cutoff: Optional[Fraction]) -> "NovikovElement":
+        """Trusted constructor: ``terms`` maps checked elements to Fractions,
+        ``cutoff`` is a Fraction or None.  Drops zeros and weights >= cutoff."""
+        out = object.__new__(cls)
+        out.lattice = lattice
+        out.cutoff = cutoff
+        if cutoff is None:
+            out.terms = {g: c for g, c in terms.items() if c}
+        else:
+            bound = lattice._scaled_ceil(cutoff)
+            w = lattice._scaled_weight
+            out.terms = {g: c for g, c in terms.items() if c and w(g) < bound}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -118,7 +129,8 @@ class NovikovElement:
         return self.cutoff is None
 
     def support(self):
-        return sorted(self.terms, key=lambda g: (self.lattice.weight(g), g))
+        w = self.lattice._scaled_weight
+        return sorted(self.terms, key=lambda g: (w(g), g))
 
     def coefficient(self, g: GroupElement) -> Fraction:
         return self.terms.get(tuple(g), Fraction(0))
@@ -126,23 +138,17 @@ class NovikovElement:
     def min_weight(self) -> Optional[Fraction]:
         if not self.terms:
             return None
-        return min(self.lattice.weight(g) for g in self.terms)
-
-    def _weight_lower_bound(self) -> Optional[Fraction]:
-        # Lower bound for the smallest weight the true element could carry;
-        # None stands for +infinity (the exact zero element).
-        w = self.min_weight()
-        if w is not None:
-            return w
-        return self.cutoff
+        lat = self.lattice
+        return Fraction(min(map(lat._scaled_weight, self.terms)), lat._den)
 
     def leading_slice(self) -> list[tuple[Fraction, GroupElement]]:
         """All minimal-weight terms, sorted by coordinates."""
         if not self.terms:
             return []
-        w0 = self.min_weight()
+        weights = {g: self.lattice._scaled_weight(g) for g in self.terms}
+        w0 = min(weights.values())
         return sorted(
-            ((c, g) for g, c in self.terms.items() if self.lattice.weight(g) == w0),
+            ((c, g) for g, c in self.terms.items() if weights[g] == w0),
             key=lambda p: p[1],
         )
 
@@ -181,13 +187,14 @@ class NovikovElement:
             return NotImplemented
         merged = dict(self.terms)
         for g, c in other.terms.items():
-            merged[g] = merged.get(g, Fraction(0)) + c
-        return NovikovElement(self.lattice, merged, _min_cutoff(self.cutoff, other.cutoff))
+            prev = merged.get(g)
+            merged[g] = c if prev is None else prev + c
+        return NovikovElement._new(self.lattice, merged, _min_cutoff(self.cutoff, other.cutoff))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = NovikovElement(self.lattice, {}, self.cutoff)
+        out = NovikovElement._new(self.lattice, {}, self.cutoff)
         out.terms = {g: -c for g, c in self.terms.items()}
         return out
 
@@ -208,7 +215,7 @@ class NovikovElement:
             q = Fraction(other)
             if not q:
                 return NovikovElement.zero(self.lattice)
-            out = NovikovElement(self.lattice, {}, self.cutoff)
+            out = NovikovElement._new(self.lattice, {}, self.cutoff)
             out.terms = {g: q * c for g, c in self.terms.items()}
             return out
         other = self._coerce(other)
@@ -230,13 +237,13 @@ class NovikovElement:
             cutoff = _min_cutoff(cutoff, self.cutoff + other.min_weight())
         if self.cutoff is not None and other.cutoff is not None:
             cutoff = _min_cutoff(cutoff, self.cutoff + other.cutoff)
-        return NovikovElement(self.lattice, acc, cutoff)
+        return NovikovElement._new(self.lattice, acc, cutoff)
 
     __rmul__ = __mul__
 
     def truncate(self, bound) -> "NovikovElement":
         """Forget everything at weight >= bound."""
-        return NovikovElement(self.lattice, self.terms, _min_cutoff(self.cutoff, Fraction(bound)))
+        return NovikovElement._new(self.lattice, self.terms, _min_cutoff(self.cutoff, Fraction(bound)))
 
     def invert(self, target_cutoff=None) -> "NovikovElement":
         """Multiplicative inverse, correct below the returned cutoff.
@@ -263,21 +270,22 @@ class NovikovElement:
         inner_target = target + self.lattice.weight(lt.element)
         r = (inv_monomial * self) - NovikovElement.one(self.lattice)
         bound = _min_cutoff(r.cutoff, inner_target)
-        steps = [(h, c, self.lattice.weight(h)) for h, c in r.terms.items()]
-        weights = {self.lattice.identity(): Fraction(0)}
+        limit = self.lattice._scaled_ceil(bound)
+        steps = [(h, c, self.lattice._scaled_weight(h)) for h, c in r.terms.items()]
+        weights = {self.lattice.identity(): 0}
         monoid = list(weights)
         for g in monoid:
             for h, _, wh in steps:
                 k, wk = g_add(g, h), weights[g] + wh
-                if wk < bound and k not in weights:
+                if wk < limit and k not in weights:
                     weights[k] = wk
                     monoid.append(k)
         s: dict[GroupElement, Fraction] = {}
         for g in sorted(monoid, key=weights.__getitem__):
             s[g] = Fraction(1) if g == monoid[0] else Fraction(0)
             for h, rh, _ in steps:
-                s[g] -= rh * s.get(tuple(x - y for x, y in zip(g, h)), 0)
-        return (NovikovElement(self.lattice, s, bound) * inv_monomial).truncate(target)
+                s[g] -= rh * s.get(tuple(map(operator.sub, g, h)), 0)
+        return (NovikovElement._new(self.lattice, s, bound) * inv_monomial).truncate(target)
 
     # -- comparison --------------------------------------------------------
 
@@ -291,9 +299,9 @@ class NovikovElement:
             eff = _min_cutoff(eff, Fraction(bound))
         if eff is None:
             return self.terms == other.terms
-        w = self.lattice.weight
-        left = {g: c for g, c in self.terms.items() if w(g) < eff}
-        right = {g: c for g, c in other.terms.items() if w(g) < eff}
+        w, limit = self.lattice._scaled_weight, self.lattice._scaled_ceil(eff)
+        left = {g: c for g, c in self.terms.items() if w(g) < limit}
+        right = {g: c for g, c in other.terms.items() if w(g) < limit}
         return left == right
 
     def __eq__(self, other):
@@ -350,6 +358,7 @@ def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
         return a
     if cutoff is None:
         raise ValueError("cutoff required to divide by a non-monomial")
-    shift = a._weight_lower_bound()
+    # lower bound for the smallest weight the true a could carry
+    shift = a.min_weight() if a.terms else a.cutoff
     target = Fraction(cutoff) - (shift if shift is not None else Fraction(0))
     return a * b.invert(target)

@@ -32,6 +32,16 @@ def tie_lattice() -> Lattice:
     return Lattice(2, [1, 1], [0, 0])
 
 
+def odd_lattice() -> Lattice:
+    # negative weight, odd denominators: scaled weights over D = 21
+    return Lattice(2, [Fraction(-2, 3), Fraction(5, 7)], [0, 0])
+
+
+def weight_lattices() -> list[Lattice]:
+    """k1, k2, the tie lattice and the odd lattice, for weight-order tests."""
+    return [k1_lattice(), k2_lattice(), tie_lattice(), odd_lattice()]
+
+
 def rand_coords(rng: random.Random, lat: Lattice, bound: int = 2):
     return tuple(rng.randint(-bound, bound) for _ in range(lat.rank))
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,15 @@ from hypothesis import given, strategies as st
 from novtorsion import DimensionMismatchError, Lattice
 from novtorsion.lattice import g_add, g_neg
 
+from support import odd_lattice, weight_lattices
+
 
 def test_weight_examples():
     assert Lattice(1, [1], [0]).weight((3,)) == 3
     assert Lattice(2, [1, Fraction(1, 2)], [0, 0]).weight((1, -2)) == 0
     assert Lattice(2, [Fraction(2, 3), 5], [0, 0]).weight((3, 1)) == 7
+    w = odd_lattice().weight(("1", 1))
+    assert w == Fraction(1, 21) and type(w) is Fraction
 
 
 def test_chern_examples():
@@ -77,3 +82,36 @@ def test_minimal_chern_divides(lat, g):
         assert lat.chern(g) == 0
     else:
         assert lat.chern(g) % n == 0
+
+
+def cutoffs_near(lat, g):
+    # the weight of g itself, and nearby values whose scaled value D*w is not
+    # an integer, where a floor and a ceiling differ
+    w = lat.weight(g)
+    return [w, w + Fraction(1, 2), w - Fraction(1, 3), w + Fraction(1, 2 * lat._den + 1)]
+
+
+@pytest.mark.parametrize("lat", weight_lattices(), ids=["k1", "k2", "tie", "odd"])
+def test_scaled_weights_agree_with_weight(lat):
+    grid = list(itertools.product(range(-3, 4), repeat=lat.rank))
+    for g in grid:
+        s = lat._scaled_weight(g)
+        assert isinstance(s, int)
+        assert Fraction(s, lat._den) == sum(p * x for p, x in zip(lat.phi, g))
+    for g, h in itertools.product(grid[::3], grid):
+        sg, sh = lat._scaled_weight(g), lat._scaled_weight(h)
+        assert (sg < sh) == (lat.weight(g) < lat.weight(h))
+        assert (sg == sh) == (lat.weight(g) == lat.weight(h))
+
+
+@pytest.mark.parametrize("lat", weight_lattices(), ids=["k1", "k2", "tie", "odd"])
+def test_scaled_ceiling_agrees_with_cutoff_comparison(lat):
+    grid = list(itertools.product(range(-3, 4), repeat=lat.rank))
+    for c in grid[::2]:
+        for w in cutoffs_near(lat, c):
+            bound = lat._scaled_ceil(w)
+            assert isinstance(bound, int)
+            for g in grid:
+                assert (lat._scaled_weight(g) < bound) == (lat.weight(g) < w)
+        # a term exactly at the cutoff weight is not below it
+        assert lat._scaled_weight(c) >= lat._scaled_ceil(lat.weight(c))

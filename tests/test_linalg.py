@@ -102,6 +102,22 @@ def test_as_matrix_rejects_mixed_lattices():
     assert as_matrix(((ONE, same),)).lattice is LAT
 
 
+def test_lattice_argument_must_match_entries():
+    other_lat = Lattice(1, [2], [0])
+    other = NovikovElement.one(other_lat)
+    with pytest.raises(LatticeMismatchError):
+        determinant(other_lat, ((ONE, Z), (ZERO, ONE)))
+    with pytest.raises(LatticeMismatchError):
+        determinant(LAT, ((ONE, Z), (ZERO, other)))
+    with pytest.raises(LatticeMismatchError):
+        select_column_pivots(other_lat, ((ONE, Z), (ZERO, ONE)))
+    with pytest.raises(LatticeMismatchError):
+        select_column_pivots(LAT, as_matrix(((other,),)))
+    # an equal lattice built separately is the same lattice
+    assert determinant(k1_lattice(), ((ONE, Z), (ZERO, ONE))) == ONE
+    assert select_column_pivots(k1_lattice(), ((ONE, Z), (ZERO, ONE))).rank == 2
+
+
 def test_pivot_selection_rank():
     m = as_matrix([[ONE, Z], [ZERO, ZERO]])
     sel = select_column_pivots(LAT, m)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,14 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from novtorsion import (
     AmbiguousLeadingTermError,
+    DimensionMismatchError,
     LatticeMismatchError,
     NotInvertibleError,
     NovikovElement,
 )
-from novtorsion.lattice import g_neg
-from novtorsion.series import divide
+from novtorsion.lattice import g_add, g_neg
+from novtorsion.series import _min_cutoff, divide
 
-from support import k1_lattice, k2_lattice, rand_coeff, rand_coords, rand_unit, tie_lattice
+from support import (
+    k1_lattice,
+    k2_lattice,
+    rand_coeff,
+    rand_coords,
+    rand_unit,
+    tie_lattice,
+    weight_lattices,
+)
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -262,3 +272,94 @@ def test_invert_matches_geometric_series_reference():
         assert got.cutoff == want.cutoff, (a, target)
         if a.is_exact and len(a.terms) == 1:
             assert a.invert() == geometric_inverse(a)
+
+
+# -- integer weights and the trusted constructor --------------------------------
+
+LATTICE_IDS = ["k1", "k2", "tie", "odd"]
+
+
+def reference_terms(lat, pairs, cutoff):
+    """Merge (g, c) pairs and keep the nonzero ones with weight < cutoff,
+    compared as Fractions through Lattice.weight."""
+    merged = {}
+    for g, c in pairs:
+        merged[g] = merged.get(g, 0) + c
+    return {g: c for g, c in merged.items() if c and (cutoff is None or lat.weight(g) < cutoff)}
+
+
+def reference_mul_cutoff(lat, a, b):
+    bounds = []
+    if b.cutoff is not None and a.terms:
+        bounds.append(min(map(lat.weight, a.terms)) + b.cutoff)
+    if a.cutoff is not None and b.terms:
+        bounds.append(a.cutoff + min(map(lat.weight, b.terms)))
+    if a.cutoff is not None and b.cutoff is not None:
+        bounds.append(a.cutoff + b.cutoff)
+    return min(bounds, default=None)
+
+
+def rand_operand(rng, lat, truncated):
+    """Up to four random terms; a truncated operand is cut at the weight of a
+    random element or half a unit past it, so cuts land exactly on weights."""
+    terms = [(rand_coords(rng, lat), rand_coeff(rng)) for _ in range(rng.randint(1, 4))]
+    cutoff = None
+    if truncated:
+        cutoff = lat.weight(rand_coords(rng, lat)) + rng.choice([0, 0, Fraction(1, 2)])
+    return NovikovElement(lat, terms, cutoff)
+
+
+@pytest.mark.parametrize("lat", weight_lattices(), ids=LATTICE_IDS)
+def test_cutoff_drops_the_term_at_its_weight(lat):
+    grid = list(itertools.product(range(-2, 3), repeat=lat.rank))
+    full = NovikovElement(lat, {g: 1 for g in grid})
+    for c in grid:
+        for w in (lat.weight(c), lat.weight(c) + Fraction(1, 2)):
+            expected = {g: 1 for g in grid if lat.weight(g) < w}
+            assert NovikovElement(lat, full.terms, w).terms == expected
+            assert full.truncate(w).terms == expected
+            assert (full + NovikovElement.zero(lat, w)).terms == expected
+            assert full.agree_below(NovikovElement(lat, expected), w)
+        assert c not in full.truncate(lat.weight(c)).terms
+
+
+@pytest.mark.parametrize("lat", weight_lattices(), ids=LATTICE_IDS)
+def test_internal_results_match_public_constructor(lat):
+    rng = random.Random(8)
+    for case in range(80):
+        a = rand_operand(rng, lat, case % 2 == 1)
+        b = rand_operand(rng, lat, case % 4 >= 2)
+        w = lat.weight(rand_coords(rng, lat)) + rng.choice([0, Fraction(1, 3)])
+        cut = _min_cutoff(a.cutoff, b.cutoff)
+        pairs = [(g_add(g, h), c * d) for g, c in a.terms.items() for h, d in b.terms.items()]
+        assert (a + b).terms == reference_terms(lat, [*a.terms.items(), *b.terms.items()], cut)
+        assert (a - b).terms == reference_terms(
+            lat, [*a.terms.items(), *((g, -c) for g, c in b.terms.items())], cut
+        )
+        assert (a * b).cutoff == reference_mul_cutoff(lat, a, b)
+        assert (a * b).terms == reference_terms(lat, pairs, (a * b).cutoff)
+        assert a.truncate(w).terms == reference_terms(lat, a.terms.items(), _min_cutoff(a.cutoff, w))
+        results = [a + b, a - b, a * b, -a, 3 * a, a.truncate(w)]
+        u = rand_invertible(rng, lat)
+        if len(u.leading_slice()) == 1:
+            target = -u.min_weight() + Fraction(rng.randint(1, 4), 4)
+            results.append(u.invert(target))
+        for r in results:
+            assert r == NovikovElement(lat, r.terms, r.cutoff)
+            assert all(type(c) is Fraction for c in r.terms.values())
+        if a.terms:
+            assert a.support() == sorted(a.terms, key=lambda g: (lat.weight(g), g))
+            assert a.min_weight() == min(map(lat.weight, a.terms))
+
+
+def test_public_constructor_still_validates_and_coerces():
+    lat = k2_lattice()
+    with pytest.raises(DimensionMismatchError):
+        NovikovElement(lat, {(1,): 1})
+    with pytest.raises(DimensionMismatchError):
+        NovikovElement(lat, [((1, 0, 0), 1)])
+    e = NovikovElement(lat, [(("1", 0), 3), ((0, 1), "1/2"), ((1.0, 0), "-1")], cutoff="5/2")
+    assert e.terms == {(1, 0): Fraction(2), (0, 1): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in e.terms.values())
+    assert all(type(x) is int for g in e.terms for x in g)
+    assert e.cutoff == Fraction(5, 2) and type(e.cutoff) is Fraction
