@@ -83,6 +83,11 @@ class RanksReport:
         return all(r == 0 for r in self.ranks.values())
 
 
+def shift_degree(d: int, by: int, modulus: Optional[int]) -> int:
+    """Degree ``d + by``, reduced mod ``modulus`` for a Z_m grading."""
+    return d + by if modulus is None else (d + by) % modulus
+
+
 @dataclass(frozen=True)
 class BasedComplex:
     lattice: Lattice
@@ -116,9 +121,7 @@ class BasedComplex:
     # -- basic structure ---------------------------------------------------
 
     def shift(self, d: int, by: int) -> int:
-        if self.modulus is None:
-            return d + by
-        return (d + by) % self.modulus
+        return shift_degree(d, by, self.modulus)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.modules))
@@ -369,7 +372,7 @@ def two_term_complex(
     d = low_degree
     return BasedComplex(
         lattice,
-        {d: (lo,), d + 1 if modulus is None else (d + 1) % modulus: (hi,)},
+        {d: (lo,), shift_degree(d, 1, modulus): (hi,)},
         {d: ((entry,),)},
         modulus,
     )

@@ -11,7 +11,9 @@ degree-zero endomorphisms of it.  Blocks are introduced by headers::
 Element literals are sums of ``coeff*g(a1,...,ak)`` terms with exact
 rational coefficients; a term supported at the group identity is written
 as a bare rational, and a trailing ``@cutoff=p/q`` marks a truncated
-element.  ``0`` denotes the zero element or an empty line image.
+element.  ``0`` denotes the zero element or an empty line image.  A line
+whose first non-blank character is ``#`` is a comment; there are no
+trailing comments, so ``#`` anywhere else is part of the line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import BasedComplex, ChainMap
+from .complexes import BasedComplex, ChainMap, shift_degree
 from .lattice import Lattice
 from .linalg import Matrix, as_matrix
 from .series import NovikovElement
@@ -116,26 +118,32 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
     return NovikovElement(lattice, terms, cutoff)
 
 
-def _split_items(text: str, line: int) -> list[str]:
-    items = []
-    depth = 0
-    cur = []
-    for ch in text:
+def _split_items(text: str, line: int) -> list[tuple[int, int, int]]:
+    """Spans ``(start, close, end)`` of the items between top-level ``+`` signs.
+
+    ``close`` indexes the ``)`` that ends the item's first parenthesis, or is
+    -1 when the item has none.  Every item is balanced, so an item that
+    starts with ``(`` always has its ``close``.
+    """
+    spans = []
+    depth = start = 0
+    close = -1
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise DocumentParseError(line, "unbalanced parentheses")
-        if ch == "+" and depth == 0:
-            items.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
+            if depth == 0 and close < 0:
+                close = i
+        elif ch == "+" and depth == 0:
+            spans.append((start, close, i))
+            start, close = i + 1, -1
     if depth != 0:
         raise DocumentParseError(line, "unbalanced parentheses")
-    items.append("".join(cur))
-    return items
+    spans.append((start, close, len(text)))
+    return spans
 
 
 def parse_lincomb(text: str, lattice: Lattice, line: int) -> tuple[Entry, ...]:
@@ -143,86 +151,73 @@ def parse_lincomb(text: str, lattice: Lattice, line: int) -> tuple[Entry, ...]:
     if body == "0":
         return ()
     entries = []
-    for item in _split_items(body, line):
-        item = item.strip()
+    for start, close, end in _split_items(body, line):
+        item = body[start:end].strip()
         if not item.startswith("("):
             raise DocumentParseError(line, "expected (element)*generator, got %r" % item)
-        depth = 0
-        close = -1
-        for i, ch in enumerate(item):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
-        if close < 0:
-            raise DocumentParseError(line, "unbalanced parentheses in %r" % item)
-        rest = item[close + 1 :].strip()
+        rest = body[close + 1 : end].strip()
         if not rest.startswith("*"):
             raise DocumentParseError(line, "expected '*' after element in %r" % item)
         target = rest[1:].strip()
         if not _NAME_RE.match(target):
             raise DocumentParseError(line, "invalid generator name %r" % target)
-        elt = parse_element(item[1:close], lattice, line)
+        elt = parse_element(body[body.index("(", start) + 1 : close], lattice, line)
         entries.append((elt, target))
     return tuple(entries)
 
 
+def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, Optional[int]]:
+    """Lattice and grading modulus of a ``[group]`` block.
+
+    ``fields`` maps each field to its (line, value); a missing field or a
+    length mismatch is reported at ``line_no``, where the block ended.
+    """
+    if "rank" not in fields:
+        raise DocumentParseError(line_no, "group block is missing 'rank'")
+    ln, raw = fields["rank"]
+    try:
+        rank = int(raw)
+    except ValueError:
+        raise DocumentParseError(ln, "invalid rank %r" % raw)
+    ln, raw = fields.get("phi", (line_no, ""))
+    phis = [_parse_rational(p, ln, "phi") for p in raw.split()]
+    ln, raw = fields.get("c1", (line_no, ""))
+    try:
+        c1s = [int(p) for p in raw.split()]
+    except ValueError:
+        raise DocumentParseError(ln, "invalid c1 entries %r" % raw)
+    if len(phis) != rank or len(c1s) != rank:
+        raise DocumentParseError(line_no, "phi and c1 must each list %d entries" % rank)
+    modulus = None
+    if "modulus" in fields:
+        ln, raw = fields["modulus"]
+        try:
+            modulus = int(raw)
+        except ValueError:
+            raise DocumentParseError(ln, "invalid modulus %r" % raw)
+        if modulus < 2 or modulus % 2:
+            raise DocumentParseError(ln, "modulus must be even and >= 2")
+    return Lattice(rank, phis, c1s), modulus
+
+
+#: Blocks of image lines: the degree shift from a source to its targets, and
+#: the message for a target in another degree.
+_IMAGE_RULES = {
+    "differential": (1, "differential image of %r must live in degree %d, %r is in degree %d"),
+    "map": (0, "map image of %r must stay in degree %d, %r is in degree %d"),
+}
+
+
 def parse(text: str) -> ComplexDocument:
     lattice: Optional[Lattice] = None
-    group_raw: dict[str, tuple[int, str]] = {}
-    group_done = False
+    modulus: Optional[int] = None
+    fields: dict[str, tuple[int, str]] = {}
+    declared: dict[str, tuple[int, int]] = {}  # generator -> (line, degree)
     modules: dict[int, list[str]] = {}
-    gen_line: dict[str, int] = {}
-    position: dict[str, tuple[int, int]] = {}
     differential: dict[str, tuple[Entry, ...]] = {}
     maps: dict[str, dict[str, tuple[Entry, ...]]] = {}
-    modulus: Optional[int] = None
-
-    section = None
-    current_degree = None
-    current_map = None
+    section = degree = book = None
     line_no = 0
-
-    def finish_group(line_no):
-        nonlocal lattice, modulus, group_done
-        if group_done:
-            return
-        if "rank" not in group_raw:
-            raise DocumentParseError(line_no, "group block is missing 'rank'")
-        ln, raw = group_raw["rank"]
-        try:
-            rank = int(raw)
-        except ValueError:
-            raise DocumentParseError(ln, "invalid rank %r" % raw)
-        phis = []
-        c1s = []
-        if "phi" in group_raw:
-            ln, raw = group_raw["phi"]
-            phis = [_parse_rational(p, ln, "phi") for p in raw.split()]
-        if "c1" in group_raw:
-            ln, raw = group_raw["c1"]
-            try:
-                c1s = [int(p) for p in raw.split()]
-            except ValueError:
-                raise DocumentParseError(ln, "invalid c1 entries %r" % raw)
-        if len(phis) != rank or len(c1s) != rank:
-            raise DocumentParseError(
-                line_no, "phi and c1 must each list %d entries" % rank
-            )
-        if "modulus" in group_raw:
-            ln, raw = group_raw["modulus"]
-            try:
-                modulus = int(raw)
-            except ValueError:
-                raise DocumentParseError(ln, "invalid modulus %r" % raw)
-            if modulus < 2 or modulus % 2:
-                raise DocumentParseError(ln, "modulus must be even and >= 2")
-        lattice = Lattice(rank, phis, c1s)
-        group_done = True
-
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -231,99 +226,77 @@ def parse(text: str) -> ComplexDocument:
             m = _HEADER_RE.match(line)
             if not m:
                 raise DocumentParseError(line_no, "malformed block header %r" % line)
-            kind, arg = m.group(1), m.group(2)
-            if kind == "group":
-                if group_done or group_raw:
+            section, arg = m.groups()
+            if section == "group":
+                if lattice is not None or fields:
                     raise DocumentParseError(line_no, "duplicate [group] block")
-                section = "group"
-                continue
-            finish_group(line_no)
-            if kind == "module":
+            elif lattice is None:
+                lattice, modulus = _group(fields, line_no)
+            if arg is not None and section in ("group", "differential"):
+                raise DocumentParseError(line_no, "[%s] takes no argument" % section)
+            if section == "module":
                 if arg is None:
                     raise DocumentParseError(line_no, "[module] header needs a degree")
                 try:
-                    current_degree = int(arg)
+                    degree = int(arg)
                 except ValueError:
                     raise DocumentParseError(line_no, "invalid degree %r" % arg)
-                if modulus is not None and not 0 <= current_degree < modulus:
-                    raise DocumentParseError(
-                        line_no, "degree %d outside Z_%d" % (current_degree, modulus)
-                    )
-                modules.setdefault(current_degree, [])
-                section = "module"
-            elif kind == "differential":
-                if arg is not None:
-                    raise DocumentParseError(line_no, "[differential] takes no argument")
-                section = "differential"
-            elif kind == "map":
+                if modulus is not None and not 0 <= degree < modulus:
+                    raise DocumentParseError(line_no, "degree %d outside Z_%d" % (degree, modulus))
+                modules.setdefault(degree, [])
+            elif section == "differential":
+                book = differential
+            elif section == "map":
                 if arg is None or not _NAME_RE.match(arg):
                     raise DocumentParseError(line_no, "[map] header needs a valid name")
                 if arg in maps:
                     raise DocumentParseError(line_no, "duplicate map %r" % arg)
-                current_map = arg
-                maps[arg] = {}
-                section = "map"
-            else:
-                raise DocumentParseError(line_no, "unknown block kind %r" % kind)
-            continue
-        if section == "group":
+                book = maps[arg] = {}
+            elif section != "group":
+                raise DocumentParseError(line_no, "unknown block kind %r" % section)
+        elif section == "group":
             key, sep, value = line.partition(":")
             key = key.strip()
             if not sep or key not in ("rank", "phi", "c1", "modulus"):
                 raise DocumentParseError(line_no, "unknown group field %r" % line)
-            if key in group_raw:
+            if key in fields:
                 raise DocumentParseError(line_no, "duplicate group field %r" % key)
-            group_raw[key] = (line_no, value.strip())
+            fields[key] = (line_no, value.strip())
         elif section == "module":
-            name = line
-            if not _NAME_RE.match(name):
-                raise DocumentParseError(line_no, "invalid generator name %r" % name)
-            if name in gen_line:
+            if not _NAME_RE.match(line):
+                raise DocumentParseError(line_no, "invalid generator name %r" % line)
+            if line in declared:
                 raise DocumentParseError(
-                    line_no, "duplicate generator %r (first declared on line %d)" % (name, gen_line[name])
+                    line_no, "duplicate generator %r (first declared on line %d)" % (line, declared[line][0])
                 )
-            gen_line[name] = line_no
-            position[name] = (current_degree, len(modules[current_degree]))
-            modules[current_degree].append(name)
-        elif section in ("differential", "map"):
+            declared[line] = (line_no, degree)
+            modules[degree].append(line)
+        elif section in _IMAGE_RULES:
+            step, rule = _IMAGE_RULES[section]
             src, sep, rhs = line.partition(":")
             src = src.strip()
             if not sep:
                 raise DocumentParseError(line_no, "expected '<generator>: <image>'")
-            if src not in gen_line:
+            if src not in declared:
                 raise DocumentParseError(line_no, "undeclared generator %r" % src)
             entries = parse_lincomb(rhs, lattice, line_no)
-            src_degree = position[src][0]
-            seen_targets = set()
-            for elt, target in entries:
-                if target not in gen_line:
+            want = shift_degree(declared[src][1], step, modulus)
+            seen = set()
+            for _, target in entries:
+                if target not in declared:
                     raise DocumentParseError(line_no, "undeclared generator %r" % target)
-                if target in seen_targets:
+                if target in seen:
                     raise DocumentParseError(line_no, "generator %r appears twice" % target)
-                seen_targets.add(target)
-                t_degree = position[target][0]
-                if section == "differential":
-                    want = src_degree + 1 if modulus is None else (src_degree + 1) % modulus
-                    if t_degree != want:
-                        raise DocumentParseError(
-                            line_no,
-                            "differential image of %r must live in degree %d, %r is in degree %d"
-                            % (src, want, target, t_degree),
-                        )
-                else:
-                    if t_degree != src_degree:
-                        raise DocumentParseError(
-                            line_no,
-                            "map image of %r must stay in degree %d, %r is in degree %d"
-                            % (src, src_degree, target, t_degree),
-                        )
-            book = differential if section == "differential" else maps[current_map]
+                seen.add(target)
+                if declared[target][1] != want:
+                    raise DocumentParseError(line_no, rule % (src, want, target, declared[target][1]))
             if src in book:
                 raise DocumentParseError(line_no, "duplicate image line for %r" % src)
             book[src] = entries
         else:
             raise DocumentParseError(line_no, "content before any block header: %r" % line)
-    finish_group(max(line_no, 1))
+    if lattice is None:
+        lattice, modulus = _group(fields, max(line_no, 1))
     return ComplexDocument(
         lattice=lattice,
         modules={d: tuple(names) for d, names in modules.items() if names},
@@ -346,28 +319,15 @@ def render(doc: ComplexDocument) -> str:
     if doc.modulus is not None:
         lines.append("modulus: %d" % doc.modulus)
     for d in sorted(doc.modules):
-        lines.append("")
-        lines.append("[module %d]" % d)
-        lines.extend(doc.modules[d])
-    diff_lines = []
-    for d in sorted(doc.modules):
-        for name in doc.modules[d]:
-            entries = doc.differential.get(name)
-            if entries:
-                diff_lines.append("%s: %s" % (name, _render_lincomb(position, entries)))
-    if diff_lines:
-        lines.append("")
-        lines.append("[differential]")
-        lines.extend(diff_lines)
-    for map_name in sorted(doc.maps):
-        body = doc.maps[map_name]
-        lines.append("")
-        lines.append("[map %s]" % map_name)
-        for d in sorted(doc.modules):
-            for name in doc.modules[d]:
-                entries = body.get(name)
-                if entries:
-                    lines.append("%s: %s" % (name, _render_lincomb(position, entries)))
+        lines += ["", "[module %d]" % d, *doc.modules[d]]
+    order = [name for d in sorted(doc.modules) for name in doc.modules[d]]
+    blocks = [("[differential]", doc.differential)]
+    blocks += [("[map %s]" % name, doc.maps[name]) for name in sorted(doc.maps)]
+    for header, images in blocks:
+        body = ["%s: %s" % (name, _render_lincomb(position, images[name])) for name in order if images.get(name)]
+        # An empty [differential] block is left out; an empty map still names itself.
+        if body or header != "[differential]":
+            lines += ["", header, *body]
     return "\n".join(lines) + "\n"
 
 
@@ -383,7 +343,7 @@ def _place(doc: ComplexDocument, images: dict[str, tuple[Entry, ...]], step: int
     for d, names in doc.modules.items():
         if not any(images.get(name) for name in names):
             continue
-        t = d + step if doc.modulus is None else (d + step) % doc.modulus
+        t = shift_degree(d, step, doc.modulus)
         rows = [[z] * len(names) for _ in doc.modules.get(t, ())]
         for j, src in enumerate(names):
             for elt, tgt in images.get(src, ()):

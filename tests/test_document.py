@@ -1,4 +1,7 @@
+import json
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,9 @@ from novtorsion import (
 from novtorsion.document import parse_element
 
 from support import k1_lattice, random_acyclic
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -89,6 +95,35 @@ def test_map_block_keeps_degree():
     text = TWO_TERM + "\n[map h]\na: (1)*b\n"
     with pytest.raises(DocumentParseError):
         parse_document(text)
+
+
+with open(os.path.join(DATA, "parse_errors.json"), encoding="utf-8") as fh:
+    PARSE_ERRORS = json.load(fh)
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS, ids=[case["name"] for case in PARSE_ERRORS])
+def test_parse_error_line_and_message(case):
+    """One malformed document per error the parser can raise, pinned to the
+    exact line and message."""
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(case["text"])
+    assert (err.value.line, err.value.message) == (case["line"], case["message"])
+
+
+def test_readme_format_example():
+    """The example under README's "File format" parses, round-trips, and
+    its complex and map are valid."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    text = re.search(r"^## File format\n.*?^```\n(.*?)^```", readme, re.M | re.S).group(1)
+    doc = parse_document(text)
+    rendered = render_document(doc)
+    assert parse_document(rendered) == doc
+    assert render_document(parse_document(rendered)) == rendered
+    assert "@cutoff=" in text
+    cplx = build_complex(doc)
+    assert cplx.validate().valid
+    assert build_chain_map(doc, "h", cplx).validate().valid
 
 
 def test_parser_is_total_on_junk():
