@@ -194,10 +194,8 @@ def _cmd_torus(args) -> int:
             "orbit %d monodromy: %.9f %.9f %.9f %.9f" % (i, m[0, 0], m[0, 1], m[1, 0], m[1, 1])
         )
         lines.append("orbit %d step-halving-gap: %.3e" % (i, orbit.richardson_gap))
-    lines.append("connecting-count: %d" % report.counts.total)
-    lines.append(
-        "connecting-labels: %s" % ",".join(str(label[0]) for label, _ in report.counts.entries)
-    )
+    lines.append("connecting-count: %d" % len(report.counts))
+    lines.append("connecting-labels: %s" % ",".join(str(arc.winding) for arc in report.counts))
     for convention in ("plus", "minus"):
         cplx = report.complexes[convention]
         low = min(cplx.differentials)

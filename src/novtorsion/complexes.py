@@ -66,6 +66,14 @@ def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]]
     return nonzero, cutoff
 
 
+def _certify_square_zero(cplx: BasedComplex) -> Optional[Fraction]:
+    """The cutoff below which ``cplx`` squares to zero, or ComplexStructureError."""
+    report = cplx.validate()
+    if not report.valid:
+        raise ComplexStructureError("complex does not square to zero: " + report.failures[0])
+    return report.cutoff
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
@@ -174,10 +182,13 @@ class BasedComplex:
     def homology_ranks(self) -> RanksReport:
         """Per-degree homology ranks via unit-pivot Gaussian elimination.
 
+        The complex must square to zero first (ComplexStructureError if not).
         Columns known to vanish only below a cutoff make the differential
         ranks lower bounds, so positive homology ranks then raise
         IndeterminatePivotError naming that cutoff; ranks of 0 stay certified.
+        The report's cutoff is the weaker of the pivot and d^2 = 0 cutoffs.
         """
+        square_cutoff = _certify_square_zero(self)
         ranks: dict[int, int] = {}
         rank_of_diff: dict[int, int] = {}
         cutoff: Optional[Fraction] = None
@@ -198,7 +209,7 @@ class BasedComplex:
                 "positive homology ranks in degrees %s rest on columns known to vanish "
                 "only below weight %s" % (", ".join(str(d) for d in ranks if ranks[d]), cutoff)
             )
-        return RanksReport(ranks, cutoff)
+        return RanksReport(ranks, _min_cutoff(cutoff, square_cutoff))
 
     # -- parity collapse -----------------------------------------------------
 

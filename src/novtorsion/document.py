@@ -79,8 +79,6 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
     while pos < n:
         while pos < n and body[pos].isspace():
             pos += 1
-        if pos >= n:
-            break
         sign = 1
         if body[pos] in "+-":
             sign = -1 if body[pos] == "-" else 1
@@ -93,7 +91,7 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
         if not m:
             raise DocumentParseError(line, "malformed term at %r" % body[pos : pos + 20])
         try:
-            coeff = Fraction(m.group(1).replace(" ", ""))
+            coeff = Fraction("".join(m.group(1).split()))
         except ZeroDivisionError:
             raise DocumentParseError(line, "zero denominator in %r" % m.group(1))
         if m.group(2) is None:
@@ -226,9 +224,9 @@ def parse(text: str) -> ComplexDocument:
             m = _HEADER_RE.match(line)
             if not m:
                 raise DocumentParseError(line_no, "malformed block header %r" % line)
-            section, arg = m.groups()
+            previous, (section, arg) = section, m.groups()
             if section == "group":
-                if lattice is not None or fields:
+                if lattice is not None or previous == "group":
                     raise DocumentParseError(line_no, "duplicate [group] block")
             elif lattice is None:
                 lattice, modulus = _group(fields, line_no)

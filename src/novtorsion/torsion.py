@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import (
-    BasedComplex, ChainMap, ComplexStructureError, NotAcyclicError, _nonzero_entries, mapping_cone,
+    BasedComplex, ChainMap, NotAcyclicError, _certify_square_zero, _nonzero_entries, mapping_cone,
 )
 from .lattice import g_neg
 from .linalg import (
@@ -150,9 +150,7 @@ def milnor_torsion_unit(
     over the odd minor, modulo sign; the column orders only steer pivot
     choice and must not change the class.
     """
-    report = cplx.validate()
-    if not report.valid:
-        raise ComplexStructureError("complex does not square to zero: " + report.failures[0])
+    square_cutoff = _certify_square_zero(cplx)
     lattice = cplx.lattice
     names0, names1, d0, d1 = cplx.collapse()
     n0, n1 = len(names0), len(names1)
@@ -176,7 +174,7 @@ def milnor_torsion_unit(
     det_even = determinant(lattice, [[d1[i][j] for j in s1] for i in r0])
     det_odd = determinant(lattice, [[d0[i][j] for j in s0] for i in r1])
     rep = divide(det_even, det_odd, cutoff)
-    certify = _min_cutoff(report.cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
+    certify = _min_cutoff(square_cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
     if certify is not None:
         rep = rep.truncate(certify)
     return BasisChangeClass.from_unit(rep)

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import BasedComplex
-from .lattice import GroupElement, Lattice
+from .complexes import BasedComplex, two_term_complex
+from .lattice import Lattice
 from .series import DEFAULT_CUTOFF, NovikovElement
 from .torsion import WhiteheadClass, milnor_torsion
 
@@ -324,10 +324,11 @@ def find_orbits(
     the dedupe radius (1e-5) of a converged point; the iteration ends when
     every seed has converged, failed or been retired, after at most 20
     steps.  Converged points are deduplicated with the wrap-around metric,
-    polished at full resolution, and returned with monodromy, a
-    step-halving consistency gap, non-degeneracy gap and index, sorted by
-    x.  Exhaustiveness is guaranteed only up to the scan resolution: an
-    orbit that no scanned seed leads to is missed.
+    re-integrated at ``refine_steps`` to check that they still close within
+    ``tol``, and returned with monodromy, a step-halving consistency gap,
+    non-degeneracy gap and index, sorted by x.  Exhaustiveness is
+    guaranteed only up to the scan resolution: an orbit that no scanned
+    seed leads to is missed.
     """
     sys.check()
     candidates = _scan_candidates(sys, grid, search_steps)
@@ -351,17 +352,19 @@ def _torus_dist(p, q):
 
 
 def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
+    """Re-integrate a converged point at ``steps`` and check that it closes.
+
+    The co-moving field at an orbit is the constant (0, 1), which RK4
+    follows exactly at any step count, so a point that met ``tol`` in the
+    search meets it here; a miss raises OrbitSearchError.
+    """
     p = np.array(point, dtype=float)
-    offset = np.array([0.0, 1.0])
-    for _ in range(8):
-        ends, mons, _, var = _integrate(sys, p, steps, record=True)
-        f = ends[0] - p - offset
-        if np.abs(f).max() < tol:
-            break
-        m = mons[0] - np.eye(2)
-        p = p - np.linalg.solve(m, f)
-    else:
-        raise OrbitSearchError("orbit polish did not reach tolerance %g" % tol)
+    ends, mons, _, var = _integrate(sys, p, steps, record=True)
+    miss = float(np.abs(ends[0] - p - np.array([0.0, 1.0])).max())
+    if not miss < tol:
+        raise OrbitSearchError(
+            "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (p[0], miss, steps, tol)
+        )
     monodromy = mons[0]
     _, mons2 = _integrate(sys, p, 2 * steps)
     richardson = float(np.abs(mons2[0] - monodromy).max())
@@ -450,13 +453,6 @@ class Arc:
     winding: int
 
 
-@dataclass(frozen=True)
-class ConnectingCount:
-    entries: tuple[tuple[GroupElement, int], ...]
-    total: int
-    arcs: tuple[Arc, ...]
-
-
 def reduced_equilibria(sys: TorusSystem) -> tuple[float, float]:
     """Roots of 1 + lam'(x) on the circle for an admissible b, in closed form:
     sin(2 pi x) = 1/(2 pi b) at x = asin(1/(2 pi b))/(2 pi) and 1/2 - x."""
@@ -464,8 +460,8 @@ def reduced_equilibria(sys: TorusSystem) -> tuple[float, float]:
     return x, 0.5 - x
 
 
-def count_connecting(sys: TorusSystem) -> ConnectingCount:
-    """Count heteroclinics of the reduced circle flow x' = 1 + lam'(x).
+def count_connecting(sys: TorusSystem) -> tuple[Arc, Arc]:
+    """The heteroclinics of the reduced circle flow x' = 1 + lam'(x), one per arc.
 
     Each arc between the two equilibria carries exactly one trajectory (up
     to time shift), running with the sign of 1 + lam' = 1 - 2 pi b sin(2 pi x):
@@ -475,11 +471,10 @@ def count_connecting(sys: TorusSystem) -> ConnectingCount:
     x = 0.
     """
     z0, z1 = sys.check()
-    arcs = (
+    return (
         Arc(lower=z0, upper=z1, sign=-1, source_x=z1, target_x=z0, winding=0),
         Arc(lower=z1, upper=z0 + 1.0, sign=1, source_x=z1, target_x=z0, winding=1),
     )
-    return ConnectingCount(tuple(((arc.winding,), 1) for arc in arcs), len(arcs), arcs)
 
 
 def laurent_lattice() -> Lattice:
@@ -491,7 +486,7 @@ def assemble_floer(
     sys: TorusSystem,
     sign_convention: str = "minus",
     orbits: Optional[list[PeriodicOrbit]] = None,
-    counts: Optional[ConnectingCount] = None,
+    counts: Optional[tuple[Arc, ...]] = None,
 ) -> BasedComplex:
     """Assemble the two-generator complex of the found orbits.
 
@@ -515,21 +510,16 @@ def assemble_floer(
         raise OrbitSearchError(
             "orbit indices %d, %d do not differ by 1" % (low.cz_index, high.cz_index)
         )
-    for arc in counts.arcs:
+    for arc in counts:
         if abs(arc.source_x - low.x) > 1e-6 or abs(arc.target_x - high.x) > 1e-6:
             raise OrbitSearchError(
                 "connecting arc runs %.6f -> %.6f, expected %.6f -> %.6f"
                 % (arc.source_x, arc.target_x, low.x, high.x)
             )
     lattice = laurent_lattice()
-    entry = NovikovElement.zero(lattice)
-    for label, mult in counts.entries:
-        coeff = mult
-        if sign_convention == "minus" and sum(label) % 2:
-            coeff = -mult
-        entry = entry + NovikovElement.monomial(lattice, coeff, label)
-    names = {low.cz_index: ("o%d" % low.cz_index,), high.cz_index: ("o%d" % high.cz_index,)}
-    return BasedComplex(lattice, names, {low.cz_index: ((entry,),)}, None)
+    odd_sign = -1 if sign_convention == "minus" else 1
+    entry = NovikovElement(lattice, [((arc.winding,), odd_sign if arc.winding % 2 else 1) for arc in counts])
+    return two_term_complex(lattice, entry, low.cz_index, ("o%d" % low.cz_index, "o%d" % high.cz_index))
 
 
 def torus_torsion(
@@ -551,7 +541,7 @@ class TorusReport:
     search_steps: int
     refine_steps: int
     orbits: list[PeriodicOrbit]
-    counts: ConnectingCount
+    counts: tuple[Arc, ...]
     complexes: dict[str, BasedComplex]
     torsions: dict[str, WhiteheadClass]
 

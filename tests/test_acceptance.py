@@ -63,10 +63,9 @@ def test_criterion_1_torus_end_to_end():
         assert o.det_gap > 1e-6
     assert sorted(o.cz_index for o in orbits) == [1, 2]
 
-    counts = report.counts
-    assert counts.total == 2
-    labels = [label for label, _ in counts.entries]
-    assert len(set(labels)) == 2
+    arcs = report.counts
+    assert len(arcs) == 2
+    assert len({arc.winding for arc in arcs}) == 2
 
     for convention, sign in (("plus", 1), ("minus", -1)):
         cplx = report.complexes[convention]

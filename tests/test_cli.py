@@ -2,6 +2,8 @@ import glob
 import json
 import os
 
+import pytest
+
 from novtorsion.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
@@ -179,13 +181,10 @@ def test_torus_example_report(capsys):
     assert "o1: (1 - 1*g(1))*o2" in out
 
 
-def test_torus_example_matches_golden(capsys):
-    """Full torus-example stdout against torus_golden.txt, line by line; the
+def assert_torus_report(out, golden):
+    """torus-example stdout against golden text, line by line; the
     step-halving gaps are round-off, so they are only bounded."""
-    code, out = run(capsys, "torus-example")
-    assert code == EXIT_OK
-    with open(fixture("torus_golden.txt"), encoding="utf-8") as fh:
-        want = fh.read().splitlines()
+    want = golden.splitlines()
     got = out.splitlines()
     assert len(got) == len(want)
     for line, expected in zip(got, want):
@@ -195,3 +194,23 @@ def test_torus_example_matches_golden(capsys):
             assert float(value) < 1e-6
         else:
             assert line == expected
+
+
+def test_torus_example_matches_golden(capsys):
+    """Full torus-example stdout at the default b = 1/5 against torus_golden.txt."""
+    code, out = run(capsys, "torus-example")
+    assert code == EXIT_OK
+    with open(fixture("torus_golden.txt"), encoding="utf-8") as fh:
+        assert_torus_report(out, fh.read())
+
+
+with open(fixture("torus_golden_amplitudes.json"), encoding="utf-8") as fh:
+    TORUS_GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("b", sorted(TORUS_GOLDEN))
+def test_torus_example_matches_golden_at_benchmark_amplitudes(capsys, b):
+    """The other amplitudes the torus benchmark runs, against torus_golden_amplitudes.json."""
+    code, out = run(capsys, "torus-example", "--b", b)
+    assert code == EXIT_OK
+    assert_torus_report(out, TORUS_GOLDEN[b])

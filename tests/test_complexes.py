@@ -12,6 +12,7 @@ from novtorsion import (
     ShapeError,
     homotopy_equivalent,
     mapping_cone,
+    milnor_torsion,
     rebase,
     relabel_lifts,
     relative_torsion,
@@ -104,6 +105,19 @@ def test_homology_ranks_resting_on_truncated_zeros():
     report = exact.homology_ranks()
     assert report.acyclic
     assert report.cutoff == 3
+
+
+def test_homology_ranks_certify_the_square_like_torsion():
+    # d^2 = 1 - (1 + O(z^5)) vanishes only below weight 5, so the ranks do too
+    tail = NovikovElement(LAT, {(0,): 1}, cutoff=5)
+    cplx = BasedComplex(LAT, {0: ("a",), 1: ("b1", "b2"), 2: ("c",)}, {0: ((ONE,), (-ONE,)), 1: ((ONE, tail),)})
+    report = cplx.homology_ranks()
+    assert report.acyclic
+    assert report.cutoff == cplx.validate().cutoff == milnor_torsion(cplx).cutoff == 5
+    # a nonzero square fails as it does in torsion, before the rank bookkeeping
+    bad = BasedComplex(LAT, {0: ("a",), 1: ("b",), 2: ("c",)}, {0: ((ONE,),), 1: ((Z,),)})
+    with pytest.raises(ComplexStructureError, match=r"complex does not square to zero: d\^2 from degree 0"):
+        bad.homology_ranks()
 
 
 def test_euler_parity():

@@ -160,6 +160,7 @@ def test_element_literals():
     assert e.coefficient((0, 0)) == 1
     assert e.coefficient((1, -2)) == Fraction(-3, 2)
     assert e.cutoff == Fraction(7, 2)
+    assert parse_element("1\t/\t2", lat, 1) == parse_element("1/2", lat, 1)
     assert parse_element("0", lat, 1).is_zero
     zero_trunc = parse_element("0 @cutoff=3", lat, 1)
     assert zero_trunc.is_zero and zero_trunc.cutoff == 3
@@ -171,6 +172,12 @@ def test_element_literals():
         parse_element("1/0", lat, 1)
     with pytest.raises(DocumentParseError):
         parse_element("1 @cutoff=2/0", lat, 1)
+
+
+def test_zero_image_line():
+    doc = parse_document(TWO_TERM.replace("(1 - 1*g(1))*b", "0"))
+    assert doc.differential == {}
+    assert build_complex(doc).homology_ranks().ranks == {1: 1, 2: 1}
 
 
 def test_render_parse_round_trip_fixed():

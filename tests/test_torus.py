@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus
 from novtorsion.torus import (
     NEWTON_TOL,
+    REFINE_STEPS,
     DegenerateEndpointError,
     OrbitSearchError,
     ProfileError,
@@ -15,6 +16,7 @@ from novtorsion.torus import (
     _distinct,
     _integrate,
     _newton_search,
+    _refine_orbit,
     _residual,
     _scan_candidates,
     assemble_floer,
@@ -135,7 +137,7 @@ def test_admissible_interval_implies_the_profile_conditions(b):
     assert s.nu(0.5) == pytest.approx(0.4, abs=1e-12)
     assert s.nu(0.5) < target
     # count_connecting's arcs carry the sign of the flow on them
-    arcs = count_connecting(s).arcs
+    arcs = count_connecting(s)
     assert [arc.sign for arc in arcs] == [-1, 1]
     for arc in arcs:
         assert np.sign(1.0 + s.dlam(0.5 * (arc.lower + arc.upper))) == arc.sign
@@ -153,6 +155,13 @@ def test_find_orbits_default(torus_report):
         assert o.det_gap > 1e-6
         assert abs(np.linalg.det(o.monodromy) - 1.0) < 1e-9
         assert o.richardson_gap < 1e-6
+
+
+def test_refine_rejects_a_point_off_the_orbit(torus_report):
+    o = torus_report.orbits[0]
+    x = o.x + 1e-3
+    with pytest.raises(OrbitSearchError, match=r"orbit at x=%.6f misses its return by \S+ at 2048 steps" % x):
+        _refine_orbit(torus_report.system, (x, o.y), REFINE_STEPS, NEWTON_TOL)
 
 
 def test_monodromy_matches_constant_matrix_exponential(torus_report):
@@ -218,12 +227,11 @@ def test_conley_zehnder_degenerate_endpoint():
 
 
 def test_count_connecting(torus_report):
-    counts = torus_report.counts
-    assert counts.total == 2
-    assert [label for label, _ in counts.entries] == [(0,), (1,)]
-    assert all(mult == 1 for _, mult in counts.entries)
+    arcs = torus_report.counts
+    assert len(arcs) == 2
+    assert [arc.winding for arc in arcs] == [0, 1]
     x0, x1 = oracle_equilibria(float(torus_report.system.b))
-    for arc in counts.arcs:
+    for arc in arcs:
         assert arc.source_x == pytest.approx(x1, abs=1e-8)
         assert arc.target_x == pytest.approx(x0, abs=1e-8)
 
@@ -242,7 +250,7 @@ def test_connecting_flow_direction_by_integration(torus_report):
             x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
 
-    for arc in torus_report.counts.arcs:
+    for arc in torus_report.counts:
         mid = 0.5 * (arc.lower + arc.upper)
         fwd = flow(mid, +1.0) % 1.0
         bwd = flow(mid, -1.0) % 1.0
