@@ -36,20 +36,27 @@ class NotAcyclicError(ValueError):
     """The operation requires an acyclic complex."""
 
 
-def _coerce(mat, lattice: Lattice, nrows: int, ncols: int, what: str) -> Matrix:
-    """``mat`` as an nrows x ncols matrix over ``lattice``, or ComplexStructureError."""
-    try:
-        mat = as_matrix(mat, ncols)
-        foreign = mat.lattice not in (None, lattice)  # identity, then equality
-    except ShapeError:
-        mat = foreign = None
-    except LatticeMismatchError:
-        foreign = True
-    if foreign:
-        raise ComplexStructureError("%s has an entry over a different lattice" % what)
-    if mat is None or len(mat) != nrows:
-        raise ComplexStructureError("%s must be %dx%d" % (what, nrows, ncols))
-    return mat
+def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]:
+    """``mats`` keyed by int degree, each block a ``shape(d)`` matrix over ``lattice``
+    (else ComplexStructureError), without the blocks with no rows or no columns."""
+    out = {}
+    for d, mat in mats.items():
+        d = int(d)
+        nrows, ncols = shape(d)
+        try:
+            mat = as_matrix(mat, ncols)
+            foreign = mat.lattice not in (None, lattice)  # identity, then equality
+        except ShapeError:
+            mat = foreign = None
+        except LatticeMismatchError:
+            foreign = True
+        if foreign:
+            raise ComplexStructureError("%s at degree %d has an entry over a different lattice" % (what, d))
+        if mat is None or len(mat) != nrows:
+            raise ComplexStructureError("%s at degree %d must be %dx%d" % (what, d, nrows, ncols))
+        if mat and mat.ncols:
+            out[d] = mat
+    return out
 
 
 def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]], Optional[Fraction]]:
@@ -117,14 +124,8 @@ class BasedComplex:
                 if n in seen:
                     raise ComplexStructureError("duplicate generator name %r" % n)
                 seen.add(n)
-        diffs = {}
-        for d, mat in self.differentials.items():
-            d = int(d)
-            what = "differential at degree %d" % d
-            mat = _coerce(mat, self.lattice, self.rank(self.shift(d, 1)), self.rank(d), what)
-            if mat and mat.ncols:
-                diffs[d] = mat
-        object.__setattr__(self, "differentials", diffs)
+        shape = lambda d: (self.rank(self.shift(d, 1)), self.rank(d))
+        object.__setattr__(self, "differentials", _blocks(self.differentials, self.lattice, shape, "differential"))
 
     # -- basic structure ---------------------------------------------------
 
@@ -245,14 +246,8 @@ class ChainMap:
             raise ComplexStructureError("chain map between complexes over different lattices")
         if self.source.modulus != self.target.modulus:
             raise ComplexStructureError("chain map between complexes with different gradings")
-        mats = {}
-        for d, mat in self.matrices.items():
-            d = int(d)
-            what = "chain map block at degree %d" % d
-            mat = _coerce(mat, self.source.lattice, self.target.rank(d), self.source.rank(d), what)
-            if mat and mat.ncols:
-                mats[d] = mat
-        object.__setattr__(self, "matrices", mats)
+        shape = lambda d: (self.target.rank(d), self.source.rank(d))
+        object.__setattr__(self, "matrices", _blocks(self.matrices, self.source.lattice, shape, "chain map block"))
 
     def block(self, d: int) -> Matrix:
         mat = self.matrices.get(d)

@@ -146,11 +146,10 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
     inputs propagate their cutoffs through the ordinary ring operations.
     Raises LatticeMismatchError on an entry over another lattice.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeError("determinant of a non-square matrix")
-    if n and as_matrix(rows).lattice not in (None, lattice):
+    rows = as_matrix(rows, len(rows))
+    if rows.lattice not in (None, lattice):
         raise LatticeMismatchError("matrix entries not over the given lattice")
+    n = len(rows)
     if n == 0:
         return NovikovElement.one(lattice)
     if n > _DET_LIMIT:

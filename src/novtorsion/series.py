@@ -299,10 +299,7 @@ class NovikovElement:
             eff = _min_cutoff(eff, Fraction(bound))
         if eff is None:
             return self.terms == other.terms
-        w, limit = self.lattice._scaled_weight, self.lattice._scaled_ceil(eff)
-        left = {g: c for g, c in self.terms.items() if w(g) < limit}
-        right = {g: c for g, c in other.terms.items() if w(g) < limit}
-        return left == right
+        return self.truncate(eff).terms == other.truncate(eff).terms
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

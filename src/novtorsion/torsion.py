@@ -39,8 +39,8 @@ from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, _min_cut
 class _DeterminantClass:
     """A unit modulo a subgroup, stored as a normalized representative.
 
-    Subclasses say how ``_normalize`` picks the representative; products,
-    inverses and comparisons are only defined between classes of one kind.
+    Subclasses say how ``_normalize`` picks the representative; products
+    and comparisons are only defined between classes of one kind.
     """
 
     representative: NovikovElement
@@ -56,9 +56,6 @@ class _DeterminantClass:
         if type(other) is not type(self):
             return NotImplemented
         return self.from_unit(self.representative * other.representative)
-
-    def inverse(self, cutoff=None):
-        return self.from_unit(self.representative.invert(cutoff))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -146,9 +143,9 @@ def milnor_torsion_unit(
     outside S0 and R1 the odd indices outside S1.  The new even basis, the
     image columns d1[S1] with the standard vectors at S0, has transition
     determinant +-det d1[R0, S1] (expand along the standard vectors), and
-    likewise the odd one +-det d0[R1, S0].  The torsion is the even minor
-    over the odd minor, modulo sign; the column orders only steer pivot
-    choice and must not change the class.
+    likewise the odd one +-det d0[R1, S0].  The torsion is
+    ``basis_change_class`` of the even and odd minors; the column orders
+    only steer pivot choice and must not change the class.
     """
     square_cutoff = _certify_square_zero(cplx)
     lattice = cplx.lattice
@@ -169,15 +166,11 @@ def milnor_torsion_unit(
             % (sel0.rank, sel1.rank, n0, n1)
         )
     s0, s1 = sel0.columns, sel1.columns
-    r0 = [i for i in range(n0) if i not in s0]
-    r1 = [i for i in range(n1) if i not in s1]
-    det_even = determinant(lattice, [[d1[i][j] for j in s1] for i in r0])
-    det_odd = determinant(lattice, [[d0[i][j] for j in s0] for i in r1])
-    rep = divide(det_even, det_odd, cutoff)
+    minor_even = [[d1[i][j] for j in s1] for i in range(n0) if i not in s0]
+    minor_odd = [[d0[i][j] for j in s0] for i in range(n1) if i not in s1]
+    unit = basis_change_class(minor_even, minor_odd, lattice, cutoff)
     certify = _min_cutoff(square_cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
-    if certify is not None:
-        rep = rep.truncate(certify)
-    return BasisChangeClass.from_unit(rep)
+    return unit if certify is None else BasisChangeClass.from_unit(unit.representative.truncate(certify))
 
 
 def milnor_torsion(

@@ -86,7 +86,10 @@ class TorusSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "bf", float(self.b))
+        try:
+            object.__setattr__(self, "bf", float(self.b))
+        except OverflowError:  # beyond the float range, which check() rejects
+            object.__setattr__(self, "bf", math.inf if self.b > 0 else -math.inf)
 
     # profile functions, numpy friendly
     def lam(self, x):

@@ -95,6 +95,24 @@ def test_torus_example_rejects_bad_grid_and_tolerance(capsys):
         assert report_value(out, "message").startswith("invalid "), flag
 
 
+def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
+    code, out = run(capsys, "torus-example", "--b", "1/10", "--grid", "2x3", "--tol", "1e-6")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == (
+        "amplitude b=1/10 outside (1/(2 pi), 1/(pi sqrt 2)) ~ (0.159155, 0.225079)"
+    )
+
+
+def test_torus_example_amplitude_beyond_the_float_range_is_validate(capsys):
+    code, out = run(capsys, "torus-example", "--b", "1e400")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == (
+        "amplitude b=%d outside (1/(2 pi), 1/(pi sqrt 2)) ~ (0.159155, 0.225079)" % 10**400
+    )
+
+
 def test_not_acyclic_is_validate_category(capsys):
     code, out = run(capsys, "torsion", fixture("not_acyclic.cplx"))
     assert code == EXIT_VALIDATE
@@ -147,6 +165,13 @@ def test_rel_torsion_selfmap(capsys):
 def test_rel_torsion_missing_map(capsys):
     code, out = run(capsys, "rel-torsion", fixture("selfmap.cplx"), "--map", "nonesuch")
     assert code == EXIT_USAGE
+
+
+def test_rel_torsion_without_map_flag_is_usage(capsys):
+    code, out = run(capsys, "rel-torsion", fixture("selfmap.cplx"))
+    assert code == EXIT_USAGE
+    assert report_value(out, "category") == "usage"
+    assert "--map" in report_value(out, "message")
 
 
 def test_torsion_cutoff_flag_controls_truncation(capsys):

@@ -73,6 +73,12 @@ def test_profile_bounds_checked():
     TorusSystem(Fraction(1, 5)).check()
 
 
+def test_amplitude_beyond_the_float_range_is_a_profile_error():
+    for b in (Fraction(10) ** 400, -(Fraction(10) ** 400)):
+        with pytest.raises(ProfileError):
+            TorusSystem(b).check()
+
+
 def test_vector_field_on_the_orbit_lines():
     s = TorusSystem()
     x0, x1 = oracle_equilibria(s.bf)
