@@ -177,6 +177,8 @@ def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, O
         rank = int(raw)
     except ValueError:
         raise DocumentParseError(ln, "invalid rank %r" % raw)
+    if rank < 0:
+        raise DocumentParseError(ln, "rank must be non-negative")
     ln, raw = fields.get("phi", (line_no, ""))
     phis = [_parse_rational(p, ln, "phi") for p in raw.split()]
     ln, raw = fields.get("c1", (line_no, ""))

@@ -25,6 +25,13 @@ class DimensionMismatchError(ValueError):
     """Coordinate vector length does not match the lattice rank."""
 
 
+def _integer(x) -> int:
+    """int(x), refusing a value such as 0.5 or 2.9 that int() would truncate."""
+    if isinstance(x, str) or int(x) == x:
+        return int(x)
+    raise ValueError("%r is not an integer" % (x,))
+
+
 @dataclass(frozen=True)
 class Lattice:
     rank: int
@@ -32,9 +39,9 @@ class Lattice:
     c1: tuple[int, ...]
 
     def __init__(self, rank: int, phi: Iterable, c1: Iterable):
-        rank = int(rank)
+        rank = _integer(rank)
         phi = tuple(Fraction(p) for p in phi)
-        c1 = tuple(int(c) for c in c1)
+        c1 = tuple(map(_integer, c1))
         if rank < 0:
             raise ValueError("rank must be non-negative")
         if len(phi) != rank or len(c1) != rank:
@@ -49,7 +56,7 @@ class Lattice:
         object.__setattr__(self, "_num", tuple(p.numerator * (den // p.denominator) for p in phi))
 
     def _check(self, g: GroupElement) -> GroupElement:
-        g = tuple(int(x) for x in g)
+        g = tuple(x if type(x) is int else _integer(x) for x in g)
         if len(g) != self.rank:
             raise DimensionMismatchError(
                 "element of length %d in lattice of rank %d" % (len(g), self.rank)

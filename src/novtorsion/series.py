@@ -172,17 +172,15 @@ class NovikovElement:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, NovikovElement):
-            if other.lattice != self.lattice:
-                raise LatticeMismatchError("operands over different lattices")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return NovikovElement.monomial(self.lattice, other, self.lattice.identity())
-        return None
+    def _same_lattice(self, other):
+        if not isinstance(other, NovikovElement):
+            return None
+        if other.lattice != self.lattice:
+            raise LatticeMismatchError("operands over different lattices")
+        return other
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = self._same_lattice(other)
         if other is None:
             return NotImplemented
         merged = dict(self.terms)
@@ -191,24 +189,15 @@ class NovikovElement:
             merged[g] = c if prev is None else prev + c
         return NovikovElement._new(self.lattice, merged, _min_cutoff(self.cutoff, other.cutoff))
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = NovikovElement._new(self.lattice, {}, self.cutoff)
         out.terms = {g: -c for g, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, NovikovElement):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,7 +207,7 @@ class NovikovElement:
             out = NovikovElement._new(self.lattice, {}, self.cutoff)
             out.terms = {g: q * c for g, c in self.terms.items()}
             return out
-        other = self._coerce(other)
+        other = self._same_lattice(other)
         if other is None:
             return NotImplemented
         acc: dict[GroupElement, Fraction] = {}
@@ -291,7 +280,7 @@ class NovikovElement:
 
     def agree_below(self, other: "NovikovElement", bound=None) -> bool:
         """Term-wise equality below the common certification bound."""
-        other = self._coerce(other)
+        other = self._same_lattice(other)
         if other is None:
             raise TypeError("can only compare Novikov elements")
         eff = _min_cutoff(self.cutoff, other.cutoff)
@@ -302,8 +291,6 @@ class NovikovElement:
         return self.truncate(eff).terms == other.truncate(eff).terms
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, NovikovElement):
             return NotImplemented
         return (
@@ -348,14 +335,9 @@ def format_element(a: "NovikovElement", cutoff_suffix: bool = True) -> str:
 
 
 def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
-    """a * b^{-1}, exact when b is a pure monomial, else correct below cutoff."""
-    if b.is_exact and len(b.terms) == 1:
-        return a * b.invert()
-    if a.is_exact and a.is_zero:
+    """a * b.invert(...), correct below cutoff; 0 / b is an exact 0 once b has a leading term."""
+    if a.is_exact and a.is_zero and b.leading_term() is not None:
         return a
-    if cutoff is None:
-        raise ValueError("cutoff required to divide by a non-monomial")
     # lower bound for the smallest weight the true a could carry
     shift = a.min_weight() if a.terms else a.cutoff
-    target = Fraction(cutoff) - (shift if shift is not None else Fraction(0))
-    return a * b.invert(target)
+    return a * b.invert(None if cutoff is None else Fraction(cutoff) - (shift or 0))

@@ -95,6 +95,24 @@ def test_torus_example_rejects_bad_grid_and_tolerance(capsys):
         assert report_value(out, "message").startswith("invalid "), flag
 
 
+def test_torus_example_rejects_unparsable_grid_and_tolerance(capsys):
+    for flag, message in (
+        ("--grid=abc", "invalid grid 'abc', expected like 12x6"),
+        ("--tol=abc", "invalid tolerance 'abc'"),
+    ):
+        code, out = run(capsys, "torus-example", flag)
+        assert code == EXIT_USAGE, flag
+        assert report_value(out, "category") == "usage", flag
+        assert report_value(out, "message") == message, flag
+
+
+def test_torus_example_grid_without_candidates_is_validate(capsys):
+    code, out = run(capsys, "torus-example", "--grid", "1x1")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == "no seed on the 1x1 grid is near a winding-1 fixed point"
+
+
 def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
     code, out = run(capsys, "torus-example", "--b", "1/10", "--grid", "2x3", "--tol", "1e-6")
     assert code == EXIT_VALIDATE

@@ -61,6 +61,11 @@ def test_validate_shapes_checked_at_construction():
         BasedComplex(LAT, {0: ("a",)}, {}, 3)
 
 
+def test_degree_outside_the_grading_modulus():
+    with pytest.raises(ComplexStructureError, match="^degree 2 outside Z_2$"):
+        BasedComplex(LAT, {2: ("a",)}, {}, 2)
+
+
 def test_modular_grading_wraps():
     cplx = BasedComplex(
         LAT,
@@ -153,6 +158,16 @@ def test_chain_map_validation():
         ChainMap(c, c, {1: ((ONE, Z),)})
 
 
+def test_chain_map_ends_share_lattice_and_grading():
+    c = floer_like()
+    elsewhere = BasedComplex(Lattice(1, [2], [0]), {1: ("a",)}, {}, None)
+    with pytest.raises(ComplexStructureError, match="^chain map between complexes over different lattices$"):
+        ChainMap(c, elsewhere, {})
+    modular = BasedComplex(LAT, {1: ("a",)}, {}, 2)
+    with pytest.raises(ComplexStructureError, match="^chain map between complexes with different gradings$"):
+        ChainMap(c, modular, {})
+
+
 def test_entries_over_another_lattice_rejected_at_construction():
     other = Lattice(1, [2], [0])
     c = floer_like()
@@ -214,6 +229,16 @@ def test_rebase_requires_exact_inverse():
     t = as_matrix([[ONE + Z]])
     with pytest.raises(ValueError):
         rebase(c, {1: t}, {1: t})
+
+
+def test_rebase_and_relabel_check_their_inputs():
+    c = floer_like()
+    with pytest.raises(ShapeError, match="^transition at degree 1 must be 1x1$"):
+        rebase(c, {1: ((ONE, Z),)}, {})
+    with pytest.raises(ValueError, match="^missing inverse transition for degree 1$"):
+        rebase(c, {1: ((ONE,),)}, {})
+    with pytest.raises(ShapeError, match="^need one group element per degree-1 generator$"):
+        relabel_lifts(c, {1: ((1,), (2,))})
 
 
 def test_relabel_lifts_changes_entries_by_monomials():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from novtorsion import (
+    BasedComplex,
+    ChainMap,
     DocumentParseError,
     Lattice,
     NovikovElement,
@@ -223,3 +225,13 @@ def test_document_complex_round_trip():
         doc = document_from_complex(cplx)
         again = build_complex(parse_document(render_document(doc)))
         assert again == cplx
+
+
+def test_maps_must_exist_and_be_endomorphisms():
+    doc = parse_document(TWO_TERM)
+    with pytest.raises(KeyError, match="no map named 'nonesuch' in document"):
+        build_chain_map(doc, "nonesuch")
+    cplx = build_complex(doc)
+    other = BasedComplex(LAT, {0: ("a",)}, {}, None)
+    with pytest.raises(ValueError, match="^documents can only carry endomorphisms of their complex$"):
+        document_from_complex(cplx, {"f": ChainMap(cplx, other, {})})

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from novtorsion import DimensionMismatchError, Lattice
+from novtorsion import DimensionMismatchError, Lattice, NovikovElement
 from novtorsion.lattice import g_add, g_neg
 
 from support import odd_lattice, weight_lattices
@@ -16,6 +16,36 @@ def test_weight_examples():
     assert Lattice(2, [Fraction(2, 3), 5], [0, 0]).weight((3, 1)) == 7
     w = odd_lattice().weight(("1", 1))
     assert w == Fraction(1, 21) and type(w) is Fraction
+
+
+@pytest.mark.parametrize(
+    "make,value",
+    [
+        (lambda: Lattice(1, [1], [0.5]), "0.5"),
+        (lambda: Lattice(1.5, [1], [0]), "1.5"),
+        (lambda: Lattice(1, [1], [Fraction(1, 2)]), r"Fraction\(1, 2\)"),
+        (lambda: Lattice(1, [1], [0]).weight((2.9,)), "2.9"),
+        (lambda: Lattice(1, [1], [0]).chern((Fraction(-1, 3),)), r"Fraction\(-1, 3\)"),
+        (lambda: NovikovElement.monomial(Lattice(1, [1], [0]), 1, (0.5,)), "0.5"),
+    ],
+    ids=["c1", "rank", "c1-fraction", "weight", "chern", "monomial"],
+)
+def test_non_integral_values_are_rejected(make, value):
+    with pytest.raises(ValueError, match="^%s is not an integer$" % value):
+        make()
+
+
+def test_integral_values_of_other_types_are_accepted():
+    lat = Lattice(2.0, [1, 1], ["2", Fraction(4, 2)])
+    assert lat.rank == 2 and lat.c1 == (2, 2)
+    assert all(type(c) is int for c in lat.c1)
+    assert lat.weight((1.0, Fraction(3))) == 4
+    assert lat.chern((True, -1.0)) == 0
+
+
+def test_negative_rank_rejected():
+    with pytest.raises(ValueError, match="^rank must be non-negative$"):
+        Lattice(-1, [], [])
 
 
 def test_chern_examples():

@@ -60,6 +60,12 @@ def test_determinant_shape_errors():
         determinant(LAT, ((ONE, Z),))
 
 
+def test_determinant_size_cap():
+    # the size cap, until exact enumeration gets a work budget
+    with pytest.raises(ShapeError, match="^determinant limited to 14x14 matrices$"):
+        determinant(LAT, [[ONE] * 15] * 15)
+
+
 def test_products_through_empty_dimensions_keep_their_shape():
     prod = mat_mul(zeros(LAT, 2, 0), zeros(LAT, 0, 3))
     assert prod.shape == (2, 3)
@@ -141,6 +147,13 @@ def test_pivot_column_order_changes_columns():
     b = select_column_pivots(LAT, full, column_order=[1, 0])
     assert a.rank == b.rank == 2
     assert a.pivots != b.pivots
+
+
+def test_pivot_column_order_must_be_a_permutation():
+    full = as_matrix([[ONE, ONE], [Z, 2 * Z]])
+    for order in ([0], [0, 0], [0, 2]):
+        with pytest.raises(ValueError, match="^column_order must be a permutation of the column indices$"):
+            select_column_pivots(LAT, full, column_order=order)
 
 
 def test_indeterminate_pivot():

@@ -220,6 +220,56 @@ def test_divide_requires_cutoff():
     assert out.agree_below((ONE + Z).invert(5))
 
 
+def test_divide_without_cutoff_raises_the_invert_error():
+    with pytest.raises(ValueError, match="^target_cutoff is required unless the element is a pure monomial$"):
+        divide(ONE, ONE + Z)
+
+
+def test_divide_zero_still_checks_the_divisor():
+    zero = NovikovElement.zero(LAT)
+    assert divide(zero, ONE + Z) == zero
+    with pytest.raises(NotInvertibleError):
+        divide(zero, zero)
+    with pytest.raises(NotInvertibleError):
+        divide(zero, zero, 5)
+    lat = tie_lattice()
+    tied = NovikovElement.monomial(lat, 1, (1, 0)) + NovikovElement.monomial(lat, 1, (0, 1))
+    with pytest.raises(AmbiguousLeadingTermError):
+        divide(NovikovElement.zero(lat), tied, 5)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: ONE + 1,
+        lambda: 1 + ONE,
+        lambda: ONE - 1,
+        lambda: 1 - ONE,
+        lambda: ONE + Fraction(1, 2),
+        lambda: ONE.agree_below(1),
+    ],
+    ids=["elt+int", "int+elt", "elt-int", "int-elt", "elt+fraction", "agree_below-int"],
+)
+def test_scalar_add_sub_and_compare_raise(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_sub_and_mul_check_the_lattice():
+    other = NovikovElement.one(k2_lattice())
+    with pytest.raises(LatticeMismatchError):
+        ONE - other
+    with pytest.raises(LatticeMismatchError):
+        ONE * other
+
+
+def test_scalars_act_through_mul_only():
+    assert (ONE == 1) is False
+    assert (ONE != 1) is True
+    assert 2 * ONE == NovikovElement.monomial(LAT, 2, (0,))
+    assert ONE * Fraction(1, 2) == NovikovElement.monomial(LAT, Fraction(1, 2), (0,))
+
+
 def geometric_inverse(a, target_cutoff=None):
     """Reference inverse: the alternating geometric series in r, each power a
     full truncated product, for a = c*g*(1 + r)."""

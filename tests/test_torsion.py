@@ -8,6 +8,7 @@ from novtorsion import (
     ChainMap,
     NotAcyclicError,
     NovikovElement,
+    ShapeError,
     basis_change_class,
     homotopy_equivalent,
     milnor_torsion,
@@ -440,6 +441,16 @@ def test_homotopy_identity_detects_garbage():
     object.__setattr__(g_bad, "target", g.target)
     object.__setattr__(g_bad, "matrices", broken)
     assert not homotopy_equivalent(f, g_bad, h)
+
+
+def test_homotopy_identity_needs_shared_ends():
+    c = two_term_complex(LAT, ONE - Z, low_degree=1)
+    other = BasedComplex(LAT, {0: ("a",)}, {}, None)
+    f = ChainMap(c, c, {})
+    with pytest.raises(ShapeError, match="^chain maps must share a source$"):
+        homotopy_equivalent(f, ChainMap(other, c, {}), {})
+    with pytest.raises(ShapeError, match="^chain maps must share a target$"):
+        homotopy_equivalent(f, ChainMap(c, other, {}), {})
 
 
 def test_relative_torsion_base_dependence():

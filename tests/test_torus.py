@@ -232,6 +232,16 @@ def test_conley_zehnder_degenerate_endpoint():
         conley_zehnder(path)
 
 
+def test_conley_zehnder_checks_its_path():
+    with pytest.raises(ValueError, match="^path must be a sequence of 2x2 matrices$"):
+        conley_zehnder(np.zeros((4, 3, 3)))
+    with pytest.raises(ValueError, match="^path must start at the identity$"):
+        conley_zehnder(2 * _constant_path(np.zeros((2, 2))))
+    stretched = np.array([np.eye(2), np.diag([2.0, 2.0])])
+    with pytest.raises(ValueError, match="^endpoint is not symplectic: det = 4$"):
+        conley_zehnder(stretched)
+
+
 def test_count_connecting(torus_report):
     arcs = torus_report.counts
     assert len(arcs) == 2
@@ -267,6 +277,14 @@ def test_connecting_flow_direction_by_integration(torus_report):
 def test_count_connecting_needs_equilibria():
     with pytest.raises((ProfileError, OrbitSearchError)):
         count_connecting(TorusSystem(Fraction(1, 10)))
+
+
+def test_assemble_floer_checks_its_inputs(torus_report):
+    sys, orbits, counts = torus_report.system, torus_report.orbits, torus_report.counts
+    with pytest.raises(ValueError, match="^sign_convention must be 'plus' or 'minus'$"):
+        assemble_floer(sys, "both", orbits, counts)
+    with pytest.raises(OrbitSearchError, match="^expected 2 orbits, found 1$"):
+        assemble_floer(sys, "plus", orbits[:1], counts)
 
 
 def test_assembled_complex(torus_report):
