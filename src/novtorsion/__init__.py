@@ -40,14 +40,18 @@ from .document import (
 )
 from .document import parse as parse_document
 from .document import render as render_document
-from .torus import (
-    TorusSystem,
-    assemble_floer,
-    conley_zehnder,
-    count_connecting,
-    find_orbits,
-    run_example,
-    torus_torsion,
-)
 
 __version__ = "0.1.0"
+
+_TORUS = ("TorusSystem", "assemble_floer", "conley_zehnder", "count_connecting", "find_orbits", "run_example", "torus_torsion")
+
+
+def __getattr__(name):  # PEP 562: the torus pipeline, and numpy with it, loads on first access
+    if name in _TORUS:
+        from . import torus
+        return getattr(torus, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted([*globals(), *_TORUS])

@@ -14,12 +14,11 @@ import argparse
 import math
 from fractions import Fraction
 
-from .complexes import ComplexStructureError, NotAcyclicError
+from .complexes import ComplexStructureError, DegenerateEndpointError, NotAcyclicError, OrbitSearchError, ProfileError
 from .document import DocumentParseError, build_chain_map, build_complex, document_from_complex, parse, render
 from .linalg import IndeterminatePivotError, ShapeError
 from .series import AmbiguousLeadingTermError, DEFAULT_CUTOFF, NotInvertibleError, format_element
 from .torsion import milnor_torsion, relative_torsion
-from .torus import DegenerateEndpointError, OrbitSearchError, ProfileError, run_example
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -175,6 +174,7 @@ def _cmd_rel_torsion(args) -> int:
 
 
 def _cmd_torus(args) -> int:
+    from .torus import run_example  # numpy loads only for this command
     report = run_example(b=args.b, tol=args.tol, cutoff=args.cutoff, grid=args.grid)
     lines = [
         "b: %s" % report.system.b,

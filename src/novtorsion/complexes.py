@@ -36,6 +36,19 @@ class NotAcyclicError(ValueError):
     """The operation requires an acyclic complex."""
 
 
+# The torus pipeline's errors live here, so that the CLI catches them without importing numpy.
+class ProfileError(ValueError):
+    """System parameters violate the profile conditions."""
+
+
+class OrbitSearchError(RuntimeError):
+    """Orbit or connecting-trajectory search failed or found garbage."""
+
+
+class DegenerateEndpointError(ArithmeticError):
+    """Index of a symplectic path with eigenvalue 1 at the endpoint."""
+
+
 def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]:
     """``mats`` keyed by int degree, each block a ``shape(d)`` matrix over ``lattice``
     (else ComplexStructureError), without the blocks with no rows or no columns."""

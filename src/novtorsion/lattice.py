@@ -32,6 +32,13 @@ def _integer(x) -> int:
     raise ValueError("%r is not an integer" % (x,))
 
 
+def _rational(x) -> Fraction:
+    """Fraction(x), refusing a float such as 0.1 that Fraction() would read as its binary value."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError("%r is not an exact rational; pass a Fraction or a string" % (x,))
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class Lattice:
     rank: int
@@ -40,7 +47,7 @@ class Lattice:
 
     def __init__(self, rank: int, phi: Iterable, c1: Iterable):
         rank = _integer(rank)
-        phi = tuple(Fraction(p) for p in phi)
+        phi = tuple(map(_rational, phi))
         c1 = tuple(map(_integer, c1))
         if rank < 0:
             raise ValueError("rank must be non-negative")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import GroupElement, Lattice, g_add, g_neg
+from .lattice import GroupElement, Lattice, _rational, g_add, g_neg
 
 #: Default weight bound for series-valued results of operations that must
 #: truncate (inverses of non-monomial units and quantities derived from them).
@@ -75,7 +75,7 @@ class NovikovElement:
 
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
         if cutoff is not None:
-            cutoff = Fraction(cutoff)
+            cutoff = _rational(cutoff)
         merged: dict[GroupElement, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -232,7 +232,7 @@ class NovikovElement:
 
     def truncate(self, bound) -> "NovikovElement":
         """Forget everything at weight >= bound."""
-        return NovikovElement._new(self.lattice, self.terms, _min_cutoff(self.cutoff, Fraction(bound)))
+        return NovikovElement._new(self.lattice, self.terms, _min_cutoff(self.cutoff, _rational(bound)))
 
     def invert(self, target_cutoff=None) -> "NovikovElement":
         """Multiplicative inverse, correct below the returned cutoff.
@@ -254,7 +254,7 @@ class NovikovElement:
             return inv_monomial
         if target_cutoff is None:
             raise ValueError("target_cutoff is required unless the element is a pure monomial")
-        target = Fraction(target_cutoff)
+        target = _rational(target_cutoff)
         # Work on 1 + r, then shift weights back by the leading monomial.
         inner_target = target + self.lattice.weight(lt.element)
         r = (inv_monomial * self) - NovikovElement.one(self.lattice)
@@ -285,7 +285,7 @@ class NovikovElement:
             raise TypeError("can only compare Novikov elements")
         eff = _min_cutoff(self.cutoff, other.cutoff)
         if bound is not None:
-            eff = _min_cutoff(eff, Fraction(bound))
+            eff = _min_cutoff(eff, _rational(bound))
         if eff is None:
             return self.terms == other.terms
         return self.truncate(eff).terms == other.truncate(eff).terms
@@ -340,4 +340,4 @@ def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
         return a
     # lower bound for the smallest weight the true a could carry
     shift = a.min_weight() if a.terms else a.cutoff
-    return a * b.invert(None if cutoff is None else Fraction(cutoff) - (shift or 0))
+    return a * b.invert(None if cutoff is None else _rational(cutoff) - (shift or 0))

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .complexes import BasedComplex, two_term_complex
+from .complexes import BasedComplex, DegenerateEndpointError, OrbitSearchError, ProfileError, two_term_complex
 from .lattice import Lattice
 from .series import DEFAULT_CUTOFF, NovikovElement
 from .torsion import WhiteheadClass, milnor_torsion
@@ -65,18 +65,6 @@ _NEWTON_CLAMP = 0.25
 _PATIENCE = 3
 #: Torus distance below which two converged points are the same orbit.
 _DEDUPE_RADIUS = 1e-5
-
-
-class ProfileError(ValueError):
-    """System parameters violate the profile conditions."""
-
-
-class OrbitSearchError(RuntimeError):
-    """Orbit or connecting-trajectory search failed or found garbage."""
-
-
-class DegenerateEndpointError(ArithmeticError):
-    """Index of a symplectic path with eigenvalue 1 at the endpoint."""
 
 
 @dataclass(frozen=True)

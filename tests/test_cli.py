@@ -1,6 +1,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +259,79 @@ def test_torus_example_matches_golden_at_benchmark_amplitudes(capsys, b):
     code, out = run(capsys, "torus-example", "--b", b)
     assert code == EXIT_OK
     assert_torus_report(out, TORUS_GOLDEN[b])
+
+
+# The tests below run a fresh interpreter: tests/conftest.py imports numpy,
+# so in this process the torus module and numpy are always loaded already.
+
+TORUS_NAMES = (
+    "TorusSystem",
+    "assemble_floer",
+    "conley_zehnder",
+    "count_connecting",
+    "find_orbits",
+    "run_example",
+    "torus_torsion",
+)
+
+FRESH_IMPORT = """
+import sys
+import {module}
+import novtorsion
+
+loaded = {{"numpy", "novtorsion.torus"}} & set(sys.modules)
+assert not loaded, loaded
+names = {names!r}
+found = {{name: getattr(novtorsion, name) for name in names}}
+from novtorsion import complexes, torus
+for name in names:
+    assert found[name] is getattr(torus, name), name
+for name in ("ProfileError", "OrbitSearchError", "DegenerateEndpointError"):
+    assert getattr(torus, name) is getattr(complexes, name), name
+assert set(names) <= set(dir(novtorsion)), dir(novtorsion)
+try:
+    novtorsion.nonexistent
+except AttributeError as exc:
+    assert str(exc) == "module 'novtorsion' has no attribute 'nonexistent'", exc
+else:
+    raise AssertionError("novtorsion.nonexistent resolved")
+"""
+
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("module", ["novtorsion.cli", "novtorsion"])
+def test_import_loads_neither_numpy_nor_the_torus_module(module):
+    proc = fresh_python("-c", FRESH_IMPORT.format(module=module, names=TORUS_NAMES))
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        (
+            ["torus-example", "--b", "1/10"],
+            "status: error\ncategory: validate\n"
+            "message: amplitude b=1/10 outside (1/(2 pi), 1/(pi sqrt 2)) ~ (0.159155, 0.225079)\n",
+        ),
+        (
+            ["torsion", "tests/data/selfmap.cplx"],
+            "status: error\ncategory: validate\n"
+            "message: homology is nonzero: ranks 0/0 on modules of rank 1/0\n",
+        ),
+        (
+            ["torus-example", "--grid", "1x1"],
+            "status: error\ncategory: validate\n"
+            "message: no seed on the 1x1 grid is near a winding-1 fixed point\n",
+        ),
+    ],
+    ids=["amplitude", "selfmap", "grid"],
+)
+def test_error_paths_in_a_fresh_interpreter(argv, stdout):
+    proc = fresh_python("-m", "novtorsion.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATE, stdout, "")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from novtorsion import DimensionMismatchError, Lattice, NovikovElement
+from novtorsion import DimensionMismatchError, Lattice, NovikovElement, divide
 from novtorsion.lattice import g_add, g_neg
 
 from support import odd_lattice, weight_lattices
@@ -41,6 +41,44 @@ def test_integral_values_of_other_types_are_accepted():
     assert all(type(c) is int for c in lat.c1)
     assert lat.weight((1.0, Fraction(3))) == 4
     assert lat.chern((True, -1.0)) == 0
+
+
+K1_ONE = NovikovElement.one(Lattice(1, [1], [0]))
+K1_UNIT = NovikovElement(Lattice(1, [1], [0]), {(0,): 1, (1,): 1})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Lattice(1, [0.1], [0]),
+        lambda: K1_ONE.truncate(0.1),
+        lambda: NovikovElement(K1_ONE.lattice, {(0,): 1}, cutoff=0.1),
+        lambda: K1_ONE.agree_below(K1_ONE, 0.1),
+        lambda: K1_UNIT.invert(0.1),
+        lambda: divide(K1_ONE, K1_UNIT, 0.1),
+    ],
+    ids=["phi", "truncate", "cutoff", "agree_below", "invert", "divide"],
+)
+def test_non_integral_floats_as_weights_and_cutoffs_are_rejected(make):
+    with pytest.raises(ValueError, match=r"^0\.1 is not an exact rational; pass a Fraction or a string$"):
+        make()
+
+
+@pytest.mark.parametrize("tenth", [Fraction(1, 10), "1/10"])
+def test_exact_rationals_as_weights_and_cutoffs_are_accepted(tenth):
+    lat = Lattice(1, [tenth], [0])
+    assert lat.phi == (Fraction(1, 10),)
+    one = NovikovElement.one(lat)
+    assert one.truncate(tenth).cutoff == Fraction(1, 10)
+    assert str(NovikovElement(lat, {(0,): 1}, cutoff=tenth)) == "1 @cutoff=1/10"
+    unit = NovikovElement(lat, {(0,): 1, (1,): 1})
+    assert unit.invert(tenth) == divide(one, unit, tenth) == NovikovElement(lat, {(0,): 1}, cutoff=Fraction(1, 10))
+
+
+def test_integral_floats_as_weights_and_cutoffs_are_accepted():
+    lat = Lattice(1, [2.0], [0])
+    assert lat.phi == (2,) and type(lat.phi[0]) is Fraction
+    assert NovikovElement.one(lat).truncate(3.0).cutoff == 3
 
 
 def test_negative_rank_rejected():
