@@ -79,7 +79,7 @@ def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]]
     cutoff: Optional[Fraction] = None
     for i, row in enumerate(mat):
         for j, e in enumerate(row):
-            if e.terms:
+            if e._num:
                 nonzero.append((i, j, e))
             else:
                 cutoff = _min_cutoff(cutoff, e.cutoff)
@@ -318,7 +318,7 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         sign = -1 if (d + 1) % 2 else 1
         rows = [top + tuple(e * sign for e in cross) for top, cross in zip(d2, fb)]
         rows += [(z,) * d2.ncols + row for row in d1]
-        if any(e.terms or e.cutoff is not None for row in rows for e in row):
+        if any(e._num or e.cutoff is not None for row in rows for e in row):
             diffs[d] = as_matrix(rows)
     return BasedComplex(lattice, modules, diffs, tgt.modulus)
 

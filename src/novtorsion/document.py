@@ -376,7 +376,7 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
     for d, mat in mats.items():
         targets = cplx.generators(cplx.shift(d, step))
         for src, column in zip(cplx.generators(d), zip(*mat)):
-            entries = tuple((e, tgt) for e, tgt in zip(column, targets) if e.terms or e.cutoff is not None)
+            entries = tuple((e, tgt) for e, tgt in zip(column, targets) if e._num or e.cutoff is not None)
             if entries:
                 images[src] = entries
     return images

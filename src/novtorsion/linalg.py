@@ -231,7 +231,7 @@ def select_column_pivots(
         pick = None
         ambiguous = False
         for i in range(m):
-            if used[i] or not cols[j][i].terms:
+            if used[i] or not cols[j][i]._num:
                 continue
             try:
                 cols[j][i].leading_term()

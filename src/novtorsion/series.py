@@ -11,16 +11,24 @@ The string form of an element is a sum of ``coeff*g(a1,...,ak)`` terms
 ordered by increasing weight, with identity-supported terms written as a
 bare rational, e.g. ``1 - 1*g(1)`` or ``2 + 1/2*g(0,1) @cutoff=5``.
 
-Weights are compared as the lattice's scaled integers (``Fraction`` only at
-the public API).  The public constructor validates its input; the results of
-``+``, ``*``, ``invert`` and ``truncate`` come from ``_new``, which skips it.
+Coefficients are stored as integer numerators ``_num`` over one positive
+denominator ``_den``, in lowest terms: ``gcd(_den, *_num.values()) == 1``,
+and ``_den == 1`` for zero, so equal values have equal numerators and
+denominators.  ``+``, ``-``, ``*``, ``invert``, ``truncate`` and the
+comparisons work on these integers, and weights are compared as the
+lattice's scaled integers.  ``Fraction`` appears only at the public API:
+the read-only ``terms`` view (built once per element), ``coefficient``,
+``leading_term``, ``min_weight`` and cutoffs.  The public constructor
+validates its input; every other result comes from ``_new``, which skips it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional
 
 from .lattice import GroupElement, Lattice, _rational, g_add, g_neg
@@ -71,58 +79,72 @@ def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fracti
 class NovikovElement:
     """A truncated series over a lattice with exact rational coefficients."""
 
-    __slots__ = ("lattice", "terms", "cutoff")
+    __slots__ = ("lattice", "cutoff", "_num", "_den", "_terms")
 
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
         if cutoff is not None:
             cutoff = _rational(cutoff)
-        merged: dict[GroupElement, Fraction] = {}
+        merged = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for g, c in items:
-                g, c = lattice._check(g), Fraction(c)
+            for g, c in terms.items() if hasattr(terms, "items") else terms:
+                g, c = lattice._check(g), c if type(c) is int else _rational(c)
                 prev = merged.get(g)
                 merged[g] = c if prev is None else prev + c
-        self.lattice = lattice
-        self.terms = NovikovElement._new(lattice, merged, cutoff).terms
-        self.cutoff = cutoff
+        den = math.lcm(*(c.denominator for c in merged.values()))
+        out = NovikovElement._new(
+            lattice, {g: c.numerator * (den // c.denominator) for g, c in merged.items()}, den, cutoff
+        )
+        self.lattice, self.cutoff, self._num, self._den, self._terms = lattice, cutoff, out._num, out._den, None
 
     @classmethod
-    def _new(cls, lattice: Lattice, terms: dict, cutoff: Optional[Fraction]) -> "NovikovElement":
-        """Trusted constructor: ``terms`` maps checked elements to Fractions,
-        ``cutoff`` is a Fraction or None.  Drops zeros and weights >= cutoff."""
-        out = object.__new__(cls)
-        out.lattice = lattice
-        out.cutoff = cutoff
+    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction]) -> "NovikovElement":
+        """Trusted constructor: ``num`` maps checked elements to int numerators
+        over ``den > 0``, ``cutoff`` is a Fraction or None.  Drops zeros and
+        weights >= cutoff, then divides out the common gcd."""
         if cutoff is None:
-            out.terms = {g: c for g, c in terms.items() if c}
+            num = {g: c for g, c in num.items() if c}
         else:
             bound = lattice._scaled_ceil(cutoff)
             w = lattice._scaled_weight
-            out.terms = {g: c for g, c in terms.items() if c and w(g) < bound}
+            num = {g: c for g, c in num.items() if c and w(g) < bound}
+        if den != 1:
+            k = math.gcd(den, *num.values())
+            if k != 1:
+                num = {g: c // k for g, c in num.items()}
+                den //= k
+        out = object.__new__(cls)
+        out.lattice, out.cutoff, out._num, out._den, out._terms = lattice, cutoff, num, den, None
         return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, lattice: Lattice, cutoff=None) -> "NovikovElement":
-        return cls(lattice, {}, cutoff)
+        return cls._new(lattice, {}, 1, None if cutoff is None else _rational(cutoff))
 
     @classmethod
     def one(cls, lattice: Lattice) -> "NovikovElement":
-        return cls(lattice, {lattice.identity(): Fraction(1)})
+        return cls._new(lattice, {lattice.identity(): 1}, 1, None)
 
     @classmethod
     def monomial(cls, lattice: Lattice, coefficient, g: GroupElement) -> "NovikovElement":
         """Single-term element; the zero element when the coefficient is 0."""
-        return cls(lattice, {tuple(g): Fraction(coefficient)})
+        return cls(lattice, ((g, coefficient),))
 
     # -- structure queries -------------------------------------------------
 
     @property
+    def terms(self):
+        """Read-only map from support elements to Fraction coefficients."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType({g: Fraction(c, den) for g, c in self._num.items()})
+        return self._terms
+
+    @property
     def is_zero(self) -> bool:
         """No stored terms.  Certified zero only below the cutoff."""
-        return not self.terms
+        return not self._num
 
     @property
     def is_exact(self) -> bool:
@@ -130,25 +152,25 @@ class NovikovElement:
 
     def support(self):
         w = self.lattice._scaled_weight
-        return sorted(self.terms, key=lambda g: (w(g), g))
+        return sorted(self._num, key=lambda g: (w(g), g))
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        return self.terms.get(tuple(g), Fraction(0))
+        return Fraction(self._num.get(tuple(g), 0), self._den)
 
     def min_weight(self) -> Optional[Fraction]:
-        if not self.terms:
+        if not self._num:
             return None
         lat = self.lattice
-        return Fraction(min(map(lat._scaled_weight, self.terms)), lat._den)
+        return Fraction(min(map(lat._scaled_weight, self._num)), lat._den)
 
     def leading_slice(self) -> list[tuple[Fraction, GroupElement]]:
         """All minimal-weight terms, sorted by coordinates."""
-        if not self.terms:
+        if not self._num:
             return []
-        weights = {g: self.lattice._scaled_weight(g) for g in self.terms}
+        weights = {g: self.lattice._scaled_weight(g) for g in self._num}
         w0 = min(weights.values())
         return sorted(
-            ((c, g) for g, c in self.terms.items() if weights[g] == w0),
+            ((Fraction(c, self._den), g) for g, c in self._num.items() if weights[g] == w0),
             key=lambda p: p[1],
         )
 
@@ -168,7 +190,7 @@ class NovikovElement:
 
     def in_lambda0(self) -> bool:
         """Whether every known support element has chern value 0."""
-        return all(self.lattice.chern(g) == 0 for g in self.terms)
+        return all(self.lattice.chern(g) == 0 for g in self._num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -183,15 +205,22 @@ class NovikovElement:
         other = self._same_lattice(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for g, c in other.terms.items():
-            prev = merged.get(g)
-            merged[g] = c if prev is None else prev + c
-        return NovikovElement._new(self.lattice, merged, _min_cutoff(self.cutoff, other.cutoff))
+        a, b, den = self._den, other._den, self._den
+        if a == b:
+            merged = dict(self._num)
+            for g, c in other._num.items():
+                merged[g] = merged.get(g, 0) + c
+        else:
+            den = math.lcm(a, b)
+            sa, sb = den // a, den // b
+            merged = {g: c * sa for g, c in self._num.items()}
+            for g, c in other._num.items():
+                merged[g] = merged.get(g, 0) + c * sb
+        return NovikovElement._new(self.lattice, merged, den, _min_cutoff(self.cutoff, other.cutoff))
 
     def __neg__(self):
-        out = NovikovElement._new(self.lattice, {}, self.cutoff)
-        out.terms = {g: -c for g, c in self.terms.items()}
+        out = NovikovElement._new(self.lattice, {}, 1, self.cutoff)
+        out._num, out._den = {g: -c for g, c in self._num.items()}, self._den
         return out
 
     def __sub__(self, other):
@@ -201,56 +230,57 @@ class NovikovElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return NovikovElement.zero(self.lattice)
-            out = NovikovElement._new(self.lattice, {}, self.cutoff)
-            out.terms = {g: q * c for g, c in self.terms.items()}
-            return out
+            p, q = other.numerator, other.denominator
+            return NovikovElement._new(
+                self.lattice, {g: p * c for g, c in self._num.items()}, q * self._den, self.cutoff if p else None
+            )
         other = self._same_lattice(other)
         if other is None:
             return NotImplemented
-        acc: dict[GroupElement, Fraction] = {}
-        for g, c in self.terms.items():
-            for h, d in other.terms.items():
+        acc: dict[GroupElement, int] = {}
+        for g, c in self._num.items():
+            for h, d in other._num.items():
                 k = g_add(g, h)
-                prev = acc.get(k)
-                acc[k] = c * d if prev is None else prev + c * d
+                acc[k] = acc.get(k, 0) + c * d
         # Unknown contributions: stored(self)*unknown(other) from sw_a + c_b
         # on, unknown(self)*stored(other) from c_a + sw_b on, and
         # unknown*unknown from c_a + c_b on.
         cutoff = None
-        if other.cutoff is not None and self.terms:
+        if other.cutoff is not None and self._num:
             cutoff = _min_cutoff(cutoff, self.min_weight() + other.cutoff)
-        if self.cutoff is not None and other.terms:
+        if self.cutoff is not None and other._num:
             cutoff = _min_cutoff(cutoff, self.cutoff + other.min_weight())
         if self.cutoff is not None and other.cutoff is not None:
             cutoff = _min_cutoff(cutoff, self.cutoff + other.cutoff)
-        return NovikovElement._new(self.lattice, acc, cutoff)
+        return NovikovElement._new(self.lattice, acc, self._den * other._den, cutoff)
 
     __rmul__ = __mul__
 
     def truncate(self, bound) -> "NovikovElement":
         """Forget everything at weight >= bound."""
-        return NovikovElement._new(self.lattice, self.terms, _min_cutoff(self.cutoff, _rational(bound)))
+        return NovikovElement._new(self.lattice, self._num, self._den, _min_cutoff(self.cutoff, _rational(bound)))
 
     def invert(self, target_cutoff=None) -> "NovikovElement":
         """Multiplicative inverse, correct below the returned cutoff.
 
-        The element is factored as c*g*(1 + r) with r supported at strictly
-        positive weight.  The inverse s of 1 + r solves s = 1 - r*s, so over
-        the monoid generated by supp(r), taken in increasing weight, each
-        coefficient s_g = [g = 0] - sum_h r_h s_{g-h} needs only lighter ones.
-        Pure monomials invert exactly and need no target; everything else
-        requires one.
+        The element is factored as c*g*(1 + r) with r = R/d supported at
+        strictly positive weight.  The inverse s of 1 + r solves s = 1 - r*s,
+        so over the monoid generated by supp(r), taken in increasing weight,
+        each coefficient s_g = [g = 0] - sum_h r_h s_{g-h} needs only lighter
+        ones.  A chain of k steps to g puts d^k into the denominator of s_g,
+        so with n the longest chain below the bound, t_g = s_g * d^n is an
+        integer and t_g = (d^(n+1) [g = 0] - sum_h R_h t_{g-h}) / d divides
+        exactly.  Pure monomials invert exactly and need no target;
+        everything else requires one.
         """
         lt = self.leading_term()
         if lt is None:
             raise NotInvertibleError("cannot invert an element with no known terms")
-        inv_monomial = NovikovElement.monomial(
-            self.lattice, 1 / lt.coefficient, g_neg(lt.element)
+        lead = self._num[lt.element]
+        inv_monomial = NovikovElement._new(
+            self.lattice, {g_neg(lt.element): self._den if lead > 0 else -self._den}, abs(lead), None
         )
-        if len(self.terms) == 1 and self.is_exact:
+        if len(self._num) == 1 and self.is_exact:
             return inv_monomial
         if target_cutoff is None:
             raise ValueError("target_cutoff is required unless the element is a pure monomial")
@@ -260,7 +290,8 @@ class NovikovElement:
         r = (inv_monomial * self) - NovikovElement.one(self.lattice)
         bound = _min_cutoff(r.cutoff, inner_target)
         limit = self.lattice._scaled_ceil(bound)
-        steps = [(h, c, self.lattice._scaled_weight(h)) for h, c in r.terms.items()]
+        d = r._den
+        steps = [(h, c, self.lattice._scaled_weight(h)) for h, c in r._num.items()]
         weights = {self.lattice.identity(): 0}
         monoid = list(weights)
         for g in monoid:
@@ -269,12 +300,16 @@ class NovikovElement:
                 if wk < limit and k not in weights:
                     weights[k] = wk
                     monoid.append(k)
-        s: dict[GroupElement, Fraction] = {}
+        # Every step weighs at least the lightest one, so k steps stay below
+        # the limit exactly when k times the lightest weight does.
+        n = max(0, (limit - 1) // min(wh for _, _, wh in steps)) if steps else 0
+        t: dict[GroupElement, int] = {}
         for g in sorted(monoid, key=weights.__getitem__):
-            s[g] = Fraction(1) if g == monoid[0] else Fraction(0)
+            acc = d ** (n + 1) if g == monoid[0] else 0
             for h, rh, _ in steps:
-                s[g] -= rh * s.get(tuple(map(operator.sub, g, h)), 0)
-        return (NovikovElement._new(self.lattice, s, bound) * inv_monomial).truncate(target)
+                acc -= rh * t.get(tuple(map(operator.sub, g, h)), 0)
+            t[g] = acc // d
+        return (NovikovElement._new(self.lattice, t, d**n, bound) * inv_monomial).truncate(target)
 
     # -- comparison --------------------------------------------------------
 
@@ -286,16 +321,16 @@ class NovikovElement:
         eff = _min_cutoff(self.cutoff, other.cutoff)
         if bound is not None:
             eff = _min_cutoff(eff, _rational(bound))
-        if eff is None:
-            return self.terms == other.terms
-        return self.truncate(eff).terms == other.truncate(eff).terms
+        a, b = (self, other) if eff is None else (self.truncate(eff), other.truncate(eff))
+        return a._num == b._num and a._den == b._den
 
     def __eq__(self, other):
         if not isinstance(other, NovikovElement):
             return NotImplemented
         return (
             self.lattice == other.lattice
-            and self.terms == other.terms
+            and self._num == other._num
+            and self._den == other._den
             and self.cutoff == other.cutoff
         )
 
@@ -317,13 +352,13 @@ def format_term(coefficient: Fraction, g: GroupElement) -> str:
 
 
 def format_element(a: "NovikovElement", cutoff_suffix: bool = True) -> str:
-    if not a.terms:
+    if not a._num:
         body = "0"
     else:
         parts = []
         for g in a.support():
-            c = a.terms[g]
-            mag = format_term(abs(c), g)
+            c = a._num[g]
+            mag = format_term(Fraction(abs(c), a._den), g)
             if not parts:
                 parts.append(("-" + mag) if c < 0 else mag)
             else:
@@ -339,5 +374,5 @@ def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
     if a.is_exact and a.is_zero and b.leading_term() is not None:
         return a
     # lower bound for the smallest weight the true a could carry
-    shift = a.min_weight() if a.terms else a.cutoff
+    shift = a.min_weight() if a._num else a.cutoff
     return a * b.invert(None if cutoff is None else _rational(cutoff) - (shift or 0))

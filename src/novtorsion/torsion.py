@@ -100,8 +100,8 @@ class WhiteheadClass(_DeterminantClass):
     @property
     def trivial(self) -> bool:
         """Certified trivial below the cutoff; exact when the cutoff is None."""
-        lattice = self.representative.lattice
-        return self.representative.terms == {lattice.identity(): Fraction(1)}
+        rep = self.representative
+        return rep._den == 1 and rep._num == {rep.lattice.identity(): 1}
 
     @property
     def leading_coefficient(self) -> Fraction:

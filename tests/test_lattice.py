@@ -81,6 +81,33 @@ def test_integral_floats_as_weights_and_cutoffs_are_accepted():
     assert NovikovElement.one(lat).truncate(3.0).cutoff == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NovikovElement.monomial(K1_ONE.lattice, 0.1, (1,)),
+        lambda: NovikovElement(K1_ONE.lattice, {(0,): 0.1}),
+        lambda: NovikovElement(K1_ONE.lattice, [((0,), 1), ((1,), 0.1)]),
+    ],
+    ids=["monomial", "constructor-map", "constructor-pairs"],
+)
+def test_non_integral_floats_as_coefficients_are_rejected(make):
+    with pytest.raises(ValueError, match=r"^0\.1 is not an exact rational; pass a Fraction or a string$"):
+        make()
+
+
+@pytest.mark.parametrize("half", [Fraction(1, 2), "1/2"])
+def test_exact_and_integral_coefficients_are_accepted(half):
+    lat = K1_ONE.lattice
+    m = NovikovElement.monomial(lat, half, (1,))
+    assert str(m) == "1/2*g(1)"
+    assert m == NovikovElement(lat, {(1,): half}) == NovikovElement(lat, [((1,), Fraction(1, 2))])
+    two = NovikovElement.monomial(lat, 2.0, (0,))
+    assert two == 2 * K1_ONE and str(two) == "2"
+    e = NovikovElement(lat, {(0,): 2.0, (1,): half})
+    assert e.terms == {(0,): 2, (1,): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in e.terms.values())
+
+
 def test_negative_rank_rejected():
     with pytest.raises(ValueError, match="^rank must be non-negative$"):
         Lattice(-1, [], [])

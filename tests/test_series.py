@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -311,9 +312,9 @@ def rand_invertible(rng, lat):
 
 def test_invert_matches_geometric_series_reference():
     rng = random.Random(23)
-    lattices = [LAT, k2_lattice(), tie_lattice()]
-    for case in range(600):
-        lat = lattices[case % 3]
+    lattices = weight_lattices()
+    for case in range(800):
+        lat = lattices[case % 4]
         a = rand_invertible(rng, lat)
         target = Fraction(rng.randint(-4, 40), 2)
         want = geometric_inverse(a, target)
@@ -322,6 +323,20 @@ def test_invert_matches_geometric_series_reference():
         assert got.cutoff == want.cutoff, (a, target)
         if a.is_exact and len(a.terms) == 1:
             assert a.invert() == geometric_inverse(a)
+
+
+def test_invert_scaling_exponent_is_the_longest_chain():
+    # 1 + r with r = 1/6*g(1) + 5/14*g(2): g(4) is reached by chains of 2,
+    # 3 and 4 steps, and its coefficient needs the fourth power of r's
+    # denominator 42, not the square that the shortest chain would give.
+    u = NovikovElement(LAT, {(0,): 2, (1,): Fraction(1, 3), (2,): Fraction(5, 7)})
+    assert u.invert(5).coefficient((4,)) == Fraction(6259, 127008)
+    for a in (u, u.truncate(6), u.truncate(Fraction(9, 2))):
+        for target in (5, Fraction(11, 2), 12):
+            want = geometric_inverse(a, target)
+            got = a.invert(target)
+            assert got.terms == want.terms, (a, target)
+            assert got.cutoff == want.cutoff, (a, target)
 
 
 # -- integer weights and the trusted constructor --------------------------------
@@ -413,3 +428,46 @@ def test_public_constructor_still_validates_and_coerces():
     assert all(type(c) is Fraction for c in e.terms.values())
     assert all(type(x) is int for g in e.terms for x in g)
     assert e.cutoff == Fraction(5, 2) and type(e.cutoff) is Fraction
+
+
+@pytest.mark.parametrize("lat", weight_lattices(), ids=LATTICE_IDS)
+def test_results_are_in_lowest_terms(lat):
+    rng = random.Random(14)
+    for case in range(80):
+        a = rand_operand(rng, lat, case % 2 == 1)
+        b = rand_operand(rng, lat, case % 4 >= 2)
+        c = rand_operand(rng, lat, False)
+        q = rand_coeff(rng)
+        w = lat.weight(rand_coords(rng, lat)) + rng.choice([0, Fraction(1, 3)])
+        results = [a + b, a - b, a - a, a * b, q * a, a * q, 0 * a, 2 * a, -a, a.truncate(w)]
+        u = rand_invertible(rng, lat)
+        if len(u.leading_slice()) == 1:
+            results += [u.invert(-u.min_weight() + Fraction(rng.randint(1, 8), 2))]
+        for r in results:
+            assert r._den > 0 and 0 not in r._num.values()
+            assert math.gcd(r._den, *r._num.values()) == 1
+        assert (a - a)._den == 1 and (0 * a)._den == 1
+        # equal values built by different routes are equal term for term
+        exact_a, exact_b = NovikovElement(lat, a.terms), NovikovElement(lat, b.terms)
+        lhs, rhs = (exact_a * exact_b) * c, exact_a * (exact_b * c)
+        assert (lhs._num, lhs._den) == (rhs._num, rhs._den)
+        assert a + a == 2 * a == a * Fraction(4, 3) * Fraction(3, 2)
+        assert (a * q) * (1 / q) == a
+        cut = _min_cutoff(a.cutoff, b.cutoff)
+        assert (a + b) - b == (a if cut is None else a.truncate(cut))
+
+
+def test_terms_is_a_read_only_view():
+    e = NovikovElement(LAT, {(0,): 1, (1,): Fraction(1, 2)})
+    view = e.terms
+    assert view == {(0,): 1, (1,): Fraction(1, 2)} and e.terms is view
+    with pytest.raises(TypeError):
+        view[(2,)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del view[(0,)]
+    with pytest.raises(AttributeError):
+        e.terms = {}
+    copy = dict(view)
+    copy[(0,)] = Fraction(5)
+    assert e == NovikovElement(LAT, {(0,): 1, (1,): Fraction(1, 2)})
+    assert str(e) == "1 + 1/2*g(1)" and e.coefficient((0,)) == 1
