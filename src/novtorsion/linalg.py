@@ -156,16 +156,14 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
         raise ShapeError("determinant limited to %dx%d matrices" % (_DET_LIMIT, _DET_LIMIT))
     prev = {0: NovikovElement.one(lattice)}
     for i, row in enumerate(rows):
+        # entries that are not exact zeros; a truncated zero stays for its cutoff
+        live = [(1 << j, e) for j, e in enumerate(row) if e._num or e.cutoff is not None]
         cur: dict[int, NovikovElement] = {}
         for mask, val in prev.items():
-            if val.is_zero and val.is_exact:
+            if not val._num and val.cutoff is None:
                 continue
-            for j in range(n):
-                bit = 1 << j
+            for bit, entry in live:
                 if mask & bit:
-                    continue
-                entry = row[j]
-                if entry.is_zero and entry.is_exact:
                     continue
                 below = (mask & (bit - 1)).bit_count()
                 term = entry * val
@@ -174,11 +172,8 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
                 key = mask | bit
                 acc = cur.get(key)
                 cur[key] = term if acc is None else acc + term
-        if not cur:
-            return NovikovElement.zero(lattice)
         prev = cur
-    full = (1 << n) - 1
-    return prev.get(full, NovikovElement.zero(lattice))
+    return prev.get((1 << n) - 1, NovikovElement.zero(lattice))
 
 
 @dataclass(frozen=True)
@@ -255,7 +250,7 @@ def select_column_pivots(
         free = [r for r in range(m) if not used[r]]
         for k in order[pos + 1 :]:
             e = cols[k][pick]
-            if e.is_zero and e.is_exact:
+            if not e._num and e.cutoff is None:
                 continue
             for r in free:
                 cols[k][r] = pivot * cols[k][r] - e * cols[j][r]

@@ -163,6 +163,11 @@ class NovikovElement:
         lat = self.lattice
         return Fraction(min(map(lat._scaled_weight, self._num)), lat._den)
 
+    def _floor(self) -> Optional[Fraction]:
+        """Lowest weight the true element could carry: its least known weight,
+        else its cutoff; None for an exact zero."""
+        return self.min_weight() if self._num else self.cutoff
+
     def leading_slice(self) -> list[tuple[Fraction, GroupElement]]:
         """All minimal-weight terms, sorted by coordinates."""
         if not self._num:
@@ -197,7 +202,7 @@ class NovikovElement:
     def _same_lattice(self, other):
         if not isinstance(other, NovikovElement):
             return None
-        if other.lattice != self.lattice:
+        if other.lattice is not self.lattice and other.lattice != self.lattice:
             raise LatticeMismatchError("operands over different lattices")
         return other
 
@@ -229,29 +234,26 @@ class NovikovElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, NovikovElement):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             p, q = other.numerator, other.denominator
             return NovikovElement._new(
                 self.lattice, {g: p * c for g, c in self._num.items()}, q * self._den, self.cutoff if p else None
             )
-        other = self._same_lattice(other)
-        if other is None:
-            return NotImplemented
+        self._same_lattice(other)
         acc: dict[GroupElement, int] = {}
         for g, c in self._num.items():
             for h, d in other._num.items():
                 k = g_add(g, h)
                 acc[k] = acc.get(k, 0) + c * d
-        # Unknown contributions: stored(self)*unknown(other) from sw_a + c_b
-        # on, unknown(self)*stored(other) from c_a + sw_b on, and
-        # unknown*unknown from c_a + c_b on.
+        # Unknown terms start at one factor's floor plus the other's cutoff;
+        # unknown*unknown, from c_a + c_b on, is never below either bound.
         cutoff = None
-        if other.cutoff is not None and self._num:
-            cutoff = _min_cutoff(cutoff, self.min_weight() + other.cutoff)
-        if self.cutoff is not None and other._num:
-            cutoff = _min_cutoff(cutoff, self.cutoff + other.min_weight())
-        if self.cutoff is not None and other.cutoff is not None:
-            cutoff = _min_cutoff(cutoff, self.cutoff + other.cutoff)
+        if other.cutoff is not None and (floor := self._floor()) is not None:
+            cutoff = floor + other.cutoff
+        if self.cutoff is not None and (floor := other._floor()) is not None:
+            cutoff = _min_cutoff(cutoff, self.cutoff + floor)
         return NovikovElement._new(self.lattice, acc, self._den * other._den, cutoff)
 
     __rmul__ = __mul__
@@ -373,6 +375,4 @@ def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
     """a * b.invert(...), correct below cutoff; 0 / b is an exact 0 once b has a leading term."""
     if a.is_exact and a.is_zero and b.leading_term() is not None:
         return a
-    # lower bound for the smallest weight the true a could carry
-    shift = a.min_weight() if a._num else a.cutoff
-    return a * b.invert(None if cutoff is None else _rational(cutoff) - (shift or 0))
+    return a * b.invert(None if cutoff is None else _rational(cutoff) - (a._floor() or 0))

@@ -187,8 +187,9 @@ def relative_torsion(f: ChainMap, cutoff=DEFAULT_CUTOFF) -> WhiteheadClass:
     """Torsion of a quasi-isomorphism: the torsion of its mapping cone.
 
     The cone carries the concatenated basis (target, then shifted source).
-    Raises NotAcyclicError when the cone is not acyclic, i.e. when f is not
-    a homology isomorphism.
+    Raises ComplexStructureError when f is not a chain map (the cone's d^2
+    is nonzero at a ``(t_.. <- s_..)`` entry), and NotAcyclicError when the
+    cone is not acyclic, i.e. when f is not a homology isomorphism.
     """
     cone = mapping_cone(f)
     try:

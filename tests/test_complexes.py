@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -208,10 +209,16 @@ def test_gap_degree_complex_through_maps_cones_and_homotopies():
         homotopy_equivalent(f, f, {0: ((ONE,),)})
 
 
-def test_mapping_cone_rejects_non_chain_map():
+def test_non_chain_map_fails_at_the_cone():
+    # the cone is built unchecked; its d^2 block (t_b <- s_a) is
+    # -(d_t f - f d_s) at degree 1 = (1 - z)^2, where f = z then 1
     c = floer_like()
-    with pytest.raises(ComplexStructureError):
-        mapping_cone(ChainMap(c, c, {1: ((Z,),), 2: ((ONE,),)}))
+    f = ChainMap(c, c, {1: ((Z,),), 2: ((ONE,),)})
+    entry = "d^2 from degree 0 is nonzero at (t_b <- s_a): 1 - 2*g(1) + 1*g(2)"
+    report = mapping_cone(f).validate()
+    assert not report.valid and report.failures == (entry,)
+    with pytest.raises(ComplexStructureError, match=r"^complex does not square to zero: %s$" % re.escape(entry)):
+        relative_torsion(f)
 
 
 def test_mapping_cone_block_signs_square_to_zero():

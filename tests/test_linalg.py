@@ -16,7 +16,7 @@ from novtorsion.linalg import (
 )
 from novtorsion.series import AmbiguousLeadingTermError, LatticeMismatchError, _min_cutoff
 
-from support import k1_lattice, rand_element, tie_lattice
+from support import k1_lattice, k2_lattice, rand_coeff, rand_coords, rand_element, rand_unit, tie_lattice
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -263,4 +263,64 @@ def test_live_submatrix_update_matches_full_update_reference():
         else:
             seen["cutoff" if want[1] is not None else "exact"] += 1
             seen["short rank" if len(want[0]) < min(m, n) else "full rank"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+
+def _reference_determinant(lattice, rows):
+    """Subset expansion that tests every (mask, column) pair for an exact
+    zero entry through the element properties, as the determinant did
+    before it listed each row's live entries once."""
+    rows = as_matrix(rows, len(rows))
+    n = len(rows)
+    prev = {0: NovikovElement.one(lattice)}
+    for i, row in enumerate(rows):
+        cur = {}
+        for mask, val in prev.items():
+            if val.is_zero and val.is_exact:
+                continue
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                entry = row[j]
+                if entry.is_zero and entry.is_exact:
+                    continue
+                below = (mask & (bit - 1)).bit_count()
+                term = entry * val
+                if (i + below) % 2:
+                    term = -term
+                key = mask | bit
+                acc = cur.get(key)
+                cur[key] = term if acc is None else acc + term
+        if not cur:
+            return NovikovElement.zero(lattice)
+        prev = cur
+    return prev.get((1 << n) - 1, NovikovElement.zero(lattice))
+
+
+def rand_det_entry(rng, lat):
+    """A unit truncated above its lead, else a ``rand_pivot_entry``."""
+    if rng.random() < 0.2:
+        u = rand_unit(rng, lat)
+        return u.truncate(u.min_weight() + rng.randint(1, 4))
+    return rand_pivot_entry(rng, lat)
+
+
+def test_determinant_matches_per_column_reference():
+    rng = random.Random(31)
+    lattices = [k1_lattice(), k2_lattice(), tie_lattice()]
+    seen = Counter()
+    for case in range(240):  # 10 matrices for each lattice and n = 0..7
+        lat, n = lattices[case % 3], case // 3 % 8
+        rows = [[rand_det_entry(rng, lat) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            # a row that cancels: a monomial multiple of another row
+            i, j = rng.sample(range(n), 2)
+            m = NovikovElement.monomial(lat, rand_coeff(rng), rand_coords(rng, lat, 1))
+            rows[j] = [m * e for e in rows[i]]
+            seen["cancelling row"] += 1
+        want = _reference_determinant(lat, rows)
+        got = determinant(lat, rows)
+        assert got == want and got.terms == want.terms, (lat, rows)
+        seen[("exact " if got.is_exact else "truncated ") + ("zero" if got.is_zero else "nonzero")] += 1
     assert min(seen.values()) >= 10 and len(seen) == 5, seen

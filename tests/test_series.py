@@ -71,6 +71,18 @@ def test_mul_cutoff_rule():
     out2 = gen(3) * trunc
     assert out2.cutoff == 5
     assert out2.terms == {(3,): 1, (4,): 1}
+    # a factor with no known terms bounds the product by its cutoff; an
+    # exact zero factor makes the product an exact zero
+    zero, z2, z3 = NovikovElement.zero(LAT), NovikovElement.zero(LAT, 2), NovikovElement.zero(LAT, 3)
+    cases = [
+        (z2, z3, 5),
+        (z2, ONE + Z, 2),
+        (zero, z2, None),
+        (z2, NovikovElement(LAT, {(1,): 1, (2,): 3}, cutoff=4), 3),
+    ]
+    for a, b, cutoff in cases:
+        for out in (a * b, b * a):
+            assert out.is_zero and out.cutoff == cutoff
 
 
 def test_zero_times_unknown_is_exact_zero():
@@ -364,14 +376,24 @@ def reference_mul_cutoff(lat, a, b):
     return min(bounds, default=None)
 
 
+def rand_cutoff(rng, lat):
+    """The weight of a random element or half a unit past it, so cuts land
+    exactly on weights."""
+    return lat.weight(rand_coords(rng, lat)) + rng.choice([0, 0, Fraction(1, 2)])
+
+
 def rand_operand(rng, lat, truncated):
-    """Up to four random terms; a truncated operand is cut at the weight of a
-    random element or half a unit past it, so cuts land exactly on weights."""
+    """Up to four random terms, cut at ``rand_cutoff`` when truncated."""
     terms = [(rand_coords(rng, lat), rand_coeff(rng)) for _ in range(rng.randint(1, 4))]
-    cutoff = None
-    if truncated:
-        cutoff = lat.weight(rand_coords(rng, lat)) + rng.choice([0, 0, Fraction(1, 2)])
-    return NovikovElement(lat, terms, cutoff)
+    return NovikovElement(lat, terms, rand_cutoff(rng, lat) if truncated else None)
+
+
+def rand_operand_of_kind(rng, lat, kind):
+    """Kind 0-3: exact or truncated (bit 0), with random terms or with no
+    known terms at all (bit 1: ``zero(lat)`` or ``zero(lat, w)``)."""
+    if kind & 2:
+        return NovikovElement.zero(lat, rand_cutoff(rng, lat) if kind & 1 else None)
+    return rand_operand(rng, lat, bool(kind & 1))
 
 
 @pytest.mark.parametrize("lat", weight_lattices(), ids=LATTICE_IDS)
@@ -391,9 +413,9 @@ def test_cutoff_drops_the_term_at_its_weight(lat):
 @pytest.mark.parametrize("lat", weight_lattices(), ids=LATTICE_IDS)
 def test_internal_results_match_public_constructor(lat):
     rng = random.Random(8)
-    for case in range(80):
-        a = rand_operand(rng, lat, case % 2 == 1)
-        b = rand_operand(rng, lat, case % 4 >= 2)
+    for case in range(320):  # 20 cases for each of the 4 x 4 operand kinds
+        a = rand_operand_of_kind(rng, lat, case % 4)
+        b = rand_operand_of_kind(rng, lat, case // 4 % 4)
         w = lat.weight(rand_coords(rng, lat)) + rng.choice([0, Fraction(1, 3)])
         cut = _min_cutoff(a.cutoff, b.cutoff)
         pairs = [(g_add(g, h), c * d) for g, c in a.terms.items() for h, d in b.terms.items()]
