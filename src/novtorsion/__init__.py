@@ -4,6 +4,7 @@ from .lattice import DimensionMismatchError, GroupElement, Lattice
 from .series import (
     AmbiguousLeadingTermError,
     DEFAULT_CUTOFF,
+    ExpansionLimitError,
     LatticeMismatchError,
     LeadingTerm,
     NotInvertibleError,

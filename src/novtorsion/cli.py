@@ -17,7 +17,7 @@ from fractions import Fraction
 from .complexes import ComplexStructureError, DegenerateEndpointError, NotAcyclicError, OrbitSearchError, ProfileError
 from .document import DocumentParseError, build_chain_map, build_complex, document_from_complex, parse, render
 from .linalg import IndeterminatePivotError, ShapeError
-from .series import AmbiguousLeadingTermError, DEFAULT_CUTOFF, NotInvertibleError, format_element
+from .series import AmbiguousLeadingTermError, DEFAULT_CUTOFF, ExpansionLimitError, NotInvertibleError, format_element
 from .torsion import milnor_torsion, relative_torsion
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except DocumentParseError as exc:
         _emit(["status: error", "category: parse", "message: %s" % exc])
         return EXIT_PARSE
-    except (ComplexStructureError, NotAcyclicError, ProfileError, OrbitSearchError, ShapeError) as exc:
+    except (ComplexStructureError, NotAcyclicError, ProfileError, OrbitSearchError, ShapeError, ExpansionLimitError) as exc:
         _emit(["status: error", "category: validate", "message: %s" % exc])
         return EXIT_VALIDATE
     except (

@@ -77,8 +77,9 @@ def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]]
     cutoff below which the other entries are certified zero."""
     nonzero = []
     cutoff: Optional[Fraction] = None
-    for i, row in enumerate(mat):
-        for j, e in enumerate(row):
+    for i, (row, cols) in enumerate(zip(mat, mat.live)):
+        for j in cols:
+            e = row[j]
             if e._num:
                 nonzero.append((i, j, e))
             else:
@@ -315,8 +316,9 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         sign = -1 if (d + 1) % 2 else 1
         rows = [top + tuple(e * sign for e in cross) for top, cross in zip(d2, fb)]
         rows += [(z,) * d2.ncols + row for row in d1]
-        if any(e._num or e.cutoff is not None for row in rows for e in row):
-            diffs[d] = as_matrix(rows)
+        mat = as_matrix(rows, d2.ncols + d1.ncols)
+        if any(mat.live):
+            diffs[d] = mat
     return BasedComplex(lattice, modules, diffs, tgt.modulus)
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .complexes import BasedComplex, ChainMap, shift_degree
 from .lattice import Lattice
-from .linalg import Matrix, as_matrix
+from .linalg import Matrix, _from_entries
 from .series import NovikovElement
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
@@ -338,17 +338,16 @@ def _place(doc: ComplexDocument, images: dict[str, tuple[Entry, ...]], step: int
     generator; degrees where no generator has an image are left out.
     """
     position = _positions(doc.modules)
-    z = NovikovElement.zero(doc.lattice)
     mats = {}
     for d, names in doc.modules.items():
         if not any(images.get(name) for name in names):
             continue
         t = shift_degree(d, step, doc.modulus)
-        rows = [[z] * len(names) for _ in doc.modules.get(t, ())]
+        rows: list[dict[int, NovikovElement]] = [{} for _ in doc.modules.get(t, ())]
         for j, src in enumerate(names):
             for elt, tgt in images.get(src, ()):
                 rows[position[tgt][1]][j] = elt
-        mats[d] = as_matrix(rows, len(names))
+        mats[d] = _from_entries(doc.lattice, len(names), rows)
     return mats
 
 
@@ -372,14 +371,13 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
     An entry is kept when it is nonzero or carries a cutoff; generators
     whose column keeps no entry get no line.
     """
-    images = {}
+    images: dict[str, list[Entry]] = {}
     for d, mat in mats.items():
-        targets = cplx.generators(cplx.shift(d, step))
-        for src, column in zip(cplx.generators(d), zip(*mat)):
-            entries = tuple((e, tgt) for e, tgt in zip(column, targets) if e._num or e.cutoff is not None)
-            if entries:
-                images[src] = entries
-    return images
+        sources = cplx.generators(d)
+        for row, cols, tgt in zip(mat, mat.live, cplx.generators(cplx.shift(d, step))):
+            for j in cols:
+                images.setdefault(sources[j], []).append((row[j], tgt))
+    return {src: tuple(entries) for src, entries in images.items()}
 
 
 def document_from_complex(cplx: BasedComplex, maps: Optional[dict[str, ChainMap]] = None) -> ComplexDocument:

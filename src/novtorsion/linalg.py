@@ -2,18 +2,23 @@
 
 A ``Matrix`` is a tuple of row tuples that also records its column count
 and lattice, so a matrix with no rows or no columns keeps its shape and
-products through an empty dimension come out the right size.  Determinants
-use a division-free subset expansion so truncation bookkeeping stays with
-the ring operations; pivot selection uses fraction-free column reduction
-where every pivot must carry an unambiguous invertible leading term.  Each
-pivot step updates only the live submatrix (unused rows of unprocessed
-columns), the only entries a later step reads.
+products through an empty dimension come out the right size.  Its live
+record lists, per row, the columns of the entries that are not exact zeros
+(a truncated zero stays live for its cutoff).  ``mat_mul`` is a row-wise
+(Gustavson) product over live entries, so an output entry that no product
+reaches is the exact zero.  Determinants use a division-free subset
+expansion so truncation bookkeeping stays with the ring operations; pivot
+selection uses fraction-free column reduction where every pivot must carry
+an unambiguous invertible leading term.  Each pivot step updates only the
+live submatrix (unused rows of unprocessed columns), the only entries a
+later step reads, and multiplies by no exact zero.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,6 +37,11 @@ class IndeterminatePivotError(ArithmeticError):
     ambiguous, so no certified-invertible pivot exists."""
 
 
+def _is_live(e: NovikovElement) -> bool:
+    """Not an exact zero; a truncated zero stays live for its cutoff."""
+    return bool(e._num) or e.cutoff is not None
+
+
 class Matrix(tuple):
     """Row tuples with a known ``ncols`` and ``lattice``.
 
@@ -47,6 +57,12 @@ class Matrix(tuple):
     def shape(self) -> tuple[int, int]:
         return len(self), self.ncols
 
+    @cached_property
+    def live(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the increasing columns of its live entries; computed on
+        first read unless the builder set it."""
+        return tuple(tuple(j for j, e in enumerate(row) if _is_live(e)) for row in self)
+
     def __eq__(self, other):
         if isinstance(other, Matrix) and other.ncols != self.ncols:
             return False
@@ -59,10 +75,12 @@ class Matrix(tuple):
     __hash__ = tuple.__hash__
 
 
-def _matrix(rows: tuple, ncols: int, lattice: Optional[Lattice]) -> Matrix:
+def _matrix(rows: tuple, ncols: int, lattice: Optional[Lattice], live=None) -> Matrix:
     m = Matrix(rows)
     m.ncols = ncols
     m.lattice = lattice
+    if live is not None:
+        m.live = live
     return m
 
 
@@ -92,22 +110,52 @@ def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:
-    return _matrix(((NovikovElement.zero(lattice),) * ncols,) * nrows, ncols, lattice)
+    return _matrix(((NovikovElement.zero(lattice),) * ncols,) * nrows, ncols, lattice, ((),) * nrows)
 
 
 def identity(lattice: Lattice, n: int) -> Matrix:
     one = NovikovElement.one(lattice)
     z = NovikovElement.zero(lattice)
     rows = tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-    return _matrix(rows, n, lattice)
+    return _matrix(rows, n, lattice, tuple((i,) for i in range(n)))
+
+
+def _from_entries(lattice: Optional[Lattice], ncols: int, rows_of_entries) -> Matrix:
+    """The matrix with one ``{column: entry}`` per row, and its live record;
+    left-out columns and exact zeros hold the exact zero.  Raises
+    LatticeMismatchError on an entry over another lattice."""
+    z = NovikovElement.zero(lattice)
+    rows, live = [], []
+    for entries in rows_of_entries:
+        row, cols = [z] * ncols, []
+        for j in sorted(entries):
+            e = entries[j]
+            if e.lattice is not lattice and e.lattice != lattice:
+                raise LatticeMismatchError("matrix entries over different lattices")
+            if _is_live(e):
+                row[j] = e
+                cols.append(j)
+        rows.append(tuple(row))
+        live.append(tuple(cols))
+    return _matrix(tuple(rows), ncols, lattice, tuple(live))
+
+
+def _operands(a, b) -> tuple[Matrix, Matrix, Optional[Lattice]]:
+    """Both operands as matrices and their lattice; LatticeMismatchError when
+    both have entries, over different lattices."""
+    a, b = as_matrix(a), as_matrix(b)
+    if a and a.ncols and b and b.ncols and a.lattice is not b.lattice and a.lattice != b.lattice:
+        raise LatticeMismatchError("operands over different lattices")
+    return a, b, a.lattice or b.lattice
 
 
 def _entrywise(op, a, b) -> Matrix:
-    a, b = as_matrix(a), as_matrix(b)
+    """``op`` where either entry is live; two exact zeros give the exact zero."""
+    a, b, lattice = _operands(a, b)
     if a.shape != b.shape:
         raise ShapeError("entrywise operation on %dx%d and %dx%d" % (a.shape + b.shape))
-    rows = tuple(tuple(op(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-    return _matrix(rows, a.ncols, a.lattice or b.lattice)
+    out = ({j: op(ra[j], rb[j]) for j in {*la, *lb}} for ra, rb, la, lb in zip(a, b, a.live, b.live))
+    return _from_entries(lattice, a.ncols, out)
 
 
 def mat_add(a, b) -> Matrix:
@@ -118,25 +166,26 @@ def mat_sub(a, b) -> Matrix:
     return _entrywise(operator.sub, a, b)
 
 
-def _dot(row, col) -> NovikovElement:
-    acc = row[0] * col[0]
-    for x, y in zip(row[1:], col[1:]):
-        acc = acc + x * y
-    return acc
-
-
 def mat_mul(a, b) -> Matrix:
-    """Product of an r x k and a k x c matrix; an r x c zero matrix when k = 0."""
-    a, b = as_matrix(a), as_matrix(b)
+    """Product of an r x k and a k x c matrix, row by row over live entries
+    (Gustavson): an output entry that no product reaches, and so every entry
+    when k = 0, is the exact zero.  Each entry sums its products in increasing k."""
+    a, b, lattice = _operands(a, b)
     if a.ncols != len(b):
         raise ShapeError("cannot multiply %dx%d by %dx%d" % (a.shape + b.shape))
-    lattice = a.lattice or b.lattice
-    if not b:
-        if lattice is None and a and b.ncols:
-            raise ShapeError("a product through an empty dimension needs a matrix with entries")
-        return zeros(lattice, len(a), b.ncols)
-    cols = tuple(zip(*b))
-    return _matrix(tuple(tuple(_dot(row, col) for col in cols) for row in a), b.ncols, lattice)
+    if lattice is None and a and b.ncols:
+        raise ShapeError("a product through an empty dimension needs a matrix with entries")
+    out = []
+    for row, cols in zip(a, a.live):
+        acc: dict[int, NovikovElement] = {}
+        for k in cols:
+            x, b_row = row[k], b[k]
+            for j in b.live[k]:
+                p = x * b_row[j]
+                s = acc.get(j)
+                acc[j] = p if s is None else s + p
+        out.append(acc)
+    return _from_entries(lattice, b.ncols, out)
 
 
 def determinant(lattice: Lattice, rows) -> NovikovElement:
@@ -155,12 +204,11 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
     if n > _DET_LIMIT:
         raise ShapeError("determinant limited to %dx%d matrices" % (_DET_LIMIT, _DET_LIMIT))
     prev = {0: NovikovElement.one(lattice)}
-    for i, row in enumerate(rows):
-        # entries that are not exact zeros; a truncated zero stays for its cutoff
-        live = [(1 << j, e) for j, e in enumerate(row) if e._num or e.cutoff is not None]
+    for i, (row, cols) in enumerate(zip(rows, rows.live)):
+        live = [(1 << j, row[j]) for j in cols]
         cur: dict[int, NovikovElement] = {}
         for mask, val in prev.items():
-            if not val._num and val.cutoff is None:
+            if not _is_live(val):
                 continue
             for bit, entry in live:
                 if mask & bit:
@@ -247,11 +295,16 @@ def select_column_pivots(
         pivot = cols[j][pick]
         pivots.append((pick, j))
         used[pick] = True
-        free = [r for r in range(m) if not used[r]]
+        free = [(r, _is_live(cols[j][r])) for r in range(m) if not used[r]]
         for k in order[pos + 1 :]:
-            e = cols[k][pick]
-            if not e._num and e.cutoff is None:
+            col, e = cols[k], cols[k][pick]
+            if not _is_live(e):
                 continue
-            for r in free:
-                cols[k][r] = pivot * cols[k][r] - e * cols[j][r]
+            # pivot*x - e*y, leaving out a product with an exact zero
+            for r, y_live in free:
+                x = col[r]
+                if y_live:
+                    col[r] = pivot * x - e * cols[j][r] if _is_live(x) else -(e * cols[j][r])
+                elif _is_live(x):
+                    col[r] = pivot * x
     return PivotSelection(tuple(pivots), cutoff)

@@ -37,6 +37,9 @@ from .lattice import GroupElement, Lattice, _rational, g_add, g_neg
 #: truncate (inverses of non-monomial units and quantities derived from them).
 DEFAULT_CUTOFF = Fraction(20)
 
+#: Most support elements ``invert`` enumerates below its target weight.
+_INVERT_LIMIT = 100_000
+
 
 class LatticeMismatchError(ValueError):
     """Operands live over different lattices."""
@@ -60,6 +63,10 @@ class AmbiguousLeadingTermError(ArithmeticError):
 
 class NotInvertibleError(ArithmeticError):
     """Element has no certified invertible leading term."""
+
+
+class ExpansionLimitError(ValueError):
+    """An inverse below the requested weight needs more terms than ``invert`` enumerates."""
 
 
 @dataclass(frozen=True)
@@ -302,6 +309,8 @@ class NovikovElement:
                 if wk < limit and k not in weights:
                     weights[k] = wk
                     monoid.append(k)
+            if len(monoid) > _INVERT_LIMIT:
+                raise ExpansionLimitError("inverse below weight %s needs more than %d terms" % (target, _INVERT_LIMIT))
         # Every step weighs at least the lightest one, so k steps stay below
         # the limit exactly when k times the lightest weight does.
         n = max(0, (limit - 1) // min(wh for _, _, wh in steps)) if steps else 0

@@ -55,8 +55,14 @@ def rand_element(rng: random.Random, lat: Lattice, max_terms: int = 3) -> Noviko
     return NovikovElement(lat, terms)
 
 
-def rand_unit(rng: random.Random, lat: Lattice, pm_one: bool = False, max_extra: int = 2) -> NovikovElement:
-    """Exact unit: signed leading monomial plus strictly heavier terms."""
+def rand_unit(
+    rng: random.Random, lat: Lattice, pm_one: bool = False, max_extra: int = 2, tail=None
+) -> NovikovElement:
+    """Unit: signed leading monomial plus strictly heavier terms.
+
+    Exact unless ``tail`` is given; then everything at weight >= lead + tail
+    is forgotten.  The random draws do not depend on ``tail``.
+    """
     lead_g = rand_coords(rng, lat, 1)
     lead_c = rng.choice([1, -1]) if pm_one else rand_coeff(rng)
     u = NovikovElement.monomial(lat, lead_c, lead_g)
@@ -65,7 +71,7 @@ def rand_unit(rng: random.Random, lat: Lattice, pm_one: bool = False, max_extra:
         g = rand_coords(rng, lat, 2)
         if lat.weight(g) > lead_w:
             u = u + NovikovElement.monomial(lat, rand_coeff(rng), g)
-    return u
+    return u if tail is None else u.truncate(lead_w + tail)
 
 
 def elementary_word(rng: random.Random, lat: Lattice, n: int, length: int = 3):
@@ -100,17 +106,18 @@ def elementary_word(rng: random.Random, lat: Lattice, n: int, length: int = 3):
     return t, tinv
 
 
-def diag_model(rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = False):
+def diag_model(rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = False, tail=None):
     """Direct sum of two-term complexes; returns (complex, expected unit class).
 
     Pair i spans degrees (d_i, d_i + 1) with a unit entry u_i; the torsion
     is the product of u_i for odd d_i divided by the product for even d_i.
+    ``tail`` truncates each u_i above its lead (see ``rand_unit``).
     """
     modules: dict[int, list[str]] = {}
     placements = []
     for i in range(pairs):
         d = rng.randint(0, 2)
-        u = rand_unit(rng, lat, pm_one=pm_one)
+        u = rand_unit(rng, lat, pm_one=pm_one, tail=tail)
         src = "p%da" % i
         tgt = "p%db" % i
         modules.setdefault(d, []).append(src)
@@ -166,9 +173,11 @@ def graded_transition_class(cplx: BasedComplex, transitions) -> BasisChangeClass
     return BasisChangeClass.from_unit(divide(num, den, CUT))
 
 
-def random_acyclic(rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = False, length: int = 3):
+def random_acyclic(
+    rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = False, length: int = 3, tail=None
+):
     """Scrambled acyclic complex with its expected torsion class."""
-    model, expected = diag_model(rng, lat, pairs, pm_one=pm_one)
+    model, expected = diag_model(rng, lat, pairs, pm_one=pm_one, tail=tail)
     scrambled, transitions, _ = scramble(rng, model, length)
     correction = graded_transition_class(model, transitions)
     expected = BasisChangeClass.from_unit(

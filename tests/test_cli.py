@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -201,6 +202,16 @@ def test_torsion_cutoff_flag_controls_truncation(capsys):
     assert report_value(out, "torsion") == "1 + 1*g(1) + 1*g(2) + 1*g(3) + 1*g(4) + 1*g(5)"
     assert report_value(out, "cutoff") == "6"
     assert report_value(out, "trivial") == "false"
+
+
+def test_torsion_cutoff_beyond_the_expansion_budget_is_validate(capsys):
+    # the inverse series would need 10^400 terms; the budget stops it early
+    start = time.perf_counter()
+    code, out = run(capsys, "torsion", fixture("even_source.cplx"), "--cutoff", "1e400")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == "inverse below weight %d needs more than 100000 terms" % 10**400
 
 
 def test_modular_grading_through_cli(capsys):

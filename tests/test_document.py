@@ -235,3 +235,20 @@ def test_maps_must_exist_and_be_endomorphisms():
     other = BasedComplex(LAT, {0: ("a",)}, {}, None)
     with pytest.raises(ValueError, match="^documents can only carry endomorphisms of their complex$"):
         document_from_complex(cplx, {"f": ChainMap(cplx, other, {})})
+
+
+def test_built_documents_keep_their_live_record_and_reject_foreign_entries():
+    from novtorsion.document import ComplexDocument
+    from novtorsion.series import LatticeMismatchError
+
+    modules = {0: ("a", "b"), 1: ("c", "d")}
+    trunc_zero = NovikovElement.zero(LAT, cutoff=3)
+    differential = {"a": ((Z, "d"), (NovikovElement.zero(LAT), "c")), "b": ((trunc_zero, "c"),)}
+    cplx = build_complex(ComplexDocument(LAT, modules, differential))
+    d0 = cplx.differential(0)
+    # the exact zero given for (c <- a) is not live; the truncated zero is
+    assert d0.live == ((1,), (0,))
+    assert document_from_complex(cplx).differential == {"a": ((Z, "d"),), "b": ((trunc_zero, "c"),)}
+    foreign = NovikovElement.one(Lattice(1, [2], [0]))
+    with pytest.raises(LatticeMismatchError):
+        build_complex(ComplexDocument(LAT, modules, {"a": ((foreign, "c"),)}))

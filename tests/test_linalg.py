@@ -8,6 +8,7 @@ from novtorsion import IndeterminatePivotError, Lattice, NovikovElement, ShapeEr
 from novtorsion.linalg import (
     PivotSelection,
     as_matrix,
+    identity,
     mat_add,
     mat_mul,
     mat_sub,
@@ -16,7 +17,16 @@ from novtorsion.linalg import (
 )
 from novtorsion.series import AmbiguousLeadingTermError, LatticeMismatchError, _min_cutoff
 
-from support import k1_lattice, k2_lattice, rand_coeff, rand_coords, rand_element, rand_unit, tie_lattice
+from support import (
+    k1_lattice,
+    k2_lattice,
+    rand_coeff,
+    rand_coords,
+    rand_element,
+    rand_unit,
+    random_acyclic,
+    tie_lattice,
+)
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -324,3 +334,115 @@ def test_determinant_matches_per_column_reference():
         assert got == want and got.terms == want.terms, (lat, rows)
         seen[("exact " if got.is_exact else "truncated ") + ("zero" if got.is_zero else "nonzero")] += 1
     assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+
+def _reference_mat_mul(a, b):
+    """Dense product: every output entry is the full dot product of a row
+    and a column, exact zeros included, as mat_mul computed it before it
+    walked live entries only."""
+    a, b = as_matrix(a), as_matrix(b)
+    if not b:
+        return zeros(a.lattice or b.lattice, len(a), b.ncols)
+
+    def dot(row, col):
+        acc = row[0] * col[0]
+        for x, y in zip(row[1:], col[1:]):
+            acc = acc + x * y
+        return acc
+
+    return as_matrix([[dot(row, col) for col in zip(*b)] for row in a], b.ncols)
+
+
+def not_exact_zero(mat):
+    return {(i, j) for i, row in enumerate(mat) for j, e in enumerate(row) if not (e.is_zero and e.is_exact)}
+
+
+def assert_live_record(mat):
+    """The record lists, per row and in increasing order, exactly the
+    entries that are not exact zeros."""
+    assert len(mat.live) == len(mat)
+    assert all(list(cols) == sorted(set(cols)) for cols in mat.live)
+    assert {(i, j) for i, cols in enumerate(mat.live) for j in cols} == not_exact_zero(mat)
+
+
+def rand_sparse_entry(rng, lat):
+    """Mostly exact zeros, else a zero known below a cutoff, a unit
+    truncated above its lead, or a small exact element."""
+    roll = rng.random()
+    if roll < 0.45:
+        return NovikovElement.zero(lat)
+    if roll < 0.55:
+        return NovikovElement.zero(lat, cutoff=rng.randint(0, 6))
+    if roll < 0.7:
+        u = rand_unit(rng, lat)
+        return u.truncate(u.min_weight() + rng.randint(1, 4))
+    return rand_element(rng, lat, 2)
+
+
+def rand_sparse_matrix(rng, lat, nrows, ncols):
+    if not (nrows and ncols):
+        return zeros(lat, nrows, ncols)
+    return as_matrix([[rand_sparse_entry(rng, lat) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def test_mat_mul_matches_dense_reference():
+    rng = random.Random(37)
+    lattices = [k1_lattice(), k2_lattice(), tie_lattice()]
+    seen = Counter()
+    for case in range(240):
+        lat = lattices[case % 3]
+        r, k, c = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = rand_sparse_matrix(rng, lat, r, k), rand_sparse_matrix(rng, lat, k, c)
+        if r and c and k >= 2 and rng.random() < 0.4:
+            # repeat a row of b and negate its column of a: the two products cancel
+            i, j = rng.sample(range(k), 2)
+            rows_b = [list(row) for row in b]
+            rows_b[j] = rows_b[i]
+            b = as_matrix(rows_b)
+            a = as_matrix([[(-row[i] if col == j else e) for col, e in enumerate(row)] for row in a])
+            seen["cancelling rows"] += 1
+        if 0 in (r, k, c):
+            seen["empty dimension"] += 1
+        want = _reference_mat_mul(a, b)
+        got = mat_mul(a, b)
+        assert got == want and got.shape == want.shape, (a, b)
+        for got_row, want_row in zip(got, want):
+            for x, y in zip(got_row, want_row):
+                assert x.terms == y.terms and x.cutoff == y.cutoff
+        for mat in (a, b, got):
+            assert_live_record(mat)
+        for e in (e for row in got for e in row):
+            seen["exact zero" if e.is_zero and e.is_exact else "truncated" if e.cutoff is not None else "exact"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+
+
+def test_live_record_of_every_builder():
+    rng = random.Random(41)
+    lattices = [k1_lattice(), k2_lattice(), tie_lattice()]
+    for case in range(60):
+        lat = lattices[case % 3]
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = rand_sparse_matrix(rng, lat, r, c), rand_sparse_matrix(rng, lat, r, c)
+        square = rand_sparse_matrix(rng, lat, c, c)
+        built = [
+            as_matrix([list(row) for row in a], c),
+            zeros(lat, r, c),
+            identity(lat, c),
+            mat_add(a, b),
+            mat_sub(a, b),
+            mat_sub(a, a),  # exact entries cancel, truncated ones stay live
+            mat_mul(a, square),
+        ]
+        cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(1, 3), tail=Fraction(rng.randint(1, 4)) if case % 2 else None)
+        built += cplx.collapse()[2:]
+        for mat in built:
+            assert_live_record(mat)
+
+
+def test_operands_over_different_lattices_raise_even_when_all_zero():
+    # no product or sum of entries is formed, so the operands are checked as matrices
+    other = Lattice(1, [2], [0])
+    for op in (mat_add, mat_sub, mat_mul):
+        with pytest.raises(LatticeMismatchError):
+            op(zeros(LAT, 2, 2), zeros(other, 2, 2))
+    assert mat_mul(zeros(LAT, 2, 0), zeros(other, 0, 3)).lattice is LAT  # one side has no entries

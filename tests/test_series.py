@@ -14,7 +14,7 @@ from novtorsion import (
     NovikovElement,
 )
 from novtorsion.lattice import g_add, g_neg
-from novtorsion.series import _min_cutoff, divide
+from novtorsion.series import _INVERT_LIMIT, ExpansionLimitError, _min_cutoff, divide
 
 from support import (
     k1_lattice,
@@ -140,6 +140,14 @@ def test_invert_errors():
     lat = tie_lattice()
     with pytest.raises(AmbiguousLeadingTermError):
         NovikovElement(lat, {(1, 0): 1, (0, 1): 1}).invert(4)
+
+
+def test_invert_stops_at_the_term_budget():
+    u = ONE - Z
+    with pytest.raises(ExpansionLimitError, match="^inverse below weight 100001 needs more than %d terms$" % _INVERT_LIMIT):
+        u.invert(_INVERT_LIMIT + 1)
+    # a cutoff at or below the leading weight needs no terms at all
+    assert u.invert(0).is_zero and u.invert(-5).cutoff == -5
 
 
 def test_in_lambda0():
