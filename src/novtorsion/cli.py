@@ -163,11 +163,14 @@ def _cmd_rel_torsion(args) -> int:
     if args.map_name not in doc.maps:
         raise _UsageError("document has no map named %r" % args.map_name)
     f = build_chain_map(doc, args.map_name, cplx)
-    report = f.validate()
-    if not report.valid:
-        raise ComplexStructureError("map %r is not a chain map: %s" % (args.map_name, report.failures[0]))
+    try:
+        cls = relative_torsion(f, args.cutoff)  # the cone's d^2 = 0 decides the chain-map condition
+    except ComplexStructureError:
+        report = f.validate()  # only to name the map and a source degree
+        if not report.valid:
+            raise ComplexStructureError("map %r is not a chain map: %s" % (args.map_name, report.failures[0]))
+        raise
     lines = ["file: %s" % args.file, "map: %s" % args.map_name]
-    cls = relative_torsion(f, args.cutoff)
     lines.extend(_torsion_lines("torsion", cls))
     _emit(lines)
     return EXIT_OK

@@ -18,6 +18,8 @@ from .linalg import (
     IndeterminatePivotError,
     Matrix,
     ShapeError,
+    _from_blocks,
+    _from_entries,
     as_matrix,
     identity,
     mat_mul,
@@ -239,13 +241,10 @@ class BasedComplex:
         for d in self.degrees():
             offset[d] = len(names[d % 2])
             names[d % 2].extend(self.generators(d))
-        z = NovikovElement.zero(self.lattice)
-        blocks = [[[z] * len(names[p]) for _ in names[1 - p]] for p in (0, 1)]
+        blocks: tuple[list, list] = ([], [])
         for d, mat in self.differentials.items():
-            ro, co = offset[self.shift(d, 1)], offset[d]
-            for i, row in enumerate(mat):
-                blocks[d % 2][ro + i][co : co + len(row)] = row
-        d0, d1 = (as_matrix(blocks[p], len(names[p])) for p in (0, 1))
+            blocks[d % 2].append((offset[self.shift(d, 1)], offset[d], mat))
+        d0, d1 = (_from_blocks(self.lattice, len(names[1 - p]), len(names[p]), blocks[p]) for p in (0, 1))
         return tuple(names[0]), tuple(names[1]), d0, d1
 
 
@@ -309,14 +308,13 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         if names:
             modules[d] = names
     diffs = {}
-    z = NovikovElement.zero(lattice)
     for d in sorted(degrees):
         t = shift(d, 1)
         d2, d1, fb = tgt.differential(d), src.differential(t), f.block(t)
-        sign = -1 if (d + 1) % 2 else 1
-        rows = [top + tuple(e * sign for e in cross) for top, cross in zip(d2, fb)]
-        rows += [(z,) * d2.ncols + row for row in d1]
-        mat = as_matrix(rows, d2.ncols + d1.ncols)
+        if (d + 1) % 2:
+            fb = _from_entries(lattice, fb.ncols, ({j: -row[j] for j in cols} for row, cols in zip(fb, fb.live)))
+        blocks = ((0, 0, d2), (0, d2.ncols, fb), (len(d2), d2.ncols, d1))
+        mat = _from_blocks(lattice, len(d2) + len(d1), d2.ncols + d1.ncols, blocks)
         if any(mat.live):
             diffs[d] = mat
     return BasedComplex(lattice, modules, diffs, tgt.modulus)
@@ -360,13 +358,10 @@ def relabel_lifts(cplx: BasedComplex, shifts: dict[int, tuple[GroupElement, ...]
     see the difference.
     """
     lattice = cplx.lattice
-    z = NovikovElement.zero(lattice)
 
     def diagonal(elems):
-        rows = [[z] * len(elems) for _ in elems]
-        for i, g in enumerate(elems):
-            rows[i][i] = NovikovElement.monomial(lattice, 1, g)
-        return as_matrix(rows, len(elems))
+        monomials = (NovikovElement.monomial(lattice, 1, g) for g in elems)
+        return _from_entries(lattice, len(elems), ({i: m} for i, m in enumerate(monomials)))
 
     transitions = {}
     inverses = {}

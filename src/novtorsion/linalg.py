@@ -2,30 +2,32 @@
 
 A ``Matrix`` is a tuple of row tuples that also records its column count
 and lattice, so a matrix with no rows or no columns keeps its shape and
-products through an empty dimension come out the right size.  Its live
-record lists, per row, the columns of the entries that are not exact zeros
-(a truncated zero stays live for its cutoff).  ``mat_mul`` is a row-wise
-(Gustavson) product over live entries, so an output entry that no product
-reaches is the exact zero.  Determinants use a division-free subset
-expansion so truncation bookkeeping stays with the ring operations; pivot
-selection uses fraction-free column reduction where every pivot must carry
-an unambiguous invertible leading term.  Each pivot step updates only the
-live submatrix (unused rows of unprocessed columns), the only entries a
-later step reads, and multiplies by no exact zero.
+products through an empty dimension come out the right size.  One
+constructor, ``_from_entries``, lays out every matrix: it checks the lattice
+of each given entry, leaves out exact zeros and records at birth, per row,
+the columns of the live entries (a truncated zero stays live for its
+cutoff).  ``mat_mul`` is a row-wise (Gustavson) product over live entries,
+so an output entry that no product reaches is the exact zero.  Determinants
+use a division-free subset expansion so truncation bookkeeping stays with
+the ring operations; pivot selection uses fraction-free column reduction
+where every pivot must carry an unambiguous invertible leading term.  Each
+pivot step updates only the live submatrix (unused rows of unprocessed
+columns), the only entries a later step reads, and multiplies by no exact
+zero.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import Lattice
-from .series import AmbiguousLeadingTermError, LatticeMismatchError, NovikovElement, _min_cutoff
+from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _min_cutoff
 
-_DET_LIMIT = 14
+_DET_MASKS = math.comb(14, 7)  # partial expansions one determinant row may hold: a dense 14x14's peak
 
 
 class ShapeError(ValueError):
@@ -43,25 +45,21 @@ def _is_live(e: NovikovElement) -> bool:
 
 
 class Matrix(tuple):
-    """Row tuples with a known ``ncols`` and ``lattice``.
+    """Row tuples with a known ``ncols``, ``lattice`` and ``live`` record.
 
     Indexing, ``len`` and row iteration are those of the row tuple.
-    ``lattice`` is None only for a matrix given without entries.  Build one
-    with ``as_matrix``, ``zeros`` or ``identity``.
+    ``lattice`` is None only for a matrix given without entries; ``live``
+    lists, per row, the increasing columns of its live entries.  Every
+    matrix is born in ``_from_entries``, which sets all three.
     """
 
     ncols: int
     lattice: Optional[Lattice]
+    live: tuple[tuple[int, ...], ...]
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), self.ncols
-
-    @cached_property
-    def live(self) -> tuple[tuple[int, ...], ...]:
-        """Per row, the increasing columns of its live entries; computed on
-        first read unless the builder set it."""
-        return tuple(tuple(j for j, e in enumerate(row) if _is_live(e)) for row in self)
 
     def __eq__(self, other):
         if isinstance(other, Matrix) and other.ncols != self.ncols:
@@ -75,13 +73,36 @@ class Matrix(tuple):
     __hash__ = tuple.__hash__
 
 
-def _matrix(rows: tuple, ncols: int, lattice: Optional[Lattice], live=None) -> Matrix:
+def _from_entries(lattice: Optional[Lattice], ncols: int, rows_of_entries) -> Matrix:
+    """The matrix with one ``{column: entry}`` per row, and its live record;
+    left-out columns and exact zeros hold the exact zero.  Raises
+    LatticeMismatchError on an entry over another lattice, exact zeros too."""
+    z = NovikovElement.zero(lattice)
+    rows, live = [], []
+    for entries in rows_of_entries:
+        row, cols = [z] * ncols, []
+        for j in sorted(entries):
+            e = entries[j]
+            if e.lattice is not lattice and e.lattice != lattice:
+                raise LatticeMismatchError("matrix entries over different lattices")
+            if _is_live(e):
+                row[j] = e
+                cols.append(j)
+        rows.append(tuple(row))
+        live.append(tuple(cols))
     m = Matrix(rows)
-    m.ncols = ncols
-    m.lattice = lattice
-    if live is not None:
-        m.live = live
+    m.ncols, m.lattice, m.live = ncols, lattice, tuple(live)
     return m
+
+
+def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
+    """The nrows x ncols matrix holding each ``(row offset, column offset,
+    block)`` at its place, taken from the block's live entries."""
+    rows: list[dict[int, NovikovElement]] = [{} for _ in range(nrows)]
+    for r0, c0, block in blocks:
+        for i, (row, cols) in enumerate(zip(block, block.live)):
+            rows[r0 + i].update((c0 + j, row[j]) for j in cols)
+    return _from_entries(lattice, ncols, rows)
 
 
 def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
@@ -102,42 +123,16 @@ def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
     if any(len(r) != ncols for r in rows):
         raise ShapeError("ragged matrix: every row needs %d entries" % ncols)
     lattice = rows[0][0].lattice if rows and ncols else None
-    for row in rows:
-        for e in row:
-            if e.lattice is not lattice and e.lattice != lattice:
-                raise LatticeMismatchError("matrix entries over different lattices")
-    return _matrix(rows, ncols, lattice)
+    return _from_entries(lattice, ncols, (dict(enumerate(r)) for r in rows))
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:
-    return _matrix(((NovikovElement.zero(lattice),) * ncols,) * nrows, ncols, lattice, ((),) * nrows)
+    return _from_entries(lattice, ncols, ({} for _ in range(nrows)))
 
 
 def identity(lattice: Lattice, n: int) -> Matrix:
     one = NovikovElement.one(lattice)
-    z = NovikovElement.zero(lattice)
-    rows = tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-    return _matrix(rows, n, lattice, tuple((i,) for i in range(n)))
-
-
-def _from_entries(lattice: Optional[Lattice], ncols: int, rows_of_entries) -> Matrix:
-    """The matrix with one ``{column: entry}`` per row, and its live record;
-    left-out columns and exact zeros hold the exact zero.  Raises
-    LatticeMismatchError on an entry over another lattice."""
-    z = NovikovElement.zero(lattice)
-    rows, live = [], []
-    for entries in rows_of_entries:
-        row, cols = [z] * ncols, []
-        for j in sorted(entries):
-            e = entries[j]
-            if e.lattice is not lattice and e.lattice != lattice:
-                raise LatticeMismatchError("matrix entries over different lattices")
-            if _is_live(e):
-                row[j] = e
-                cols.append(j)
-        rows.append(tuple(row))
-        live.append(tuple(cols))
-    return _matrix(tuple(rows), ncols, lattice, tuple(live))
+    return _from_entries(lattice, n, ({i: one} for i in range(n)))
 
 
 def _operands(a, b) -> tuple[Matrix, Matrix, Optional[Lattice]]:
@@ -193,16 +188,13 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
 
     Division free, so exact inputs give an exact determinant and truncated
     inputs propagate their cutoffs through the ordinary ring operations.
-    Raises LatticeMismatchError on an entry over another lattice.
+    Raises LatticeMismatchError on an entry over another lattice, and
+    ExpansionLimitError past ``_DET_MASKS`` partial expansions at one row.
     """
     rows = as_matrix(rows, len(rows))
     if rows.lattice not in (None, lattice):
         raise LatticeMismatchError("matrix entries not over the given lattice")
     n = len(rows)
-    if n == 0:
-        return NovikovElement.one(lattice)
-    if n > _DET_LIMIT:
-        raise ShapeError("determinant limited to %dx%d matrices" % (_DET_LIMIT, _DET_LIMIT))
     prev = {0: NovikovElement.one(lattice)}
     for i, (row, cols) in enumerate(zip(rows, rows.live)):
         live = [(1 << j, row[j]) for j in cols]
@@ -220,6 +212,8 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
                 key = mask | bit
                 acc = cur.get(key)
                 cur[key] = term if acc is None else acc + term
+        if len(cur) > _DET_MASKS:
+            raise ExpansionLimitError("%dx%d determinant needs over %d partial expansions at one row" % (n, n, _DET_MASKS))
         prev = cur
     return prev.get((1 << n) - 1, NovikovElement.zero(lattice))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -66,7 +67,7 @@ class NotInvertibleError(ArithmeticError):
 
 
 class ExpansionLimitError(ValueError):
-    """An inverse below the requested weight needs more terms than ``invert`` enumerates."""
+    """An exact expansion (a series inverse, a determinant) exceeds its work budget."""
 
 
 @dataclass(frozen=True)
@@ -301,6 +302,15 @@ class NovikovElement:
         limit = self.lattice._scaled_ceil(bound)
         d = r._den
         steps = [(h, c, self.lattice._scaled_weight(h)) for h, c in r._num.items()]
+        # Every step weighs at least the lightest one, so k steps stay below
+        # the limit exactly when k times the lightest weight does.
+        n = max(0, (limit - 1) // min(wh for _, _, wh in steps)) if steps else 0
+        # Python refuses to print an int of more digits than this (0 or absent: no
+        # limit), so an inverse whose common denominator d^n has more is refused.
+        printable = getattr(sys, "get_int_max_str_digits", int)()
+        if d > 1 and printable and n > printable / math.log10(d):
+            msg = "inverse below weight %s needs %d-digit denominators, over the %d that print"
+            raise ExpansionLimitError(msg % (target, int(n * Fraction(math.log10(d))) + 1, printable))
         weights = {self.lattice.identity(): 0}
         monoid = list(weights)
         for g in monoid:
@@ -311,9 +321,6 @@ class NovikovElement:
                     monoid.append(k)
             if len(monoid) > _INVERT_LIMIT:
                 raise ExpansionLimitError("inverse below weight %s needs more than %d terms" % (target, _INVERT_LIMIT))
-        # Every step weighs at least the lightest one, so k steps stay below
-        # the limit exactly when k times the lightest weight does.
-        n = max(0, (limit - 1) // min(wh for _, _, wh in steps)) if steps else 0
         t: dict[GroupElement, int] = {}
         for g in sorted(monoid, key=weights.__getitem__):
             acc = d ** (n + 1) if g == monoid[0] else 0

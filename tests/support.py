@@ -232,3 +232,35 @@ def perturb_by_homotopy(rng: random.Random, f: ChainMap):
 def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     degrees = set(f.source.degrees()) | set(g.target.degrees())
     return ChainMap(f.source, g.target, {d: mat_mul(g.block(d), f.block(d)) for d in degrees})
+
+
+def rand_sparse_entry(rng: random.Random, lat: Lattice) -> NovikovElement:
+    """Mostly exact zeros, else a zero known below a cutoff, a unit
+    truncated above its lead, or a small exact element."""
+    roll = rng.random()
+    if roll < 0.45:
+        return NovikovElement.zero(lat)
+    if roll < 0.55:
+        return NovikovElement.zero(lat, cutoff=rng.randint(0, 6))
+    if roll < 0.7:
+        u = rand_unit(rng, lat)
+        return u.truncate(u.min_weight() + rng.randint(1, 4))
+    return rand_element(rng, lat, 2)
+
+
+def rand_sparse_matrix(rng: random.Random, lat: Lattice, nrows: int, ncols: int):
+    if not (nrows and ncols):
+        return zeros(lat, nrows, ncols)
+    return as_matrix([[rand_sparse_entry(rng, lat) for _ in range(ncols)] for _ in range(nrows)])
+
+
+def not_exact_zero(rows) -> set[tuple[int, int]]:
+    return {(i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if not (e.is_zero and e.is_exact)}
+
+
+def assert_live_record(mat):
+    """The record lists, per row and in increasing order, exactly the
+    entries that are not exact zeros."""
+    assert len(mat.live) == len(mat)
+    assert all(list(cols) == sorted(set(cols)) for cols in mat.live)
+    assert {(i, j) for i, cols in enumerate(mat.live) for j in cols} == not_exact_zero(mat)

@@ -214,6 +214,25 @@ def test_torsion_cutoff_beyond_the_expansion_budget_is_validate(capsys):
     assert report_value(out, "message") == "inverse below weight %d needs more than 100000 terms" % 10**400
 
 
+def test_torsion_cutoff_past_printable_denominators_is_validate(capsys, tmp_path):
+    # the inverse of 1 - 1/3*g(1) below weight 20000 has denominators 3^19999,
+    # more digits than Python prints; the check comes before any expansion
+    with open(fixture("even_source.cplx"), encoding="utf-8") as fh:
+        text = fh.read().replace("(1 - 1*g(1))", "(1 - 1/3*g(1))")
+    path = tmp_path / "third.cplx"
+    path.write_text(text, encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not 0 < limit < 9542:
+        pytest.skip("3^19999 prints under this interpreter's limit")
+    start = time.perf_counter()
+    code, out = run(capsys, "torsion", str(path), "--cutoff", "20000")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "message") == "inverse below weight 20000 needs 9542-digit denominators, over the %d that print" % limit
+    code, out = run(capsys, "torsion", str(path), "--cutoff", "40")
+    assert code == EXIT_OK and report_value(out, "cutoff") == "40"
+
+
 def test_modular_grading_through_cli(capsys):
     code, out = run(capsys, "ranks", fixture("mod_two.cplx"))
     assert code == EXIT_OK

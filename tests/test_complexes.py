@@ -1,5 +1,7 @@
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -20,9 +22,19 @@ from novtorsion import (
     two_term_complex,
     whitehead_normalize,
 )
+from novtorsion.complexes import shift_degree
 from novtorsion.linalg import as_matrix
 
-from support import diag_model, k1_lattice, random_acyclic, scramble
+from support import (
+    assert_live_record,
+    diag_model,
+    k1_lattice,
+    k2_lattice,
+    not_exact_zero,
+    rand_sparse_matrix,
+    random_acyclic,
+    scramble,
+)
 
 LAT = k1_lattice()
 ONE = NovikovElement.one(LAT)
@@ -147,6 +159,88 @@ def test_collapse_blocks():
     assert len(names0) + len(names1) == cplx.total_rank()
     assert len(d0) == len(names1) and all(len(r) == len(names0) for r in d0)
     assert len(d1) == len(names0) and all(len(r) == len(names1) for r in d1)
+
+
+def _reference_collapse(cplx):
+    """Dense parity blocks filled by slice assignment, as ``collapse`` laid
+    them out before it placed each block from its live entries."""
+    names = ([], [])
+    offset = {}
+    for d in cplx.degrees():
+        offset[d] = len(names[d % 2])
+        names[d % 2].extend(cplx.generators(d))
+    z = NovikovElement.zero(cplx.lattice)
+    blocks = [[[z] * len(names[p]) for _ in names[1 - p]] for p in (0, 1)]
+    for d, mat in cplx.differentials.items():
+        ro, co = offset[cplx.shift(d, 1)], offset[d]
+        for i, row in enumerate(mat):
+            blocks[d % 2][ro + i][co : co + len(row)] = row
+    return tuple(names[0]), tuple(names[1]), (blocks[0], len(names[0])), (blocks[1], len(names[1]))
+
+
+def _reference_cone(f):
+    """Per cone degree, the dense rows and column count, with every f entry
+    times its sign and zero padding, as ``mapping_cone`` laid them out
+    before it placed each block from its live entries."""
+    src, tgt = f.source, f.target
+    z = NovikovElement.zero(tgt.lattice)
+    out = {}
+    for d in set(tgt.degrees()) | {tgt.shift(d, -1) for d in src.degrees()}:
+        t = tgt.shift(d, 1)
+        d2, d1, fb = tgt.differential(d), src.differential(t), f.block(t)
+        sign = -1 if (d + 1) % 2 else 1
+        rows = [top + tuple(e * sign for e in cross) for top, cross in zip(d2, fb)]
+        rows += [(z,) * d2.ncols + row for row in d1]
+        out[d] = rows, d2.ncols + d1.ncols
+    return out
+
+
+def _rand_layout(rng, lat, modulus):
+    """A based complex with sparse random differentials and some empty
+    degrees; a layout needs no d^2 = 0."""
+    ranks = {d: rng.choice([0, 0, 1, 2, 3]) for d in range(modulus or 4)}
+    modules = {d: tuple("g%d_%d" % (d, i) for i in range(r)) for d, r in ranks.items()}
+    diffs = {d: rand_sparse_matrix(rng, lat, ranks.get(shift_degree(d, 1, modulus), 0), r) for d, r in ranks.items()}
+    return BasedComplex(lat, modules, diffs, modulus)
+
+
+def assert_same_layout(mat, rows, ncols):
+    """Entries, cutoffs, shape and live record of ``mat`` are those of the
+    reference rows."""
+    assert mat.shape == (len(rows), ncols) and all(len(row) == ncols for row in rows)
+    for got_row, want_row in zip(mat, rows):
+        for x, y in zip(got_row, want_row):
+            assert x == y and x.terms == y.terms and x.cutoff == y.cutoff
+    assert_live_record(mat)
+    assert {(i, j) for i, cols in enumerate(mat.live) for j in cols} == not_exact_zero(rows)
+
+
+def test_collapse_and_cone_match_dense_reference_layouts():
+    rng = random.Random(47)
+    lattices = [k1_lattice(), k2_lattice()]
+    seen = Counter()
+    for case in range(60):
+        lat, kind = lattices[case % 2], ("exact", "truncated", "layout")[case % 3]
+        if kind == "layout":
+            cplx = _rand_layout(rng, lat, rng.choice([None, 2, 4]))
+        else:
+            tail = Fraction(rng.randint(1, 4)) if kind == "truncated" else None
+            cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(1, 3), tail=tail)
+        blocks = {d: rand_sparse_matrix(rng, lat, cplx.rank(d), cplx.rank(d)) for d in cplx.degrees()}
+        f = ChainMap(cplx, cplx, blocks)  # the layout does not need a chain map
+        names0, names1, d0, d1 = cplx.collapse()
+        want = _reference_collapse(cplx)
+        assert (names0, names1) == want[:2]
+        assert_same_layout(d0, *want[2])
+        assert_same_layout(d1, *want[3])
+        cone = mapping_cone(f)
+        for d, (rows, ncols) in _reference_cone(f).items():
+            assert_same_layout(cone.differential(d), rows, ncols)
+            assert (d in cone.differentials) == bool(not_exact_zero(rows))
+            seen["empty dimension" if not (rows and ncols) else "odd sign" if (d + 1) % 2 else "even sign"] += 1
+        seen[kind] += 1
+        seen["cutoff"] += any(e.cutoff is not None for mat in cone.differentials.values() for row in mat for e in row)
+    assert min(seen.values()) >= 10 and len(seen) == 7, seen
 
 
 def test_chain_map_validation():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from novtorsion import IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
+from novtorsion import ChainMap, IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
+from novtorsion import mapping_cone, relabel_lifts
 from novtorsion.linalg import (
     PivotSelection,
     as_matrix,
@@ -15,14 +16,16 @@ from novtorsion.linalg import (
     select_column_pivots,
     zeros,
 )
-from novtorsion.series import AmbiguousLeadingTermError, LatticeMismatchError, _min_cutoff
+from novtorsion.series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, _min_cutoff
 
 from support import (
+    assert_live_record,
     k1_lattice,
     k2_lattice,
     rand_coeff,
     rand_coords,
     rand_element,
+    rand_sparse_matrix,
     rand_unit,
     random_acyclic,
     tie_lattice,
@@ -70,10 +73,19 @@ def test_determinant_shape_errors():
         determinant(LAT, ((ONE, Z),))
 
 
-def test_determinant_size_cap():
-    # the size cap, until exact enumeration gets a work budget
-    with pytest.raises(ShapeError, match="^determinant limited to 14x14 matrices$"):
-        determinant(LAT, [[ONE] * 15] * 15)
+def test_determinant_mask_budget():
+    # a dense 15x15 whose minors stay live holds C(15, 6) = 5005 partial
+    # expansions after row 5, past the C(14, 7) = 3432 peak of a dense 14x14
+    rng = random.Random(43)
+    dense = [[NovikovElement.monomial(LAT, rng.randint(1, 10**6), (0,)) for _ in range(15)] for _ in range(15)]
+    with pytest.raises(ExpansionLimitError, match="^15x15 determinant needs over 3432 partial expansions at one row$"):
+        determinant(LAT, dense)
+    # every 2x2 minor of the all-ones matrix cancels: an exact zero, within budget
+    ones = determinant(LAT, [[ONE] * 15] * 15)
+    assert ones.is_zero and ones.is_exact
+    # a sparse 40x40 stays far inside it
+    bidiagonal = [[ONE if j == i else Z if j == i + 1 else ZERO for j in range(40)] for i in range(40)]
+    assert determinant(LAT, bidiagonal) == ONE
 
 
 def test_products_through_empty_dimensions_keep_their_shape():
@@ -114,6 +126,8 @@ def test_as_matrix_rejects_mixed_lattices():
         as_matrix(((ONE, other),))
     with pytest.raises(LatticeMismatchError):
         as_matrix(((ONE,), (other,)))
+    with pytest.raises(LatticeMismatchError):  # checked before it is left out as an exact zero
+        as_matrix(((ONE, NovikovElement.zero(Lattice(1, [2], [0]))),))
     same = NovikovElement.one(k1_lattice())
     assert as_matrix(((ONE, same),)).lattice is LAT
 
@@ -353,38 +367,6 @@ def _reference_mat_mul(a, b):
     return as_matrix([[dot(row, col) for col in zip(*b)] for row in a], b.ncols)
 
 
-def not_exact_zero(mat):
-    return {(i, j) for i, row in enumerate(mat) for j, e in enumerate(row) if not (e.is_zero and e.is_exact)}
-
-
-def assert_live_record(mat):
-    """The record lists, per row and in increasing order, exactly the
-    entries that are not exact zeros."""
-    assert len(mat.live) == len(mat)
-    assert all(list(cols) == sorted(set(cols)) for cols in mat.live)
-    assert {(i, j) for i, cols in enumerate(mat.live) for j in cols} == not_exact_zero(mat)
-
-
-def rand_sparse_entry(rng, lat):
-    """Mostly exact zeros, else a zero known below a cutoff, a unit
-    truncated above its lead, or a small exact element."""
-    roll = rng.random()
-    if roll < 0.45:
-        return NovikovElement.zero(lat)
-    if roll < 0.55:
-        return NovikovElement.zero(lat, cutoff=rng.randint(0, 6))
-    if roll < 0.7:
-        u = rand_unit(rng, lat)
-        return u.truncate(u.min_weight() + rng.randint(1, 4))
-    return rand_element(rng, lat, 2)
-
-
-def rand_sparse_matrix(rng, lat, nrows, ncols):
-    if not (nrows and ncols):
-        return zeros(lat, nrows, ncols)
-    return as_matrix([[rand_sparse_entry(rng, lat) for _ in range(ncols)] for _ in range(nrows)])
-
-
 def test_mat_mul_matches_dense_reference():
     rng = random.Random(37)
     lattices = [k1_lattice(), k2_lattice(), tie_lattice()]
@@ -435,6 +417,10 @@ def test_live_record_of_every_builder():
         ]
         cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(1, 3), tail=Fraction(rng.randint(1, 4)) if case % 2 else None)
         built += cplx.collapse()[2:]
+        f = ChainMap(cplx, cplx, {d: rand_sparse_matrix(rng, lat, cplx.rank(d), cplx.rank(d)) for d in cplx.degrees()})
+        built += mapping_cone(f).differentials.values()
+        shifts = {d: tuple(rand_coords(rng, lat, 1) for _ in cplx.generators(d)) for d in cplx.degrees()}
+        built += relabel_lifts(cplx, shifts).differentials.values()
         for mat in built:
             assert_live_record(mat)
 

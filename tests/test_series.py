@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,18 @@ def test_invert_stops_at_the_term_budget():
         u.invert(_INVERT_LIMIT + 1)
     # a cutoff at or below the leading weight needs no terms at all
     assert u.invert(0).is_zero and u.invert(-5).cutoff == -5
+
+
+def test_invert_refuses_denominators_past_the_print_limit():
+    u = ONE - Fraction(1, 3) * Z  # steps of weight 1 over d = 3: 3^k below weight k + 1
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        pytest.skip("no limit on printed ints")
+    weight = int(limit / math.log10(3)) + 2
+    with pytest.raises(ExpansionLimitError, match=r"^inverse below weight %d needs \d+-digit denominators" % weight):
+        u.invert(weight)
+    assert (ONE - Z).invert(weight).cutoff == weight  # d = 1 never reaches it
+    assert u.invert(100).terms[(99,)] == Fraction(1, 3**99)
 
 
 def test_in_lambda0():

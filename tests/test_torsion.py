@@ -233,6 +233,16 @@ def test_fifteen_and_sixteen_pairs_past_the_old_generator_cap(pairs):
         assert milnor_torsion_unit(cplx, CUT) == expected
 
 
+@pytest.mark.parametrize("pairs", [20, 30, 40])
+def test_twenty_to_forty_pairs_past_the_old_determinant_cap(pairs):
+    # the generator's own transition determinants are 20-40 wide, past the
+    # old 14x14 cap; they are sparse, so they stay far inside the mask budget
+    rng = random.Random(pairs)
+    cplx, expected = random_acyclic(rng, LAT, pairs=pairs)
+    assert cplx.euler_parity() == (pairs, pairs)
+    assert milnor_torsion_unit(cplx, CUT) == expected
+
+
 def test_truncated_differential_certifies_torsion_below_cutoff():
     # a truncated-zero entry limits what the acyclicity verdict can certify,
     # and the torsion class must carry that certification bound
