@@ -113,7 +113,10 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
         first = False
     if first:
         raise DocumentParseError(line, "empty element literal")
-    return NovikovElement(lattice, terms, cutoff)
+    try:
+        return NovikovElement(lattice, terms, cutoff)
+    except ValueError as exc:  # a coordinate outside the lattice's box
+        raise DocumentParseError(line, str(exc)) from None
 
 
 def _split_items(text: str, line: int) -> list[tuple[int, int, int]]:

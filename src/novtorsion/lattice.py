@@ -5,9 +5,18 @@ the standard generators: a rational weight (used to order series supports)
 and an integer degree map ("chern").  Group elements are plain coordinate
 tuples; the group law is coordinate-wise addition.
 
-Internal weights are scaled integers ``D*weight(g)`` over a common
+Internal weights are scaled integers ``W(g) = D*weight(g)`` over a common
 denominator ``D`` of ``phi``; the private helpers skip re-validation, while
 the public ``weight`` validates its input and returns a ``Fraction``.
+
+Coordinates live in the box ``|g_i| < 2**31``; ``_check`` refuses any
+other.  Inside the box an element packs into one int, its key:
+``W(g)`` in the top field above ``S = 32*k`` bits, then the coordinates
+as balanced 32-bit digits, ``g_0`` most significant.  The key is a group
+homomorphism from Z^k into the ints, ``key(g) = sum(g_i * key(e_i))``
+(a sum of keys is the key of the sum, as long as the sum stays in the
+box), keys sort as ``(W(g), g)`` does, and ``W(g) < B`` exactly when
+``key < _kbound(B)``.
 """
 
 from __future__ import annotations
@@ -20,6 +29,10 @@ from typing import Iterable, Optional
 
 GroupElement = tuple[int, ...]
 
+#: Bits per coordinate digit of a key; coordinates satisfy ``|g_i| < _BOX``.
+_BITS = 32
+_BOX = 1 << (_BITS - 1)
+
 
 class DimensionMismatchError(ValueError):
     """Coordinate vector length does not match the lattice rank."""
@@ -30,6 +43,14 @@ def _integer(x) -> int:
     if isinstance(x, str) or int(x) == x:
         return int(x)
     raise ValueError("%r is not an integer" % (x,))
+
+
+def _coordinate(x) -> int:
+    """_integer(x), refusing a value outside the box |x| < 2**31 that keys hold."""
+    x = _integer(x)
+    if not -_BOX < x < _BOX:
+        raise ValueError("coordinate %d is outside the box |x| < 2**%d" % (x, _BITS - 1))
+    return x
 
 
 def _rational(x) -> Fraction:
@@ -63,14 +84,39 @@ class Lattice:
         den = math.lcm(*(p.denominator for p in phi))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_num", tuple(p.numerator * (den // p.denominator) for p in phi))
+        # The keys of the standard generators, whose combinations give every key;
+        # adding _BOX to every digit of a key makes its digits plain base-2**32 ones.
+        shift = _BITS * rank
+        shifts = tuple(range(shift - _BITS, -1, -_BITS))
+        object.__setattr__(self, "_shift", shift)
+        object.__setattr__(self, "_kshifts", shifts)
+        object.__setattr__(self, "_kbasis", tuple((n << shift) + (1 << s) for n, s in zip(self._num, shifts)))
+        object.__setattr__(self, "_koff", sum(_BOX << s for s in shifts))
 
     def _check(self, g: GroupElement) -> GroupElement:
-        g = tuple(x if type(x) is int else _integer(x) for x in g)
+        g = tuple(x if type(x) is int and -_BOX < x < _BOX else _coordinate(x) for x in g)
         if len(g) != self.rank:
             raise DimensionMismatchError(
                 "element of length %d in lattice of rank %d" % (len(g), self.rank)
             )
         return g
+
+    def _key(self, g: GroupElement) -> int:
+        """The key of an already checked element: the combination of the generators' keys."""
+        return sum(map(operator.mul, self._kbasis, g))
+
+    def _unkey(self, k: int) -> GroupElement:
+        """The element whose key is k."""
+        k += self._koff
+        return tuple([((k >> s) & (2 * _BOX - 1)) - _BOX for s in self._kshifts])
+
+    def _kweight(self, k: int) -> int:
+        """W(g), the scaled weight, of the element whose key is k."""
+        return (k + self._koff) >> self._shift
+
+    def _kbound(self, bound: int) -> int:
+        """The key limit of a scaled weight bound: ``W(g) < bound`` exactly when ``key < _kbound(bound)``."""
+        return (bound << self._shift) - self._koff
 
     def identity(self) -> GroupElement:
         return (0,) * self.rank

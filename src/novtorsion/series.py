@@ -11,28 +11,41 @@ The string form of an element is a sum of ``coeff*g(a1,...,ak)`` terms
 ordered by increasing weight, with identity-supported terms written as a
 bare rational, e.g. ``1 - 1*g(1)`` or ``2 + 1/2*g(0,1) @cutoff=5``.
 
-Coefficients are stored as integer numerators ``_num`` over one positive
-denominator ``_den``, in lowest terms: ``gcd(_den, *_num.values()) == 1``,
-and ``_den == 1`` for zero, so equal values have equal numerators and
-denominators.  ``+``, ``-``, ``*``, ``invert``, ``truncate`` and the
-comparisons work on these integers, and weights are compared as the
-lattice's scaled integers.  ``Fraction`` appears only at the public API:
-the read-only ``terms`` view (built once per element), ``coefficient``,
-``leading_term``, ``min_weight`` and cutoffs.  The public constructor
-validates its input; every other result comes from ``_new``, which skips it.
+An element stores its terms in ``_num``, a dict from monomial keys to
+integer numerators over one positive denominator ``_den``, in lowest
+terms: ``gcd(_den, *_num.values()) == 1``, and ``_den == 1`` for zero, so
+equal values have equal numerators and denominators.  A key is the
+lattice's packed form of a group element (see ``lattice``): one int with
+the scaled weight in its top field.  So a product term's key is the sum of
+its factors' keys, the cutoff filter is one int comparison, the least key
+is the leading monomial, and sorted keys are in ``(weight, coordinates)``
+order.  The public constructor validates its input and encodes it once;
+every other result comes from ``_new``, which skips both.  Tuples and
+``Fraction`` appear only at the public API: the read-only ``terms`` view
+(built once per element), ``coefficient``, ``support``, ``leading_slice``,
+``leading_term``, ``in_lambda0``, ``min_weight``, cutoffs and
+``format_element``.
+
+A key is exact while every coordinate stays in the lattice's box
+``|x| < 2**31``.  Each element carries ``_reach``, a bound on the absolute
+value of its coordinates: exact for input, the larger operand's under
+``+`` and ``-``, the sum under ``*``, and the longest chain of steps times
+the step bound in ``invert``.  When a bound could leave the box, the
+operands' bounds are first recomputed from their keys; if the box is
+still too small, ``ExpansionLimitError`` is raised before anything is
+built, so a coordinate never wraps silently.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Optional
 
-from .lattice import GroupElement, Lattice, _rational, g_add, g_neg
+from .lattice import _BITS, _BOX, GroupElement, Lattice, _rational
 
 #: Default weight bound for series-valued results of operations that must
 #: truncate (inverses of non-monomial units and quantities derived from them).
@@ -67,13 +80,22 @@ class NotInvertibleError(ArithmeticError):
 
 
 class ExpansionLimitError(ValueError):
-    """An exact expansion (a series inverse, a determinant) exceeds its work budget."""
+    """An exact expansion (a series inverse, a determinant) exceeds its work
+    budget, its coordinates leave the key box, or its digits are past what
+    Python prints."""
 
 
 @dataclass(frozen=True)
 class LeadingTerm:
     coefficient: Fraction
     element: GroupElement
+
+
+def _in_box(what: str, reach: int) -> int:
+    """``reach`` when coordinates up to it fit in a key; else ExpansionLimitError."""
+    if reach >= _BOX:
+        raise ExpansionLimitError("%s may reach coordinate %d, outside the box |x| < 2**%d" % (what, reach, _BITS - 1))
+    return reach
 
 
 def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
@@ -87,7 +109,7 @@ def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fracti
 class NovikovElement:
     """A truncated series over a lattice with exact rational coefficients."""
 
-    __slots__ = ("lattice", "cutoff", "_num", "_den", "_terms")
+    __slots__ = ("lattice", "cutoff", "_num", "_den", "_reach", "_terms")
 
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
         if cutoff is not None:
@@ -99,40 +121,46 @@ class NovikovElement:
                 prev = merged.get(g)
                 merged[g] = c if prev is None else prev + c
         den = math.lcm(*(c.denominator for c in merged.values()))
-        out = NovikovElement._new(
-            lattice, {g: c.numerator * (den // c.denominator) for g, c in merged.items()}, den, cutoff
-        )
-        self.lattice, self.cutoff, self._num, self._den, self._terms = lattice, cutoff, out._num, out._den, None
+        num = {lattice._key(g): c.numerator * (den // c.denominator) for g, c in merged.items()}
+        out = NovikovElement._new(lattice, num, den, cutoff, max([abs(x) for g in merged for x in g], default=0))
+        self.lattice, self.cutoff, self._terms = lattice, cutoff, None
+        self._num, self._den, self._reach = out._num, out._den, out._reach
 
     @classmethod
-    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction]) -> "NovikovElement":
-        """Trusted constructor: ``num`` maps checked elements to int numerators
-        over ``den > 0``, ``cutoff`` is a Fraction or None.  Drops zeros and
-        weights >= cutoff, then divides out the common gcd."""
+    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction], reach: int) -> "NovikovElement":
+        """Trusted constructor: ``num`` maps keys to int numerators over
+        ``den > 0``, ``cutoff`` is a Fraction or None, and no coordinate
+        exceeds ``reach`` in absolute value.  Drops zeros and weights >=
+        cutoff, then divides out the common gcd."""
         if cutoff is None:
             num = {g: c for g, c in num.items() if c}
         else:
-            bound = lattice._scaled_ceil(cutoff)
-            w = lattice._scaled_weight
-            num = {g: c for g, c in num.items() if c and w(g) < bound}
+            top = lattice._kbound(lattice._scaled_ceil(cutoff))
+            num = {g: c for g, c in num.items() if c and g < top}
         if den != 1:
             k = math.gcd(den, *num.values())
             if k != 1:
                 num = {g: c // k for g, c in num.items()}
                 den //= k
         out = object.__new__(cls)
-        out.lattice, out.cutoff, out._num, out._den, out._terms = lattice, cutoff, num, den, None
+        out.lattice, out.cutoff, out._num, out._den, out._reach, out._terms = lattice, cutoff, num, den, reach, None
         return out
+
+    def _tighten(self) -> int:
+        """Replace the carried coordinate bound by the exact one, read from the keys."""
+        unkey = self.lattice._unkey
+        self._reach = max((abs(x) for k in self._num for x in unkey(k)), default=0)
+        return self._reach
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, lattice: Lattice, cutoff=None) -> "NovikovElement":
-        return cls._new(lattice, {}, 1, None if cutoff is None else _rational(cutoff))
+        return cls._new(lattice, {}, 1, None if cutoff is None else _rational(cutoff), 0)
 
     @classmethod
     def one(cls, lattice: Lattice) -> "NovikovElement":
-        return cls._new(lattice, {lattice.identity(): 1}, 1, None)
+        return cls._new(lattice, {0: 1}, 1, None, 0)
 
     @classmethod
     def monomial(cls, lattice: Lattice, coefficient, g: GroupElement) -> "NovikovElement":
@@ -145,8 +173,8 @@ class NovikovElement:
     def terms(self):
         """Read-only map from support elements to Fraction coefficients."""
         if self._terms is None:
-            den = self._den
-            self._terms = MappingProxyType({g: Fraction(c, den) for g, c in self._num.items()})
+            unkey, den = self.lattice._unkey, self._den
+            self._terms = MappingProxyType({unkey(g): Fraction(c, den) for g, c in self._num.items()})
         return self._terms
 
     @property
@@ -159,33 +187,43 @@ class NovikovElement:
         return self.cutoff is None
 
     def support(self):
-        w = self.lattice._scaled_weight
-        return sorted(self._num, key=lambda g: (w(g), g))
+        return list(map(self.lattice._unkey, sorted(self._num)))
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        return Fraction(self._num.get(tuple(g), 0), self._den)
+        lat = self.lattice
+        return Fraction(self._num.get(lat._key(lat._check(g)), 0), self._den)
 
     def min_weight(self) -> Optional[Fraction]:
         if not self._num:
             return None
         lat = self.lattice
-        return Fraction(min(map(lat._scaled_weight, self._num)), lat._den)
+        return Fraction(lat._kweight(min(self._num)), lat._den)
 
     def _floor(self) -> Optional[Fraction]:
         """Lowest weight the true element could carry: its least known weight,
         else its cutoff; None for an exact zero."""
         return self.min_weight() if self._num else self.cutoff
 
-    def leading_slice(self) -> list[tuple[Fraction, GroupElement]]:
-        """All minimal-weight terms, sorted by coordinates."""
+    def _slice(self) -> list[int]:
+        """Keys of the minimal-weight terms, sorted, so by coordinates."""
         if not self._num:
             return []
-        weights = {g: self.lattice._scaled_weight(g) for g in self._num}
-        w0 = min(weights.values())
-        return sorted(
-            ((Fraction(c, self._den), g) for g, c in self._num.items() if weights[g] == w0),
-            key=lambda p: p[1],
-        )
+        lat = self.lattice
+        top = lat._kbound(lat._kweight(min(self._num)) + 1)
+        return sorted(k for k in self._num if k < top)
+
+    def _lead(self) -> Optional[int]:
+        """Key of the unique minimal-weight term, None for an empty element;
+        a tie raises AmbiguousLeadingTermError."""
+        sl = self._slice()
+        if len(sl) > 1:
+            raise AmbiguousLeadingTermError(self.leading_slice())
+        return sl[0] if sl else None
+
+    def leading_slice(self) -> list[tuple[Fraction, GroupElement]]:
+        """All minimal-weight terms, sorted by coordinates."""
+        lat, den = self.lattice, self._den
+        return [(Fraction(self._num[k], den), lat._unkey(k)) for k in self._slice()]
 
     def leading_term(self) -> Optional[LeadingTerm]:
         """The unique minimal-weight term, or None for an empty element.
@@ -193,17 +231,15 @@ class NovikovElement:
         Raises AmbiguousLeadingTermError when several support elements tie
         at the minimal weight; such a tie is never silently resolved.
         """
-        sl = self.leading_slice()
-        if not sl:
+        lead = self._lead()
+        if lead is None:
             return None
-        if len(sl) > 1:
-            raise AmbiguousLeadingTermError(sl)
-        c, g = sl[0]
-        return LeadingTerm(c, g)
+        return LeadingTerm(Fraction(self._num[lead], self._den), self.lattice._unkey(lead))
 
     def in_lambda0(self) -> bool:
         """Whether every known support element has chern value 0."""
-        return all(self.lattice.chern(g) == 0 for g in self._num)
+        lat = self.lattice
+        return all(lat.chern(lat._unkey(k)) == 0 for k in self._num)
 
     # -- ring operations ---------------------------------------------------
 
@@ -229,10 +265,11 @@ class NovikovElement:
             merged = {g: c * sa for g, c in self._num.items()}
             for g, c in other._num.items():
                 merged[g] = merged.get(g, 0) + c * sb
-        return NovikovElement._new(self.lattice, merged, den, _min_cutoff(self.cutoff, other.cutoff))
+        reach = max(self._reach, other._reach)
+        return NovikovElement._new(self.lattice, merged, den, _min_cutoff(self.cutoff, other.cutoff), reach)
 
     def __neg__(self):
-        out = NovikovElement._new(self.lattice, {}, 1, self.cutoff)
+        out = NovikovElement._new(self.lattice, {}, 1, self.cutoff, self._reach)
         out._num, out._den = {g: -c for g, c in self._num.items()}, self._den
         return out
 
@@ -246,15 +283,18 @@ class NovikovElement:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             p, q = other.numerator, other.denominator
-            return NovikovElement._new(
-                self.lattice, {g: p * c for g, c in self._num.items()}, q * self._den, self.cutoff if p else None
-            )
+            num = {g: p * c for g, c in self._num.items()}
+            return NovikovElement._new(self.lattice, num, q * self._den, self.cutoff if p else None, self._reach)
         self._same_lattice(other)
-        acc: dict[GroupElement, int] = {}
+        reach = self._reach + other._reach
+        if reach >= _BOX:
+            reach = _in_box("a product", self._tighten() + other._tighten())
+        acc: dict[int, int] = {}
+        get = acc.get
         for g, c in self._num.items():
             for h, d in other._num.items():
-                k = g_add(g, h)
-                acc[k] = acc.get(k, 0) + c * d
+                k = g + h
+                acc[k] = get(k, 0) + c * d
         # Unknown terms start at one factor's floor plus the other's cutoff;
         # unknown*unknown, from c_a + c_b on, is never below either bound.
         cutoff = None
@@ -262,13 +302,14 @@ class NovikovElement:
             cutoff = floor + other.cutoff
         if self.cutoff is not None and (floor := other._floor()) is not None:
             cutoff = _min_cutoff(cutoff, self.cutoff + floor)
-        return NovikovElement._new(self.lattice, acc, self._den * other._den, cutoff)
+        return NovikovElement._new(self.lattice, acc, self._den * other._den, cutoff, reach)
 
     __rmul__ = __mul__
 
     def truncate(self, bound) -> "NovikovElement":
         """Forget everything at weight >= bound."""
-        return NovikovElement._new(self.lattice, self._num, self._den, _min_cutoff(self.cutoff, _rational(bound)))
+        cutoff = _min_cutoff(self.cutoff, _rational(bound))
+        return NovikovElement._new(self.lattice, self._num, self._den, cutoff, self._reach)
 
     def invert(self, target_cutoff=None) -> "NovikovElement":
         """Multiplicative inverse, correct below the returned cutoff.
@@ -283,51 +324,59 @@ class NovikovElement:
         exactly.  Pure monomials invert exactly and need no target;
         everything else requires one.
         """
-        lt = self.leading_term()
+        lat = self.lattice
+        lt = self._lead()
         if lt is None:
             raise NotInvertibleError("cannot invert an element with no known terms")
-        lead = self._num[lt.element]
-        inv_monomial = NovikovElement._new(
-            self.lattice, {g_neg(lt.element): self._den if lead > 0 else -self._den}, abs(lead), None
-        )
+        lead = self._num[lt]
+        inv_monomial = NovikovElement._new(lat, {-lt: self._den if lead > 0 else -self._den}, abs(lead), None, self._reach)
         if len(self._num) == 1 and self.is_exact:
             return inv_monomial
         if target_cutoff is None:
             raise ValueError("target_cutoff is required unless the element is a pure monomial")
         target = _rational(target_cutoff)
         # Work on 1 + r, then shift weights back by the leading monomial.
-        inner_target = target + self.lattice.weight(lt.element)
-        r = (inv_monomial * self) - NovikovElement.one(self.lattice)
+        inner_target = target + Fraction(lat._kweight(lt), lat._den)
+        r = (inv_monomial * self) - NovikovElement.one(lat)
         bound = _min_cutoff(r.cutoff, inner_target)
-        limit = self.lattice._scaled_ceil(bound)
-        d = r._den
-        steps = [(h, c, self.lattice._scaled_weight(h)) for h, c in r._num.items()]
+        limit = lat._scaled_ceil(bound)
+        d, steps = r._den, r._num
         # Every step weighs at least the lightest one, so k steps stay below
         # the limit exactly when k times the lightest weight does.
-        n = max(0, (limit - 1) // min(wh for _, _, wh in steps)) if steps else 0
+        n = max(0, (limit - 1) // lat._kweight(min(steps))) if steps else 0
         # Python refuses to print an int of more digits than this (0 or absent: no
         # limit), so an inverse whose common denominator d^n has more is refused.
         printable = getattr(sys, "get_int_max_str_digits", int)()
         if d > 1 and printable and n > printable / math.log10(d):
             msg = "inverse below weight %s needs %d-digit denominators, over the %d that print"
             raise ExpansionLimitError(msg % (target, int(n * Fraction(math.log10(d))) + 1, printable))
-        weights = {self.lattice.identity(): 0}
-        monoid = list(weights)
+        # The enumeration stops past _INVERT_LIMIT elements, so no element
+        # takes more steps than that, and a lookup g - h one step more.
+        depth = min(n, _INVERT_LIMIT)
+        if (depth + 1) * r._reach >= _BOX:
+            _in_box("inverse below weight %s" % target, (depth + 1) * r._tighten())
+        top = lat._kbound(limit)
+        seen = {0}
+        monoid = [0]
         for g in monoid:
-            for h, _, wh in steps:
-                k, wk = g_add(g, h), weights[g] + wh
-                if wk < limit and k not in weights:
-                    weights[k] = wk
+            for h in steps:
+                k = g + h
+                if k < top and k not in seen:
+                    seen.add(k)
                     monoid.append(k)
             if len(monoid) > _INVERT_LIMIT:
                 raise ExpansionLimitError("inverse below weight %s needs more than %d terms" % (target, _INVERT_LIMIT))
-        t: dict[GroupElement, int] = {}
-        for g in sorted(monoid, key=weights.__getitem__):
-            acc = d ** (n + 1) if g == monoid[0] else 0
-            for h, rh, _ in steps:
-                acc -= rh * t.get(tuple(map(operator.sub, g, h)), 0)
+        # Keys sort by weight, and every step weighs more than 0, so the
+        # identity (key 0) comes first and each g - h before g.
+        monoid.sort()
+        dn = d**n
+        t: dict[int, int] = {0: dn}
+        for g in monoid[1:]:
+            acc = 0
+            for h, rh in steps.items():
+                acc -= rh * t.get(g - h, 0)
             t[g] = acc // d
-        return (NovikovElement._new(self.lattice, t, d**n, bound) * inv_monomial).truncate(target)
+        return (NovikovElement._new(lat, t, dn, bound, depth * r._reach) * inv_monomial).truncate(target)
 
     # -- comparison --------------------------------------------------------
 
@@ -369,14 +418,27 @@ def format_term(coefficient: Fraction, g: GroupElement) -> str:
     return "%s*g(%s)" % (coefficient, ",".join(str(x) for x in g))
 
 
+def _unprintable(coefficient: Fraction, g: GroupElement) -> ExpansionLimitError:
+    """The error for a coefficient with a part longer than Python prints."""
+    x = max(coefficient.numerator, coefficient.denominator)
+    digits = int(math.log10(x)) + 1
+    digits += (x >= 10**digits) - (x < 10 ** (digits - 1))
+    msg = "the coefficient at g(%s) has %d digits, over the %d that print"
+    return ExpansionLimitError(msg % (",".join(map(str, g)), digits, sys.get_int_max_str_digits()))
+
+
 def format_element(a: "NovikovElement", cutoff_suffix: bool = True) -> str:
     if not a._num:
         body = "0"
     else:
-        parts = []
-        for g in a.support():
-            c = a._num[g]
-            mag = format_term(Fraction(abs(c), a._den), g)
+        unkey, parts = a.lattice._unkey, []
+        for k in sorted(a._num):
+            c = a._num[k]
+            coefficient, g = Fraction(abs(c), a._den), unkey(k)
+            try:
+                mag = format_term(coefficient, g)
+            except ValueError:  # str refuses an int past sys.get_int_max_str_digits()
+                raise _unprintable(coefficient, g) from None
             if not parts:
                 parts.append(("-" + mag) if c < 0 else mag)
             else:

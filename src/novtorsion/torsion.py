@@ -24,6 +24,7 @@ from .linalg import (
     IndeterminatePivotError,
     Matrix,
     ShapeError,
+    _from_entries,
     as_matrix,
     determinant,
     mat_add,
@@ -101,7 +102,7 @@ class WhiteheadClass(_DeterminantClass):
     def trivial(self) -> bool:
         """Certified trivial below the cutoff; exact when the cutoff is None."""
         rep = self.representative
-        return rep._den == 1 and rep._num == {rep.lattice.identity(): 1}
+        return rep._den == 1 and rep._num == {0: 1}  # the constant 1: key 0 is the identity
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -127,6 +128,17 @@ def basis_change_class(
     det_even = determinant(lattice, even_transition)
     det_odd = determinant(lattice, odd_transition)
     return BasisChangeClass.from_unit(divide(det_even, det_odd, cutoff))
+
+
+def _minor(lattice, mat: Matrix, skip_rows, cols) -> Matrix:
+    """``mat`` on the rows outside ``skip_rows`` and on ``cols`` in order, from its live entries."""
+    skip, place = set(skip_rows), {j: p for p, j in enumerate(cols)}
+    rows = (
+        {place[j]: row[j] for j in live if j in place}
+        for i, (row, live) in enumerate(zip(mat, mat.live))
+        if i not in skip
+    )
+    return _from_entries(lattice, len(cols), rows)
 
 
 def milnor_torsion_unit(
@@ -165,9 +177,8 @@ def milnor_torsion_unit(
             "homology is nonzero: ranks %d/%d on modules of rank %d/%d"
             % (sel0.rank, sel1.rank, n0, n1)
         )
-    s0, s1 = sel0.columns, sel1.columns
-    minor_even = [[d1[i][j] for j in s1] for i in range(n0) if i not in s0]
-    minor_odd = [[d0[i][j] for j in s0] for i in range(n1) if i not in s1]
+    minor_even = _minor(lattice, d1, sel0.columns, sel1.columns)
+    minor_odd = _minor(lattice, d0, sel1.columns, sel0.columns)
     unit = basis_change_class(minor_even, minor_odd, lattice, cutoff)
     certify = _min_cutoff(square_cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
     return unit if certify is None else BasisChangeClass.from_unit(unit.representative.truncate(certify))

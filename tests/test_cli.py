@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,23 @@ def test_torsion_cutoff_past_printable_denominators_is_validate(capsys, tmp_path
     assert report_value(out, "message") == "inverse below weight 20000 needs 9542-digit denominators, over the %d that print" % limit
     code, out = run(capsys, "torsion", str(path), "--cutoff", "40")
     assert code == EXIT_OK and report_value(out, "cutoff") == "40"
+
+
+def test_torsion_with_unprintable_numerators_is_validate(capsys, tmp_path):
+    # the inverse of 1 - 7*g(1) has integer coefficients 7^k: past some k
+    # they have more digits than Python prints, although d = 1 does not
+    with open(fixture("even_source.cplx"), encoding="utf-8") as fh:
+        text = fh.read().replace("(1 - 1*g(1))", "(1 - 7*g(1))")
+    path = tmp_path / "seven.cplx"
+    path.write_text(text, encoding="utf-8")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not 0 < limit < 5000:
+        pytest.skip("7^5999 prints under this interpreter's limit")
+    code, out = run(capsys, "torsion", str(path), "--cutoff", "6000")
+    assert code == EXIT_VALIDATE and report_value(out, "category") == "validate"
+    first = math.ceil(limit / math.log10(7))  # the least k with 7^k >= 10^limit
+    expected = "the coefficient at g(%d) has %d digits, over the %d that print" % (first, limit + 1, limit)
+    assert report_value(out, "message") == expected
 
 
 def test_modular_grading_through_cli(capsys):

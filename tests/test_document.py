@@ -65,6 +65,14 @@ def test_undeclared_generator_names_line():
     assert err.value.line == 14
 
 
+def test_coordinate_outside_the_box_names_it():
+    text = TWO_TERM.replace("(1 - 1*g(1))*b", "(1 - 1*g(1099511627776))*b")
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(text)
+    assert str(err.value) == "line 14: coordinate 1099511627776 is outside the box |x| < 2**31"
+    assert err.value.line == 14
+
+
 def test_duplicate_generator_rejected():
     text = TWO_TERM.replace("[module 2]\nb", "[module 2]\na")
     with pytest.raises(DocumentParseError) as err:

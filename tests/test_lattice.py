@@ -2,10 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from novtorsion import DimensionMismatchError, Lattice, NovikovElement, divide
-from novtorsion.lattice import g_add, g_neg
+from novtorsion.lattice import _BOX, g_add, g_neg
+from novtorsion.series import ExpansionLimitError
 
 from support import odd_lattice, weight_lattices
 
@@ -210,3 +211,82 @@ def test_scaled_ceiling_agrees_with_cutoff_comparison(lat):
                 assert (lat._scaled_weight(g) < bound) == (lat.weight(g) < w)
         # a term exactly at the cutoff weight is not below it
         assert lat._scaled_weight(c) >= lat._scaled_ceil(lat.weight(c))
+
+
+# -- packed keys -------------------------------------------------------------------
+
+#: k1, k2, the tie lattice, the odd lattice (negative weight) and one with a zero weight
+KEY_LATTICES = weight_lattices() + [Lattice(3, [0, -1, Fraction(5, 3)], [0, 0, 0])]
+KEY_IDS = ["k1", "k2", "tie", "odd", "zero"]
+EDGE = (0, 1, -1, _BOX - 1, -(_BOX - 1), _BOX - 2, -(_BOX - 2))
+
+
+def box_coords(rank, reach=_BOX - 1):
+    """Coordinates with |x| <= reach, often at the edge of that range."""
+    edge = [x for x in EDGE if abs(x) <= reach] + [reach, -reach]
+    return st.tuples(*[st.one_of(st.sampled_from(edge), st.integers(-reach, reach))] * rank)
+
+
+@pytest.mark.parametrize("lat", KEY_LATTICES, ids=KEY_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_key_round_trip_at_the_box_edge(lat, data):
+    g = data.draw(box_coords(lat.rank))
+    k = lat._key(lat._check(g))
+    assert lat._unkey(k) == g
+    assert lat._kweight(k) == lat._scaled_weight(g)
+
+
+@pytest.mark.parametrize("lat", KEY_LATTICES, ids=KEY_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_key_is_a_homomorphism_inside_the_box(lat, data):
+    g, h = (data.draw(box_coords(lat.rank, _BOX // 2 - 1)) for _ in range(2))
+    assert lat._key(g) + lat._key(h) == lat._key(g_add(g, h))
+    assert -lat._key(g) == lat._key(g_neg(g))
+    assert lat._key(lat.identity()) == 0
+
+
+@pytest.mark.parametrize("lat", KEY_LATTICES, ids=KEY_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_keys_sort_as_scaled_weight_then_coordinates(lat, data):
+    points = data.draw(st.lists(box_coords(lat.rank), min_size=2, max_size=12))
+    by_key = sorted(points, key=lat._key)
+    assert by_key == sorted(points, key=lambda g: (lat._scaled_weight(g), g))
+
+
+@pytest.mark.parametrize("lat", KEY_LATTICES, ids=KEY_IDS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_key_bound_is_the_scaled_weight_bound(lat, data):
+    g = data.draw(box_coords(lat.rank))
+    w = lat._scaled_weight(g)
+    for bound in (w - 1, w, w + 1, w + data.draw(st.integers(-10**12, 10**12))):
+        assert (lat._key(g) < lat._kbound(bound)) == (w < bound)
+
+
+@pytest.mark.parametrize("lat", KEY_LATTICES, ids=KEY_IDS)
+def test_coordinates_outside_the_box_are_refused(lat):
+    for x in (_BOX, -_BOX, 2**40):
+        g = (0,) * (lat.rank - 1) + (x,)
+        with pytest.raises(ValueError, match=r"^coordinate %d is outside the box \|x\| < 2\*\*31$" % x):
+            lat._check(g)
+        with pytest.raises(ValueError, match="outside the box"):
+            NovikovElement.monomial(lat, 1, g)
+
+
+def test_products_leaving_the_box_are_refused():
+    lat = Lattice(1, [1], [0])
+    half = NovikovElement.monomial(lat, 1, (_BOX // 2,))
+    assert (half * NovikovElement.monomial(lat, 1, (_BOX // 2 - 1,))).terms == {(_BOX - 1,): 1}
+    with pytest.raises(ExpansionLimitError, match=r"^a product may reach coordinate %d, outside the box" % _BOX):
+        half * half
+    # a carried bound past the box is first recomputed from the terms
+    near_one = half * NovikovElement.monomial(lat, 1, (1 - _BOX // 2,))
+    assert (near_one * near_one).terms == {(2,): 1}
+    # the inverse's chain of steps would leave the box before its cutoff
+    unit = NovikovElement(lat, {(0,): 1, (2**29,): 1})
+    with pytest.raises(ExpansionLimitError, match=r"^inverse below weight %d may reach coordinate" % 2**31):
+        unit.invert(2**31)
+    assert unit.invert(2**30 + 1).terms == {(0,): 1, (2**29,): -1, (2**30,): 1}
