@@ -79,9 +79,8 @@ def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]]
     cutoff below which the other entries are certified zero."""
     nonzero = []
     cutoff: Optional[Fraction] = None
-    for i, (row, cols) in enumerate(zip(mat, mat.live)):
-        for j in cols:
-            e = row[j]
+    for i, row in enumerate(mat.live):
+        for j, e in row.items():
             if e._num:
                 nonzero.append((i, j, e))
             else:
@@ -312,7 +311,7 @@ def mapping_cone(f: ChainMap) -> BasedComplex:
         t = shift(d, 1)
         d2, d1, fb = tgt.differential(d), src.differential(t), f.block(t)
         if (d + 1) % 2:
-            fb = _from_entries(lattice, fb.ncols, ({j: -row[j] for j in cols} for row, cols in zip(fb, fb.live)))
+            fb = _from_entries(lattice, fb.ncols, ({j: -e for j, e in row.items()} for row in fb.live))
         blocks = ((0, 0, d2), (0, d2.ncols, fb), (len(d2), d2.ncols, d1))
         mat = _from_blocks(lattice, len(d2) + len(d1), d2.ncols + d1.ncols, blocks)
         if any(mat.live):
@@ -330,7 +329,7 @@ def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[in
     """
     for d, t in transitions.items():
         n = cplx.rank(d)
-        if len(t) != n or any(len(r) != n for r in t):
+        if as_matrix(t).shape != (n, n):
             raise ShapeError("transition at degree %d must be %dx%d" % (d, n, n))
         inv = inverses.get(d)
         if inv is None:

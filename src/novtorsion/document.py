@@ -377,9 +377,9 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
     images: dict[str, list[Entry]] = {}
     for d, mat in mats.items():
         sources = cplx.generators(d)
-        for row, cols, tgt in zip(mat, mat.live, cplx.generators(cplx.shift(d, step))):
-            for j in cols:
-                images.setdefault(sources[j], []).append((row[j], tgt))
+        for row, tgt in zip(mat.live, cplx.generators(cplx.shift(d, step))):
+            for j, e in row.items():
+                images.setdefault(sources[j], []).append((e, tgt))
     return {src: tuple(entries) for src, entries in images.items()}
 
 

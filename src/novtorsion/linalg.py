@@ -1,19 +1,19 @@
-"""Small dense matrices over Novikov elements.
+"""Small sparse matrices over Novikov elements.
 
-A ``Matrix`` is a tuple of row tuples that also records its column count
-and lattice, so a matrix with no rows or no columns keeps its shape and
-products through an empty dimension come out the right size.  One
-constructor, ``_from_entries``, lays out every matrix: it checks the lattice
-of each given entry, leaves out exact zeros and records at birth, per row,
-the columns of the live entries (a truncated zero stays live for its
-cutoff).  ``mat_mul`` is a row-wise (Gustavson) product over live entries,
-so an output entry that no product reaches is the exact zero.  Determinants
-use a division-free subset expansion so truncation bookkeeping stays with
-the ring operations; pivot selection uses fraction-free column reduction
-where every pivot must carry an unambiguous invertible leading term.  Each
-pivot step updates only the live submatrix (unused rows of unprocessed
-columns), the only entries a later step reads, and multiplies by no exact
-zero.
+A ``Matrix`` stores only its live entries, per row a ``{column: entry}``
+dict in increasing column order; live means not an exact zero (a truncated
+zero stays live for its cutoff).  It also records its column count and
+lattice, so a matrix with no rows or no columns keeps its shape and
+products through an empty dimension come out the right size.  Dense rows,
+the exact zero off the live entries, are a read-only view.  One
+constructor, ``_from_entries``, lays out every matrix: it checks the
+lattice of each given entry and leaves out exact zeros.  ``mat_mul`` is a
+row-wise (Gustavson) product, so an output entry that no product reaches
+is the exact zero.  Determinants use a division-free subset expansion so
+truncation bookkeeping stays with the ring operations; pivot selection
+uses fraction-free column reduction where every pivot must carry an
+unambiguous invertible leading term, and each step updates only the live
+entries of the unused rows of later columns, multiplying by no exact zero.
 """
 
 from __future__ import annotations
@@ -44,55 +44,58 @@ def _is_live(e: NovikovElement) -> bool:
     return bool(e._num) or e.cutoff is not None
 
 
-class Matrix(tuple):
-    """Row tuples with a known ``ncols``, ``lattice`` and ``live`` record.
+class Matrix:
+    """A matrix as its live entries, with a known ``ncols`` and ``lattice``.
 
-    Indexing, ``len`` and row iteration are those of the row tuple.
-    ``lattice`` is None only for a matrix given without entries; ``live``
-    lists, per row, the increasing columns of its live entries.  Every
-    matrix is born in ``_from_entries``, which sets all three.
+    ``live[i]`` maps the columns of row i's live entries, in increasing
+    order, to the entries.  ``m[i]``, ``iter``, ``len``, ``==`` and ``repr``
+    are those of the dense row tuples, a view the algebra never reads.
+    ``lattice`` is None only for a matrix given without entries.
     """
 
-    ncols: int
-    lattice: Optional[Lattice]
-    live: tuple[tuple[int, ...], ...]
+    __slots__ = ("live", "ncols", "lattice")
+
+    def __init__(self, live: tuple[dict[int, NovikovElement], ...], ncols: int, lattice: Optional[Lattice]):
+        self.live, self.ncols, self.lattice = live, ncols, lattice
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self), self.ncols
+        return len(self.live), self.ncols
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+    def __getitem__(self, i: int) -> tuple[NovikovElement, ...]:
+        """Row i as a dense tuple, the exact zero off its live entries."""
+        row, z = self.live[i], NovikovElement.zero(self.lattice)
+        return tuple(row.get(j, z) for j in range(self.ncols))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.live)))
 
     def __eq__(self, other):
-        if isinstance(other, Matrix) and other.ncols != self.ncols:
-            return False
-        return tuple.__eq__(self, other)
+        if isinstance(other, Matrix):
+            return self.ncols == other.ncols and tuple(self) == tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = tuple.__hash__
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _from_entries(lattice: Optional[Lattice], ncols: int, rows_of_entries) -> Matrix:
-    """The matrix with one ``{column: entry}`` per row, and its live record;
-    left-out columns and exact zeros hold the exact zero.  Raises
-    LatticeMismatchError on an entry over another lattice, exact zeros too."""
-    z = NovikovElement.zero(lattice)
-    rows, live = [], []
+    """The matrix with one ``{column: entry}`` per row, exact zeros left out.
+    Raises LatticeMismatchError on an entry over another lattice, exact zeros too."""
+    live = []
     for entries in rows_of_entries:
-        row, cols = [z] * ncols, []
+        row = {}
         for j in sorted(entries):
             e = entries[j]
             if e.lattice is not lattice and e.lattice != lattice:
                 raise LatticeMismatchError("matrix entries over different lattices")
             if _is_live(e):
                 row[j] = e
-                cols.append(j)
-        rows.append(tuple(row))
-        live.append(tuple(cols))
-    m = Matrix(rows)
-    m.ncols, m.lattice, m.live = ncols, lattice, tuple(live)
-    return m
+        live.append(row)
+    return Matrix(tuple(live), ncols, lattice)
 
 
 def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
@@ -100,8 +103,8 @@ def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
     block)`` at its place, taken from the block's live entries."""
     rows: list[dict[int, NovikovElement]] = [{} for _ in range(nrows)]
     for r0, c0, block in blocks:
-        for i, (row, cols) in enumerate(zip(block, block.live)):
-            rows[r0 + i].update((c0 + j, row[j]) for j in cols)
+        for i, row in enumerate(block.live):
+            rows[r0 + i].update((c0 + j, e) for j, e in row.items())
     return _from_entries(lattice, ncols, rows)
 
 
@@ -149,7 +152,8 @@ def _entrywise(op, a, b) -> Matrix:
     a, b, lattice = _operands(a, b)
     if a.shape != b.shape:
         raise ShapeError("entrywise operation on %dx%d and %dx%d" % (a.shape + b.shape))
-    out = ({j: op(ra[j], rb[j]) for j in {*la, *lb}} for ra, rb, la, lb in zip(a, b, a.live, b.live))
+    z = NovikovElement.zero(lattice)
+    out = ({j: op(ra.get(j, z), rb.get(j, z)) for j in {*ra, *rb}} for ra, rb in zip(a.live, b.live))
     return _from_entries(lattice, a.ncols, out)
 
 
@@ -171,12 +175,11 @@ def mat_mul(a, b) -> Matrix:
     if lattice is None and a and b.ncols:
         raise ShapeError("a product through an empty dimension needs a matrix with entries")
     out = []
-    for row, cols in zip(a, a.live):
+    for row in a.live:
         acc: dict[int, NovikovElement] = {}
-        for k in cols:
-            x, b_row = row[k], b[k]
-            for j in b.live[k]:
-                p = x * b_row[j]
+        for k, x in row.items():
+            for j, y in b.live[k].items():
+                p = x * y
                 s = acc.get(j)
                 acc[j] = p if s is None else s + p
         out.append(acc)
@@ -196,8 +199,8 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
         raise LatticeMismatchError("matrix entries not over the given lattice")
     n = len(rows)
     prev = {0: NovikovElement.one(lattice)}
-    for i, (row, cols) in enumerate(zip(rows, rows.live)):
-        live = [(1 << j, row[j]) for j in cols]
+    for i, row in enumerate(rows.live):
+        live = [(1 << j, e) for j, e in row.items()]
         cur: dict[int, NovikovElement] = {}
         for mask, val in prev.items():
             if not _is_live(val):
@@ -256,22 +259,23 @@ def select_column_pivots(
     rows = as_matrix(rows, ncols)
     if rows.lattice not in (None, lattice):
         raise LatticeMismatchError("matrix entries not over the given lattice")
-    m, ncols = rows.shape
-    cols = [[rows[i][j] for i in range(m)] for j in range(ncols)]
-    order = list(column_order) if column_order is not None else list(range(ncols))
-    if sorted(order) != list(range(ncols)):
+    order = list(column_order) if column_order is not None else list(range(rows.ncols))
+    if sorted(order) != list(range(rows.ncols)):
         raise ValueError("column_order must be a permutation of the column indices")
-    used = [False] * m
+    # each column as the live entries of its unused rows
+    cols: list[dict[int, NovikovElement]] = [{} for _ in range(rows.ncols)]
+    for i, row in enumerate(rows.live):
+        for j, e in row.items():
+            cols[j][i] = e
     pivots = []
     cutoff: Optional[Fraction] = None
     for pos, j in enumerate(order):
-        pick = None
-        ambiguous = False
-        for i in range(m):
-            if used[i] or not cols[j][i]._num:
+        col, pick, ambiguous = cols[j], None, False
+        for i in sorted(col):
+            if not col[i]._num:
                 continue
             try:
-                cols[j][i].leading_term()
+                col[i]._lead()
             except AmbiguousLeadingTermError:
                 ambiguous = True
                 continue
@@ -282,23 +286,22 @@ def select_column_pivots(
                 raise IndeterminatePivotError(
                     "column %d has only ambiguous-leading-term entries left" % j
                 )
-            for i in range(m):
-                if not used[i]:
-                    cutoff = _min_cutoff(cutoff, cols[j][i].cutoff)
+            for e in col.values():
+                cutoff = _min_cutoff(cutoff, e.cutoff)
             continue
-        pivot = cols[j][pick]
+        pivot = col.pop(pick)
         pivots.append((pick, j))
-        used[pick] = True
-        free = [(r, _is_live(cols[j][r])) for r in range(m) if not used[r]]
         for k in order[pos + 1 :]:
-            col, e = cols[k], cols[k][pick]
-            if not _is_live(e):
+            other = cols[k]
+            e = other.pop(pick, None)
+            if e is None:
                 continue
             # pivot*x - e*y, leaving out a product with an exact zero
-            for r, y_live in free:
-                x = col[r]
-                if y_live:
-                    col[r] = pivot * x - e * cols[j][r] if _is_live(x) else -(e * cols[j][r])
-                elif _is_live(x):
-                    col[r] = pivot * x
+            for r in col.keys() | other.keys():
+                x, y = other.get(r), col.get(r)
+                v = pivot * x if y is None else -(e * y) if x is None else pivot * x - e * y
+                if _is_live(v):
+                    other[r] = v
+                else:  # only a difference cancels to an exact zero
+                    del other[r]
     return PivotSelection(tuple(pivots), cutoff)

@@ -19,12 +19,12 @@ lattice's packed form of a group element (see ``lattice``): one int with
 the scaled weight in its top field.  So a product term's key is the sum of
 its factors' keys, the cutoff filter is one int comparison, the least key
 is the leading monomial, and sorted keys are in ``(weight, coordinates)``
-order.  The public constructor validates its input and encodes it once;
-every other result comes from ``_new``, which skips both.  Tuples and
-``Fraction`` appear only at the public API: the read-only ``terms`` view
-(built once per element), ``coefficient``, ``support``, ``leading_slice``,
-``leading_term``, ``in_lambda0``, ``min_weight``, cutoffs and
-``format_element``.
+order.  The public constructor checks and keys each term in one pass and
+builds through ``_new``, which trusts its input and makes every other
+result.  Tuples and ``Fraction`` appear only at the public API: the
+read-only ``terms`` view (built once per element), ``coefficient``,
+``support``, ``leading_slice``, ``leading_term``, ``in_lambda0``,
+``min_weight``, cutoffs and ``format_element``.
 
 A key is exact while every coordinate stays in the lattice's box
 ``|x| < 2**31``.  Each element carries ``_reach``, a bound on the absolute
@@ -114,24 +114,25 @@ class NovikovElement:
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
         if cutoff is not None:
             cutoff = _rational(cutoff)
-        merged = {}
+        merged, reach = {}, 0
         if terms:
             for g, c in terms.items() if hasattr(terms, "items") else terms:
                 g, c = lattice._check(g), c if type(c) is int else _rational(c)
-                prev = merged.get(g)
-                merged[g] = c if prev is None else prev + c
+                k = lattice._key(g)
+                prev = merged.get(k)
+                merged[k] = c if prev is None else prev + c
+                reach = max((reach, *map(abs, g)))
         den = math.lcm(*(c.denominator for c in merged.values()))
-        num = {lattice._key(g): c.numerator * (den // c.denominator) for g, c in merged.items()}
-        out = NovikovElement._new(lattice, num, den, cutoff, max([abs(x) for g in merged for x in g], default=0))
-        self.lattice, self.cutoff, self._terms = lattice, cutoff, None
-        self._num, self._den, self._reach = out._num, out._den, out._reach
+        num = {k: c.numerator * (den // c.denominator) for k, c in merged.items()}
+        NovikovElement._new(lattice, num, den, cutoff, reach, self)
 
     @classmethod
-    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction], reach: int) -> "NovikovElement":
+    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction], reach: int, out=None) -> "NovikovElement":
         """Trusted constructor: ``num`` maps keys to int numerators over
         ``den > 0``, ``cutoff`` is a Fraction or None, and no coordinate
         exceeds ``reach`` in absolute value.  Drops zeros and weights >=
-        cutoff, then divides out the common gcd."""
+        cutoff, then divides out the common gcd.  Fills ``out``, the public
+        constructor's instance, when given, else a new element."""
         if cutoff is None:
             num = {g: c for g, c in num.items() if c}
         else:
@@ -142,7 +143,7 @@ class NovikovElement:
             if k != 1:
                 num = {g: c // k for g, c in num.items()}
                 den //= k
-        out = object.__new__(cls)
+        out = object.__new__(cls) if out is None else out
         out.lattice, out.cutoff, out._num, out._den, out._reach, out._terms = lattice, cutoff, num, den, reach, None
         return out
 

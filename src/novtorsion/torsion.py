@@ -133,11 +133,7 @@ def basis_change_class(
 def _minor(lattice, mat: Matrix, skip_rows, cols) -> Matrix:
     """``mat`` on the rows outside ``skip_rows`` and on ``cols`` in order, from its live entries."""
     skip, place = set(skip_rows), {j: p for p, j in enumerate(cols)}
-    rows = (
-        {place[j]: row[j] for j in live if j in place}
-        for i, (row, live) in enumerate(zip(mat, mat.live))
-        if i not in skip
-    )
+    rows = ({place[j]: e for j, e in row.items() if j in place} for i, row in enumerate(mat.live) if i not in skip)
     return _from_entries(lattice, len(cols), rows)
 
 

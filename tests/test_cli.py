@@ -196,6 +196,20 @@ def test_rel_torsion_without_map_flag_is_usage(capsys):
     assert "--map" in report_value(out, "message")
 
 
+def test_rel_torsion_of_a_chain_map_on_a_complex_with_nonzero_square(capsys, tmp_path):
+    # the identity commutes with any differential, so the cone's failure is the
+    # source's own d^2 and is reported as it is, not as a chain-map failure
+    with open(fixture("bad_square.cplx"), encoding="utf-8") as fh:
+        text = fh.read() + "\n[map h]\na: (1)*a\nb: (1)*b\nc: (1)*c\n"
+    path = tmp_path / "bad_square_map.cplx"
+    path.write_text(text, encoding="utf-8")
+    code, out = run(capsys, "rel-torsion", str(path), "--map", "h")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    expected = "complex does not square to zero: d^2 from degree -1 is nonzero at (s_c <- s_a): 1*g(1)"
+    assert report_value(out, "message") == expected
+
+
 def test_torsion_cutoff_flag_controls_truncation(capsys):
     # even-degree source: the torsion is the inverse series, so it truncates
     code, out = run(capsys, "torsion", fixture("even_source.cplx"), "--cutoff", "6")

@@ -255,7 +255,7 @@ def test_built_documents_keep_their_live_record_and_reject_foreign_entries():
     cplx = build_complex(ComplexDocument(LAT, modules, differential))
     d0 = cplx.differential(0)
     # the exact zero given for (c <- a) is not live; the truncated zero is
-    assert d0.live == ((1,), (0,))
+    assert [list(row) for row in d0.live] == [[1], [0]]
     assert document_from_complex(cplx).differential == {"a": ((Z, "d"),), "b": ((trunc_zero, "c"),)}
     foreign = NovikovElement.one(Lattice(1, [2], [0]))
     with pytest.raises(LatticeMismatchError):

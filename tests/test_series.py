@@ -304,6 +304,15 @@ def test_scalars_act_through_mul_only():
     assert ONE * Fraction(1, 2) == NovikovElement.monomial(LAT, Fraction(1, 2), (0,))
 
 
+def test_min_weight_of_an_empty_element_mul_by_a_non_scalar_and_repr():
+    assert NovikovElement.zero(LAT).min_weight() is None
+    assert NovikovElement.zero(LAT, cutoff=2).min_weight() is None
+    with pytest.raises(TypeError):
+        ONE * "x"
+    assert repr(ONE - Z) == "<NovikovElement 1 - 1*g(1)>"
+    assert repr(Z.truncate(3)) == "<NovikovElement 1*g(1) @cutoff=3>"
+
+
 def geometric_inverse(a, target_cutoff=None):
     """Reference inverse: the alternating geometric series in r, each power a
     full truncated product, for a = c*g*(1 + r)."""

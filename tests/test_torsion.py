@@ -80,6 +80,11 @@ def test_mixed_class_kinds_do_not_combine():
     assert basis.to_whitehead() == white
 
 
+def test_whitehead_class_prints_its_representative():
+    assert str(whitehead_normalize(Z * (2 * ONE - Z))) == "2 - 1*g(1)"
+    assert str(whitehead_normalize(-(ONE + Z).truncate(3))) == "1 + 1*g(1) @cutoff=3"
+
+
 # -- milnor torsion ----------------------------------------------------------
 
 
