@@ -129,9 +129,11 @@ class Lattice:
         """D * weight(g) for an already checked element g."""
         return sum(map(operator.mul, self._num, g))
 
-    def _scaled_ceil(self, w: Fraction) -> int:
-        """Ceiling of D * w: an integer n is below it exactly when n < D * w."""
-        return -(-w.numerator * self._den // w.denominator)
+    def _scaled_split(self, w: Fraction) -> tuple:
+        """D * w as its floor k and remainder f, 0 or a Fraction in (0, 1):
+        an integer n is below D * w exactly when n < k + (f > 0)."""
+        k, r = divmod(w.numerator * self._den, w.denominator)
+        return k, Fraction(r, w.denominator) if r else 0
 
     def chern(self, g: GroupElement) -> int:
         """Value of the integral homomorphism, sum of c1[i]*g[i]."""

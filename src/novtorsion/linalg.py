@@ -41,7 +41,7 @@ class IndeterminatePivotError(ArithmeticError):
 
 def _is_live(e: NovikovElement) -> bool:
     """Not an exact zero; a truncated zero stays live for its cutoff."""
-    return bool(e._num) or e.cutoff is not None
+    return bool(e._num) or e._ck is not None
 
 
 class Matrix:

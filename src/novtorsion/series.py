@@ -21,10 +21,23 @@ its factors' keys, the cutoff filter is one int comparison, the least key
 is the leading monomial, and sorted keys are in ``(weight, coordinates)``
 order.  The public constructor checks and keys each term in one pass and
 builds through ``_new``, which trusts its input and makes every other
-result.  Tuples and ``Fraction`` appear only at the public API: the
-read-only ``terms`` view (built once per element), ``coefficient``,
-``support``, ``leading_slice``, ``leading_term``, ``in_lambda0``,
-``min_weight``, cutoffs and ``format_element``.
+result.
+
+The cutoff is kept on the same scale, ``D * cutoff`` with ``D`` the
+lattice's ``_den``, as ``_ck``, its floor (None when exact), and ``_cf``,
+the remainder: 0, or a ``Fraction`` in (0, 1) for a cutoff off the ``1/D``
+grid.  A remainder comes only from a cutoff given from outside (the
+constructor, ``zero``, ``truncate``, the target of ``invert``), and each
+result takes one operand's: ``*`` adds the scaled least weight of one
+factor to the other's ``_ck``, ``+`` takes the lower ``(_ck, _cf)`` pair,
+and ``_new`` keeps ``key < _kbound(_ck + bool(_cf))``.  Only two factors
+with no known terms add two remainders, carrying past 1.  So ``*``, ``+``,
+``-`` and ``_new`` do int arithmetic only.
+
+Tuples and ``Fraction`` appear only at the public API: the read-only
+``terms`` view (built once per element), ``coefficient``, ``support``,
+``leading_slice``, ``leading_term``, ``in_lambda0``, ``min_weight``, the
+``cutoff`` property (rebuilt on each read) and ``format_element``.
 
 A key is exact while every coordinate stays in the lattice's box
 ``|x| < 2**31``.  Each element carries ``_reach``, a bound on the absolute
@@ -106,14 +119,21 @@ def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fracti
     return min(a, b)
 
 
+def _lower(ck: Optional[int], cf, k: Optional[int], f) -> tuple:
+    """The lower of two scaled cutoffs ``ck + cf`` and ``k + f``, each an int
+    part (None for no cutoff) and a fractional part, 0 or a Fraction in (0, 1)."""
+    if ck is None or k is not None and (k < ck or k == ck and f < cf):
+        return k, f
+    return ck, cf
+
+
 class NovikovElement:
     """A truncated series over a lattice with exact rational coefficients."""
 
-    __slots__ = ("lattice", "cutoff", "_num", "_den", "_reach", "_terms")
+    __slots__ = ("lattice", "_ck", "_cf", "_num", "_den", "_reach", "_terms")
 
     def __init__(self, lattice: Lattice, terms=None, cutoff=None):
-        if cutoff is not None:
-            cutoff = _rational(cutoff)
+        ck, cf = (None, 0) if cutoff is None else lattice._scaled_split(_rational(cutoff))
         merged, reach = {}, 0
         if terms:
             for g, c in terms.items() if hasattr(terms, "items") else terms:
@@ -124,19 +144,20 @@ class NovikovElement:
                 reach = max((reach, *map(abs, g)))
         den = math.lcm(*(c.denominator for c in merged.values()))
         num = {k: c.numerator * (den // c.denominator) for k, c in merged.items()}
-        NovikovElement._new(lattice, num, den, cutoff, reach, self)
+        NovikovElement._new(lattice, num, den, ck, cf, reach, self)
 
     @classmethod
-    def _new(cls, lattice: Lattice, num: dict, den: int, cutoff: Optional[Fraction], reach: int, out=None) -> "NovikovElement":
+    def _new(cls, lattice: Lattice, num: dict, den: int, ck: Optional[int], cf, reach: int, out=None) -> "NovikovElement":
         """Trusted constructor: ``num`` maps keys to int numerators over
-        ``den > 0``, ``cutoff`` is a Fraction or None, and no coordinate
+        ``den > 0``, the scaled cutoff is ``ck + cf`` (see the module
+        docstring; ``ck`` None for an exact element), and no coordinate
         exceeds ``reach`` in absolute value.  Drops zeros and weights >=
         cutoff, then divides out the common gcd.  Fills ``out``, the public
         constructor's instance, when given, else a new element."""
-        if cutoff is None:
+        if ck is None:
             num = {g: c for g, c in num.items() if c}
         else:
-            top = lattice._kbound(lattice._scaled_ceil(cutoff))
+            top = lattice._kbound(ck + bool(cf))  # the ceiling of ck + cf
             num = {g: c for g, c in num.items() if c and g < top}
         if den != 1:
             k = math.gcd(den, *num.values())
@@ -144,8 +165,12 @@ class NovikovElement:
                 num = {g: c // k for g, c in num.items()}
                 den //= k
         out = object.__new__(cls) if out is None else out
-        out.lattice, out.cutoff, out._num, out._den, out._reach, out._terms = lattice, cutoff, num, den, reach, None
+        out.lattice, out._ck, out._cf, out._num, out._den, out._reach, out._terms = lattice, ck, cf, num, den, reach, None
         return out
+
+    def __reduce__(self):
+        # copy and pickle through _new, leaving out the cached ``terms`` view
+        return NovikovElement._new, (self.lattice, self._num, self._den, self._ck, self._cf, self._reach)
 
     def _tighten(self) -> int:
         """Replace the carried coordinate bound by the exact one, read from the keys."""
@@ -157,11 +182,11 @@ class NovikovElement:
 
     @classmethod
     def zero(cls, lattice: Lattice, cutoff=None) -> "NovikovElement":
-        return cls._new(lattice, {}, 1, None if cutoff is None else _rational(cutoff), 0)
+        return cls(lattice, cutoff=cutoff)
 
     @classmethod
     def one(cls, lattice: Lattice) -> "NovikovElement":
-        return cls._new(lattice, {0: 1}, 1, None, 0)
+        return cls._new(lattice, {0: 1}, 1, None, 0, 0)
 
     @classmethod
     def monomial(cls, lattice: Lattice, coefficient, g: GroupElement) -> "NovikovElement":
@@ -185,7 +210,13 @@ class NovikovElement:
 
     @property
     def is_exact(self) -> bool:
-        return self.cutoff is None
+        return self._ck is None
+
+    @property
+    def cutoff(self) -> Optional[Fraction]:
+        """Weight from which on the terms are unknown; None when exact."""
+        ck, cf = self._ck, self._cf  # cf is an int 0 or a Fraction: both have a numerator and a denominator
+        return None if ck is None else Fraction(ck * cf.denominator + cf.numerator, cf.denominator * self.lattice._den)
 
     def support(self):
         return list(map(self.lattice._unkey, sorted(self._num)))
@@ -199,11 +230,6 @@ class NovikovElement:
             return None
         lat = self.lattice
         return Fraction(lat._kweight(min(self._num)), lat._den)
-
-    def _floor(self) -> Optional[Fraction]:
-        """Lowest weight the true element could carry: its least known weight,
-        else its cutoff; None for an exact zero."""
-        return self.min_weight() if self._num else self.cutoff
 
     def _slice(self) -> list[int]:
         """Keys of the minimal-weight terms, sorted, so by coordinates."""
@@ -266,11 +292,11 @@ class NovikovElement:
             merged = {g: c * sa for g, c in self._num.items()}
             for g, c in other._num.items():
                 merged[g] = merged.get(g, 0) + c * sb
-        reach = max(self._reach, other._reach)
-        return NovikovElement._new(self.lattice, merged, den, _min_cutoff(self.cutoff, other.cutoff), reach)
+        ck, cf = _lower(self._ck, self._cf, other._ck, other._cf)
+        return NovikovElement._new(self.lattice, merged, den, ck, cf, max(self._reach, other._reach))
 
     def __neg__(self):
-        out = NovikovElement._new(self.lattice, {}, 1, self.cutoff, self._reach)
+        out = NovikovElement._new(self.lattice, {}, 1, self._ck, self._cf, self._reach)
         out._num, out._den = {g: -c for g, c in self._num.items()}, self._den
         return out
 
@@ -285,7 +311,8 @@ class NovikovElement:
                 return NotImplemented
             p, q = other.numerator, other.denominator
             num = {g: p * c for g, c in self._num.items()}
-            return NovikovElement._new(self.lattice, num, q * self._den, self.cutoff if p else None, self._reach)
+            ck, cf = self._ck if p else None, self._cf if p else 0
+            return NovikovElement._new(self.lattice, num, q * self._den, ck, cf, self._reach)
         self._same_lattice(other)
         reach = self._reach + other._reach
         if reach >= _BOX:
@@ -296,21 +323,29 @@ class NovikovElement:
             for h, d in other._num.items():
                 k = g + h
                 acc[k] = get(k, 0) + c * d
-        # Unknown terms start at one factor's floor plus the other's cutoff;
-        # unknown*unknown, from c_a + c_b on, is never below either bound.
-        cutoff = None
-        if other.cutoff is not None and (floor := self._floor()) is not None:
-            cutoff = floor + other.cutoff
-        if self.cutoff is not None and (floor := other._floor()) is not None:
-            cutoff = _min_cutoff(cutoff, self.cutoff + floor)
-        return NovikovElement._new(self.lattice, acc, self._den * other._den, cutoff, reach)
+        # Unknown terms start at one factor's least known weight plus the
+        # other's cutoff.  unknown*unknown, from c_a + c_b on, is never below
+        # such a bound, so c_a + c_b counts only when neither factor has known
+        # terms; there the two fractional parts add and carry past 1.
+        sk, ok = self._ck, other._ck
+        ck, cf = None, 0
+        if ok is not None and self._num:
+            ck, cf = self.lattice._kweight(min(self._num)) + ok, other._cf
+        if sk is not None:
+            if other._num:
+                ck, cf = _lower(ck, cf, self.lattice._kweight(min(other._num)) + sk, self._cf)
+            elif ok is not None and not self._num:
+                ck, cf = sk + ok, self._cf + other._cf
+                if cf >= 1:
+                    ck, cf = ck + 1, cf - 1 or 0
+        return NovikovElement._new(self.lattice, acc, self._den * other._den, ck, cf, reach)
 
     __rmul__ = __mul__
 
     def truncate(self, bound) -> "NovikovElement":
         """Forget everything at weight >= bound."""
-        cutoff = _min_cutoff(self.cutoff, _rational(bound))
-        return NovikovElement._new(self.lattice, self._num, self._den, cutoff, self._reach)
+        ck, cf = _lower(self._ck, self._cf, *self.lattice._scaled_split(_rational(bound)))
+        return NovikovElement._new(self.lattice, self._num, self._den, ck, cf, self._reach)
 
     def invert(self, target_cutoff=None) -> "NovikovElement":
         """Multiplicative inverse, correct below the returned cutoff.
@@ -330,17 +365,18 @@ class NovikovElement:
         if lt is None:
             raise NotInvertibleError("cannot invert an element with no known terms")
         lead = self._num[lt]
-        inv_monomial = NovikovElement._new(lat, {-lt: self._den if lead > 0 else -self._den}, abs(lead), None, self._reach)
+        inv_monomial = NovikovElement._new(lat, {-lt: self._den if lead > 0 else -self._den}, abs(lead), None, 0, self._reach)
         if len(self._num) == 1 and self.is_exact:
             return inv_monomial
         if target_cutoff is None:
             raise ValueError("target_cutoff is required unless the element is a pure monomial")
         target = _rational(target_cutoff)
-        # Work on 1 + r, then shift weights back by the leading monomial.
-        inner_target = target + Fraction(lat._kweight(lt), lat._den)
+        # Work on 1 + r, below the lower of r's cutoff and the target shifted
+        # by the leading monomial; weights are shifted back at the end.
+        tk, tf = lat._scaled_split(target)
         r = (inv_monomial * self) - NovikovElement.one(lat)
-        bound = _min_cutoff(r.cutoff, inner_target)
-        limit = lat._scaled_ceil(bound)
+        bk, bf = _lower(r._ck, r._cf, tk + lat._kweight(lt), tf)
+        limit = bk + bool(bf)
         d, steps = r._den, r._num
         # Every step weighs at least the lightest one, so k steps stay below
         # the limit exactly when k times the lightest weight does.
@@ -377,7 +413,7 @@ class NovikovElement:
             for h, rh in steps.items():
                 acc -= rh * t.get(g - h, 0)
             t[g] = acc // d
-        return (NovikovElement._new(lat, t, dn, bound, depth * r._reach) * inv_monomial).truncate(target)
+        return (NovikovElement._new(lat, t, dn, bk, bf, depth * r._reach) * inv_monomial).truncate(target)
 
     # -- comparison --------------------------------------------------------
 
@@ -399,7 +435,8 @@ class NovikovElement:
             self.lattice == other.lattice
             and self._num == other._num
             and self._den == other._den
-            and self.cutoff == other.cutoff
+            and self._ck == other._ck
+            and self._cf == other._cf
         )
 
     __hash__ = None
@@ -445,7 +482,7 @@ def format_element(a: "NovikovElement", cutoff_suffix: bool = True) -> str:
             else:
                 parts.append((" - " if c < 0 else " + ") + mag)
         body = "".join(parts)
-    if cutoff_suffix and a.cutoff is not None:
+    if cutoff_suffix and a._ck is not None:
         body += " @cutoff=%s" % a.cutoff
     return body
 
@@ -454,4 +491,5 @@ def divide(a: NovikovElement, b: NovikovElement, cutoff=None) -> NovikovElement:
     """a * b.invert(...), correct below cutoff; 0 / b is an exact 0 once b has a leading term."""
     if a.is_exact and a.is_zero and b.leading_term() is not None:
         return a
-    return a * b.invert(None if cutoff is None else _rational(cutoff) - (a._floor() or 0))
+    floor = a.min_weight() if a._num else a.cutoff  # the lowest weight a can carry
+    return a * b.invert(None if cutoff is None else _rational(cutoff) - (floor or 0))

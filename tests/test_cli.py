@@ -161,7 +161,7 @@ def test_ranks_on_truncated_shortfall_is_indeterminate(capsys):
 
 def test_reports_match_golden(capsys, monkeypatch):
     """Full stdout and exit code of validate, ranks and torsion on every
-    fixture, plus two flagged calls, byte for byte against cli_golden.json."""
+    fixture, plus the flagged calls, byte for byte against cli_golden.json."""
     monkeypatch.chdir(ROOT)
     with open(os.path.join(DATA, "cli_golden.json"), encoding="utf-8") as fh:
         cases = json.load(fh)

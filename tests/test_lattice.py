@@ -205,12 +205,15 @@ def test_scaled_ceiling_agrees_with_cutoff_comparison(lat):
     grid = list(itertools.product(range(-3, 4), repeat=lat.rank))
     for c in grid[::2]:
         for w in cutoffs_near(lat, c):
-            bound = lat._scaled_ceil(w)
-            assert isinstance(bound, int)
+            k, f = lat._scaled_split(w)
+            assert type(k) is int and (f == 0 and type(f) is int or type(f) is Fraction and 0 < f < 1)
+            assert k + f == lat._den * w
+            bound = k + (f > 0)  # the ceiling of D * w
             for g in grid:
                 assert (lat._scaled_weight(g) < bound) == (lat.weight(g) < w)
         # a term exactly at the cutoff weight is not below it
-        assert lat._scaled_weight(c) >= lat._scaled_ceil(lat.weight(c))
+        k, f = lat._scaled_split(lat.weight(c))
+        assert f == 0 and lat._scaled_weight(c) == k
 
 
 # -- packed keys -------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -73,17 +75,23 @@ def test_mul_cutoff_rule():
     assert out2.cutoff == 5
     assert out2.terms == {(3,): 1, (4,): 1}
     # a factor with no known terms bounds the product by its cutoff; an
-    # exact zero factor makes the product an exact zero
+    # exact zero factor makes the product an exact zero; the fractional
+    # parts of cutoffs off the weight grid add and carry
     zero, z2, z3 = NovikovElement.zero(LAT), NovikovElement.zero(LAT, 2), NovikovElement.zero(LAT, 3)
+    half, two_thirds = NovikovElement.zero(LAT, Fraction(1, 2)), NovikovElement.zero(LAT, Fraction(2, 3))
     cases = [
         (z2, z3, 5),
         (z2, ONE + Z, 2),
         (zero, z2, None),
         (z2, NovikovElement(LAT, {(1,): 1, (2,): 3}, cutoff=4), 3),
+        (half, half, 1),
+        (two_thirds, two_thirds, Fraction(4, 3)),
+        (half, z3, Fraction(7, 2)),
     ]
     for a, b, cutoff in cases:
         for out in (a * b, b * a):
             assert out.is_zero and out.cutoff == cutoff
+            assert out == NovikovElement.zero(LAT, cutoff)
 
 
 def test_zero_times_unknown_is_exact_zero():
@@ -523,3 +531,160 @@ def test_terms_is_a_read_only_view():
     copy[(0,)] = Fraction(5)
     assert e == NovikovElement(LAT, {(0,): 1, (1,): Fraction(1, 2)})
     assert str(e) == "1 + 1/2*g(1)" and e.coefficient((0,)) == 1
+
+
+def test_elements_copy_and_pickle_before_and_after_reading_terms():
+    k2 = k2_lattice()
+    elements = [
+        NovikovElement(LAT, {(1,): 2, (3,): Fraction(1, 3)}),
+        NovikovElement(LAT, {(1,): 2}, "17/2"),
+        NovikovElement(k2, {(0, 0): 1, (1, -1): Fraction(-5, 2)}, Fraction(17, 3)),
+    ]
+    for e in elements:
+        for read_terms in (False, True):
+            if read_terms:
+                assert e.terms
+            for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+                assert twin == e and twin.cutoff == e.cutoff and str(twin) == str(e)
+                assert twin.terms == e.terms and (twin * e).agree_below(e * e)
+
+
+def fraction_constructions(monkeypatch) -> list:
+    """Record every Fraction built from now on (through the constructor, or
+    through ``_from_coprime_ints``, which newer Pythons use for results)."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    return built
+
+
+def test_truncated_products_and_sums_build_no_fraction(monkeypatch):
+    k2 = k2_lattice()
+    operands = [
+        NovikovElement(k2, {(0, 0): 2, (1, 0): Fraction(1, 3), (-1, 1): 5}, Fraction(17, 3)),  # off the 1/71 grid
+        NovikovElement(k2, {(0, 0): Fraction(3, 4), (2, -1): -1}, 4),
+        NovikovElement(k2, {(1, 1): 1}, Fraction(7, 2)),
+        NovikovElement.zero(k2, Fraction(9, 2)),
+        NovikovElement.zero(k2, 3),
+    ]
+    # only two factors with no known terms, and cutoffs off the grid, add two
+    # fractional parts (test_mul_cutoff_rule)
+    pairs = [(a, b) for a in operands for b in operands if a._num or b._num or not (a._cf or b._cf)]
+    want = [(a * b, a + b, a - b) for a, b in pairs]
+    built = fraction_constructions(monkeypatch)
+    got = [(a * b, a + b, a - b) for a, b in pairs]
+    got += [(-a, 3 * a, a * 0) for a in operands]
+    assert built == []
+    monkeypatch.undo()
+    assert got[: len(want)] == want and len(pairs) == 22
+
+
+# -- the cutoff rule against a Fraction reference --------------------------------------
+
+CUTOFF_LATTICES = [k1_lattice(), k2_lattice(), tie_lattice()]
+
+
+def ref_min(*cutoffs):
+    return min((c for c in cutoffs if c is not None), default=None)
+
+
+def ref_mul(lat, a, b):
+    """(terms, cutoff) of the product of two (terms, cutoff) pairs: unknown
+    terms start at one factor's least known weight plus the other's cutoff,
+    or at the sum of the two cutoffs."""
+    (ta, ca), (tb, cb) = a, b
+    least = lambda terms: min(map(lat.weight, terms))
+    cutoff = ref_min(
+        least(ta) + cb if ta and cb is not None else None,
+        ca + least(tb) if tb and ca is not None else None,
+        ca + cb if ca is not None and cb is not None else None,
+    )
+    pairs = [(g_add(g, h), c * d) for g, c in ta.items() for h, d in tb.items()]
+    return reference_terms(lat, pairs, cutoff), cutoff
+
+
+def ref_invert(lat, a, target):
+    """(terms, cutoff) of a.invert(target) for a = c*g0*(1 + r): the sum of
+    (-r)^k below the lower of r's cutoff and target + weight(g0), shifted
+    back by g0; an exact monomial inverts exactly."""
+    (g0, c), *rest = sorted(a.terms.items(), key=lambda t: lat.weight(t[0]))
+    if not rest and a.is_exact:
+        return {g_neg(g0): 1 / c}, None
+    w0 = lat.weight(g0)
+    r = {g_add(g, g_neg(g0)): -d / c for g, d in rest}
+    bound = ref_min(target + w0, None if a.cutoff is None else a.cutoff - w0)
+    power = total = {lat.identity(): Fraction(1)}
+    while power:
+        power = reference_terms(lat, [(g_add(g, h), x * y) for g, x in power.items() for h, y in r.items()], bound)
+        total = reference_terms(lat, [*total.items(), *power.items()], None)
+    terms = {g_add(g, g_neg(g0)): x / c for g, x in reference_terms(lat, total.items(), bound).items()}
+    return terms, ref_min(target, None if a.cutoff is None else a.cutoff - 2 * w0)
+
+
+@st.composite
+def ref_cutoffs(draw, lat):
+    """The weight of a small element plus an offset on or off the 1/D grid."""
+    g = draw(st.tuples(*[st.integers(-3, 3)] * lat.rank))
+    offsets = [0, Fraction(1, lat._den), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3 * lat._den)]
+    return lat.weight(g) + draw(st.sampled_from(offsets))
+
+
+@st.composite
+def ref_operands(draw, lat):
+    """Up to four terms, exact or cut, so often with no known terms left."""
+    coords = st.tuples(*[st.integers(-3, 3)] * lat.rank)
+    terms = draw(st.lists(st.tuples(coords, coeffs), max_size=4))
+    return NovikovElement(lat, terms, draw(st.none() | ref_cutoffs(lat)))
+
+
+@st.composite
+def ref_units(draw, lat):
+    """A lead and up to three heavier terms, exact or cut above the lead."""
+    lead = draw(st.tuples(*[st.integers(-2, 2)] * lat.rank))
+    terms = [(lead, draw(coeffs.filter(bool)))]
+    for step, c in draw(st.lists(st.tuples(st.tuples(*[st.integers(-1, 2)] * lat.rank), coeffs), max_size=3)):
+        if lat.weight(step) > 0:
+            terms.append((g_add(lead, step), c))
+    offsets = [Fraction(1, lat._den), Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 2), 4]
+    cutoff = draw(st.none() | st.sampled_from(offsets).map(lambda x: lat.weight(lead) + x))
+    return NovikovElement(lat, terms, cutoff)
+
+
+def assert_matches(got, want):
+    terms, cutoff = want
+    assert dict(got.terms) == terms and got.cutoff == cutoff
+    assert cutoff is None or type(got.cutoff) is Fraction
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cutoff_rule_matches_a_fraction_reference(data):
+    lat = data.draw(st.sampled_from(CUTOFF_LATTICES))
+    a, b = data.draw(ref_operands(lat)), data.draw(ref_operands(lat))
+    u = data.draw(ref_units(lat))
+    q = data.draw(coeffs)
+    w, target = data.draw(ref_cutoffs(lat)), data.draw(ref_cutoffs(lat))
+    ta, tb, cut = dict(a.terms), dict(b.terms), ref_min(a.cutoff, b.cutoff)
+    for got in (a + b, b + a):
+        assert_matches(got, (reference_terms(lat, [*ta.items(), *tb.items()], cut), cut))
+    assert_matches(a - b, (reference_terms(lat, [*ta.items(), *((g, -c) for g, c in tb.items())], cut), cut))
+    for got in (a * b, b * a):
+        assert_matches(got, ref_mul(lat, (ta, a.cutoff), (tb, b.cutoff)))
+    for got in (q * a, a * q):
+        assert_matches(got, ({g: q * c for g, c in ta.items() if q}, a.cutoff if q else None))
+    assert_matches(a.truncate(w), (reference_terms(lat, ta.items(), ref_min(a.cutoff, w)), ref_min(a.cutoff, w)))
+    assert_matches(u.invert(target), ref_invert(lat, u, target))
+    if a.is_exact and a.is_zero:
+        assert divide(a, u, target) is a
+    else:
+        floor = min(map(lat.weight, ta)) if ta else a.cutoff
+        inverse = ref_invert(lat, u, target - floor)
+        assert_matches(divide(a, u, target), ref_mul(lat, (ta, a.cutoff), inverse))

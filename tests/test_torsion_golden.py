@@ -5,7 +5,8 @@ from ``support.random_acyclic`` and identity maps onto rebased copies from
 ``support.iso_map``, the ``milnor_torsion`` and ``relative_torsion``
 representative, cutoff and trivial flag, or the class name of the error
 raised.  The cases cover the k1, k2 and tie lattices, with exact units and
-with units truncated above their lead.  A change to the arithmetic or the
+with units truncated above their lead, at a tail on the weight grid and
+at one off it.  A change to the arithmetic or the
 elimination that keeps the answers keeps this file byte for byte.
 
 Regenerate it (only for a deliberate change of answers) with::
@@ -28,7 +29,8 @@ GOLDEN = Path(__file__).parent / "data" / "torsion_golden.json"
 LATTICES = (("k1", k1_lattice), ("k2", k2_lattice), ("tie", tie_lattice))
 SEEDS = (0, 1, 2, 3)
 PAIRS = (2, 4, 6)
-TAILS = (("exact", None), ("truncated", Fraction(5)))
+# 17/3 is off the weight grid of all three lattices (1/1, 1/71 and 1/1)
+TAILS = (("exact", None), ("truncated", Fraction(5)), ("off-grid", Fraction(17, 3)))
 
 
 def _answer(compute) -> dict:
