@@ -66,6 +66,11 @@ _PATIENCE = 3
 #: Torus distance below which two converged points are the same orbit.
 _DEDUPE_RADIUS = 1e-5
 
+#: Largest batch that _integrate flows point by point on floats, the measured
+#: crossover: one point costs 1.8 ms per 256 steps on floats, a stacked batch
+#: 54 ms plus 0.12 ms per point (2 vCPUs, numpy 2.4).
+_FLOAT_BATCH_MAX = 32
+
 
 @dataclass(frozen=True)
 class TorusSystem:
@@ -166,36 +171,82 @@ def vector_field(sys: TorusSystem, x, y, t):
 def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
     """Flow points for one period with classical RK4, carrying M alongside.
 
-    A single point runs on plain floats, a batch on 1-D arrays.  Returns
+    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats, a
+    larger batch as one stacked (6, n) array; both paths share the field of
+    _flow_field and do the same float operations per point.  Returns
     (endpoints, monodromies) and, when recording, the sampled trajectory
     (steps+1, n, 2) and variational path (steps+1, n, 2, 2).
     """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
-    rhs = _flow_field(sys.bf, *((math.cos, math.sin) if n == 1 else (np.cos, np.sin)))
-    x, y = points[0].tolist() if n == 1 else points.T
-    state = (x, y, 1.0, 0.0, 0.0, 1.0)
-    h = 1.0 / steps
-    if record:
-        path = np.empty((steps + 1, n, 6))
-        path[0] = np.transpose(np.broadcast_arrays(*state))
-    t = 0.0
-    for k in range(steps):
-        k1 = rhs(t, *state)
-        k2 = rhs(t + h / 2, *[u + (h / 2) * d for u, d in zip(state, k1)])
-        k3 = rhs(t + h / 2, *[u + (h / 2) * d for u, d in zip(state, k2)])
-        k4 = rhs(t + h, *[u + h * d for u, d in zip(state, k3)])
-        state = tuple(
-            u + (h / 6) * (d1 + 2 * d2 + 2 * d3 + d4) for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)
-        )
-        t += h
-        if record:
-            path[k + 1] = np.transpose(state)
-    final = np.transpose(np.broadcast_arrays(*state)).reshape(n, 6)
+    start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
+    if n <= _FLOAT_BATCH_MAX:
+        rhs = _flow_field(sys.bf, math.cos, math.sin)
+        path = np.stack([_rk4_point(rhs, p, steps, record) for p in start.T.tolist()], axis=-1)
+    else:
+        path = _rk4_batch(_flow_field(sys.bf, np.cos, np.sin), start, steps, record)
+    final = path[-1].T
     ends, mons = final[:, :2], final[:, 2:].reshape(n, 2, 2)
     if record:
+        path = path.transpose(0, 2, 1)
         return ends, mons, path[..., :2], path[..., 2:].reshape(steps + 1, n, 2, 2)
     return ends, mons
+
+
+def _rk4_point(rhs, state, steps: int, record: bool):
+    """RK4 of one point on floats, the stages unrolled into locals.
+
+    The slopes of stages a, b, c, d are named by stage and component.
+    Returns the (steps+1, 6) states when recording, else the (1, 6) last.
+    """
+    x, y, m11, m12, m21, m22 = state
+    h = 1.0 / steps
+    h2, h6 = h / 2, h / 6
+    t = 0.0
+    states = [state]
+    for _ in range(steps):
+        ax, ay, a11, a12, a21, a22 = rhs(t, x, y, m11, m12, m21, m22)
+        bx, by, b11, b12, b21, b22 = rhs(
+            t + h2, x + h2 * ax, y + h2 * ay, m11 + h2 * a11, m12 + h2 * a12, m21 + h2 * a21, m22 + h2 * a22
+        )
+        cx, cy, c11, c12, c21, c22 = rhs(
+            t + h2, x + h2 * bx, y + h2 * by, m11 + h2 * b11, m12 + h2 * b12, m21 + h2 * b21, m22 + h2 * b22
+        )
+        dx, dy, d11, d12, d21, d22 = rhs(
+            t + h, x + h * cx, y + h * cy, m11 + h * c11, m12 + h * c12, m21 + h * c21, m22 + h * c22
+        )
+        x = x + h6 * (ax + 2 * bx + 2 * cx + dx)
+        y = y + h6 * (ay + 2 * by + 2 * cy + dy)
+        m11 = m11 + h6 * (a11 + 2 * b11 + 2 * c11 + d11)
+        m12 = m12 + h6 * (a12 + 2 * b12 + 2 * c12 + d12)
+        m21 = m21 + h6 * (a21 + 2 * b21 + 2 * c21 + d21)
+        m22 = m22 + h6 * (a22 + 2 * b22 + 2 * c22 + d22)
+        t += h
+        if record:
+            states.append((x, y, m11, m12, m21, m22))
+    return np.array(states if record else [(x, y, m11, m12, m21, m22)])
+
+
+def _rk4_batch(rhs, state, steps: int, record: bool):
+    """RK4 of a stacked (6, n) state, each stage update one array expression.
+
+    Returns the (steps+1, 6, n) states when recording, else the (1, 6, n) last.
+    """
+    h = 1.0 / steps
+    t = 0.0
+    if record:
+        path = np.empty((steps + 1, *state.shape))
+        path[0] = state
+    for k in range(steps):
+        k1 = np.array(rhs(t, *state))
+        k2 = np.array(rhs(t + h / 2, *(state + (h / 2) * k1)))
+        k3 = np.array(rhs(t + h / 2, *(state + (h / 2) * k2)))
+        k4 = np.array(rhs(t + h, *(state + h * k3)))
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        if record:
+            path[k + 1] = state
+    return path if record else state[None]
 
 
 @dataclass

@@ -13,6 +13,7 @@ from novtorsion.torus import (
     OrbitSearchError,
     ProfileError,
     TorusSystem,
+    _FLOAT_BATCH_MAX,
     _distinct,
     _integrate,
     _newton_search,
@@ -33,6 +34,10 @@ TWO_PI = 2 * math.pi
 
 #: The amplitudes the torus benchmark runs.
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
+
+#: Batch sizes on either side of the crossover of _integrate: the largest
+#: batch flowed point by point on floats, and the smallest stacked one.
+BOTH_PATHS = [pytest.param(_FLOAT_BATCH_MAX, id="float"), pytest.param(_FLOAT_BATCH_MAX + 1, id="array")]
 
 
 def oracle_equilibria(b: float) -> tuple[float, float]:
@@ -316,10 +321,11 @@ def test_torsion_invariant_under_lift_relabeling(torus_report):
     assert milnor_torsion(shifted) == torus_report.torsions["minus"]
 
 
-def test_flow_preserves_area_and_energy_bounded():
+@pytest.mark.parametrize("n", BOTH_PATHS)
+def test_flow_preserves_area_and_energy_bounded(n):
     s = TorusSystem()
     rng = np.random.RandomState(11)
-    pts = rng.uniform(0, 1, (6, 2))
+    pts = rng.uniform(0, 1, (n, 2))
     ends, mons, traj, _ = _integrate(s, pts, 512, record=True)
     dets = np.linalg.det(mons)
     assert np.abs(dets - 1.0).max() < 1e-8
@@ -360,11 +366,12 @@ def reference_integrate(s, points, steps):
     return state[:, :2], state[:, 2:].reshape(-1, 2, 2)
 
 
-def test_float_and_array_paths_agree():
+@pytest.mark.parametrize("n", BOTH_PATHS)
+def test_float_and_array_paths_agree(n):
     s = TorusSystem()
-    pts = np.random.RandomState(3).uniform(0, 1, (7, 2))
+    pts = np.random.RandomState(3).uniform(0, 1, (n, 2))
     ends, mons = _integrate(s, pts, 128)
-    assert ends.shape == (7, 2) and mons.shape == (7, 2, 2)
+    assert ends.shape == (n, 2) and mons.shape == (n, 2, 2)
     for k, p in enumerate(pts):
         end, mon = _integrate(s, p, 128)
         assert np.abs(end[0] - ends[k]).max() <= 1e-12
@@ -384,7 +391,7 @@ def test_monodromy_at_equilibria_is_expm(b):
         assert np.abs(monodromy(s, (x, 0.0)) - expm(a)).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, *BOTH_PATHS])
 def test_recorded_path_ends_at_the_plain_result(n):
     s = TorusSystem()
     pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
@@ -395,6 +402,20 @@ def test_recorded_path_ends_at_the_plain_result(n):
     assert np.array_equal(traj[-1], ends) and np.array_equal(var[-1], mons)
     assert np.array_equal(traj[0], pts)
     assert np.array_equal(var[0], np.broadcast_to(np.eye(2), (n, 2, 2)))
+
+
+def test_path_choice_changes_no_orbit(monkeypatch):
+    # every batch on the stacked array step, then every point on floats
+    runs = []
+    for crossover in (0, 10**6):
+        monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", crossover)
+        runs.append(find_orbits(TorusSystem(), search_steps=128, refine_steps=512))
+    arrays, floats = runs
+    assert len(arrays) == len(floats) == 2
+    for a, f in zip(arrays, floats):
+        assert abs(a.x - f.x) <= 1e-12 and abs(a.y - f.y) <= 1e-12
+        assert np.abs(a.monodromy - f.monodromy).max() <= 1e-12
+        assert a.cz_index == f.cz_index
 
 
 def test_orbit_set_stable_under_denser_seed_grid(torus_report):
