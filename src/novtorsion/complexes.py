@@ -10,7 +10,6 @@ text documents can reference them without degree qualifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .lattice import GroupElement, Lattice, g_neg
@@ -27,7 +26,7 @@ from .linalg import (
     select_column_pivots,
     zeros,
 )
-from .series import LatticeMismatchError, NovikovElement, _min_cutoff
+from .series import LatticeMismatchError, NovikovElement, _report_cutoff
 
 
 class ComplexStructureError(ValueError):
@@ -74,39 +73,41 @@ def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]
     return out
 
 
-def _nonzero_entries(mat: Matrix) -> tuple[list[tuple[int, int, NovikovElement]], Optional[Fraction]]:
-    """Entries with known terms as (row, column, entry), and the weakest
-    cutoff below which the other entries are certified zero."""
+def _nonzero_entries(mat: Matrix, zero: NovikovElement) -> tuple[list[tuple[int, int, NovikovElement]], NovikovElement]:
+    """Entries with known terms as (row, column, entry), and ``zero`` plus
+    the other entries: a termless element whose cutoff is the weakest below
+    which they are all certified zero."""
     nonzero = []
-    cutoff: Optional[Fraction] = None
     for i, row in enumerate(mat.live):
         for j, e in row.items():
             if e._num:
                 nonzero.append((i, j, e))
             else:
-                cutoff = _min_cutoff(cutoff, e.cutoff)
-    return nonzero, cutoff
+                zero = zero + e
+    return nonzero, zero
 
 
-def _certify_square_zero(cplx: BasedComplex) -> Optional[Fraction]:
-    """The cutoff below which ``cplx`` squares to zero, or ComplexStructureError."""
+def _certify_square_zero(cplx: BasedComplex) -> NovikovElement:
+    """The termless zero below whose cutoff ``cplx`` squares to zero, or ComplexStructureError."""
     report = cplx.validate()
     if not report.valid:
         raise ComplexStructureError("complex does not square to zero: " + report.failures[0])
-    return report.cutoff
+    return report.zero
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     valid: bool
-    cutoff: Optional[Fraction]
+    zero: NovikovElement  # the termless composite entries, summed
     failures: tuple[str, ...] = ()
+    cutoff = _report_cutoff
 
 
 @dataclass(frozen=True)
 class RanksReport:
     ranks: dict[int, int]
-    cutoff: Optional[Fraction]
+    zero: NovikovElement  # the pivot zero columns and the d^2 = 0 zero, summed
+    cutoff = _report_cutoff
 
     @property
     def acyclic(self) -> bool:
@@ -180,20 +181,18 @@ class BasedComplex:
         entry must have no known terms, and the report carries the weakest
         cutoff below which those zeros are certified.
         """
-        failures = []
-        cutoff: Optional[Fraction] = None
+        failures, zero = [], NovikovElement.zero(self.lattice)
         for d, mat in sorted(self.differentials.items()):
             nxt = self.differentials.get(self.shift(d, 1))
             if nxt is None:
                 continue
-            nonzero, square_cutoff = _nonzero_entries(mat_mul(nxt, mat))
-            cutoff = _min_cutoff(cutoff, square_cutoff)
+            nonzero, zero = _nonzero_entries(mat_mul(nxt, mat), zero)
             failures.extend(
                 "d^2 from degree %d is nonzero at (%s <- %s): %s"
                 % (d, self.generators(self.shift(d, 2))[i], self.generators(d)[j], e)
                 for i, j, e in nonzero
             )
-        return ValidationReport(not failures, cutoff, tuple(failures))
+        return ValidationReport(not failures, zero, tuple(failures))
 
     def homology_ranks(self) -> RanksReport:
         """Per-degree homology ranks via unit-pivot Gaussian elimination.
@@ -204,14 +203,14 @@ class BasedComplex:
         IndeterminatePivotError naming that cutoff; ranks of 0 stay certified.
         The report's cutoff is the weaker of the pivot and d^2 = 0 cutoffs.
         """
-        square_cutoff = _certify_square_zero(self)
+        square_zero = _certify_square_zero(self)
         ranks: dict[int, int] = {}
         rank_of_diff: dict[int, int] = {}
-        cutoff: Optional[Fraction] = None
+        zero = NovikovElement.zero(self.lattice)
         for d, mat in self.differentials.items():
             sel = select_column_pivots(self.lattice, mat)
             rank_of_diff[d] = sel.rank
-            cutoff = _min_cutoff(cutoff, sel.cutoff)
+            zero = zero + sel.zero
         for d in self.degrees():
             incoming = rank_of_diff.get(self.shift(d, -1), 0)
             outgoing = rank_of_diff.get(d, 0)
@@ -220,12 +219,12 @@ class BasedComplex:
                 raise ComplexStructureError(
                     "rank bookkeeping failed at degree %d; is d^2 = 0?" % d
                 )
-        if cutoff is not None and any(ranks.values()):
+        if not zero.is_exact and any(ranks.values()):
             raise IndeterminatePivotError(
                 "positive homology ranks in degrees %s rest on columns known to vanish "
-                "only below weight %s" % (", ".join(str(d) for d in ranks if ranks[d]), cutoff)
+                "only below weight %s" % (", ".join(str(d) for d in ranks if ranks[d]), zero.cutoff)
             )
-        return RanksReport(ranks, _min_cutoff(cutoff, square_cutoff))
+        return RanksReport(ranks, zero + square_zero)
 
     # -- parity collapse -----------------------------------------------------
 
@@ -269,19 +268,17 @@ class ChainMap:
 
     def validate(self) -> ValidationReport:
         """Check the commuting condition d_target f = f d_source entrywise."""
-        failures = []
-        cutoff: Optional[Fraction] = None
+        failures, zero = [], NovikovElement.zero(self.source.lattice)
         degrees = set(self.source.degrees()) | set(self.target.degrees())
         for d in sorted(degrees):
             t = self.source.shift(d, 1)
             lhs = mat_mul(self.target.differential(d), self.block(d))
             rhs = mat_mul(self.block(t), self.source.differential(d))
-            nonzero, square_cutoff = _nonzero_entries(mat_sub(lhs, rhs))
-            cutoff = _min_cutoff(cutoff, square_cutoff)
+            nonzero, zero = _nonzero_entries(mat_sub(lhs, rhs), zero)
             failures.extend(
                 "square at degree %d fails at entry (%d,%d): %s" % (d, i, j, e) for i, j, e in nonzero
             )
-        return ValidationReport(not failures, cutoff, tuple(failures))
+        return ValidationReport(not failures, zero, tuple(failures))
 
 
 def mapping_cone(f: ChainMap) -> BasedComplex:
@@ -334,8 +331,8 @@ def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[in
         inv = inverses.get(d)
         if inv is None:
             raise ValueError("missing inverse transition for degree %d" % d)
-        nonzero, _ = _nonzero_entries(mat_sub(mat_mul(t, inv), identity(cplx.lattice, n)))
-        if nonzero:
+        defect = mat_sub(mat_mul(t, inv), identity(cplx.lattice, n))
+        if _nonzero_entries(defect, NovikovElement.zero(cplx.lattice))[0]:
             raise ValueError("transition and inverse at degree %d do not cancel" % d)
     diffs = {}
     for d in set(cplx.differentials):

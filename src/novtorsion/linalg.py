@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lattice import Lattice
-from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _min_cutoff
+from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _report_cutoff
 
 _DET_MASKS = math.comb(14, 7)  # partial expansions one determinant row may hold: a dense 14x14's peak
 
@@ -225,12 +224,14 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
 class PivotSelection:
     """Pivot positions found by unit-pivot column reduction.
 
-    ``cutoff`` is the weakest bound below which the zero verdicts used by
-    the reduction are certified (None when everything was exact).
+    ``zero`` is the sum of the termless entries left in the columns that
+    found no pivot, so its ``cutoff``, read as ``cutoff``, is the weakest
+    bound below which those zero verdicts are certified (None when exact).
     """
 
     pivots: tuple[tuple[int, int], ...]
-    cutoff: Optional[Fraction]
+    zero: NovikovElement
+    cutoff = _report_cutoff
 
     @property
     def rank(self) -> int:
@@ -267,8 +268,7 @@ def select_column_pivots(
     for i, row in enumerate(rows.live):
         for j, e in row.items():
             cols[j][i] = e
-    pivots = []
-    cutoff: Optional[Fraction] = None
+    pivots, zero = [], NovikovElement.zero(lattice)
     for pos, j in enumerate(order):
         col, pick, ambiguous = cols[j], None, False
         for i in sorted(col):
@@ -287,7 +287,7 @@ def select_column_pivots(
                     "column %d has only ambiguous-leading-term entries left" % j
                 )
             for e in col.values():
-                cutoff = _min_cutoff(cutoff, e.cutoff)
+                zero = zero + e
             continue
         pivot = col.pop(pick)
         pivots.append((pick, j))
@@ -304,4 +304,4 @@ def select_column_pivots(
                     other[r] = v
                 else:  # only a difference cancels to an exact zero
                     del other[r]
-    return PivotSelection(tuple(pivots), cutoff)
+    return PivotSelection(tuple(pivots), zero)

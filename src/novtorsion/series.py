@@ -37,7 +37,10 @@ with no known terms add two remainders, carrying past 1.  So ``*``, ``+``,
 Tuples and ``Fraction`` appear only at the public API: the read-only
 ``terms`` view (built once per element), ``coefficient``, ``support``,
 ``leading_slice``, ``leading_term``, ``in_lambda0``, ``min_weight``, the
-``cutoff`` property (rebuilt on each read) and ``format_element``.
+``cutoff`` property (rebuilt on each read) and ``format_element``.  A
+report of zero verdicts (pivots, ``d^2 = 0``, ranks) sums the termless
+entries it relies on into one termless ``zero``, so ``+`` is the only code
+that combines two cutoffs, and its ``cutoff`` is that zero's.
 
 A key is exact while every coordinate stays in the lattice's box
 ``|x| < 2**31``.  Each element carries ``_reach``, a bound on the absolute
@@ -111,20 +114,18 @@ def _in_box(what: str, reach: int) -> int:
     return reach
 
 
-def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 def _lower(ck: Optional[int], cf, k: Optional[int], f) -> tuple:
     """The lower of two scaled cutoffs ``ck + cf`` and ``k + f``, each an int
     part (None for no cutoff) and a fractional part, 0 or a Fraction in (0, 1)."""
     if ck is None or k is not None and (k < ck or k == ck and f < cf):
         return k, f
     return ck, cf
+
+
+@property
+def _report_cutoff(report) -> Optional[Fraction]:
+    """A report's weakest cutoff, None when exact: that of its termless ``zero``."""
+    return report.zero.cutoff
 
 
 class NovikovElement:
@@ -419,14 +420,8 @@ class NovikovElement:
 
     def agree_below(self, other: "NovikovElement", bound=None) -> bool:
         """Term-wise equality below the common certification bound."""
-        other = self._same_lattice(other)
-        if other is None:
-            raise TypeError("can only compare Novikov elements")
-        eff = _min_cutoff(self.cutoff, other.cutoff)
-        if bound is not None:
-            eff = _min_cutoff(eff, _rational(bound))
-        a, b = (self, other) if eff is None else (self.truncate(eff), other.truncate(eff))
-        return a._num == b._num and a._den == b._den
+        d = self - other
+        return not (d if bound is None else d.truncate(bound))._num
 
     def __eq__(self, other):
         if not isinstance(other, NovikovElement):

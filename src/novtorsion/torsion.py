@@ -33,7 +33,7 @@ from .linalg import (
     select_column_pivots,
     zeros,
 )
-from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, _min_cutoff, divide
+from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, divide
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +155,19 @@ def milnor_torsion_unit(
     ``basis_change_class`` of the even and odd minors; the column orders
     only steer pivot choice and must not change the class.
     """
-    square_cutoff = _certify_square_zero(cplx)
+    square_zero = _certify_square_zero(cplx)
     lattice = cplx.lattice
     names0, names1, d0, d1 = cplx.collapse()
     n0, n1 = len(names0), len(names1)
     sel0 = select_column_pivots(lattice, d0, column_order=order0)
     sel1 = select_column_pivots(lattice, d1, column_order=order1)
+    zero = sel0.zero + sel1.zero
     if n0 - sel0.rank != sel1.rank or n1 - sel1.rank != sel0.rank:
         # columns declared zero only below a cutoff make the ranks lower bounds
-        zero_cutoff = _min_cutoff(sel0.cutoff, sel1.cutoff)
-        if zero_cutoff is not None and n0 == n1:
+        if not zero.is_exact and n0 == n1:
             raise IndeterminatePivotError(
                 "ranks %d/%d on modules of rank %d/%d rest on columns known to vanish only "
-                "below weight %s" % (sel0.rank, sel1.rank, n0, n1, zero_cutoff)
+                "below weight %s" % (sel0.rank, sel1.rank, n0, n1, zero.cutoff)
             )
         raise NotAcyclicError(
             "homology is nonzero: ranks %d/%d on modules of rank %d/%d"
@@ -176,8 +176,8 @@ def milnor_torsion_unit(
     minor_even = _minor(lattice, d1, sel0.columns, sel1.columns)
     minor_odd = _minor(lattice, d0, sel1.columns, sel0.columns)
     unit = basis_change_class(minor_even, minor_odd, lattice, cutoff)
-    certify = _min_cutoff(square_cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
-    return unit if certify is None else BasisChangeClass.from_unit(unit.representative.truncate(certify))
+    certify = square_zero + zero
+    return unit if certify.is_exact else BasisChangeClass.from_unit(unit.representative + certify)
 
 
 def milnor_torsion(
@@ -230,6 +230,6 @@ def homotopy_equivalent(f: ChainMap, g: ChainMap, homotopy: dict[int, Matrix]) -
             mat_mul(tgt.differential(below), h_block(d)),
             mat_mul(h_block(above), src.differential(d)),
         )
-        if _nonzero_entries(mat_sub(lhs, rhs))[0]:
+        if _nonzero_entries(mat_sub(lhs, rhs), NovikovElement.zero(src.lattice))[0]:
             return False
     return True

@@ -372,6 +372,8 @@ def find_orbits(
     guaranteed only up to the scan resolution: an orbit that no scanned
     seed leads to is missed.
     """
+    if min(grid) < 1:
+        raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
     sys.check()
     candidates = _scan_candidates(sys, grid, search_steps)
     if not candidates:

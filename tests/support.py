@@ -19,6 +19,29 @@ from novtorsion.torsion import BasisChangeClass
 CUT = Fraction(24)
 
 
+def ref_min(*cutoffs):
+    """The Fraction reference for the cutoff rule: the least given cutoff,
+    None (exact) standing for no bound, and None when all are None."""
+    return min((c for c in cutoffs if c is not None), default=None)
+
+
+def fraction_constructions(monkeypatch) -> list:
+    """Record every Fraction built from now on (through the constructor, or
+    through ``_from_coprime_ints``, which newer Pythons use for results)."""
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+    return built
+
+
 def k1_lattice() -> Lattice:
     return Lattice(1, [1], [0])
 

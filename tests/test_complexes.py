@@ -23,11 +23,12 @@ from novtorsion import (
     whitehead_normalize,
 )
 from novtorsion.complexes import shift_degree
-from novtorsion.linalg import as_matrix
+from novtorsion.linalg import as_matrix, identity, select_column_pivots
 
 from support import (
     assert_live_record,
     diag_model,
+    fraction_constructions,
     k1_lattice,
     k2_lattice,
     not_exact_zero,
@@ -136,6 +137,25 @@ def test_homology_ranks_certify_the_square_like_torsion():
     bad = BasedComplex(LAT, {0: ("a",), 1: ("b",), 2: ("c",)}, {0: ((ONE,),), 1: ((Z,),)})
     with pytest.raises(ComplexStructureError, match=r"complex does not square to zero: d\^2 from degree 0"):
         bad.homology_ranks()
+
+
+def test_reports_build_no_fraction_until_the_cutoff_is_read(monkeypatch):
+    k2 = k2_lattice()
+    # truncated units and a zero known below 9/2, two cutoffs off the 1/71 grid
+    u = NovikovElement(k2, {(1, 0): 1, (2, 0): Fraction(1, 3)}, Fraction(17, 3))
+    v = NovikovElement(k2, {(0, 1): 2}, 4)
+    maybe_zero = NovikovElement.zero(k2, Fraction(9, 2))
+    d0, d1 = as_matrix(((u,), (NovikovElement.zero(k2),))), as_matrix(((maybe_zero, v),))
+    cplx = BasedComplex(k2, {0: ("a",), 1: ("b1", "b2"), 2: ("c",)}, {0: d0, 1: d1})
+    ident = ChainMap(cplx, cplx, {d: identity(k2, cplx.rank(d)) for d in cplx.degrees()})
+    built = fraction_constructions(monkeypatch)
+    reports = select_column_pivots(k2, d1), cplx.validate(), cplx.homology_ranks(), ident.validate()
+    assert built == []
+    monkeypatch.undo()
+    assert reports[1].valid and reports[2].acyclic and reports[3].valid
+    # the pivot zero column (9/2); d^2 = maybe_zero * u (1 + 9/2); the ranks take both;
+    # d f - f d is u - u (17/3), maybe_zero - maybe_zero (9/2) and v - v (4)
+    assert [r.cutoff for r in reports] == [Fraction(9, 2), Fraction(11, 2), Fraction(9, 2), 4]
 
 
 def test_euler_parity():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from novtorsion import ChainMap, IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
+from novtorsion import BasedComplex, ChainMap, IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
 from novtorsion import mapping_cone, relabel_lifts
 from novtorsion.linalg import (
     PivotSelection,
@@ -16,7 +16,7 @@ from novtorsion.linalg import (
     select_column_pivots,
     zeros,
 )
-from novtorsion.series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, _min_cutoff
+from novtorsion.series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError
 
 from support import (
     assert_live_record,
@@ -28,6 +28,8 @@ from support import (
     rand_sparse_matrix,
     rand_unit,
     random_acyclic,
+    ref_min,
+    scramble,
     tie_lattice,
 )
 
@@ -228,7 +230,7 @@ def full_update_pivots(lattice, rows, ncols, column_order=None):
                 )
             for i in range(m):
                 if not used[i]:
-                    cutoff = _min_cutoff(cutoff, cols[j][i].cutoff)
+                    cutoff = ref_min(cutoff, cols[j][i].cutoff)
             continue
         pivot = cols[j][pick]
         pivots.append((pick, j))
@@ -240,7 +242,47 @@ def full_update_pivots(lattice, rows, ncols, column_order=None):
             if e.is_zero and e.is_exact:
                 continue
             cols[k] = [pivot * cols[k][r] - e * cols[j][r] for r in range(m)]
-    return PivotSelection(tuple(pivots), cutoff)
+    return PivotSelection(tuple(pivots), NovikovElement.zero(lattice, cutoff))
+
+
+def zero_column_complex(rng, lat):
+    """0 -> a -> b1, b2 -> c -> 0 with a -> u*b1 and b1 -> maybe_zero*c, b2 -> v*c
+    for truncated units u, v, scrambled: b1 spans a column that reduces to a
+    zero known only below a cutoff."""
+    u, v = (rand_unit(rng, lat, tail=rng.randint(1, 6)) for _ in range(2))
+    zero, maybe_zero = NovikovElement.zero(lat), NovikovElement.zero(lat, rng.randint(-2, 6))
+    cplx = BasedComplex(lat, {0: ("a",), 1: ("b1", "b2"), 2: ("c",)}, {0: ((u,), (zero,)), 1: ((maybe_zero, v),)})
+    return scramble(rng, cplx)[0]
+
+
+def test_report_cutoffs_match_the_fraction_reference():
+    """validate certifies d^2 = 0 below the least cutoff of the termless
+    entries of d∘d, and homology_ranks below that and the least cutoff of
+    the pivot zero columns, as the Fraction reference takes them."""
+    rng = random.Random(43)
+    lattices = [k1_lattice(), k2_lattice(), tie_lattice()]
+    seen = Counter()
+    for case in range(150):
+        lat = lattices[case % 3]
+        if case % 2:
+            cplx = zero_column_complex(rng, lat)
+        else:
+            tail = Fraction(rng.randint(1, 6)) if case % 4 else None
+            cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(2, 5), length=5, tail=tail)
+        diffs = cplx.differentials
+        squares = [mat_mul(diffs[cplx.shift(d, 1)], m) for d, m in diffs.items() if cplx.shift(d, 1) in diffs]
+        square = ref_min(*(e.cutoff for m in squares for row in m for e in row if e.is_zero))
+        assert cplx.validate().cutoff == square
+        pivots = ref_min(*(full_update_pivots(lat, m, m.ncols).cutoff for m in diffs.values()))
+        try:
+            cutoff = cplx.homology_ranks().cutoff
+        except IndeterminatePivotError as exc:  # a positive rank resting on a zero column
+            assert str(exc).endswith("only below weight %s" % pivots)
+            seen["indeterminate"] += 1
+            continue
+        assert cutoff == ref_min(square, pivots)
+        seen["exact" if cutoff is None else "square" if cutoff == square else "pivots"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 4, seen
 
 
 def rand_pivot_entry(rng, lat):

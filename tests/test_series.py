@@ -17,14 +17,16 @@ from novtorsion import (
     NovikovElement,
 )
 from novtorsion.lattice import g_add, g_neg
-from novtorsion.series import _INVERT_LIMIT, ExpansionLimitError, _min_cutoff, divide
+from novtorsion.series import _INVERT_LIMIT, ExpansionLimitError, divide
 
 from support import (
+    fraction_constructions,
     k1_lattice,
     k2_lattice,
     rand_coeff,
     rand_coords,
     rand_unit,
+    ref_min,
     tie_lattice,
     weight_lattices,
 )
@@ -455,7 +457,7 @@ def test_internal_results_match_public_constructor(lat):
         a = rand_operand_of_kind(rng, lat, case % 4)
         b = rand_operand_of_kind(rng, lat, case // 4 % 4)
         w = lat.weight(rand_coords(rng, lat)) + rng.choice([0, Fraction(1, 3)])
-        cut = _min_cutoff(a.cutoff, b.cutoff)
+        cut = ref_min(a.cutoff, b.cutoff)
         pairs = [(g_add(g, h), c * d) for g, c in a.terms.items() for h, d in b.terms.items()]
         assert (a + b).terms == reference_terms(lat, [*a.terms.items(), *b.terms.items()], cut)
         assert (a - b).terms == reference_terms(
@@ -463,7 +465,7 @@ def test_internal_results_match_public_constructor(lat):
         )
         assert (a * b).cutoff == reference_mul_cutoff(lat, a, b)
         assert (a * b).terms == reference_terms(lat, pairs, (a * b).cutoff)
-        assert a.truncate(w).terms == reference_terms(lat, a.terms.items(), _min_cutoff(a.cutoff, w))
+        assert a.truncate(w).terms == reference_terms(lat, a.terms.items(), ref_min(a.cutoff, w))
         results = [a + b, a - b, a * b, -a, 3 * a, a.truncate(w)]
         u = rand_invertible(rng, lat)
         if len(u.leading_slice()) == 1:
@@ -513,7 +515,7 @@ def test_results_are_in_lowest_terms(lat):
         assert (lhs._num, lhs._den) == (rhs._num, rhs._den)
         assert a + a == 2 * a == a * Fraction(4, 3) * Fraction(3, 2)
         assert (a * q) * (1 / q) == a
-        cut = _min_cutoff(a.cutoff, b.cutoff)
+        cut = ref_min(a.cutoff, b.cutoff)
         assert (a + b) - b == (a if cut is None else a.truncate(cut))
 
 
@@ -549,23 +551,6 @@ def test_elements_copy_and_pickle_before_and_after_reading_terms():
                 assert twin.terms == e.terms and (twin * e).agree_below(e * e)
 
 
-def fraction_constructions(monkeypatch) -> list:
-    """Record every Fraction built from now on (through the constructor, or
-    through ``_from_coprime_ints``, which newer Pythons use for results)."""
-    built = []
-    new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    if hasattr(Fraction, "_from_coprime_ints"):
-        coprime = Fraction._from_coprime_ints
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
-    return built
-
-
 def test_truncated_products_and_sums_build_no_fraction(monkeypatch):
     k2 = k2_lattice()
     operands = [
@@ -590,10 +575,6 @@ def test_truncated_products_and_sums_build_no_fraction(monkeypatch):
 # -- the cutoff rule against a Fraction reference --------------------------------------
 
 CUTOFF_LATTICES = [k1_lattice(), k2_lattice(), tie_lattice()]
-
-
-def ref_min(*cutoffs):
-    return min((c for c in cutoffs if c is not None), default=None)
 
 
 def ref_mul(lat, a, b):

@@ -18,7 +18,7 @@ from novtorsion import (
     whitehead_normalize,
 )
 from novtorsion.linalg import IndeterminatePivotError, as_matrix, determinant, identity, select_column_pivots
-from novtorsion.series import NotInvertibleError, _min_cutoff, divide
+from novtorsion.series import NotInvertibleError, divide
 from novtorsion.torsion import BasisChangeClass, WhiteheadClass, milnor_torsion_unit
 
 from support import (
@@ -33,6 +33,7 @@ from support import (
     perturb_by_homotopy,
     rand_element,
     random_acyclic,
+    ref_min,
     scramble,
 )
 
@@ -185,7 +186,7 @@ def _padded_transition_torsion(cplx, cutoff, order0=None, order1=None) -> BasisC
     even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
     odd = [cols0[j] for j in sel0.columns] + [e1[j] for j in sel1.columns]
     rep = divide(determinant(lattice, tuple(zip(*even))), determinant(lattice, tuple(zip(*odd))), cutoff)
-    certify = _min_cutoff(cplx.validate().cutoff, _min_cutoff(sel0.cutoff, sel1.cutoff))
+    certify = ref_min(cplx.validate().cutoff, sel0.cutoff, sel1.cutoff)
     return BasisChangeClass.from_unit(rep if certify is None else rep.truncate(certify))
 
 

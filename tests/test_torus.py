@@ -284,6 +284,13 @@ def test_count_connecting_needs_equilibria():
         count_connecting(TorusSystem(Fraction(1, 10)))
 
 
+@pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3)])
+def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
+    monkeypatch.setattr(torus, "_integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match="^grid %dx%d needs at least one point on each axis$" % grid):
+        find_orbits(TorusSystem(), grid=grid)
+
+
 def test_assemble_floer_checks_its_inputs(torus_report):
     sys, orbits, counts = torus_report.system, torus_report.orbits, torus_report.counts
     with pytest.raises(ValueError, match="^sign_convention must be 'plus' or 'minus'$"):
