@@ -98,10 +98,15 @@ def _build_parser() -> _Parser:
 def _load(path: str):
     """The parsed document at ``path`` and its complex."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise _UsageError("cannot read %s: %s" % (path, exc.strerror or exc))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())  # numbered as parse numbers lines
+        raise DocumentParseError(line, "byte 0x%02x is not valid UTF-8" % data[exc.start]) from None
     doc = parse(text)
     return doc, build_complex(doc)
 

@@ -9,10 +9,7 @@ text documents can reference them without degree qualifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-from .lattice import GroupElement, Lattice, g_neg
+from .lattice import GroupElement, Lattice, _ReadOnly, g_neg
 from .linalg import (
     IndeterminatePivotError,
     Matrix,
@@ -95,53 +92,68 @@ def _certify_square_zero(cplx: BasedComplex) -> NovikovElement:
     return report.zero
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    zero: NovikovElement  # the termless composite entries, summed
-    failures: tuple[str, ...] = ()
+class ValidationReport(_ReadOnly):
+    __slots__ = ("valid", "zero", "failures")
     cutoff = _report_cutoff
 
+    def __init__(self, valid: bool, zero: NovikovElement, failures: tuple[str, ...] = ()):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "zero", zero)  # the termless composite entries, summed
+        object.__setattr__(self, "failures", failures)
 
-@dataclass(frozen=True)
-class RanksReport:
-    ranks: dict[int, int]
-    zero: NovikovElement  # the pivot zero columns and the d^2 = 0 zero, summed
+
+class RanksReport(_ReadOnly):
+    __slots__ = ("ranks", "zero")
     cutoff = _report_cutoff
+
+    def __init__(self, ranks: dict[int, int], zero: NovikovElement):
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "zero", zero)  # the pivot zero columns and the d^2 = 0 zero, summed
 
     @property
     def acyclic(self) -> bool:
         return all(r == 0 for r in self.ranks.values())
 
 
-def shift_degree(d: int, by: int, modulus: Optional[int]) -> int:
+def shift_degree(d: int, by: int, modulus: int | None) -> int:
     """Degree ``d + by``, reduced mod ``modulus`` for a Z_m grading."""
     return d + by if modulus is None else (d + by) % modulus
 
 
-@dataclass(frozen=True)
-class BasedComplex:
-    lattice: Lattice
-    modules: dict[int, tuple[str, ...]]
-    differentials: dict[int, Matrix]
-    modulus: Optional[int] = None
+class BasedComplex(_ReadOnly):
+    __slots__ = ("lattice", "modules", "differentials", "modulus")
 
-    def __post_init__(self):
-        if self.modulus is not None:
-            if self.modulus < 2 or self.modulus % 2:
+    def __init__(
+        self,
+        lattice: Lattice,
+        modules: dict[int, tuple[str, ...]],
+        differentials: dict[int, Matrix],
+        modulus: int | None = None,
+    ):
+        if modulus is not None:
+            if modulus < 2 or modulus % 2:
                 raise ComplexStructureError("grading modulus must be even and >= 2")
-        modules = {int(d): tuple(names) for d, names in self.modules.items() if names}
+        modules = {int(d): tuple(names) for d, names in modules.items() if names}
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "modules", modules)
+        object.__setattr__(self, "modulus", modulus)
         seen = set()
         for d, names in modules.items():
-            if self.modulus is not None and not 0 <= d < self.modulus:
-                raise ComplexStructureError("degree %d outside Z_%d" % (d, self.modulus))
+            if modulus is not None and not 0 <= d < modulus:
+                raise ComplexStructureError("degree %d outside Z_%d" % (d, modulus))
             for n in names:
                 if n in seen:
                     raise ComplexStructureError("duplicate generator name %r" % n)
                 seen.add(n)
         shape = lambda d: (self.rank(self.shift(d, 1)), self.rank(d))
-        object.__setattr__(self, "differentials", _blocks(self.differentials, self.lattice, shape, "differential"))
+        object.__setattr__(self, "differentials", _blocks(differentials, lattice, shape, "differential"))
+
+    def __eq__(self, other):
+        if not isinstance(other, BasedComplex):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -246,19 +258,18 @@ class BasedComplex:
         return tuple(names[0]), tuple(names[1]), d0, d1
 
 
-@dataclass(frozen=True)
-class ChainMap:
-    source: BasedComplex
-    target: BasedComplex
-    matrices: dict[int, Matrix]
+class ChainMap(_ReadOnly):
+    __slots__ = ("source", "target", "matrices")
 
-    def __post_init__(self):
-        if self.source.lattice != self.target.lattice:
+    def __init__(self, source: BasedComplex, target: BasedComplex, matrices: dict[int, Matrix]):
+        if source.lattice != target.lattice:
             raise ComplexStructureError("chain map between complexes over different lattices")
-        if self.source.modulus != self.target.modulus:
+        if source.modulus != target.modulus:
             raise ComplexStructureError("chain map between complexes with different gradings")
-        shape = lambda d: (self.target.rank(d), self.source.rank(d))
-        object.__setattr__(self, "matrices", _blocks(self.matrices, self.source.lattice, shape, "chain map block"))
+        shape = lambda d: (target.rank(d), source.rank(d))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrices", _blocks(matrices, source.lattice, shape, "chain map block"))
 
     def block(self, d: int) -> Matrix:
         mat = self.matrices.get(d)
@@ -374,7 +385,7 @@ def two_term_complex(
     entry: NovikovElement,
     low_degree: int = 1,
     names: tuple[str, str] = ("a", "b"),
-    modulus: Optional[int] = None,
+    modulus: int | None = None,
 ) -> BasedComplex:
     """The complex 0 -> L -> L -> 0 with the given differential entry."""
     lo, hi = names

@@ -19,9 +19,7 @@ trailing comments, so ``#`` anywhere else is part of the line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .complexes import BasedComplex, ChainMap, shift_degree
 from .lattice import Lattice
@@ -42,13 +40,27 @@ class DocumentParseError(ValueError):
         super().__init__("line %d: %s" % (line, message))
 
 
-@dataclass
 class ComplexDocument:
-    lattice: Lattice
-    modules: dict[int, tuple[str, ...]]
-    differential: dict[str, tuple[Entry, ...]] = field(default_factory=dict)
-    maps: dict[str, dict[str, tuple[Entry, ...]]] = field(default_factory=dict)
-    modulus: Optional[int] = None
+    __slots__ = ("lattice", "modules", "differential", "maps", "modulus")
+
+    def __init__(
+        self,
+        lattice: Lattice,
+        modules: dict[int, tuple[str, ...]],
+        differential: dict[str, tuple[Entry, ...]] | None = None,
+        maps: dict[str, dict[str, tuple[Entry, ...]]] | None = None,
+        modulus: int | None = None,
+    ):
+        self.lattice, self.modules, self.modulus = lattice, modules, modulus
+        self.differential = {} if differential is None else differential
+        self.maps = {} if maps is None else maps
+
+    def __eq__(self, other):
+        if not isinstance(other, ComplexDocument):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    __hash__ = None
 
 
 def _positions(modules: dict[int, tuple[str, ...]]) -> dict[str, tuple[int, int]]:
@@ -167,7 +179,7 @@ def parse_lincomb(text: str, lattice: Lattice, line: int) -> tuple[Entry, ...]:
     return tuple(entries)
 
 
-def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, Optional[int]]:
+def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, int | None]:
     """Lattice and grading modulus of a ``[group]`` block.
 
     ``fields`` maps each field to its (line, value); a missing field or a
@@ -212,8 +224,8 @@ _IMAGE_RULES = {
 
 
 def parse(text: str) -> ComplexDocument:
-    lattice: Optional[Lattice] = None
-    modulus: Optional[int] = None
+    lattice: Lattice | None = None
+    modulus: int | None = None
     fields: dict[str, tuple[int, str]] = {}
     declared: dict[str, tuple[int, int]] = {}  # generator -> (line, degree)
     modules: dict[int, list[str]] = {}
@@ -359,7 +371,7 @@ def build_complex(doc: ComplexDocument) -> BasedComplex:
     return BasedComplex(doc.lattice, dict(doc.modules), diffs, doc.modulus)
 
 
-def build_chain_map(doc: ComplexDocument, name: str, cplx: Optional[BasedComplex] = None) -> ChainMap:
+def build_chain_map(doc: ComplexDocument, name: str, cplx: BasedComplex | None = None) -> ChainMap:
     """A named endomorphism of the document's complex, as a chain map."""
     if name not in doc.maps:
         raise KeyError("no map named %r in document" % name)
@@ -383,7 +395,7 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
     return {src: tuple(entries) for src, entries in images.items()}
 
 
-def document_from_complex(cplx: BasedComplex, maps: Optional[dict[str, ChainMap]] = None) -> ComplexDocument:
+def document_from_complex(cplx: BasedComplex, maps: dict[str, ChainMap] | None = None) -> ComplexDocument:
     map_blocks: dict[str, dict[str, tuple[Entry, ...]]] = {}
     for name, f in (maps or {}).items():
         if f.source != cplx or f.target != cplx:

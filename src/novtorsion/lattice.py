@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 GroupElement = tuple[int, ...]
 
@@ -62,11 +61,25 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    rank: int
-    phi: tuple[Fraction, ...]
-    c1: tuple[int, ...]
+class _ReadOnly:
+    """Base of the read-only records: ``__init__`` sets each field once through
+    ``object.__setattr__``, and later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Lattice(_ReadOnly):
+    """Z^rank with the weights ``phi`` and the degree map ``c1``.  Two lattices
+    are equal when their ranks, weights and degree maps are, as ``_id``,
+    the tuple ``(D, D*phi, c1)`` of ints, compares them."""
+
+    __slots__ = ("rank", "phi", "c1", "_den", "_num", "_id", "_shift", "_kshifts", "_kbasis", "_koff")
 
     def __init__(self, rank: int, phi: Iterable, c1: Iterable):
         rank = _integer(rank)
@@ -83,15 +96,29 @@ class Lattice:
         object.__setattr__(self, "c1", c1)
         den = math.lcm(*(p.denominator for p in phi))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_num", tuple(p.numerator * (den // p.denominator) for p in phi))
+        num = tuple(p.numerator * (den // p.denominator) for p in phi)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_id", (den, num, c1))
         # The keys of the standard generators, whose combinations give every key;
         # adding _BOX to every digit of a key makes its digits plain base-2**32 ones.
         shift = _BITS * rank
         shifts = tuple(range(shift - _BITS, -1, -_BITS))
         object.__setattr__(self, "_shift", shift)
         object.__setattr__(self, "_kshifts", shifts)
-        object.__setattr__(self, "_kbasis", tuple((n << shift) + (1 << s) for n, s in zip(self._num, shifts)))
+        object.__setattr__(self, "_kbasis", tuple((n << shift) + (1 << s) for n, s in zip(num, shifts)))
         object.__setattr__(self, "_koff", sum(_BOX << s for s in shifts))
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self._id == other._id
+
+    def __hash__(self):
+        return hash(self._id)
+
+    def __reduce__(self):
+        # copy and pickle through __init__, past the read-only guard
+        return Lattice, (self.rank, self.phi, self.c1)
 
     def _check(self, g: GroupElement) -> GroupElement:
         g = tuple(x if type(x) is int and -_BOX < x < _BOX else _coordinate(x) for x in g)
@@ -144,7 +171,7 @@ class Lattice:
         """Whether g lies in the kernel of the integral homomorphism."""
         return self.chern(g) == 0
 
-    def minimal_chern_number(self) -> Optional[int]:
+    def minimal_chern_number(self) -> int | None:
         """Positive generator of the image of the integral homomorphism.
 
         Returns None when the image is 0 (the unbounded case).

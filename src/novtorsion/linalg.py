@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from .lattice import Lattice
+from .lattice import Lattice, _ReadOnly
 from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _report_cutoff
 
 _DET_MASKS = math.comb(14, 7)  # partial expansions one determinant row may hold: a dense 14x14's peak
@@ -54,7 +53,7 @@ class Matrix:
 
     __slots__ = ("live", "ncols", "lattice")
 
-    def __init__(self, live: tuple[dict[int, NovikovElement], ...], ncols: int, lattice: Optional[Lattice]):
+    def __init__(self, live: tuple[dict[int, NovikovElement], ...], ncols: int, lattice: Lattice | None):
         self.live, self.ncols, self.lattice = live, ncols, lattice
 
     @property
@@ -81,7 +80,7 @@ class Matrix:
         return repr(tuple(self))
 
 
-def _from_entries(lattice: Optional[Lattice], ncols: int, rows_of_entries) -> Matrix:
+def _from_entries(lattice: Lattice | None, ncols: int, rows_of_entries) -> Matrix:
     """The matrix with one ``{column: entry}`` per row, exact zeros left out.
     Raises LatticeMismatchError on an entry over another lattice, exact zeros too."""
     live = []
@@ -107,7 +106,7 @@ def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
     return _from_entries(lattice, ncols, rows)
 
 
-def as_matrix(rows, ncols: Optional[int] = None) -> Matrix:
+def as_matrix(rows, ncols: int | None = None) -> Matrix:
     """The matrix with these rows; a row-less input needs ``ncols``.
 
     Raises ShapeError on ragged rows or a column count they contradict, and
@@ -137,7 +136,7 @@ def identity(lattice: Lattice, n: int) -> Matrix:
     return _from_entries(lattice, n, ({i: one} for i in range(n)))
 
 
-def _operands(a, b) -> tuple[Matrix, Matrix, Optional[Lattice]]:
+def _operands(a, b) -> tuple[Matrix, Matrix, Lattice | None]:
     """Both operands as matrices and their lattice; LatticeMismatchError when
     both have entries, over different lattices."""
     a, b = as_matrix(a), as_matrix(b)
@@ -220,8 +219,7 @@ def determinant(lattice: Lattice, rows) -> NovikovElement:
     return prev.get((1 << n) - 1, NovikovElement.zero(lattice))
 
 
-@dataclass(frozen=True)
-class PivotSelection:
+class PivotSelection(_ReadOnly):
     """Pivot positions found by unit-pivot column reduction.
 
     ``zero`` is the sum of the termless entries left in the columns that
@@ -229,9 +227,12 @@ class PivotSelection:
     bound below which those zero verdicts are certified (None when exact).
     """
 
-    pivots: tuple[tuple[int, int], ...]
-    zero: NovikovElement
+    __slots__ = ("pivots", "zero")
     cutoff = _report_cutoff
+
+    def __init__(self, pivots: tuple[tuple[int, int], ...], zero: NovikovElement):
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "zero", zero)
 
     @property
     def rank(self) -> int:
@@ -245,8 +246,8 @@ class PivotSelection:
 def select_column_pivots(
     lattice: Lattice,
     rows,
-    ncols: Optional[int] = None,
-    column_order: Optional[Sequence[int]] = None,
+    ncols: int | None = None,
+    column_order: Sequence[int] | None = None,
 ) -> PivotSelection:
     """Fraction-free column reduction with invertible leading-term pivots.
 

@@ -56,12 +56,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Optional
 
-from .lattice import _BITS, _BOX, GroupElement, Lattice, _rational
+from .lattice import _BITS, _BOX, GroupElement, Lattice, _rational, _ReadOnly
 
 #: Default weight bound for series-valued results of operations that must
 #: truncate (inverses of non-monomial units and quantities derived from them).
@@ -101,10 +99,12 @@ class ExpansionLimitError(ValueError):
     Python prints."""
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
-    coefficient: Fraction
-    element: GroupElement
+class LeadingTerm(_ReadOnly):
+    __slots__ = ("coefficient", "element")
+
+    def __init__(self, coefficient: Fraction, element: GroupElement):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "element", element)
 
 
 def _in_box(what: str, reach: int) -> int:
@@ -114,7 +114,7 @@ def _in_box(what: str, reach: int) -> int:
     return reach
 
 
-def _lower(ck: Optional[int], cf, k: Optional[int], f) -> tuple:
+def _lower(ck: int | None, cf, k: int | None, f) -> tuple:
     """The lower of two scaled cutoffs ``ck + cf`` and ``k + f``, each an int
     part (None for no cutoff) and a fractional part, 0 or a Fraction in (0, 1)."""
     if ck is None or k is not None and (k < ck or k == ck and f < cf):
@@ -123,7 +123,7 @@ def _lower(ck: Optional[int], cf, k: Optional[int], f) -> tuple:
 
 
 @property
-def _report_cutoff(report) -> Optional[Fraction]:
+def _report_cutoff(report) -> Fraction | None:
     """A report's weakest cutoff, None when exact: that of its termless ``zero``."""
     return report.zero.cutoff
 
@@ -148,7 +148,7 @@ class NovikovElement:
         NovikovElement._new(lattice, num, den, ck, cf, reach, self)
 
     @classmethod
-    def _new(cls, lattice: Lattice, num: dict, den: int, ck: Optional[int], cf, reach: int, out=None) -> "NovikovElement":
+    def _new(cls, lattice: Lattice, num: dict, den: int, ck: int | None, cf, reach: int, out=None) -> "NovikovElement":
         """Trusted constructor: ``num`` maps keys to int numerators over
         ``den > 0``, the scaled cutoff is ``ck + cf`` (see the module
         docstring; ``ck`` None for an exact element), and no coordinate
@@ -214,7 +214,7 @@ class NovikovElement:
         return self._ck is None
 
     @property
-    def cutoff(self) -> Optional[Fraction]:
+    def cutoff(self) -> Fraction | None:
         """Weight from which on the terms are unknown; None when exact."""
         ck, cf = self._ck, self._cf  # cf is an int 0 or a Fraction: both have a numerator and a denominator
         return None if ck is None else Fraction(ck * cf.denominator + cf.numerator, cf.denominator * self.lattice._den)
@@ -226,7 +226,7 @@ class NovikovElement:
         lat = self.lattice
         return Fraction(self._num.get(lat._key(lat._check(g)), 0), self._den)
 
-    def min_weight(self) -> Optional[Fraction]:
+    def min_weight(self) -> Fraction | None:
         if not self._num:
             return None
         lat = self.lattice
@@ -240,7 +240,7 @@ class NovikovElement:
         top = lat._kbound(lat._kweight(min(self._num)) + 1)
         return sorted(k for k in self._num if k < top)
 
-    def _lead(self) -> Optional[int]:
+    def _lead(self) -> int | None:
         """Key of the unique minimal-weight term, None for an empty element;
         a tie raises AmbiguousLeadingTermError."""
         sl = self._slice()
@@ -253,7 +253,7 @@ class NovikovElement:
         lat, den = self.lattice, self._den
         return [(Fraction(self._num[k], den), lat._unkey(k)) for k in self._slice()]
 
-    def leading_term(self) -> Optional[LeadingTerm]:
+    def leading_term(self) -> LeadingTerm | None:
         """The unique minimal-weight term, or None for an empty element.
 
         Raises AmbiguousLeadingTermError when several support elements tie

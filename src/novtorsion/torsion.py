@@ -12,14 +12,13 @@ odd degree, with differential a unit u, has torsion class u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .complexes import (
     BasedComplex, ChainMap, NotAcyclicError, _certify_square_zero, _nonzero_entries, mapping_cone,
 )
-from .lattice import g_neg
+from .lattice import _ReadOnly, g_neg
 from .linalg import (
     IndeterminatePivotError,
     Matrix,
@@ -36,15 +35,17 @@ from .linalg import (
 from .series import DEFAULT_CUTOFF, NovikovElement, NotInvertibleError, divide
 
 
-@dataclass(frozen=True, eq=False)
-class _DeterminantClass:
+class _DeterminantClass(_ReadOnly):
     """A unit modulo a subgroup, stored as a normalized representative.
 
     Subclasses say how ``_normalize`` picks the representative; products
     and comparisons are only defined between classes of one kind.
     """
 
-    representative: NovikovElement
+    __slots__ = ("representative",)
+
+    def __init__(self, representative: NovikovElement):
+        object.__setattr__(self, "representative", representative)
 
     @classmethod
     def from_unit(cls, u: NovikovElement):
@@ -66,7 +67,7 @@ class _DeterminantClass:
     __hash__ = None
 
     @property
-    def cutoff(self) -> Optional[Fraction]:
+    def cutoff(self) -> Fraction | None:
         return self.representative.cutoff
 
     def __str__(self):
@@ -75,6 +76,8 @@ class _DeterminantClass:
 
 class BasisChangeClass(_DeterminantClass):
     """A unit modulo sign; the determinant class of a change of graded basis."""
+
+    __slots__ = ()
 
     @staticmethod
     def _normalize(u, lead):
@@ -92,6 +95,8 @@ class WhiteheadClass(_DeterminantClass):
     group identity.  The class is trivial exactly when the representative
     is the constant 1; rational constants other than 1 stay non-trivial.
     """
+
+    __slots__ = ()
 
     @staticmethod
     def _normalize(u, lead):
@@ -140,8 +145,8 @@ def _minor(lattice, mat: Matrix, skip_rows, cols) -> Matrix:
 def milnor_torsion_unit(
     cplx: BasedComplex,
     cutoff=DEFAULT_CUTOFF,
-    order0: Optional[Sequence[int]] = None,
-    order1: Optional[Sequence[int]] = None,
+    order0: Sequence[int] | None = None,
+    order1: Sequence[int] | None = None,
 ) -> BasisChangeClass:
     """Torsion of an acyclic complex as a unit modulo sign.
 
@@ -183,8 +188,8 @@ def milnor_torsion_unit(
 def milnor_torsion(
     cplx: BasedComplex,
     cutoff=DEFAULT_CUTOFF,
-    order0: Optional[Sequence[int]] = None,
-    order1: Optional[Sequence[int]] = None,
+    order0: Sequence[int] | None = None,
+    order1: Sequence[int] | None = None,
 ) -> WhiteheadClass:
     """Torsion of an acyclic based complex in the Whitehead quotient."""
     return milnor_torsion_unit(cplx, cutoff, order0, order1).to_whitehead()

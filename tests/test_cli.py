@@ -16,6 +16,9 @@ from novtorsion.cli import (
     EXIT_VALIDATE,
     main,
 )
+from novtorsion.document import build_chain_map, build_complex, parse
+from novtorsion.linalg import select_column_pivots
+from novtorsion.torsion import BasisChangeClass, whitehead_normalize
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,6 +81,18 @@ def test_parse_failure_exit(capsys):
     assert code == EXIT_PARSE
     assert report_value(out, "category") == "parse"
     assert "ghost" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "torsion"])
+def test_non_utf8_file_is_a_parse_failure(capsys, tmp_path, command):
+    path = tmp_path / "latin1.cplx"
+    path.write_bytes(b"\xff\xfe")
+    code, out = run(capsys, command, str(path))
+    assert (code, out) == (EXIT_PARSE, "status: error\ncategory: parse\nmessage: line 1: byte 0xff is not valid UTF-8\n")
+    # lines are numbered as the parser numbers them, a lone CR ending one too
+    path.write_bytes(b"[group]\nrank: 1\rphi: \xe9\n")
+    code, out = run(capsys, command, str(path))
+    assert code == EXIT_PARSE and report_value(out, "message") == "line 3: byte 0xe9 is not valid UTF-8"
 
 
 def test_missing_file_is_usage(capsys):
@@ -341,7 +356,7 @@ import sys
 import {module}
 import novtorsion
 
-loaded = {{"numpy", "novtorsion.torus"}} & set(sys.modules)
+loaded = {{"numpy", "novtorsion.torus", "dataclasses", "inspect"}} & set(sys.modules)
 assert not loaded, loaded
 names = {names!r}
 found = {{name: getattr(novtorsion, name) for name in names}}
@@ -368,9 +383,55 @@ def fresh_python(*args):
 
 
 @pytest.mark.parametrize("module", ["novtorsion.cli", "novtorsion"])
-def test_import_loads_neither_numpy_nor_the_torus_module(module):
+def test_import_loads_no_numpy_torus_dataclasses_or_inspect(module):
     proc = fresh_python("-c", FRESH_IMPORT.format(module=module, names=TORUS_NAMES))
     assert proc.returncode == 0, proc.stderr
+
+
+READ_ONLY_FIELDS = {
+    "Lattice": "rank",
+    "LeadingTerm": "coefficient",
+    "PivotSelection": "pivots",
+    "ValidationReport": "valid",
+    "RanksReport": "ranks",
+    "BasedComplex": "modulus",
+    "ChainMap": "matrices",
+    "BasisChangeClass": "representative",
+    "WhiteheadClass": "representative",
+}
+
+
+def read_only_record(name):
+    """An instance of the record class ``name``, built from the fixtures."""
+    with open(fixture("two_term.cplx"), encoding="utf-8") as fh:
+        cplx = build_complex(parse(fh.read()))
+    with open(fixture("selfmap.cplx"), encoding="utf-8") as fh:
+        doc = parse(fh.read())
+    d = cplx.differentials[1]
+    unit = d.live[0][0]
+    return {
+        "Lattice": lambda: cplx.lattice,
+        "LeadingTerm": unit.leading_term,
+        "PivotSelection": lambda: select_column_pivots(cplx.lattice, d),
+        "ValidationReport": cplx.validate,
+        "RanksReport": cplx.homology_ranks,
+        "BasedComplex": lambda: cplx,
+        "ChainMap": lambda: build_chain_map(doc, "double"),
+        "BasisChangeClass": lambda: BasisChangeClass.from_unit(unit),
+        "WhiteheadClass": lambda: whitehead_normalize(unit),
+    }[name]()
+
+
+@pytest.mark.parametrize("name,field", READ_ONLY_FIELDS.items())
+def test_records_are_read_only(name, field):
+    record = read_only_record(name)
+    assert type(record).__name__ == name
+    value = getattr(record, field)
+    with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError, match="cannot delete field %r" % field):
+        delattr(record, field)
+    assert getattr(record, field) is value
 
 
 @pytest.mark.parametrize(

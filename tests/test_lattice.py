@@ -144,6 +144,23 @@ def test_dimension_mismatch():
         Lattice(2, [1], [0, 0])
 
 
+def test_equal_lattices_compare_without_fractions(monkeypatch):
+    """Equality and hash read the int tuple (D, D*phi, c1); elements over
+    equal but distinct lattices combine without comparing a Fraction."""
+    a, b = Lattice(2, [1, Fraction(1, 2)], [0, 0]), Lattice(2, ["1", "1/2"], [0, 0])
+    calls = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda x, y: calls.append((x, y)) or eq(x, y))
+    assert a is not b and a == b and hash(a) == hash(b)
+    x, y = NovikovElement.monomial(a, 2, (1, 0)), NovikovElement.monomial(b, 3, (0, 1))
+    assert (x * y).lattice is a and (y + x).lattice is b
+    assert a != Lattice(2, [1, Fraction(1, 3)], [0, 0])
+    assert a != Lattice(2, [2, 1], [0, 0])  # D*phi is (2, 1) for both; D is not
+    assert a != Lattice(2, [1, Fraction(1, 2)], [0, 1])
+    assert calls == []
+    assert Lattice(0, [], []) == Lattice(0, (), ())
+
+
 coords = st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
 lattices = st.builds(
     Lattice,
