@@ -93,22 +93,15 @@ def _certify_square_zero(cplx: BasedComplex) -> NovikovElement:
 
 
 class ValidationReport(_ReadOnly):
-    __slots__ = ("valid", "zero", "failures")
+    # zero: the termless composite entries, summed
+    __slots__ = _fields = ("valid", "zero", "failures")
     cutoff = _report_cutoff
-
-    def __init__(self, valid: bool, zero: NovikovElement, failures: tuple[str, ...] = ()):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "zero", zero)  # the termless composite entries, summed
-        object.__setattr__(self, "failures", failures)
 
 
 class RanksReport(_ReadOnly):
-    __slots__ = ("ranks", "zero")
+    # zero: the pivot zero columns and the d^2 = 0 zero, summed
+    __slots__ = _fields = ("ranks", "zero")
     cutoff = _report_cutoff
-
-    def __init__(self, ranks: dict[int, int], zero: NovikovElement):
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "zero", zero)  # the pivot zero columns and the d^2 = 0 zero, summed
 
     @property
     def acyclic(self) -> bool:
@@ -121,7 +114,7 @@ def shift_degree(d: int, by: int, modulus: int | None) -> int:
 
 
 class BasedComplex(_ReadOnly):
-    __slots__ = ("lattice", "modules", "differentials", "modulus")
+    __slots__ = _fields = ("lattice", "modules", "differentials", "modulus")
 
     def __init__(
         self,
@@ -134,9 +127,6 @@ class BasedComplex(_ReadOnly):
             if modulus < 2 or modulus % 2:
                 raise ComplexStructureError("grading modulus must be even and >= 2")
         modules = {int(d): tuple(names) for d, names in modules.items() if names}
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "modules", modules)
-        object.__setattr__(self, "modulus", modulus)
         seen = set()
         for d, names in modules.items():
             if modulus is not None and not 0 <= d < modulus:
@@ -145,15 +135,8 @@ class BasedComplex(_ReadOnly):
                 if n in seen:
                     raise ComplexStructureError("duplicate generator name %r" % n)
                 seen.add(n)
-        shape = lambda d: (self.rank(self.shift(d, 1)), self.rank(d))
-        object.__setattr__(self, "differentials", _blocks(differentials, lattice, shape, "differential"))
-
-    def __eq__(self, other):
-        if not isinstance(other, BasedComplex):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    __hash__ = None
+        shape = lambda d: (len(modules.get(shift_degree(d, 1, modulus), ())), len(modules.get(d, ())))
+        super().__init__(lattice, modules, _blocks(differentials, lattice, shape, "differential"), modulus)
 
     # -- basic structure ---------------------------------------------------
 
@@ -259,7 +242,7 @@ class BasedComplex(_ReadOnly):
 
 
 class ChainMap(_ReadOnly):
-    __slots__ = ("source", "target", "matrices")
+    __slots__ = _fields = ("source", "target", "matrices")
 
     def __init__(self, source: BasedComplex, target: BasedComplex, matrices: dict[int, Matrix]):
         if source.lattice != target.lattice:
@@ -267,9 +250,7 @@ class ChainMap(_ReadOnly):
         if source.modulus != target.modulus:
             raise ComplexStructureError("chain map between complexes with different gradings")
         shape = lambda d: (target.rank(d), source.rank(d))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrices", _blocks(matrices, source.lattice, shape, "chain map block"))
+        super().__init__(source, target, _blocks(matrices, source.lattice, shape, "chain map block"))
 
     def block(self, d: int) -> Matrix:
         mat = self.matrices.get(d)

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .complexes import BasedComplex, ChainMap, shift_degree
-from .lattice import Lattice
+from .lattice import Lattice, _ReadOnly
 from .linalg import Matrix, _from_entries
 from .series import NovikovElement
 
@@ -40,27 +40,8 @@ class DocumentParseError(ValueError):
         super().__init__("line %d: %s" % (line, message))
 
 
-class ComplexDocument:
-    __slots__ = ("lattice", "modules", "differential", "maps", "modulus")
-
-    def __init__(
-        self,
-        lattice: Lattice,
-        modules: dict[int, tuple[str, ...]],
-        differential: dict[str, tuple[Entry, ...]] | None = None,
-        maps: dict[str, dict[str, tuple[Entry, ...]]] | None = None,
-        modulus: int | None = None,
-    ):
-        self.lattice, self.modules, self.modulus = lattice, modules, modulus
-        self.differential = {} if differential is None else differential
-        self.maps = {} if maps is None else maps
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexDocument):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    __hash__ = None
+class ComplexDocument(_ReadOnly):
+    __slots__ = _fields = ("lattice", "modules", "differential", "maps", "modulus")
 
 
 def _positions(modules: dict[int, tuple[str, ...]]) -> dict[str, tuple[int, int]]:

@@ -62,10 +62,44 @@ def _rational(x) -> Fraction:
 
 
 class _ReadOnly:
-    """Base of the read-only records: ``__init__`` sets each field once through
-    ``object.__setattr__``, and later assignment or deletion raises AttributeError."""
+    """Base of the read-only records.  A record names its public fields once,
+    ``__slots__ = _fields = (...)``, and keeps any private slot out of
+    ``_fields``.  The base builds a record by position or keyword, compares
+    it with records of its own class and hashes it, both over its fields,
+    prints it as ``Name(field=value, ...)``, copies and pickles it through
+    its class's own ``__init__``, and raises AttributeError on assignment or
+    deletion."""
 
-    __slots__ = ()
+    __slots__ = _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) + len(kwargs) != len(fields) or kwargs and not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(
+                "%s takes each of the fields %s once; got %d positional and the keywords %s"
+                % (type(self).__name__, ", ".join(fields), len(args), ", ".join(kwargs) or "none")
+            )
+        if kwargs:
+            args += tuple(map(kwargs.__getitem__, fields[len(args):]))
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
@@ -79,7 +113,8 @@ class Lattice(_ReadOnly):
     are equal when their ranks, weights and degree maps are, as ``_id``,
     the tuple ``(D, D*phi, c1)`` of ints, compares them."""
 
-    __slots__ = ("rank", "phi", "c1", "_den", "_num", "_id", "_shift", "_kshifts", "_kbasis", "_koff")
+    _fields = ("rank", "phi", "c1")
+    __slots__ = _fields + ("_den", "_num", "_id", "_shift", "_kshifts", "_kbasis", "_koff")
 
     def __init__(self, rank: int, phi: Iterable, c1: Iterable):
         rank = _integer(rank)
@@ -91,9 +126,7 @@ class Lattice(_ReadOnly):
             raise DimensionMismatchError(
                 "phi and c1 must each have exactly %d entries" % rank
             )
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "c1", c1)
+        super().__init__(rank, phi, c1)
         den = math.lcm(*(p.denominator for p in phi))
         object.__setattr__(self, "_den", den)
         num = tuple(p.numerator * (den // p.denominator) for p in phi)
@@ -115,10 +148,6 @@ class Lattice(_ReadOnly):
 
     def __hash__(self):
         return hash(self._id)
-
-    def __reduce__(self):
-        # copy and pickle through __init__, past the read-only guard
-        return Lattice, (self.rank, self.phi, self.c1)
 
     def _check(self, g: GroupElement) -> GroupElement:
         g = tuple(x if type(x) is int and -_BOX < x < _BOX else _coordinate(x) for x in g)

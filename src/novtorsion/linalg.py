@@ -227,12 +227,8 @@ class PivotSelection(_ReadOnly):
     bound below which those zero verdicts are certified (None when exact).
     """
 
-    __slots__ = ("pivots", "zero")
+    __slots__ = _fields = ("pivots", "zero")
     cutoff = _report_cutoff
-
-    def __init__(self, pivots: tuple[tuple[int, int], ...], zero: NovikovElement):
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "zero", zero)
 
     @property
     def rank(self) -> int:

@@ -100,11 +100,7 @@ class ExpansionLimitError(ValueError):
 
 
 class LeadingTerm(_ReadOnly):
-    __slots__ = ("coefficient", "element")
-
-    def __init__(self, coefficient: Fraction, element: GroupElement):
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "element", element)
+    __slots__ = _fields = ("coefficient", "element")
 
 
 def _in_box(what: str, reach: int) -> int:

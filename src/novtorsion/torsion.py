@@ -42,10 +42,7 @@ class _DeterminantClass(_ReadOnly):
     and comparisons are only defined between classes of one kind.
     """
 
-    __slots__ = ("representative",)
-
-    def __init__(self, representative: NovikovElement):
-        object.__setattr__(self, "representative", representative)
+    __slots__ = _fields = ("representative",)
 
     @classmethod
     def from_unit(cls, u: NovikovElement):

@@ -29,14 +29,12 @@ assembled and fed to the torsion machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from .complexes import BasedComplex, DegenerateEndpointError, OrbitSearchError, ProfileError, two_term_complex
-from .lattice import Lattice
+from .lattice import Lattice, _rational, _ReadOnly
 from .series import DEFAULT_CUTOFF, NovikovElement
 from .torsion import WhiteheadClass, milnor_torsion
 
@@ -72,17 +70,19 @@ _DEDUPE_RADIUS = 1e-5
 _FLOAT_BATCH_MAX = 32
 
 
-@dataclass(frozen=True)
-class TorusSystem:
-    b: Fraction = Fraction(1, 5)
-    bf: float = field(init=False, repr=False, compare=False)
+class TorusSystem(_ReadOnly):
+    """The amplitude ``b``, an exact rational, with ``bf``, its float."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
+    _fields = ("b",)
+    __slots__ = _fields + ("bf",)
+
+    def __init__(self, b=Fraction(1, 5)):
+        super().__init__(_rational(b))
         try:
-            object.__setattr__(self, "bf", float(self.b))
+            bf = float(self.b)
         except OverflowError:  # beyond the float range, which check() rejects
-            object.__setattr__(self, "bf", math.inf if self.b > 0 else -math.inf)
+            bf = math.inf if self.b > 0 else -math.inf
+        object.__setattr__(self, "bf", bf)
 
     # profile functions, numpy friendly
     def lam(self, x):
@@ -249,15 +249,8 @@ def _rk4_batch(rhs, state, steps: int, record: bool):
     return path if record else state[None]
 
 
-@dataclass
-class PeriodicOrbit:
-    x: float
-    y: float
-    monodromy: np.ndarray
-    cz_index: int
-    det_gap: float
-    variational_path: np.ndarray
-    richardson_gap: float
+class PeriodicOrbit(_ReadOnly):
+    __slots__ = _fields = ("x", "y", "monodromy", "cz_index", "det_gap", "variational_path", "richardson_gap")
 
 
 def _residual(sys, points, steps):
@@ -487,14 +480,8 @@ def conley_zehnder(path) -> int:
     return int(base) + 1
 
 
-@dataclass(frozen=True)
-class Arc:
-    lower: float
-    upper: float
-    sign: int
-    source_x: float
-    target_x: float
-    winding: int
+class Arc(_ReadOnly):
+    __slots__ = _fields = ("lower", "upper", "sign", "source_x", "target_x", "winding")
 
 
 def reduced_equilibria(sys: TorusSystem) -> tuple[float, float]:
@@ -529,8 +516,8 @@ def laurent_lattice() -> Lattice:
 def assemble_floer(
     sys: TorusSystem,
     sign_convention: str = "minus",
-    orbits: Optional[list[PeriodicOrbit]] = None,
-    counts: Optional[tuple[Arc, ...]] = None,
+    orbits: list[PeriodicOrbit] | None = None,
+    counts: tuple[Arc, ...] | None = None,
 ) -> BasedComplex:
     """Assemble the two-generator complex of the found orbits.
 
@@ -569,7 +556,7 @@ def assemble_floer(
 def torus_torsion(
     sys: TorusSystem,
     sign_convention: str = "minus",
-    cplx: Optional[BasedComplex] = None,
+    cplx: BasedComplex | None = None,
     cutoff=DEFAULT_CUTOFF,
 ) -> WhiteheadClass:
     """Torsion class of the assembled complex; exact for these entries."""
@@ -578,16 +565,8 @@ def torus_torsion(
     return milnor_torsion(cplx, cutoff)
 
 
-@dataclass
-class TorusReport:
-    system: TorusSystem
-    grid: tuple[int, int]
-    search_steps: int
-    refine_steps: int
-    orbits: list[PeriodicOrbit]
-    counts: tuple[Arc, ...]
-    complexes: dict[str, BasedComplex]
-    torsions: dict[str, WhiteheadClass]
+class TorusReport(_ReadOnly):
+    __slots__ = _fields = ("system", "grid", "search_steps", "refine_steps", "orbits", "counts", "complexes", "torsions")
 
 
 def run_example(
@@ -599,7 +578,7 @@ def run_example(
     refine_steps: int = REFINE_STEPS,
 ) -> TorusReport:
     """Full pipeline: orbits, indices, connecting counts, complex, torsion."""
-    sys = TorusSystem(Fraction(b))
+    sys = TorusSystem(b)
     orbits = find_orbits(sys, tol, grid, search_steps, refine_steps)
     counts = count_connecting(sys)
     complexes = {}

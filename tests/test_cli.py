@@ -1,11 +1,14 @@
+import copy
 import glob
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from novtorsion.cli import (
@@ -17,7 +20,9 @@ from novtorsion.cli import (
     main,
 )
 from novtorsion.document import build_chain_map, build_complex, parse
+from novtorsion.lattice import Lattice
 from novtorsion.linalg import select_column_pivots
+from novtorsion.series import LeadingTerm, NovikovElement
 from novtorsion.torsion import BasisChangeClass, whitehead_normalize
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -388,6 +393,13 @@ def test_import_loads_no_numpy_torus_dataclasses_or_inspect(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_torus_import_loads_no_dataclasses():
+    # numpy itself loads inspect and typing, so only dataclasses is checked here
+    probe = "import sys, novtorsion.torus; assert 'dataclasses' not in sys.modules"
+    proc = fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+
+
 READ_ONLY_FIELDS = {
     "Lattice": "rank",
     "LeadingTerm": "coefficient",
@@ -398,11 +410,17 @@ READ_ONLY_FIELDS = {
     "ChainMap": "matrices",
     "BasisChangeClass": "representative",
     "WhiteheadClass": "representative",
+    "ComplexDocument": "differential",
+    "TorusSystem": "b",
+    "Arc": "sign",
+    "PeriodicOrbit": "monodromy",
+    "TorusReport": "orbits",
 }
 
 
-def read_only_record(name):
-    """An instance of the record class ``name``, built from the fixtures."""
+def read_only_record(name, request):
+    """An instance of the record class ``name``, built from the fixtures;
+    the torus records come from the session's ``torus_report``."""
     with open(fixture("two_term.cplx"), encoding="utf-8") as fh:
         cplx = build_complex(parse(fh.read()))
     with open(fixture("selfmap.cplx"), encoding="utf-8") as fh:
@@ -419,12 +437,17 @@ def read_only_record(name):
         "ChainMap": lambda: build_chain_map(doc, "double"),
         "BasisChangeClass": lambda: BasisChangeClass.from_unit(unit),
         "WhiteheadClass": lambda: whitehead_normalize(unit),
+        "ComplexDocument": lambda: doc,
+        "TorusSystem": lambda: request.getfixturevalue("torus_report").system,
+        "Arc": lambda: request.getfixturevalue("torus_report").counts[0],
+        "PeriodicOrbit": lambda: request.getfixturevalue("torus_report").orbits[0],
+        "TorusReport": lambda: request.getfixturevalue("torus_report"),
     }[name]()
 
 
 @pytest.mark.parametrize("name,field", READ_ONLY_FIELDS.items())
-def test_records_are_read_only(name, field):
-    record = read_only_record(name)
+def test_records_are_read_only(name, field, request):
+    record = read_only_record(name, request)
     assert type(record).__name__ == name
     value = getattr(record, field)
     with pytest.raises(AttributeError, match="cannot assign to field %r" % field):
@@ -432,6 +455,65 @@ def test_records_are_read_only(name, field):
     with pytest.raises(AttributeError, match="cannot delete field %r" % field):
         delattr(record, field)
     assert getattr(record, field) is value
+
+
+#: The records holding numpy arrays, whose ``==`` cannot compare distinct arrays.
+ARRAY_RECORDS = ("PeriodicOrbit", "TorusReport")
+
+
+def same(a, b):
+    """``a == b``, except that records holding numpy arrays, and lists of them,
+    compare field by field with np.array_equal for the arrays."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(same, a, b))
+    if type(a).__name__ in ARRAY_RECORDS:
+        return type(b) is type(a) and all(same(getattr(a, f), getattr(b, f)) for f in a._fields)
+    return a == b
+
+
+def hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", READ_ONLY_FIELDS)
+def test_records_compare_print_copy_and_pickle_by_their_fields(name, request):
+    record = read_only_record(name, request)
+    values = [getattr(record, f) for f in record._fields]
+    rebuilt = type(record)(*values)
+    assert rebuilt == record
+    assert rebuilt == type(record)(**dict(zip(record._fields, values)))
+    if all(map(hashable, values)):
+        assert hash(rebuilt) == hash(record)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    assert repr(record) == "%s(%s)" % (name, ", ".join("%s=%r" % (f, v) for f, v in zip(record._fields, values)))
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert same(twin, record)
+
+
+def test_records_print_as_their_dataclasses_did():
+    from novtorsion.torus import TorusSystem
+
+    lattice = Lattice(2, [1, "1/2"], [0, 0])
+    assert repr(lattice) == "Lattice(rank=2, phi=(Fraction(1, 1), Fraction(1, 2)), c1=(0, 0))"
+    assert repr(whitehead_normalize(NovikovElement.one(lattice))) == "WhiteheadClass(representative=<NovikovElement 1>)"
+    assert repr(TorusSystem()) == "TorusSystem(b=Fraction(1, 5))"
+
+
+def test_record_fields_must_each_be_given_once():
+    fields = "coefficient, element"
+    assert LeadingTerm(element=(0,), coefficient=1) == LeadingTerm(1, (0,))
+    for args, kwargs in [((1,), {}), ((1, (0,)), {"sign": 1}), ((1, (0,), 2), {}), ((1,), {"coefficient": 1})]:
+        with pytest.raises(TypeError, match="LeadingTerm takes each of the fields %s once" % fields):
+            LeadingTerm(*args, **kwargs)
 
 
 @pytest.mark.parametrize(

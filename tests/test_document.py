@@ -252,11 +252,11 @@ def test_built_documents_keep_their_live_record_and_reject_foreign_entries():
     modules = {0: ("a", "b"), 1: ("c", "d")}
     trunc_zero = NovikovElement.zero(LAT, cutoff=3)
     differential = {"a": ((Z, "d"), (NovikovElement.zero(LAT), "c")), "b": ((trunc_zero, "c"),)}
-    cplx = build_complex(ComplexDocument(LAT, modules, differential))
+    cplx = build_complex(ComplexDocument(LAT, modules, differential, {}, None))
     d0 = cplx.differential(0)
     # the exact zero given for (c <- a) is not live; the truncated zero is
     assert [list(row) for row in d0.live] == [[1], [0]]
     assert document_from_complex(cplx).differential == {"a": ((Z, "d"),), "b": ((trunc_zero, "c"),)}
     foreign = NovikovElement.one(Lattice(1, [2], [0]))
     with pytest.raises(LatticeMismatchError):
-        build_complex(ComplexDocument(LAT, modules, {"a": ((foreign, "c"),)}))
+        build_complex(ComplexDocument(LAT, modules, {"a": ((foreign, "c"),)}, {}, None))

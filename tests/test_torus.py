@@ -78,6 +78,16 @@ def test_profile_bounds_checked():
     TorusSystem(Fraction(1, 5)).check()
 
 
+def test_amplitude_is_read_as_an_exact_rational():
+    # 0.2 is not 1/5 in binary; it is refused rather than read as 3602879701896397/2**54
+    for call in (TorusSystem, torus.run_example):
+        with pytest.raises(ValueError, match="0.2 is not an exact rational"):
+            call(0.2)
+    for b, want in ((Fraction(1, 5), Fraction(1, 5)), ("1/5", Fraction(1, 5)), (1, Fraction(1)), (2.0, Fraction(2))):
+        assert TorusSystem(b).b == want
+        assert type(TorusSystem(b).b) is Fraction
+
+
 def test_amplitude_beyond_the_float_range_is_a_profile_error():
     for b in (Fraction(10) ** 400, -(Fraction(10) ** 400)):
         with pytest.raises(ProfileError):
