@@ -139,21 +139,24 @@ def _flow_field(bf: float, cos, sin):
     Only arithmetic and the given cos/sin, so the same code runs on floats
     (math) and on 1-D arrays (numpy).  One cos/sin pair of 2 pi x and one of
     2 pi (y - t) feed every profile derivative; nu's second harmonic comes
-    from the double-angle formulas.
+    from the double-angle formulas.  Constants the field negates are stored
+    negated, and -lam'' is taken as lam2 cos(2 pi x): negation is exact, so
+    the values are those of the unfolded expressions bit for bit.
     """
-    lam1, lam2 = TWO_PI * bf, TWO_PI**2 * bf
-    nu1, nu2 = TWO_PI * NU_A1, 2 * TWO_PI * NU_A2
-    nu1d, nu2d = TWO_PI**2 * NU_A1, (2 * TWO_PI) ** 2 * NU_A2
+    lam1n, lam2 = -(TWO_PI * bf), TWO_PI**2 * bf
+    nu1n, nu2 = -(TWO_PI * NU_A1), 2 * TWO_PI * NU_A2
+    nu1dn, nu2d = -(TWO_PI**2 * NU_A1), (2 * TWO_PI) ** 2 * NU_A2
 
     def rhs(t, x, y, m11, m12, m21, m22):
-        cx, sx = cos(TWO_PI * x), sin(TWO_PI * x)
+        u = TWO_PI * x
+        cx, sx = cos(u), sin(u)
         s = TWO_PI * (y - t)
         c1, s1 = cos(s), sin(s)
         c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
-        lam, dlam, d2lam = 1.0 + bf * cx, -lam1 * sx, -lam2 * cx
+        lam, dlam = 1.0 + bf * cx, lam1n * sx
         nu = 1.0 + NU_A1 * (c1 - 1.0) + NU_A2 * (c2 - 1.0)
-        dnu, d2nu = -nu1 * s1 - nu2 * s2, -nu1d * c1 - nu2d * c2
-        a11, a12, a21 = dlam * dnu, lam * d2nu, -d2lam * nu
+        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
+        a11, a12, a21 = dlam * dnu, lam * d2nu, lam2 * cx * nu
         return (
             lam * dnu, -dlam * nu,
             a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
@@ -251,6 +254,18 @@ def _rk4_batch(rhs, state, steps: int, record: bool):
 
 class PeriodicOrbit(_ReadOnly):
     __slots__ = _fields = ("x", "y", "monodromy", "cz_index", "det_gap", "variational_path", "richardson_gap")
+    __hash__ = None
+
+    def __eq__(self, other):
+        """Field by field, the two array fields by np.array_equal."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            if f in ("monodromy", "variational_path")
+            else getattr(self, f) == getattr(other, f)
+            for f in self._fields
+        )
 
 
 def _residual(sys, points, steps):
@@ -259,21 +274,25 @@ def _residual(sys, points, steps):
     return f, mons
 
 
-def _newton_search(sys, seeds, steps, tol):
+def _newton_search(sys, seeds, f, mons, steps, tol):
     """Clamped Newton iteration from all seeds in one batch; returns the
-    converged points in the order they converged.  A seed retired within
-    the dedupe radius of a converged point would only be merged with it."""
+    converged points in the order they converged.  ``f`` and ``mons`` are
+    the residuals and monodromies at the seeds, so the first step integrates
+    nothing and each later one only the seeds still moving.  A seed retired
+    within the dedupe radius of a converged point would only be merged with it."""
     pts = np.array(seeds, dtype=float)
     active = np.ones(len(pts), dtype=bool)
     best = np.full(len(pts), np.inf)
     stalls = np.zeros(len(pts), dtype=int)
     found = []
-    for _ in range(_MAX_NEWTON_ITER):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
+    idx = np.arange(len(pts))
+    for i in range(_MAX_NEWTON_ITER):
+        if i:
+            idx = np.flatnonzero(active)
+            if not idx.size:
+                break
+            f, mons = _residual(sys, pts[idx], steps)
         cur = pts[idx]
-        f, mons = _residual(sys, cur, steps)
         res = np.abs(f).max(axis=1)
         improved = res < best[idx]
         best[idx[improved]] = res[improved]
@@ -303,26 +322,29 @@ def _newton_search(sys, seeds, steps, tol):
 
 
 def _scan_candidates(sys, grid, steps):
-    """Well-separated grid points of lowest residual, in increasing residual.
+    """Well-separated grid points of lowest residual, in increasing residual,
+    with the residuals and monodromies the scan found at them.
 
     One batched integration scans the grid; at most 40 points with residual
     at most 1/2 are kept, each farther than one grid spacing from the others.
+    Returns (seeds, f, mons) as arrays of shape (k, 2), (k, 2), (k, 2, 2):
+    Newton's first step at the seeds, without integrating them again.
     """
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    f, _ = _residual(sys, seeds, steps)
+    f, mons = _residual(sys, seeds, steps)
     res = np.abs(f).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
-    candidates = []
+    chosen = []
     for i in np.argsort(res):
-        if res[i] > 0.5 or len(candidates) >= 40:
+        if res[i] > 0.5 or len(chosen) >= 40:
             break
-        p = seeds[i]
-        if all(_torus_dist(p, q) > separation for q in candidates):
-            candidates.append(p)
-    return candidates
+        if all(_torus_dist(seeds[i], seeds[j]) > separation for j in chosen):
+            chosen.append(i)
+    chosen = np.array(chosen, dtype=int)
+    return seeds[chosen], f[chosen], mons[chosen]
 
 
 def _distinct(found):
@@ -354,27 +376,28 @@ def find_orbits(
     The residual of the winding-1 return condition is scanned on the grid
     in one batched integration; Newton iteration (solved in the universal
     cover, with a step clamp) then runs from the well-separated lowest
-    residual seeds.  A seed is retired once its residual has gone three
-    iterations without beating its own best, or once its step lands within
-    the dedupe radius (1e-5) of a converged point; the iteration ends when
-    every seed has converged, failed or been retired, after at most 20
-    steps.  Converged points are deduplicated with the wrap-around metric,
-    re-integrated at ``refine_steps`` to check that they still close within
-    ``tol``, and returned with monodromy, a step-halving consistency gap,
-    non-degeneracy gap and index, sorted by x.  Exhaustiveness is
-    guaranteed only up to the scan resolution: an orbit that no scanned
-    seed leads to is missed.
+    residual seeds, and the scan's residuals and monodromies at those seeds
+    are its first step, so the search integrates no point twice.  A seed is
+    retired once its residual has gone three iterations without beating its
+    own best, or once its step lands within the dedupe radius (1e-5) of a
+    converged point; the iteration ends when every seed has converged,
+    failed or been retired, after at most 20 steps.  Converged points are
+    deduplicated with the wrap-around metric, re-integrated at
+    ``refine_steps`` to check that they still close within ``tol``, and
+    returned with monodromy, a step-halving consistency gap, non-degeneracy
+    gap and index, sorted by x.  Exhaustiveness is guaranteed only up to
+    the scan resolution: an orbit that no scanned seed leads to is missed.
     """
     if min(grid) < 1:
         raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
     sys.check()
-    candidates = _scan_candidates(sys, grid, search_steps)
-    if not candidates:
+    seeds, f, mons = _scan_candidates(sys, grid, search_steps)
+    if not len(seeds):
         raise OrbitSearchError("no seed on the %dx%d grid is near a winding-1 fixed point" % grid)
-    found = _newton_search(sys, np.array(candidates), search_steps, tol)
+    found = _newton_search(sys, seeds, f, mons, search_steps, tol)
     if not found:
         raise OrbitSearchError(
-            "Newton iteration converged from none of %d candidate seeds" % len(candidates)
+            "Newton iteration converged from none of %d candidate seeds" % len(seeds)
         )
     return [
         _refine_orbit(sys, p, refine_steps, tol)

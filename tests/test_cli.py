@@ -8,7 +8,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from novtorsion.cli import (
@@ -457,22 +456,6 @@ def test_records_are_read_only(name, field, request):
     assert getattr(record, field) is value
 
 
-#: The records holding numpy arrays, whose ``==`` cannot compare distinct arrays.
-ARRAY_RECORDS = ("PeriodicOrbit", "TorusReport")
-
-
-def same(a, b):
-    """``a == b``, except that records holding numpy arrays, and lists of them,
-    compare field by field with np.array_equal for the arrays."""
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, list):
-        return type(b) is list and len(a) == len(b) and all(map(same, a, b))
-    if type(a).__name__ in ARRAY_RECORDS:
-        return type(b) is type(a) and all(same(getattr(a, f), getattr(b, f)) for f in a._fields)
-    return a == b
-
-
 def hashable(value):
     try:
         hash(value)
@@ -496,7 +479,7 @@ def test_records_compare_print_copy_and_pickle_by_their_fields(name, request):
     assert repr(record) == "%s(%s)" % (name, ", ".join("%s=%r" % (f, v) for f, v in zip(record._fields, values)))
     for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record)
-        assert same(twin, record)
+        assert twin == record
 
 
 def test_records_print_as_their_dataclasses_did():

@@ -491,25 +491,49 @@ def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
+def test_scan_hands_over_the_residuals_at_its_candidates(b, monkeypatch):
+    s = TorusSystem(b)
+    seeds, f, mons = _scan_candidates(s, (48, 24), 128)
+    assert seeds.shape == f.shape == (len(seeds), 2) and mons.shape == (len(seeds), 2, 2)
+    # the scan runs the stacked array step, so a fresh array-path residual
+    # at the candidates is bit-identical; the float path agrees to rounding
+    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", 0)
+    array_f, array_mons = _residual(s, seeds, 128)
+    assert np.array_equal(f, array_f) and np.array_equal(mons, array_mons)
+    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", len(seeds))
+    float_f, float_mons = _residual(s, seeds, 128)
+    assert np.abs(f - float_f).max() < 1e-12 and np.abs(mons - float_mons).max() < 1e-12
+
+
+@pytest.mark.parametrize("b", AMPLITUDES)
 def test_seed_retirement_keeps_the_first_found_points(b):
     s = TorusSystem(b)
-    seeds = np.array(_scan_candidates(s, (48, 24), 128))
-    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
+    seeds, f, mons = _scan_candidates(s, (48, 24), 128)
+    got = _distinct(_newton_search(s, seeds, f, mons, 128, NEWTON_TOL))
     want = _distinct(_reference_newton_search(s, seeds, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
 
 
 def test_newton_search_stops_early(monkeypatch):
-    sizes = []
+    calls = []
+    scans = []
 
     def counting(sys, points, steps):
-        sizes.append(len(points))
+        calls.append(np.array(points))
         return _residual(sys, points, steps)
 
+    def scanning(sys, grid, steps):
+        scans.append(_scan_candidates(sys, grid, steps))
+        return scans[-1]
+
     monkeypatch.setattr(torus, "_residual", counting)
+    monkeypatch.setattr(torus, "_scan_candidates", scanning)
     assert len(find_orbits(TorusSystem())) == 2
-    # the first batched call is the grid scan, every later one a Newton step;
-    # without retirement all 20 steps run (6 seeds still wander at the end)
-    assert sizes[0] == 48 * 24
-    assert len(sizes) - 1 <= 10
+    # the first batched call is the grid scan, every later one a Newton step
+    # after the first, which takes the scan's residuals; without retirement
+    # all 20 steps run (6 seeds still wander at the end)
+    assert len(calls[0]) == 48 * 24
+    assert len(calls) - 1 <= 9
+    candidates = scans[0][0]
+    assert not any(np.array_equal(points, candidates) for points in calls[1:])
