@@ -65,9 +65,11 @@ _PATIENCE = 3
 _DEDUPE_RADIUS = 1e-5
 
 #: Largest batch that _integrate flows point by point on floats, the measured
-#: crossover: one point costs 1.8 ms per 256 steps on floats, a stacked batch
-#: 54 ms plus 0.12 ms per point (2 vCPUs, numpy 2.4).
-_FLOAT_BATCH_MAX = 32
+#: crossover: per 256 steps one point costs 1.17 ms on floats, and a batch
+#: 13.0 ms plus 0.07 ms per point in the fused stacked kernel, so floats win
+#: below 13.0 / 1.10 = 11.8 points (2 vCPUs, Python 3.11, numpy 2.4.6; five
+#: alternated runs put the crossover at 11 to 13).
+_FLOAT_BATCH_MAX = 12
 
 
 class TorusSystem(_ReadOnly):
@@ -136,8 +138,9 @@ class TorusSystem(_ReadOnly):
 def _flow_field(bf: float, cos, sin):
     """Derivatives of (x, y, m11, m12, m21, m22) under the flow and M' = A M.
 
-    Only arithmetic and the given cos/sin, so the same code runs on floats
-    (math) and on 1-D arrays (numpy).  One cos/sin pair of 2 pi x and one of
+    Only arithmetic and the given cos/sin: on floats (math) it is the field
+    of _rk4_point, on numpy values that of vector_field; _rk4_batch fuses
+    the same operations in place.  One cos/sin pair of 2 pi x and one of
     2 pi (y - t) feed every profile derivative; nu's second harmonic comes
     from the double-angle formulas.  Constants the field negates are stored
     negated, and -lam'' is taken as lam2 cos(2 pi x): negation is exact, so
@@ -171,15 +174,27 @@ def vector_field(sys: TorusSystem, x, y, t):
     return _flow_field(sys.bf, np.cos, np.sin)(t, x, y, 1.0, 0.0, 0.0, 1.0)[:2]
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(name, value):
+    if not (_is_int(value) and value >= 1):
+        raise ValueError("%s must be an int of at least 1, got %r" % (name, value))
+
+
 def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
     """Flow points for one period with classical RK4, carrying M alongside.
 
-    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats, a
-    larger batch as one stacked (6, n) array; both paths share the field of
-    _flow_field and do the same float operations per point.  Returns
+    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats through
+    _flow_field, a larger batch as one stacked (6, n) array in the fused
+    kernel _rk4_batch; both do the same float operations per point.  Returns
     (endpoints, monodromies) and, when recording, the sampled trajectory
-    (steps+1, n, 2) and variational path (steps+1, n, 2, 2).
+    (steps+1, n, 2) and variational path (steps+1, n, 2, 2).  ``steps``
+    must be an int of at least 1.
     """
+    _check_count("steps", steps)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
@@ -187,7 +202,7 @@ def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
         rhs = _flow_field(sys.bf, math.cos, math.sin)
         path = np.stack([_rk4_point(rhs, p, steps, record) for p in start.T.tolist()], axis=-1)
     else:
-        path = _rk4_batch(_flow_field(sys.bf, np.cos, np.sin), start, steps, record)
+        path = _rk4_batch(sys.bf, start, steps, record)
     final = path[-1].T
     ends, mons = final[:, :2], final[:, 2:].reshape(n, 2, 2)
     if record:
@@ -230,25 +245,118 @@ def _rk4_point(rhs, state, steps: int, record: bool):
     return np.array(states if record else [(x, y, m11, m12, m21, m22)])
 
 
-def _rk4_batch(rhs, state, steps: int, record: bool):
-    """RK4 of a stacked (6, n) state, each stage update one array expression.
+def _rk4_batch(bf: float, state, steps: int, record: bool):
+    """RK4 of a stacked (6, n) state as one fused kernel, updating ``state``.
 
-    Returns the (steps+1, 6, n) states when recording, else the (1, 6, n) last.
+    Every buffer, constant row and row view is made once per batch.  Each
+    ufunc then writes through its positional ``out``, constants come as
+    full rows so that nearly every call has operands of one shape (numpy's
+    cheapest call), and rows that share a formula go through one call on a
+    contiguous stacked view.  Each element sees the float operations of
+    _flow_field and _rk4_point in the same order; only a - b is taken as
+    a + (-b) and -(p q) as (-p) q, which are exact.  Returns the
+    (steps+1, 6, n) states when recording, else the (1, 6, n) last.
     """
+    n = state.shape[1]
+    mul, add, sub, neg, cos, sin = np.multiply, np.add, np.subtract, np.negative, np.cos, np.sin
+
+    def rows(*column):
+        return np.repeat(np.array(column, dtype=float)[:, None], n, axis=1)
+
+    bf_row, lam1_row, lam2_row, nu1d_row, nu1_row = rows(
+        bf, TWO_PI * bf, TWO_PI**2 * bf, -(TWO_PI**2 * NU_A1), -(TWO_PI * NU_A1)
+    )
+    two_pi, nu_a, nu2 = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows((2 * TWO_PI) ** 2 * NU_A2, 2 * TWO_PI * NU_A2)
     h = 1.0 / steps
+    h2, h6 = h / 2, h / 6
+    ones, twos, h_rows, h2_rows, h6_rows = (np.full((6, n), c) for c in (1.0, 2.0, h, h2, h6))
+    one, one_pair, two = ones[0], ones[:2], twos[0]
+    shift = np.zeros((2, n))  # 0, t
+    arg = np.empty((2, n))  # 2 pi x, 2 pi (y - t)
+    # cos 2 pi x, c1, c2, s2, sin 2 pi x, s1 with ck, sk = cos, sin of k 2 pi (y - t):
+    # the order that makes cos's and sin's outputs, c1 c2 and c2 s2 contiguous
+    trig = np.empty((6, n))
+    cx, c1, c2, s2, sx, s1 = trig
+    cos_out, sin_out, c12, cs2 = trig[0:2], trig[4:6], trig[1:3], trig[2:4]
+    p, q = np.empty((2, n)), np.empty((2, n))  # nu1d c1, nu1 s1 and nu2d c2, nu2 s2
+    harmonics = np.empty((2, n))  # NU_A1 (c1 - 1), NU_A2 (c2 - 1)
+    jets = np.empty((3, n))  # nu'', nu', nu
+    lam = np.empty((2, n))  # lam, -lam'
+    a = np.empty((4, n))  # a12, -a11, a11, a21 of A = [[a11, a12], [a21, -a11]]
+    left, right = np.empty((2, 2, n)), np.empty((2, 2, n))
+    y, k, acc = np.empty((6, n)), np.empty((6, n)), np.empty((6, n))
+    shift_t, (p1, p2), (nu_c1, nu_c2), (lam0, dlam_n) = shift[1], p, harmonics, lam
+    d2nu_dnu, dnu_nu, nu = jets[0:2], jets[1:3], jets[2]
+    a_right, a11n, a11, a21 = a[0:2], a[1], a[2], a[3]
+    a_col0, a_col1 = a[2:4].reshape(2, 1, n), a[0:2].reshape(2, 1, n)
+
+    def inputs(buf):
+        m = buf[2:].reshape(2, 2, n)
+        return buf[:2], m[:1], m[1:]
+
+    def outputs(buf):
+        return buf[:2], buf[2:].reshape(2, 2, n)
+
+    state_in, y_in, acc_out, k_out = inputs(state), inputs(y), outputs(acc), outputs(k)
+
+    def field(t, src, out):
+        xy, m_top, m_bottom = src
+        dxy, dm = out
+        shift_t.fill(t)
+        sub(xy, shift, arg)
+        mul(arg, two_pi, arg)
+        cos(arg, cos_out)
+        sin(arg, sin_out)
+        mul(c1, two, c2)
+        mul(c2, c1, c2)
+        sub(c2, one, c2)
+        mul(s1, two, s2)
+        mul(s2, c1, s2)
+        mul(c1, nu1d_row, p1)
+        mul(s1, nu1_row, p2)
+        mul(cs2, nu2, q)
+        sub(p, q, d2nu_dnu)
+        sub(c12, one_pair, harmonics)
+        mul(harmonics, nu_a, harmonics)
+        add(nu_c1, one, nu_c1)
+        add(nu_c1, nu_c2, nu)
+        mul(cx, bf_row, lam0)
+        add(lam0, one, lam0)
+        mul(sx, lam1_row, dlam_n)
+        mul(lam, dnu_nu, dxy)
+        mul(lam, d2nu_dnu, a_right)
+        neg(a11n, a11)
+        mul(cx, lam2_row, a21)
+        mul(a21, nu, a21)
+        mul(a_col0, m_top, left)
+        mul(a_col1, m_bottom, right)
+        add(left, right, dm)
+
     t = 0.0
     if record:
-        path = np.empty((steps + 1, *state.shape))
+        path = np.empty((steps + 1, 6, n))
         path[0] = state
-    for k in range(steps):
-        k1 = np.array(rhs(t, *state))
-        k2 = np.array(rhs(t + h / 2, *(state + (h / 2) * k1)))
-        k3 = np.array(rhs(t + h / 2, *(state + (h / 2) * k2)))
-        k4 = np.array(rhs(t + h, *(state + h * k3)))
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i in range(steps):
+        field(t, state_in, acc_out)
+        mul(acc, h2_rows, y)
+        add(state, y, y)
+        field(t + h2, y_in, k_out)
+        mul(k, h2_rows, y)
+        add(state, y, y)
+        mul(k, twos, k)
+        add(acc, k, acc)
+        field(t + h2, y_in, k_out)
+        mul(k, h_rows, y)
+        add(state, y, y)
+        mul(k, twos, k)
+        add(acc, k, acc)
+        field(t + h, y_in, k_out)
+        add(acc, k, acc)
+        mul(acc, h6_rows, acc)
+        add(state, acc, state)
         t += h
         if record:
-            path[k + 1] = state
+            path[i + 1] = state
     return path if record else state[None]
 
 
@@ -388,8 +496,14 @@ def find_orbits(
     gap and index, sorted by x.  Exhaustiveness is guaranteed only up to
     the scan resolution: an orbit that no scanned seed leads to is missed.
     """
+    if len(grid) != 2 or not all(map(_is_int, grid)):
+        raise ValueError("grid %r needs two int counts" % (grid,))
     if min(grid) < 1:
         raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
+    _check_count("search_steps", search_steps)
+    _check_count("refine_steps", refine_steps)
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
     sys.check()
     seeds, f, mons = _scan_candidates(sys, grid, search_steps)
     if not len(seeds):

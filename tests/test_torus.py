@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus
+from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus, two_term_complex, whitehead_normalize
 from novtorsion.torus import (
     NEWTON_TOL,
     REFINE_STEPS,
@@ -15,6 +15,7 @@ from novtorsion.torus import (
     TorusSystem,
     _FLOAT_BATCH_MAX,
     _distinct,
+    _flow_field,
     _integrate,
     _newton_search,
     _refine_orbit,
@@ -24,6 +25,7 @@ from novtorsion.torus import (
     conley_zehnder,
     count_connecting,
     find_orbits,
+    laurent_lattice,
     monodromy,
     reduced_equilibria,
     torus_torsion,
@@ -301,6 +303,31 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
         find_orbits(TorusSystem(), grid=grid)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda s: find_orbits(s, grid=(2.5, 3)), r"grid \(2\.5, 3\) needs two int counts", id="float-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=(True, 24)), r"grid \(True, 24\) needs two int counts", id="bool-grid"),
+        pytest.param(lambda s: find_orbits(s, search_steps=0), "search_steps must be an int of at least 1, got 0", id="search-0"),
+        pytest.param(lambda s: find_orbits(s, search_steps=True), "search_steps must be an int of at least 1, got True", id="search-bool"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 1, got 0", id="refine-0"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=512.0), r"refine_steps must be an int of at least 1, got 512\.0", id="refine-float"),
+        pytest.param(lambda s: find_orbits(s, tol=math.nan), "tol must be finite and positive, got nan", id="tol-nan"),
+        pytest.param(lambda s: find_orbits(s, tol=-1.0), r"tol must be finite and positive, got -1\.0", id="tol-negative"),
+        pytest.param(lambda s: find_orbits(s, tol=0.0), r"tol must be finite and positive, got 0\.0", id="tol-zero"),
+        pytest.param(lambda s: find_orbits(s, tol=math.inf), "tol must be finite and positive, got inf", id="tol-inf"),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), 0), "steps must be an int of at least 1, got 0", id="monodromy-0"),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), -1), "steps must be an int of at least 1, got -1", id="monodromy-negative"),
+        pytest.param(lambda s: _integrate(s, np.zeros((40, 2)), 2.5), r"steps must be an int of at least 1, got 2\.5", id="integrate-float"),
+    ],
+)
+def test_bad_counts_and_tolerances_are_refused_before_integrating(monkeypatch, call, message):
+    for kernel in ("_rk4_point", "_rk4_batch"):
+        monkeypatch.setattr(torus, kernel, lambda *args, **kwargs: pytest.fail("integrated"))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call(TorusSystem())
+
+
 def test_assemble_floer_checks_its_inputs(torus_report):
     sys, orbits, counts = torus_report.system, torus_report.orbits, torus_report.counts
     with pytest.raises(ValueError, match="^sign_convention must be 'plus' or 'minus'$"):
@@ -383,6 +410,46 @@ def reference_integrate(s, points, steps):
     return state[:, :2], state[:, 2:].reshape(-1, 2, 2)
 
 
+def reference_stacked(s, points, steps):
+    """The stacked RK4 step that the fused kernel replaced: _flow_field's
+    numpy closure called four times a step, each result stacked by np.array.
+
+    Returns what _integrate(..., record=True) returns.  The kernel does the
+    same float operations in the same order, so it must match bit for bit.
+    """
+    rhs = _flow_field(s.bf, np.cos, np.sin)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = len(points)
+    state = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
+    h, t = 1.0 / steps, 0.0
+    path = [state]
+    for _ in range(steps):
+        k1 = np.array(rhs(t, *state))
+        k2 = np.array(rhs(t + h / 2, *(state + (h / 2) * k1)))
+        k3 = np.array(rhs(t + h / 2, *(state + (h / 2) * k2)))
+        k4 = np.array(rhs(t + h, *(state + h * k3)))
+        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        path.append(state)
+    path = np.array(path).transpose(0, 2, 1)
+    return path[-1, :, :2], path[-1, :, 2:].reshape(n, 2, 2), path[..., :2], path[..., 2:].reshape(steps + 1, n, 2, 2)
+
+
+@pytest.mark.parametrize("b", AMPLITUDES)
+@pytest.mark.parametrize("n", [_FLOAT_BATCH_MAX + 1, 40, 48 * 24])
+def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
+    s = TorusSystem(b)
+    if n == 48 * 24:  # the default scan grid
+        pts = np.array([((i + 0.5) / 48, (j + 0.5) / 24) for i in range(48) for j in range(24)])
+    else:
+        pts = np.random.RandomState(n).uniform(-0.25, 1.25, (n, 2))
+    want = reference_stacked(s, pts, 128)
+    recorded = _integrate(s, pts, 128, record=True)
+    assert len(recorded) == 4 and all(np.array_equal(got, ref) for got, ref in zip(recorded, want))
+    plain = _integrate(s, pts, 128)
+    assert len(plain) == 2 and all(np.array_equal(got, ref) for got, ref in zip(plain, want))
+
+
 @pytest.mark.parametrize("n", BOTH_PATHS)
 def test_float_and_array_paths_agree(n):
     s = TorusSystem()
@@ -452,6 +519,23 @@ def test_orbit_count_and_index_gap_across_b(b):
     assert indices[1] - indices[0] == 1
     cplx = assemble_floer(TorusSystem(b), "minus", orbits)
     assert not torus_torsion(TorusSystem(b), "minus", cplx).trivial
+
+
+@pytest.mark.parametrize("b", AMPLITUDES)
+def test_torus_torsion_inverts_the_circle_complex(b):
+    # the reduced circle flow's torsion is that of Z[z^+-1] --(1 - z)--> Z[z^+-1]
+    # up to +-z^k; the orbit complex sits at odd degree 1, so the minus class is
+    # its inverse, and the plus class only after z -> -z (see assemble_floer)
+    s = TorusSystem(b)
+    orbits = find_orbits(s, search_steps=128, refine_steps=512)
+    lat = laurent_lattice()
+    circle = milnor_torsion(two_term_complex(lat, NovikovElement.one(lat) - NovikovElement.monomial(lat, 1, (1,)), 0))
+    minus, plus = (torus_torsion(s, c, assemble_floer(s, c, orbits)) for c in ("minus", "plus"))
+    assert (minus * circle).trivial
+    assert not (plus * circle).trivial
+    rep = plus.representative
+    flipped = NovikovElement(lat, [(g, c * (-1) ** g[0]) for g, c in rep.terms.items()], rep.cutoff)
+    assert (whitehead_normalize(flipped) * circle).trivial
 
 
 def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
