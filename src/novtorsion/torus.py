@@ -65,11 +65,11 @@ _PATIENCE = 3
 _DEDUPE_RADIUS = 1e-5
 
 #: Largest batch that _integrate flows point by point on floats, the measured
-#: crossover: per 256 steps one point costs 1.17 ms on floats, and a batch
-#: 13.0 ms plus 0.07 ms per point in the fused stacked kernel, so floats win
-#: below 13.0 / 1.10 = 11.8 points (2 vCPUs, Python 3.11, numpy 2.4.6; five
-#: alternated runs put the crossover at 11 to 13).
-_FLOAT_BATCH_MAX = 12
+#: crossover: per 256 steps one point costs 0.84 ms in the fused float kernel,
+#: and a batch 13.4 ms plus 0.06 ms per point in the fused stacked kernel, so
+#: floats win below 13.4 / 0.79 = 17.0 points (2 vCPUs, Python 3.11, numpy
+#: 2.4.6; five alternated runs put the crossover at 16 to 19).
+_FLOAT_BATCH_MAX = 17
 
 
 class TorusSystem(_ReadOnly):
@@ -135,20 +135,28 @@ class TorusSystem(_ReadOnly):
         return reduced_equilibria(self)
 
 
+def _field_constants(bf: float):
+    """lam1n, lam2, nu1n, nu2, nu1dn, nu2d: the field's constants, those it negates stored negated."""
+    return (
+        -(TWO_PI * bf), TWO_PI**2 * bf,
+        -(TWO_PI * NU_A1), 2 * TWO_PI * NU_A2,
+        -(TWO_PI**2 * NU_A1), (2 * TWO_PI) ** 2 * NU_A2,
+    )
+
+
 def _flow_field(bf: float, cos, sin):
     """Derivatives of (x, y, m11, m12, m21, m22) under the flow and M' = A M.
 
-    Only arithmetic and the given cos/sin: on floats (math) it is the field
-    of _rk4_point, on numpy values that of vector_field; _rk4_batch fuses
-    the same operations in place.  One cos/sin pair of 2 pi x and one of
-    2 pi (y - t) feed every profile derivative; nu's second harmonic comes
-    from the double-angle formulas.  Constants the field negates are stored
-    negated, and -lam'' is taken as lam2 cos(2 pi x): negation is exact, so
-    the values are those of the unfolded expressions bit for bit.
+    Only arithmetic and the given cos/sin; on numpy values it is the field
+    of vector_field.  The RK4 kernels write out the same operations in the
+    same order: _rk4_point inline on floats, _rk4_batch in place on rows.
+    One cos/sin pair of 2 pi x and one of 2 pi (y - t) feed every profile
+    derivative; nu's second harmonic comes from the double-angle formulas.
+    Constants the field negates are stored negated, and -lam'' is taken as
+    lam2 cos(2 pi x): negation is exact, so the values are those of the
+    unfolded expressions bit for bit.
     """
-    lam1n, lam2 = -(TWO_PI * bf), TWO_PI**2 * bf
-    nu1n, nu2 = -(TWO_PI * NU_A1), 2 * TWO_PI * NU_A2
-    nu1dn, nu2d = -(TWO_PI**2 * NU_A1), (2 * TWO_PI) ** 2 * NU_A2
+    lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
 
     def rhs(t, x, y, m11, m12, m21, m22):
         u = TWO_PI * x
@@ -187,20 +195,19 @@ def _check_count(name, value):
 def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
     """Flow points for one period with classical RK4, carrying M alongside.
 
-    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats through
-    _flow_field, a larger batch as one stacked (6, n) array in the fused
-    kernel _rk4_batch; both do the same float operations per point.  Returns
-    (endpoints, monodromies) and, when recording, the sampled trajectory
-    (steps+1, n, 2) and variational path (steps+1, n, 2, 2).  ``steps``
-    must be an int of at least 1.
+    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats in the
+    fused kernel _rk4_point, a larger batch as one stacked (6, n) array in
+    the fused kernel _rk4_batch; both do _flow_field's float operations per
+    point, in its order.  Returns (endpoints, monodromies) and, when
+    recording, the sampled trajectory (steps+1, n, 2) and variational path
+    (steps+1, n, 2, 2).  ``steps`` must be an int of at least 1.
     """
     _check_count("steps", steps)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
     if n <= _FLOAT_BATCH_MAX:
-        rhs = _flow_field(sys.bf, math.cos, math.sin)
-        path = np.stack([_rk4_point(rhs, p, steps, record) for p in start.T.tolist()], axis=-1)
+        path = np.stack([_rk4_point(sys.bf, p, steps, record) for p in start.T.tolist()], axis=-1)
     else:
         path = _rk4_batch(sys.bf, start, steps, record)
     final = path[-1].T
@@ -211,34 +218,93 @@ def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
     return ends, mons
 
 
-def _rk4_point(rhs, state, steps: int, record: bool):
-    """RK4 of one point on floats, the stages unrolled into locals.
+def _rk4_point(bf: float, state, steps: int, record: bool):
+    """RK4 of one point on floats as one fused kernel, its four stages inline.
 
-    The slopes of stages a, b, c, d are named by stage and component.
-    Returns the (steps+1, 6) states when recording, else the (1, 6) last.
+    Each stage evaluates _flow_field's field on locals, with its operations
+    in its order and A = [[p, q], [r, -p]]; the slopes are named by stage
+    (a, b, c, d) and component, a stage's state X, Y, n11 to n22.  The
+    constants and cos/sin are bound to locals once per call: calling the
+    field once per stage, with its seven arguments and returned 6-tuple,
+    cost about a quarter of the step.  Returns the (steps+1, 6) states when
+    recording, else the (1, 6) last.
     """
+    cos, sin, two_pi, a1, a2 = math.cos, math.sin, TWO_PI, NU_A1, NU_A2
+    lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
     x, y, m11, m12, m21, m22 = state
     h = 1.0 / steps
     h2, h6 = h / 2, h / 6
     t = 0.0
     states = [state]
     for _ in range(steps):
-        ax, ay, a11, a12, a21, a22 = rhs(t, x, y, m11, m12, m21, m22)
-        bx, by, b11, b12, b21, b22 = rhs(
-            t + h2, x + h2 * ax, y + h2 * ay, m11 + h2 * a11, m12 + h2 * a12, m21 + h2 * a21, m22 + h2 * a22
-        )
-        cx, cy, c11, c12, c21, c22 = rhs(
-            t + h2, x + h2 * bx, y + h2 * by, m11 + h2 * b11, m12 + h2 * b12, m21 + h2 * b21, m22 + h2 * b22
-        )
-        dx, dy, d11, d12, d21, d22 = rhs(
-            t + h, x + h * cx, y + h * cy, m11 + h * c11, m12 + h * c12, m21 + h * c21, m22 + h * c22
-        )
-        x = x + h6 * (ax + 2 * bx + 2 * cx + dx)
-        y = y + h6 * (ay + 2 * by + 2 * cy + dy)
-        m11 = m11 + h6 * (a11 + 2 * b11 + 2 * c11 + d11)
-        m12 = m12 + h6 * (a12 + 2 * b12 + 2 * c12 + d12)
-        m21 = m21 + h6 * (a21 + 2 * b21 + 2 * c21 + d21)
-        m22 = m22 + h6 * (a22 + 2 * b22 + 2 * c22 + d22)
+        u = two_pi * x
+        cu, su = cos(u), sin(u)
+        s = two_pi * (y - t)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
+        p, q, r = dlam * dnu, lam * d2nu, lam2 * cu * nu
+        ax, ay = lam * dnu, -dlam * nu
+        a11, a12 = p * m11 + q * m21, p * m12 + q * m22
+        a21, a22 = r * m11 - p * m21, r * m12 - p * m22
+
+        tm = t + h2
+        X, Y = x + h2 * ax, y + h2 * ay
+        n11, n12 = m11 + h2 * a11, m12 + h2 * a12
+        n21, n22 = m21 + h2 * a21, m22 + h2 * a22
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - tm)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
+        p, q, r = dlam * dnu, lam * d2nu, lam2 * cu * nu
+        bx, by = lam * dnu, -dlam * nu
+        b11, b12 = p * n11 + q * n21, p * n12 + q * n22
+        b21, b22 = r * n11 - p * n21, r * n12 - p * n22
+
+        X, Y = x + h2 * bx, y + h2 * by
+        n11, n12 = m11 + h2 * b11, m12 + h2 * b12
+        n21, n22 = m21 + h2 * b21, m22 + h2 * b22
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - tm)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
+        p, q, r = dlam * dnu, lam * d2nu, lam2 * cu * nu
+        cx, cy = lam * dnu, -dlam * nu
+        c11, c12 = p * n11 + q * n21, p * n12 + q * n22
+        c21, c22 = r * n11 - p * n21, r * n12 - p * n22
+
+        X, Y = x + h * cx, y + h * cy
+        n11, n12 = m11 + h * c11, m12 + h * c12
+        n21, n22 = m21 + h * c21, m22 + h * c22
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - (t + h))
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
+        p, q, r = dlam * dnu, lam * d2nu, lam2 * cu * nu
+        dx, dy = lam * dnu, -dlam * nu
+        d11, d12 = p * n11 + q * n21, p * n12 + q * n22
+        d21, d22 = r * n11 - p * n21, r * n12 - p * n22
+
+        x = x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
+        m11 = m11 + h6 * (a11 + 2.0 * b11 + 2.0 * c11 + d11)
+        m12 = m12 + h6 * (a12 + 2.0 * b12 + 2.0 * c12 + d12)
+        m21 = m21 + h6 * (a21 + 2.0 * b21 + 2.0 * c21 + d21)
+        m22 = m22 + h6 * (a22 + 2.0 * b22 + 2.0 * c22 + d22)
         t += h
         if record:
             states.append((x, y, m11, m12, m21, m22))
@@ -263,10 +329,9 @@ def _rk4_batch(bf: float, state, steps: int, record: bool):
     def rows(*column):
         return np.repeat(np.array(column, dtype=float)[:, None], n, axis=1)
 
-    bf_row, lam1_row, lam2_row, nu1d_row, nu1_row = rows(
-        bf, TWO_PI * bf, TWO_PI**2 * bf, -(TWO_PI**2 * NU_A1), -(TWO_PI * NU_A1)
-    )
-    two_pi, nu_a, nu2 = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows((2 * TWO_PI) ** 2 * NU_A2, 2 * TWO_PI * NU_A2)
+    lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
+    bf_row, lam1_row, lam2_row, nu1d_row, nu1_row = rows(bf, -lam1n, lam2, nu1dn, nu1n)
+    two_pi, nu_a, nu2_pair = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows(nu2d, nu2)
     h = 1.0 / steps
     h2, h6 = h / 2, h / 6
     ones, twos, h_rows, h2_rows, h6_rows = (np.full((6, n), c) for c in (1.0, 2.0, h, h2, h6))
@@ -314,7 +379,7 @@ def _rk4_batch(bf: float, state, steps: int, record: bool):
         mul(s2, c1, s2)
         mul(c1, nu1d_row, p1)
         mul(s1, nu1_row, p2)
-        mul(cs2, nu2, q)
+        mul(cs2, nu2_pair, q)
         sub(p, q, d2nu_dnu)
         sub(c12, one_pair, harmonics)
         mul(harmonics, nu_a, harmonics)
@@ -449,7 +514,7 @@ def _scan_candidates(sys, grid, steps):
     for i in np.argsort(res):
         if res[i] > 0.5 or len(chosen) >= 40:
             break
-        if all(_torus_dist(seeds[i], seeds[j]) > separation for j in chosen):
+        if (_torus_dist(seeds[i], seeds[chosen]) > separation).all():
             chosen.append(i)
     chosen = np.array(chosen, dtype=int)
     return seeds[chosen], f[chosen], mons[chosen]
@@ -496,8 +561,9 @@ def find_orbits(
     gap and index, sorted by x.  Exhaustiveness is guaranteed only up to
     the scan resolution: an orbit that no scanned seed leads to is missed.
     """
-    if len(grid) != 2 or not all(map(_is_int, grid)):
+    if not (hasattr(grid, "__len__") and len(grid) == 2 and all(map(_is_int, grid))):
         raise ValueError("grid %r needs two int counts" % (grid,))
+    grid = tuple(grid)
     if min(grid) < 1:
         raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
     _check_count("search_steps", search_steps)

@@ -20,7 +20,9 @@ from novtorsion.torus import (
     _newton_search,
     _refine_orbit,
     _residual,
+    _rk4_point,
     _scan_candidates,
+    _torus_dist,
     assemble_floer,
     conley_zehnder,
     count_connecting,
@@ -296,10 +298,10 @@ def test_count_connecting_needs_equilibria():
         count_connecting(TorusSystem(Fraction(1, 10)))
 
 
-@pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3)])
+@pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3), [0, 5]])
 def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
     monkeypatch.setattr(torus, "_integrate", lambda *args, **kwargs: pytest.fail("integrated"))
-    with pytest.raises(ValueError, match="^grid %dx%d needs at least one point on each axis$" % grid):
+    with pytest.raises(ValueError, match="^grid %dx%d needs at least one point on each axis$" % tuple(grid)):
         find_orbits(TorusSystem(), grid=grid)
 
 
@@ -308,6 +310,8 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
     [
         pytest.param(lambda s: find_orbits(s, grid=(2.5, 3)), r"grid \(2\.5, 3\) needs two int counts", id="float-grid"),
         pytest.param(lambda s: find_orbits(s, grid=(True, 24)), r"grid \(True, 24\) needs two int counts", id="bool-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=5), "grid 5 needs two int counts", id="int-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=None), "grid None needs two int counts", id="none-grid"),
         pytest.param(lambda s: find_orbits(s, search_steps=0), "search_steps must be an int of at least 1, got 0", id="search-0"),
         pytest.param(lambda s: find_orbits(s, search_steps=True), "search_steps must be an int of at least 1, got True", id="search-bool"),
         pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 1, got 0", id="refine-0"),
@@ -436,8 +440,9 @@ def reference_stacked(s, points, steps):
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
-@pytest.mark.parametrize("n", [_FLOAT_BATCH_MAX + 1, 40, 48 * 24])
-def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
+@pytest.mark.parametrize("n", [13, 40, 48 * 24])
+def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n, monkeypatch):
+    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", 0)  # every n on the stacked kernel, whatever the crossover
     s = TorusSystem(b)
     if n == 48 * 24:  # the default scan grid
         pts = np.array([((i + 0.5) / 48, (j + 0.5) / 24) for i in range(48) for j in range(24)])
@@ -448,6 +453,54 @@ def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
     assert len(recorded) == 4 and all(np.array_equal(got, ref) for got, ref in zip(recorded, want))
     plain = _integrate(s, pts, 128)
     assert len(plain) == 2 and all(np.array_equal(got, ref) for got, ref in zip(plain, want))
+
+
+def reference_point(bf, state, steps, record):
+    """The float RK4 step that the fused kernel replaced: _flow_field's
+    closure on math.cos/math.sin called four times a step.
+
+    Returns what _rk4_point returns.  The kernel does the same float
+    operations in the same order, so it must match bit for bit.
+    """
+    rhs = _flow_field(bf, math.cos, math.sin)
+    x, y, m11, m12, m21, m22 = state
+    h = 1.0 / steps
+    h2, h6 = h / 2, h / 6
+    t = 0.0
+    states = [state]
+    for _ in range(steps):
+        ax, ay, a11, a12, a21, a22 = rhs(t, x, y, m11, m12, m21, m22)
+        bx, by, b11, b12, b21, b22 = rhs(
+            t + h2, x + h2 * ax, y + h2 * ay, m11 + h2 * a11, m12 + h2 * a12, m21 + h2 * a21, m22 + h2 * a22
+        )
+        cx, cy, c11, c12, c21, c22 = rhs(
+            t + h2, x + h2 * bx, y + h2 * by, m11 + h2 * b11, m12 + h2 * b12, m21 + h2 * b21, m22 + h2 * b22
+        )
+        dx, dy, d11, d12, d21, d22 = rhs(
+            t + h, x + h * cx, y + h * cy, m11 + h * c11, m12 + h * c12, m21 + h * c21, m22 + h * c22
+        )
+        x = x + h6 * (ax + 2 * bx + 2 * cx + dx)
+        y = y + h6 * (ay + 2 * by + 2 * cy + dy)
+        m11 = m11 + h6 * (a11 + 2 * b11 + 2 * c11 + d11)
+        m12 = m12 + h6 * (a12 + 2 * b12 + 2 * c12 + d12)
+        m21 = m21 + h6 * (a21 + 2 * b21 + 2 * c21 + d21)
+        m22 = m22 + h6 * (a22 + 2 * b22 + 2 * c22 + d22)
+        t += h
+        if record:
+            states.append((x, y, m11, m12, m21, m22))
+    return np.array(states if record else [(x, y, m11, m12, m21, m22)])
+
+
+@pytest.mark.parametrize("b", AMPLITUDES)
+@pytest.mark.parametrize("steps", [1, 2, 7, 128, 2048])
+def test_fused_float_kernel_matches_the_reference_point_step_bit_for_bit(b, steps):
+    s = TorusSystem(b)
+    for x, y in np.random.RandomState(steps).uniform(-0.25, 1.25, (3, 2)):
+        state = [x, y, 1.0, 0.0, 0.0, 1.0]
+        for record in (False, True):
+            want = reference_point(s.bf, state, steps, record)
+            assert want.shape == ((steps + 1, 6) if record else (1, 6))
+            assert np.array_equal(_rk4_point(s.bf, state, steps, record), want)
 
 
 @pytest.mark.parametrize("n", BOTH_PATHS)
@@ -621,3 +674,33 @@ def test_newton_search_stops_early(monkeypatch):
     assert len(calls) - 1 <= 9
     candidates = scans[0][0]
     assert not any(np.array_equal(points, candidates) for points in calls[1:])
+
+
+def reference_scan_candidates(sys, grid, steps):
+    """_scan_candidates with its separation test pair by pair, one
+    _torus_dist call per chosen seed, as it was before one call per candidate."""
+    nx, ny = grid
+    xs = (np.arange(nx) + 0.5) / nx
+    ys = (np.arange(ny) + 0.5) / ny
+    seeds = np.array([(x, y) for x in xs for y in ys])
+    f, mons = _residual(sys, seeds, steps)
+    res = np.abs(f).max(axis=1)
+    separation = max(1.0 / nx, 1.0 / ny)
+    chosen = []
+    for i in np.argsort(res):
+        if res[i] > 0.5 or len(chosen) >= 40:
+            break
+        if all(_torus_dist(seeds[i], seeds[j]) > separation for j in chosen):
+            chosen.append(i)
+    chosen = np.array(chosen, dtype=int)
+    return seeds[chosen], f[chosen], mons[chosen]
+
+
+@pytest.mark.parametrize("steps", [128, 256])
+@pytest.mark.parametrize("grid", [(48, 24), (64, 32), (7, 5), (1, 1)], ids="{0[0]}x{0[1]}".format)
+def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(grid, steps):
+    s = TorusSystem()
+    got = _scan_candidates(s, grid, steps)
+    want = reference_scan_candidates(s, grid, steps)
+    assert len(got) == len(want) == 3
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
