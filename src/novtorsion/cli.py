@@ -207,7 +207,7 @@ def _cmd_torus(args) -> int:
     for convention in ("plus", "minus"):
         cplx = report.complexes[convention]
         low = min(cplx.differentials)
-        entry = cplx.differentials[low][0][0]
+        entry = cplx.differentials[low].live[0][0]  # 1 + z or 1 - z, never an exact zero
         lines.append("differential %s: %s" % (convention, entry))
         label = "torsion " + convention
         lines.extend(_torsion_lines(label, report.torsions[convention], label + " "))

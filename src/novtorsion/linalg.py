@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 
 from .lattice import Lattice, _ReadOnly
 from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _report_cutoff
@@ -239,15 +238,10 @@ class PivotSelection(_ReadOnly):
         return tuple(sorted(c for _, c in self.pivots))
 
 
-def select_column_pivots(
-    lattice: Lattice,
-    rows,
-    ncols: int | None = None,
-    column_order: Sequence[int] | None = None,
-) -> PivotSelection:
+def select_column_pivots(lattice: Lattice, rows, ncols: int | None = None) -> PivotSelection:
     """Fraction-free column reduction with invertible leading-term pivots.
 
-    Columns are processed in ``column_order``; each pivot entry must have an
+    Columns are processed in index order; each pivot entry must have an
     unambiguous leading term (hence be a unit over rational coefficients).
     A column whose free-row entries are nonzero but all ambiguous raises
     IndeterminatePivotError: its rank contribution cannot be certified.
@@ -257,17 +251,14 @@ def select_column_pivots(
     rows = as_matrix(rows, ncols)
     if rows.lattice not in (None, lattice):
         raise LatticeMismatchError("matrix entries not over the given lattice")
-    order = list(column_order) if column_order is not None else list(range(rows.ncols))
-    if sorted(order) != list(range(rows.ncols)):
-        raise ValueError("column_order must be a permutation of the column indices")
     # each column as the live entries of its unused rows
     cols: list[dict[int, NovikovElement]] = [{} for _ in range(rows.ncols)]
     for i, row in enumerate(rows.live):
         for j, e in row.items():
             cols[j][i] = e
     pivots, zero = [], NovikovElement.zero(lattice)
-    for pos, j in enumerate(order):
-        col, pick, ambiguous = cols[j], None, False
+    for j, col in enumerate(cols):
+        pick, ambiguous = None, False
         for i in sorted(col):
             if not col[i]._num:
                 continue
@@ -288,8 +279,7 @@ def select_column_pivots(
             continue
         pivot = col.pop(pick)
         pivots.append((pick, j))
-        for k in order[pos + 1 :]:
-            other = cols[k]
+        for other in cols[j + 1 :]:
             e = other.pop(pick, None)
             if e is None:
                 continue

@@ -12,7 +12,6 @@ odd degree, with differential a unit u, has torsion class u.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .complexes import (
@@ -139,12 +138,7 @@ def _minor(lattice, mat: Matrix, skip_rows, cols) -> Matrix:
     return _from_entries(lattice, len(cols), rows)
 
 
-def milnor_torsion_unit(
-    cplx: BasedComplex,
-    cutoff=DEFAULT_CUTOFF,
-    order0: Sequence[int] | None = None,
-    order1: Sequence[int] | None = None,
-) -> BasisChangeClass:
+def milnor_torsion_unit(cplx: BasedComplex, cutoff=DEFAULT_CUTOFF) -> BasisChangeClass:
     """Torsion of an acyclic complex as a unit modulo sign.
 
     Collapse to the parity grading with differentials d0 (even to odd) and
@@ -154,15 +148,15 @@ def milnor_torsion_unit(
     image columns d1[S1] with the standard vectors at S0, has transition
     determinant +-det d1[R0, S1] (expand along the standard vectors), and
     likewise the odd one +-det d0[R1, S0].  The torsion is
-    ``basis_change_class`` of the even and odd minors; the column orders
-    only steer pivot choice and must not change the class.
+    ``basis_change_class`` of the even and odd minors.  Pivot columns are
+    taken in index order; another choice changes the minors but not the class.
     """
     square_zero = _certify_square_zero(cplx)
     lattice = cplx.lattice
     names0, names1, d0, d1 = cplx.collapse()
     n0, n1 = len(names0), len(names1)
-    sel0 = select_column_pivots(lattice, d0, column_order=order0)
-    sel1 = select_column_pivots(lattice, d1, column_order=order1)
+    sel0 = select_column_pivots(lattice, d0)
+    sel1 = select_column_pivots(lattice, d1)
     zero = sel0.zero + sel1.zero
     if n0 - sel0.rank != sel1.rank or n1 - sel1.rank != sel0.rank:
         # columns declared zero only below a cutoff make the ranks lower bounds
@@ -182,14 +176,9 @@ def milnor_torsion_unit(
     return unit if certify.is_exact else BasisChangeClass.from_unit(unit.representative + certify)
 
 
-def milnor_torsion(
-    cplx: BasedComplex,
-    cutoff=DEFAULT_CUTOFF,
-    order0: Sequence[int] | None = None,
-    order1: Sequence[int] | None = None,
-) -> WhiteheadClass:
+def milnor_torsion(cplx: BasedComplex, cutoff=DEFAULT_CUTOFF) -> WhiteheadClass:
     """Torsion of an acyclic based complex in the Whitehead quotient."""
-    return milnor_torsion_unit(cplx, cutoff, order0, order1).to_whitehead()
+    return milnor_torsion_unit(cplx, cutoff).to_whitehead()
 
 
 def relative_torsion(f: ChainMap, cutoff=DEFAULT_CUTOFF) -> WhiteheadClass:

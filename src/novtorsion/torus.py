@@ -192,30 +192,24 @@ def _check_count(name, value):
         raise ValueError("%s must be an int of at least 1, got %r" % (name, value))
 
 
-def _integrate(sys: TorusSystem, points, steps: int, record: bool = False):
+def _integrate(sys: TorusSystem, points, steps: int):
     """Flow points for one period with classical RK4, carrying M alongside.
 
     Up to _FLOAT_BATCH_MAX points run one at a time on plain floats in the
     fused kernel _rk4_point, a larger batch as one stacked (6, n) array in
     the fused kernel _rk4_batch; both do _flow_field's float operations per
-    point, in its order.  Returns (endpoints, monodromies) and, when
-    recording, the sampled trajectory (steps+1, n, 2) and variational path
-    (steps+1, n, 2, 2).  ``steps`` must be an int of at least 1.
+    point, in its order.  Returns the endpoints (n, 2) and monodromies
+    (n, 2, 2).  ``steps`` must be an int of at least 1.
     """
     _check_count("steps", steps)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
     if n <= _FLOAT_BATCH_MAX:
-        path = np.stack([_rk4_point(sys.bf, p, steps, record) for p in start.T.tolist()], axis=-1)
+        final = np.concatenate([_rk4_point(sys.bf, p, steps, False) for p in start.T.tolist()])
     else:
-        path = _rk4_batch(sys.bf, start, steps, record)
-    final = path[-1].T
-    ends, mons = final[:, :2], final[:, 2:].reshape(n, 2, 2)
-    if record:
-        path = path.transpose(0, 2, 1)
-        return ends, mons, path[..., :2], path[..., 2:].reshape(steps + 1, n, 2, 2)
-    return ends, mons
+        final = _rk4_batch(sys.bf, start, steps).T
+    return final[:, :2], final[:, 2:].reshape(n, 2, 2)
 
 
 def _rk4_point(bf: float, state, steps: int, record: bool):
@@ -311,7 +305,7 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
     return np.array(states if record else [(x, y, m11, m12, m21, m22)])
 
 
-def _rk4_batch(bf: float, state, steps: int, record: bool):
+def _rk4_batch(bf: float, state, steps: int):
     """RK4 of a stacked (6, n) state as one fused kernel, updating ``state``.
 
     Every buffer, constant row and row view is made once per batch.  Each
@@ -320,8 +314,8 @@ def _rk4_batch(bf: float, state, steps: int, record: bool):
     cheapest call), and rows that share a formula go through one call on a
     contiguous stacked view.  Each element sees the float operations of
     _flow_field and _rk4_point in the same order; only a - b is taken as
-    a + (-b) and -(p q) as (-p) q, which are exact.  Returns the
-    (steps+1, 6, n) states when recording, else the (1, 6, n) last.
+    a + (-b) and -(p q) as (-p) q, which are exact.  Returns the last
+    (6, n) state, ``state`` itself.
     """
     n = state.shape[1]
     mul, add, sub, neg, cos, sin = np.multiply, np.add, np.subtract, np.negative, np.cos, np.sin
@@ -398,10 +392,7 @@ def _rk4_batch(bf: float, state, steps: int, record: bool):
         add(left, right, dm)
 
     t = 0.0
-    if record:
-        path = np.empty((steps + 1, 6, n))
-        path[0] = state
-    for i in range(steps):
+    for _ in range(steps):
         field(t, state_in, acc_out)
         mul(acc, h2_rows, y)
         add(state, y, y)
@@ -420,9 +411,7 @@ def _rk4_batch(bf: float, state, steps: int, record: bool):
         mul(acc, h6_rows, acc)
         add(state, acc, state)
         t += h
-        if record:
-            path[i + 1] = state
-    return path if record else state[None]
+    return state
 
 
 class PeriodicOrbit(_ReadOnly):
@@ -568,7 +557,7 @@ def find_orbits(
         raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
     _check_count("search_steps", search_steps)
     _check_count("refine_steps", refine_steps)
-    if not 0 < tol < math.inf:
+    if isinstance(tol, bool) or not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     sys.check()
     seeds, f, mons = _scan_candidates(sys, grid, search_steps)
@@ -599,13 +588,14 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
     search meets it here; a miss raises OrbitSearchError.
     """
     p = np.array(point, dtype=float)
-    ends, mons, _, var = _integrate(sys, p, steps, record=True)
-    miss = float(np.abs(ends[0] - p - np.array([0.0, 1.0])).max())
+    path = _rk4_point(sys.bf, (*p.tolist(), 1.0, 0.0, 0.0, 1.0), steps, True)
+    var = path[:, 2:].reshape(steps + 1, 2, 2)
+    miss = float(np.abs(path[-1, :2] - p - np.array([0.0, 1.0])).max())
     if not miss < tol:
         raise OrbitSearchError(
             "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (p[0], miss, steps, tol)
         )
-    monodromy = mons[0]
+    monodromy = var[-1]
     _, mons2 = _integrate(sys, p, 2 * steps)
     richardson = float(np.abs(mons2[0] - monodromy).max())
     if richardson > 1e-6:
@@ -615,20 +605,22 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
     gap = float(abs(np.linalg.det(np.eye(2) - monodromy)))
     if gap <= NONDEGENERACY_TOL:
         raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (p[0], gap))
-    index = conley_zehnder(var[:, 0])
+    index = conley_zehnder(var)
     return PeriodicOrbit(
         x=_wrap01(p[0]),
         y=_wrap01(p[1]),
         monodromy=monodromy,
         cz_index=index,
         det_gap=gap,
-        variational_path=var[:, 0],
+        variational_path=var,
         richardson_gap=richardson,
     )
 
 
 def monodromy(sys: TorusSystem, base: tuple[float, float], steps: int = REFINE_STEPS):
     """Linearized time-1 return map along the trajectory through base."""
+    if np.shape(base) != (2,) or not np.isfinite(base).all():
+        raise ValueError("base must be two finite coordinates, got %r" % (base,))
     _, mons = _integrate(sys, base, steps)
     return mons[0]
 
@@ -656,6 +648,8 @@ def conley_zehnder(path) -> int:
     path = np.asarray(path, dtype=float)
     if path.ndim != 3 or path.shape[1:] != (2, 2):
         raise ValueError("path must be a sequence of 2x2 matrices")
+    if not np.isfinite(path).all():
+        raise ValueError("path must have finite entries")
     if np.abs(path[0] - np.eye(2)).max() > 1e-8:
         raise ValueError("path must start at the identity")
     end = path[-1]

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from novtorsion import BasedComplex, ChainMap, Lattice, NovikovElement, rebase
-from novtorsion.linalg import as_matrix, identity, mat_add, mat_mul, mat_sub, zeros
+from novtorsion.linalg import _from_entries, as_matrix, mat_add, mat_mul, mat_sub, select_column_pivots, zeros
 from novtorsion.series import divide
 from novtorsion.torsion import BasisChangeClass
 
@@ -97,36 +97,56 @@ def rand_unit(
     return u if tail is None else u.truncate(lead_w + tail)
 
 
+def _add_multiple(vecs, dst, src, factor):
+    """``vecs[dst] += vecs[src] * factor`` on live entries, dropping exact zeros."""
+    out = vecs[dst]
+    for k, e in vecs[src].items():
+        v = out[k] + e * factor if k in out else e * factor
+        if v.is_zero and v.is_exact:
+            out.pop(k, None)
+        else:
+            out[k] = v
+
+
 def elementary_word(rng: random.Random, lat: Lattice, n: int, length: int = 3):
-    """Invertible transition built from elementary ops, with exact inverse."""
-    t = identity(lat, n)
-    tinv = identity(lat, n)
+    """Invertible transition built from elementary ops, with its exact
+    inverse and determinant; returns (t, tinv, det).
+
+    Each op is a column operation on the live entries of t, kept by column,
+    and a row operation on those of tinv: t E and E^-1 tinv without a dense
+    product.  An add has determinant 1, a swap -1 and a scale its monomial,
+    so ``det`` comes from the construction and not from linalg.determinant.
+    """
     one = NovikovElement.one(lat)
-    zero = NovikovElement.zero(lat)
+    cols = [{i: one} for i in range(n)]  # t by columns
+    rows = [{i: one} for i in range(n)]  # tinv by rows
+    det = one
     for _ in range(length):
         kind = rng.choice(["add", "swap", "scale"]) if n > 1 else "scale"
-        e = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        einv = [[one if i == j else zero for j in range(n)] for i in range(n)]
         if kind == "add":
             i, j = rng.sample(range(n), 2)
             lam = rand_element(rng, lat, 2)
-            e[i][j] = lam
-            einv[i][j] = -lam
+            _add_multiple(cols, j, i, lam)
+            _add_multiple(rows, i, j, -lam)
         elif kind == "swap":
             i, j = rng.sample(range(n), 2)
-            e[i][i] = e[j][j] = zero
-            e[i][j] = e[j][i] = one
-            einv[i][i] = einv[j][j] = zero
-            einv[i][j] = einv[j][i] = one
+            cols[i], cols[j] = cols[j], cols[i]
+            rows[i], rows[j] = rows[j], rows[i]
+            det = -det
         else:
             i = rng.randrange(n)
             c = rng.choice([1, -1])
             g = rand_coords(rng, lat, 1)
-            e[i][i] = NovikovElement.monomial(lat, c, g)
-            einv[i][i] = NovikovElement.monomial(lat, Fraction(1, c), tuple(-x for x in g))
-        t = mat_mul(t, as_matrix(e))
-        tinv = mat_mul(as_matrix(einv), tinv)
-    return t, tinv
+            m = NovikovElement.monomial(lat, c, g)
+            minv = NovikovElement.monomial(lat, Fraction(1, c), tuple(-x for x in g))
+            cols[i] = {k: e * m for k, e in cols[i].items()}
+            rows[i] = {k: minv * e for k, e in rows[i].items()}
+            det = det * m
+    t_rows: list[dict] = [{} for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, e in col.items():
+            t_rows[i][j] = e
+    return _from_entries(lat, n, t_rows), _from_entries(lat, n, rows), det
 
 
 def diag_model(rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = False, tail=None):
@@ -171,24 +191,20 @@ def diag_model(rng: random.Random, lat: Lattice, pairs: int = 2, pm_one: bool = 
 
 
 def scramble(rng: random.Random, cplx: BasedComplex, length: int = 3):
-    """Rebase by random elementary words; returns (new complex, transitions, inverses)."""
-    transitions = {}
-    inverses = {}
+    """Rebase by random elementary words; returns (new complex, transitions,
+    inverses, determinants), each a dict by degree."""
+    transitions, inverses, dets = {}, {}, {}
     for d in cplx.degrees():
-        t, tinv = elementary_word(rng, cplx.lattice, cplx.rank(d), length)
-        transitions[d] = t
-        inverses[d] = tinv
-    return rebase(cplx, transitions, inverses), transitions, inverses
+        transitions[d], inverses[d], dets[d] = elementary_word(rng, cplx.lattice, cplx.rank(d), length)
+    return rebase(cplx, transitions, inverses), transitions, inverses, dets
 
 
-def graded_transition_class(cplx: BasedComplex, transitions) -> BasisChangeClass:
-    """Class of a per-degree base change: det(even blocks) / det(odd blocks)."""
-    from novtorsion.linalg import determinant
-
+def graded_transition_class(cplx: BasedComplex, dets) -> BasisChangeClass:
+    """Class of a per-degree base change from its determinants by degree,
+    as ``scramble`` returns them: det(even blocks) / det(odd blocks)."""
     num = NovikovElement.one(cplx.lattice)
     den = NovikovElement.one(cplx.lattice)
-    for d, t in transitions.items():
-        det = determinant(cplx.lattice, t)
+    for d, det in dets.items():
         if d % 2 == 0:
             num = num * det
         else:
@@ -201,17 +217,44 @@ def random_acyclic(
 ):
     """Scrambled acyclic complex with its expected torsion class."""
     model, expected = diag_model(rng, lat, pairs, pm_one=pm_one, tail=tail)
-    scrambled, transitions, _ = scramble(rng, model, length)
-    correction = graded_transition_class(model, transitions)
+    scrambled, _, _, dets = scramble(rng, model, length)
+    correction = graded_transition_class(model, dets)
     expected = BasisChangeClass.from_unit(
         divide(expected.representative, correction.representative, CUT)
     )
     return scrambled, expected
 
 
+def permute_bases(rng: random.Random, cplx: BasedComplex) -> BasedComplex:
+    """Rebase by a random permutation of every degree's basis, each generator
+    keeping its name.  A permutation has determinant +-1, so neither torsion
+    class may move; only the pivots that the reduction meets first change."""
+    lat, one = cplx.lattice, NovikovElement.one(cplx.lattice)
+    transitions, inverses, modules = {}, {}, {}
+    for d in cplx.degrees():
+        names = cplx.generators(d)
+        n = len(names)
+        perm = rng.sample(range(n), n)  # new vector k is old vector perm[k]
+        transitions[d] = _from_entries(lat, n, ({perm.index(i): one} for i in range(n)))
+        inverses[d] = _from_entries(lat, n, ({i: one} for i in perm))
+        modules[d] = tuple(names[i] for i in perm)
+    rebased = rebase(cplx, transitions, inverses)
+    return BasedComplex(cplx.lattice, modules, rebased.differentials, cplx.modulus)
+
+
+def pivot_names(cplx: BasedComplex) -> tuple[frozenset, frozenset]:
+    """The generators, by name, whose columns select_column_pivots takes in
+    the parity differentials d0 and d1: the columns of the torsion's minors."""
+    names0, names1, d0, d1 = cplx.collapse()
+    return tuple(
+        frozenset(names[j] for j in select_column_pivots(cplx.lattice, d).columns)
+        for names, d in ((names0, d0), (names1, d1))
+    )
+
+
 def iso_map(rng: random.Random, cplx: BasedComplex, length: int = 2):
     """Identity map onto a rebased copy; returns (f, target, transitions)."""
-    target, transitions, inverses = scramble(rng, cplx, length)
+    target, transitions, inverses, _ = scramble(rng, cplx, length)
     mats = {d: inverses[d] for d in cplx.degrees() if cplx.rank(d)}
     return ChainMap(cplx, target, mats), target, transitions
 

@@ -339,7 +339,7 @@ def test_mapping_cone_block_signs_square_to_zero():
     rng = random.Random(9)
     for _ in range(20):
         cplx, _ = random_acyclic(rng, LAT, pairs=2)
-        scrambled, _, inverses = scramble(rng, cplx, 2)
+        scrambled, _, inverses, _ = scramble(rng, cplx, 2)
         f = ChainMap(cplx, scrambled, {d: inverses[d] for d in cplx.degrees()})
         cone = mapping_cone(f)
         assert cone.validate().valid

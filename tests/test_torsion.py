@@ -30,7 +30,9 @@ from support import (
     iso_map,
     k1_lattice,
     k2_lattice,
+    permute_bases,
     perturb_by_homotopy,
+    pivot_names,
     rand_element,
     random_acyclic,
     ref_min,
@@ -158,19 +160,20 @@ def test_scrambled_model_matches_expected():
 
 
 def test_pivot_choice_independence():
+    # a permutation of the bases moves the pivot columns in over a quarter of
+    # these complexes, and the class (even modulo sign only) never with them
     rng = random.Random(23)
-    cplx, _ = random_acyclic(rng, LAT, pairs=2)
-    names0, names1, _, _ = cplx.collapse()
-    reference = milnor_torsion(cplx, CUT)
-    for _ in range(6):
-        o0 = list(range(len(names0)))
-        o1 = list(range(len(names1)))
-        rng.shuffle(o0)
-        rng.shuffle(o1)
-        assert milnor_torsion(cplx, CUT, order0=o0, order1=o1) == reference
+    moved = 0
+    for _ in range(40):
+        cplx, expected = random_acyclic(rng, LAT, pairs=5, length=10)
+        permuted = permute_bases(rng, cplx)
+        assert milnor_torsion_unit(permuted, CUT) == milnor_torsion_unit(cplx, CUT) == expected
+        assert milnor_torsion(permuted, CUT) == milnor_torsion(cplx, CUT)
+        moved += pivot_names(permuted) != pivot_names(cplx)
+    assert moved >= 10, moved
 
 
-def _padded_transition_torsion(cplx, cutoff, order0=None, order1=None) -> BasisChangeClass:
+def _padded_transition_torsion(cplx, cutoff) -> BasisChangeClass:
     """Reference torsion from the full transition matrices.
 
     The even basis is d1[S1] followed by the standard vectors at S0, the odd
@@ -179,8 +182,8 @@ def _padded_transition_torsion(cplx, cutoff, order0=None, order1=None) -> BasisC
     """
     lattice = cplx.lattice
     _, _, d0, d1 = cplx.collapse()
-    sel0 = select_column_pivots(lattice, d0, column_order=order0)
-    sel1 = select_column_pivots(lattice, d1, column_order=order1)
+    sel0 = select_column_pivots(lattice, d0)
+    sel1 = select_column_pivots(lattice, d1)
     cols0, cols1 = tuple(zip(*d0)), tuple(zip(*d1))
     e0, e1 = identity(lattice, d0.ncols), identity(lattice, d1.ncols)
     even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
@@ -203,30 +206,33 @@ def _truncate_entries(rng, cplx: BasedComplex) -> BasedComplex:
 
 
 def test_minors_match_padded_transition_reference():
+    # on bases permuted at random, so that the pivot columns move in over a
+    # quarter of the compared cases; short tails often leave no certified
+    # pivot, rank or lead, hence three times as many truncated cases
     rng = random.Random(27)
-    compared = {False: 0, True: 0}
+    compared, moved = {False: 0, True: 0}, 0
     for lat in (LAT, k2_lattice()):
         for truncated in (False, True):
-            for _ in range(40):
-                cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(1, 4))
+            for _ in range(120 if truncated else 40):
+                cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(5, 6), length=10)
                 if truncated:
                     cplx = _truncate_entries(rng, cplx)
-                _, _, d0, d1 = cplx.collapse()
-                o0, o1 = list(range(d0.ncols)), list(range(d1.ncols))
-                rng.shuffle(o0)
-                rng.shuffle(o1)
+                permuted = permute_bases(rng, cplx)
                 try:
-                    got = milnor_torsion_unit(cplx, CUT, o0, o1)
+                    got = milnor_torsion_unit(permuted, CUT)
+                    unpermuted = milnor_torsion_unit(cplx, CUT)
                 except (IndeterminatePivotError, NotAcyclicError, NotInvertibleError):
-                    # short tails can leave no certified pivot, rank or lead
                     assert truncated
                     continue
-                want = _padded_transition_torsion(cplx, CUT, o0, o1)
+                want = _padded_transition_torsion(permuted, CUT)
                 assert got.representative.terms == want.representative.terms
                 assert got.cutoff == want.cutoff
                 assert not truncated or got.cutoff < CUT
+                assert got == unpermuted
                 compared[truncated] += 1
-    assert compared[False] == 80 and compared[True] >= 60
+                moved += pivot_names(permuted) != pivot_names(cplx)
+    assert compared[False] == 80 and compared[True] >= 60, compared
+    assert 4 * moved >= sum(compared.values()), (moved, compared)
 
 
 @pytest.mark.parametrize("pairs", [15, 16])
@@ -339,10 +345,10 @@ def test_basis_change_diagonal_rescale():
 def test_cocycle_rule():
     rng = random.Random(31)
     for _ in range(20):
-        a_e, _ = elementary_word(rng, LAT, 2)
-        a_o, _ = elementary_word(rng, LAT, 2)
-        b_e, _ = elementary_word(rng, LAT, 2)
-        b_o, _ = elementary_word(rng, LAT, 2)
+        a_e, _, _ = elementary_word(rng, LAT, 2)
+        a_o, _, _ = elementary_word(rng, LAT, 2)
+        b_e, _, _ = elementary_word(rng, LAT, 2)
+        b_o, _, _ = elementary_word(rng, LAT, 2)
         from novtorsion.linalg import mat_mul
 
         t1 = basis_change_class(a_e, a_o, LAT, CUT)
@@ -356,8 +362,8 @@ def test_block_triangular_additivity():
     for _ in range(20):
         blocks = {}
         for parity in (0, 1):
-            a, _ = elementary_word(rng, LAT, 2)
-            b, _ = elementary_word(rng, LAT, 2)
+            a, _, _ = elementary_word(rng, LAT, 2)
+            b, _, _ = elementary_word(rng, LAT, 2)
             c = [[rand_element(rng, LAT, 2) for _ in range(2)] for _ in range(2)]
             top = [list(a[i]) + list(c[i]) for i in range(2)]
             bot = [[ZERO] * 2 + list(b[i]) for i in range(2)]
@@ -372,8 +378,8 @@ def test_base_change_of_torsion():
     rng = random.Random(33)
     for _ in range(15):
         cplx, _ = random_acyclic(rng, LAT, pairs=2)
-        rebased, transitions, _ = scramble(rng, cplx, 2)
-        t_cls = graded_transition_class(cplx, transitions)
+        rebased, _, _, dets = scramble(rng, cplx, 2)
+        t_cls = graded_transition_class(cplx, dets)
         assert milnor_torsion_unit(rebased, CUT) * t_cls == milnor_torsion_unit(cplx, CUT)
 
 
@@ -474,8 +480,8 @@ def test_relative_torsion_base_dependence():
     for _ in range(10):
         c1, _ = random_acyclic(rng, LAT, pairs=2)
         f, c2, _ = iso_map(rng, c1)
-        new1, tr1, inv1 = scramble(rng, c1, 2)
-        new2, tr2, inv2 = scramble(rng, c2, 2)
+        new1, tr1, _, dets1 = scramble(rng, c1, 2)
+        new2, _, inv2, dets2 = scramble(rng, c2, 2)
         from novtorsion.linalg import mat_mul
 
         mats = {
@@ -483,8 +489,8 @@ def test_relative_torsion_base_dependence():
             for d in c1.degrees()
         }
         f_new = ChainMap(new1, new2, mats)
-        t1 = graded_transition_class(c1, tr1).to_whitehead()
-        t2 = graded_transition_class(c2, tr2).to_whitehead()
+        t1 = graded_transition_class(c1, dets1).to_whitehead()
+        t2 = graded_transition_class(c2, dets2).to_whitehead()
         assert relative_torsion(f_new, CUT) * t2 == relative_torsion(f, CUT) * t1
 
 

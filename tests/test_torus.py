@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus, two
 from novtorsion.torus import (
     NEWTON_TOL,
     REFINE_STEPS,
+    Arc,
     DegenerateEndpointError,
     OrbitSearchError,
+    PeriodicOrbit,
     ProfileError,
     TorusSystem,
     _FLOAT_BATCH_MAX,
@@ -259,6 +262,17 @@ def test_conley_zehnder_checks_its_path():
     stretched = np.array([np.eye(2), np.diag([2.0, 2.0])])
     with pytest.raises(ValueError, match="^endpoint is not symplectic: det = 4$"):
         conley_zehnder(stretched)
+    # a NaN sample used to die converting NaN to an int, a NaN endpoint in det;
+    # NaN compares false, so a NaN start would pass the identity check
+    for k in (0, 7, -1):
+        path = _constant_path(np.array([[0.0, -1.2], [-4.0, 0.0]]), 16)
+        path[k, 1, 0] = math.nan
+        with pytest.raises(ValueError, match="^path must have finite entries$"):
+            conley_zehnder(path)
+    # three samples of a rotation by 3 pi turn by 3 pi / 2 each
+    coarse = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in (0.0, 1.5 * math.pi, 3 * math.pi)])
+    with pytest.raises(ValueError, match="^symplectic path sampled too coarsely to track the rotation$"):
+        conley_zehnder(coarse)
 
 
 def test_count_connecting(torus_report):
@@ -320,8 +334,11 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
         pytest.param(lambda s: find_orbits(s, tol=-1.0), r"tol must be finite and positive, got -1\.0", id="tol-negative"),
         pytest.param(lambda s: find_orbits(s, tol=0.0), r"tol must be finite and positive, got 0\.0", id="tol-zero"),
         pytest.param(lambda s: find_orbits(s, tol=math.inf), "tol must be finite and positive, got inf", id="tol-inf"),
+        pytest.param(lambda s: find_orbits(s, tol=True), "tol must be finite and positive, got True", id="tol-bool"),
         pytest.param(lambda s: monodromy(s, (0.2, 0.0), 0), "steps must be an int of at least 1, got 0", id="monodromy-0"),
         pytest.param(lambda s: monodromy(s, (0.2, 0.0), -1), "steps must be an int of at least 1, got -1", id="monodromy-negative"),
+        pytest.param(lambda s: monodromy(s, (math.nan, 0.0)), r"base must be two finite coordinates, got \(nan, 0\.0\)", id="monodromy-nan"),
+        pytest.param(lambda s: monodromy(s, (0.2,)), r"base must be two finite coordinates, got \(0\.2,\)", id="monodromy-short"),
         pytest.param(lambda s: _integrate(s, np.zeros((40, 2)), 2.5), r"steps must be an int of at least 1, got 2\.5", id="integrate-float"),
     ],
 )
@@ -338,6 +355,28 @@ def test_assemble_floer_checks_its_inputs(torus_report):
         assemble_floer(sys, "both", orbits, counts)
     with pytest.raises(OrbitSearchError, match="^expected 2 orbits, found 1$"):
         assemble_floer(sys, "plus", orbits[:1], counts)
+    low, high = sorted(orbits, key=lambda o: o.cz_index)
+    far = PeriodicOrbit(**{**{f: getattr(high, f) for f in high._fields}, "cz_index": low.cz_index + 2})
+    with pytest.raises(OrbitSearchError, match="^orbit indices %d, %d do not differ by 1$" % (low.cz_index, low.cz_index + 2)):
+        assemble_floer(sys, "plus", [low, far], counts)
+    arc = counts[1]
+    moved = Arc(**{**{f: getattr(arc, f) for f in arc._fields}, "target_x": arc.target_x + 1e-3})
+    message = "connecting arc runs %.6f -> %.6f, expected %.6f -> %.6f" % (arc.source_x, moved.target_x, low.x, high.x)
+    with pytest.raises(OrbitSearchError, match="^%s$" % re.escape(message)):
+        assemble_floer(sys, "plus", orbits, (counts[0], moved))
+
+
+def test_periodic_orbit_compares_only_with_orbits(torus_report):
+    orbit = torus_report.orbits[0]
+    assert orbit.__eq__((orbit.x, orbit.y)) is NotImplemented
+    assert orbit != (orbit.x, orbit.y) and orbit == orbit
+
+
+def test_refine_refuses_an_unconverged_integrator():
+    # at 16 steps the orbits still close (RK4 follows the constant co-moving
+    # field exactly), but 32 steps move the monodromy by about 1e-5
+    with pytest.raises(OrbitSearchError, match=r"^integrator is not converged: step-halving changes the monodromy by 9\.5\d*e-06$"):
+        find_orbits(TorusSystem(), search_steps=128, refine_steps=16)
 
 
 def test_assembled_complex(torus_report):
@@ -374,13 +413,16 @@ def test_flow_preserves_area_and_energy_bounded(n):
     s = TorusSystem()
     rng = np.random.RandomState(11)
     pts = rng.uniform(0, 1, (n, 2))
-    ends, mons, traj, _ = _integrate(s, pts, 512, record=True)
+    _, mons = _integrate(s, pts, 512)
     dets = np.linalg.det(mons)
     assert np.abs(dets - 1.0).max() < 1e-8
-    ts = np.linspace(0.0, 1.0, traj.shape[0])
-    h = np.array([s.hamiltonian(traj[k, :, 0], traj[k, :, 1], ts[k]) for k in range(traj.shape[0])])
-    assert np.isfinite(h).all()
-    assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
+    # the energy along each trajectory, sampled by the float kernel
+    ts = np.linspace(0.0, 1.0, 513)
+    for x, y in pts:
+        traj = _rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), 512, True)
+        h = s.hamiltonian(traj[:, 0], traj[:, 1], ts)
+        assert np.isfinite(h).all()
+        assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
 
 
 def reference_integrate(s, points, steps):
@@ -418,15 +460,14 @@ def reference_stacked(s, points, steps):
     """The stacked RK4 step that the fused kernel replaced: _flow_field's
     numpy closure called four times a step, each result stacked by np.array.
 
-    Returns what _integrate(..., record=True) returns.  The kernel does the
-    same float operations in the same order, so it must match bit for bit.
+    Returns what _integrate returns.  The kernel does the same float
+    operations in the same order, so it must match bit for bit.
     """
     rhs = _flow_field(s.bf, np.cos, np.sin)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     state = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
     h, t = 1.0 / steps, 0.0
-    path = [state]
     for _ in range(steps):
         k1 = np.array(rhs(t, *state))
         k2 = np.array(rhs(t + h / 2, *(state + (h / 2) * k1)))
@@ -434,9 +475,7 @@ def reference_stacked(s, points, steps):
         k4 = np.array(rhs(t + h, *(state + h * k3)))
         state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-        path.append(state)
-    path = np.array(path).transpose(0, 2, 1)
-    return path[-1, :, :2], path[-1, :, 2:].reshape(n, 2, 2), path[..., :2], path[..., 2:].reshape(steps + 1, n, 2, 2)
+    return state[:2].T, state[2:].T.reshape(n, 2, 2)
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
@@ -449,10 +488,8 @@ def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n, monke
     else:
         pts = np.random.RandomState(n).uniform(-0.25, 1.25, (n, 2))
     want = reference_stacked(s, pts, 128)
-    recorded = _integrate(s, pts, 128, record=True)
-    assert len(recorded) == 4 and all(np.array_equal(got, ref) for got, ref in zip(recorded, want))
-    plain = _integrate(s, pts, 128)
-    assert len(plain) == 2 and all(np.array_equal(got, ref) for got, ref in zip(plain, want))
+    got = _integrate(s, pts, 128)
+    assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def reference_point(bf, state, steps, record):
@@ -530,15 +567,21 @@ def test_monodromy_at_equilibria_is_expm(b):
 
 @pytest.mark.parametrize("n", [1, 3, *BOTH_PATHS])
 def test_recorded_path_ends_at_the_plain_result(n):
+    # the float kernel's recorded path, which refine samples, starts at the
+    # point and ends where _integrate does: bit for bit on the float path,
+    # to rounding on the stacked one
     s = TorusSystem()
     pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
     ends, mons = _integrate(s, pts, 64)
-    r_ends, r_mons, traj, var = _integrate(s, pts, 64, record=True)
-    assert traj.shape == (65, n, 2) and var.shape == (65, n, 2, 2)
-    assert np.array_equal(r_ends, ends) and np.array_equal(r_mons, mons)
-    assert np.array_equal(traj[-1], ends) and np.array_equal(var[-1], mons)
-    assert np.array_equal(traj[0], pts)
-    assert np.array_equal(var[0], np.broadcast_to(np.eye(2), (n, 2, 2)))
+    tol = 0.0 if n <= _FLOAT_BATCH_MAX else 1e-12
+    for k, (x, y) in enumerate(pts):
+        state = (x, y, 1.0, 0.0, 0.0, 1.0)
+        path = _rk4_point(s.bf, state, 64, True)
+        assert path.shape == (65, 6)
+        assert np.array_equal(path[0], state)
+        assert np.array_equal(path[-1:], _rk4_point(s.bf, state, 64, False))
+        assert np.abs(path[-1, :2] - ends[k]).max() <= tol
+        assert np.abs(path[-1, 2:].reshape(2, 2) - mons[k]).max() <= tol
 
 
 def test_path_choice_changes_no_orbit(monkeypatch):
