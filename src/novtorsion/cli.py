@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .complexes import ComplexStructureError, DegenerateEndpointError, NotAcyclicError, OrbitSearchError, ProfileError
-from .document import DocumentParseError, build_chain_map, build_complex, document_from_complex, parse, render
+from .document import DocumentParseError, document_from_complex, parse, render
 from .linalg import IndeterminatePivotError, ShapeError
 from .series import AmbiguousLeadingTermError, DEFAULT_CUTOFF, ExpansionLimitError, NotInvertibleError, format_element
 from .torsion import milnor_torsion, relative_torsion
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str):
-    """The parsed document at ``path`` and its complex."""
+    """The parsed document at ``path``."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -107,8 +107,7 @@ def _load(path: str):
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())  # numbered as parse numbers lines
         raise DocumentParseError(line, "byte 0x%02x is not valid UTF-8" % data[exc.start]) from None
-    doc = parse(text)
-    return doc, build_complex(doc)
+    return parse(text)
 
 
 def _emit(lines):
@@ -121,8 +120,7 @@ def _cutoff_str(cutoff) -> str:
 
 
 def _cmd_validate(args) -> int:
-    _, cplx = _load(args.file)
-    report = cplx.validate()
+    report = _load(args.file).complex.validate()
     lines = ["file: %s" % args.file]
     lines.append("status: %s" % ("valid" if report.valid else "invalid"))
     lines.append("certified-cutoff: %s" % _cutoff_str(report.cutoff))
@@ -133,8 +131,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ranks(args) -> int:
-    _, cplx = _load(args.file)
-    report = cplx.homology_ranks()
+    report = _load(args.file).complex.homology_ranks()
     lines = ["file: %s" % args.file]
     for d in sorted(report.ranks):
         lines.append("rank %d: %d" % (d, report.ranks[d]))
@@ -155,7 +152,7 @@ def _torsion_lines(label, cls, prefix=""):
 
 
 def _cmd_torsion(args) -> int:
-    _, cplx = _load(args.file)
+    cplx = _load(args.file).complex
     lines = ["file: %s" % args.file]
     cls = milnor_torsion(cplx, args.cutoff)
     lines.extend(_torsion_lines("torsion", cls))
@@ -164,10 +161,10 @@ def _cmd_torsion(args) -> int:
 
 
 def _cmd_rel_torsion(args) -> int:
-    doc, cplx = _load(args.file)
-    if args.map_name not in doc.maps:
+    maps = _load(args.file).maps
+    if args.map_name not in maps:
         raise _UsageError("document has no map named %r" % args.map_name)
-    f = build_chain_map(doc, args.map_name, cplx)
+    f = maps[args.map_name]
     try:
         cls = relative_torsion(f, args.cutoff)  # the cone's d^2 = 0 decides the chain-map condition
     except ComplexStructureError:

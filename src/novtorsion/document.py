@@ -1,7 +1,9 @@
 """Line-oriented text format for lattices, complexes and chain maps.
 
 A document holds one lattice, one graded complex and optionally named
-degree-zero endomorphisms of it.  Blocks are introduced by headers::
+degree-zero endomorphisms of it; in memory it is ``ComplexDocument(complex,
+maps)``, the ``BasedComplex`` and a name -> ``ChainMap`` dict of its
+endomorphisms.  Blocks are introduced by headers::
 
     [group]             rank, phi, c1 and an optional even grading modulus
     [module <degree>]   one generator name per line
@@ -13,7 +15,8 @@ rational coefficients; a term supported at the group identity is written
 as a bare rational, and a trailing ``@cutoff=p/q`` marks a truncated
 element.  ``0`` denotes the zero element or an empty line image.  A line
 whose first non-blank character is ``#`` is a comment; there are no
-trailing comments, so ``#`` anywhere else is part of the line.
+trailing comments, so ``#`` anywhere else is part of the line.  Rendering
+drops exact-zero entries such as ``(0)*c``; a truncated zero stays.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 from .complexes import BasedComplex, ChainMap, shift_degree
 from .lattice import Lattice, _ReadOnly
-from .linalg import Matrix, _from_entries
+from .linalg import Matrix, _from_entries, _is_live
 from .series import NovikovElement
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
@@ -41,12 +44,7 @@ class DocumentParseError(ValueError):
 
 
 class ComplexDocument(_ReadOnly):
-    __slots__ = _fields = ("lattice", "modules", "differential", "maps", "modulus")
-
-
-def _positions(modules: dict[int, tuple[str, ...]]) -> dict[str, tuple[int, int]]:
-    """Generator name -> (degree, index within its module)."""
-    return {name: (d, i) for d, names in modules.items() for i, name in enumerate(names)}
+    __slots__ = _fields = ("complex", "maps")
 
 
 def _parse_rational(text: str, line: int, what: str) -> Fraction:
@@ -208,11 +206,13 @@ def parse(text: str) -> ComplexDocument:
     lattice: Lattice | None = None
     modulus: int | None = None
     fields: dict[str, tuple[int, str]] = {}
-    declared: dict[str, tuple[int, int]] = {}  # generator -> (line, degree)
+    declared: dict[str, tuple[int, int, int]] = {}  # generator -> (line, degree, index in its module)
     modules: dict[int, list[str]] = {}
-    differential: dict[str, tuple[Entry, ...]] = {}
-    maps: dict[str, dict[str, tuple[Entry, ...]]] = {}
-    section = degree = book = None
+    # Per image block, None for the differential and else the map's name:
+    # source degree -> target index -> {source index: live entry}.
+    books: dict[str | None, dict[int, dict[int, dict[int, NovikovElement]]]] = {None: {}}
+    filled: set[tuple[str | None, str]] = set()  # (block, source) of every image line
+    section = degree = arg = None
     line_no = 0
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
@@ -240,15 +240,13 @@ def parse(text: str) -> ComplexDocument:
                 if modulus is not None and not 0 <= degree < modulus:
                     raise DocumentParseError(line_no, "degree %d outside Z_%d" % (degree, modulus))
                 modules.setdefault(degree, [])
-            elif section == "differential":
-                book = differential
             elif section == "map":
                 if arg is None or not _NAME_RE.match(arg):
                     raise DocumentParseError(line_no, "[map] header needs a valid name")
-                if arg in maps:
+                if arg in books:
                     raise DocumentParseError(line_no, "duplicate map %r" % arg)
-                book = maps[arg] = {}
-            elif section != "group":
+                books[arg] = {}
+            elif section not in ("group", "differential"):
                 raise DocumentParseError(line_no, "unknown block kind %r" % section)
         elif section == "group":
             key, sep, value = line.partition(":")
@@ -265,7 +263,7 @@ def parse(text: str) -> ComplexDocument:
                 raise DocumentParseError(
                     line_no, "duplicate generator %r (first declared on line %d)" % (line, declared[line][0])
                 )
-            declared[line] = (line_no, degree)
+            declared[line] = (line_no, degree, len(modules[degree]))
             modules[degree].append(line)
         elif section in _IMAGE_RULES:
             step, rule = _IMAGE_RULES[section]
@@ -276,7 +274,8 @@ def parse(text: str) -> ComplexDocument:
             if src not in declared:
                 raise DocumentParseError(line_no, "undeclared generator %r" % src)
             entries = parse_lincomb(rhs, lattice, line_no)
-            want = shift_degree(declared[src][1], step, modulus)
+            _, d, j = declared[src]
+            want = shift_degree(d, step, modulus)
             seen = set()
             for _, target in entries:
                 if target not in declared:
@@ -286,86 +285,69 @@ def parse(text: str) -> ComplexDocument:
                 seen.add(target)
                 if declared[target][1] != want:
                     raise DocumentParseError(line_no, rule % (src, want, target, declared[target][1]))
-            if src in book:
+            if (arg, src) in filled:
                 raise DocumentParseError(line_no, "duplicate image line for %r" % src)
-            book[src] = entries
+            filled.add((arg, src))
+            for elt, target in entries:
+                if _is_live(elt):
+                    books[arg].setdefault(d, {}).setdefault(declared[target][2], {})[j] = elt
         else:
             raise DocumentParseError(line_no, "content before any block header: %r" % line)
     if lattice is None:
         lattice, modulus = _group(fields, max(line_no, 1))
-    return ComplexDocument(
-        lattice=lattice,
-        modules={d: tuple(names) for d, names in modules.items() if names},
-        differential={k: v for k, v in differential.items() if v},
-        maps={m: {k: v for k, v in body.items() if v} for m, body in maps.items()},
-        modulus=modulus,
-    )
+    names = {d: tuple(gens) for d, gens in modules.items() if gens}
 
+    def matrices(book, step):
+        """The blocks of ``book`` from each degree d into degree d + step."""
+        mats = {}
+        for d, rows in book.items():
+            nrows = len(names[shift_degree(d, step, modulus)])
+            mats[d] = _from_entries(lattice, len(names[d]), [rows.get(i, {}) for i in range(nrows)])
+        return mats
 
-def _render_lincomb(position: dict[str, tuple[int, int]], entries) -> str:
-    ordered = sorted(entries, key=lambda e: position[e[1]])
-    return " + ".join("(%s)*%s" % (elt, tgt) for elt, tgt in ordered)
+    cplx = BasedComplex(lattice, names, matrices(books.pop(None), 1), modulus)
+    return ComplexDocument(cplx, {name: ChainMap(cplx, cplx, matrices(book, 0)) for name, book in books.items()})
 
 
 def render(doc: ComplexDocument) -> str:
-    position = _positions(doc.modules)
-    lines = ["[group]", "rank: %d" % doc.lattice.rank]
-    lines.append("phi: %s" % " ".join(str(p) for p in doc.lattice.phi))
-    lines.append("c1: %s" % " ".join(str(c) for c in doc.lattice.c1))
-    if doc.modulus is not None:
-        lines.append("modulus: %d" % doc.modulus)
-    for d in sorted(doc.modules):
-        lines += ["", "[module %d]" % d, *doc.modules[d]]
-    order = [name for d in sorted(doc.modules) for name in doc.modules[d]]
-    blocks = [("[differential]", doc.differential)]
-    blocks += [("[map %s]" % name, doc.maps[name]) for name in sorted(doc.maps)]
+    cplx = doc.complex
+    lines = ["[group]", "rank: %d" % cplx.lattice.rank]
+    lines.append("phi: %s" % " ".join(str(p) for p in cplx.lattice.phi))
+    lines.append("c1: %s" % " ".join(str(c) for c in cplx.lattice.c1))
+    if cplx.modulus is not None:
+        lines.append("modulus: %d" % cplx.modulus)
+    order = []
+    for d in cplx.degrees():
+        lines += ["", "[module %d]" % d, *cplx.modules[d]]
+        order += cplx.modules[d]
+    blocks = [("[differential]", _images(cplx, cplx.differentials, 1))]
+    blocks += [("[map %s]" % name, _images(cplx, doc.maps[name].matrices, 0)) for name in sorted(doc.maps)]
     for header, images in blocks:
-        body = ["%s: %s" % (name, _render_lincomb(position, images[name])) for name in order if images.get(name)]
+        body = ["%s: %s" % (name, " + ".join("(%s)*%s" % e for e in images[name])) for name in order if name in images]
         # An empty [differential] block is left out; an empty map still names itself.
         if body or header != "[differential]":
             lines += ["", header, *body]
     return "\n".join(lines) + "\n"
 
 
-def _place(doc: ComplexDocument, images: dict[str, tuple[Entry, ...]], step: int) -> dict[int, Matrix]:
-    """Matrices of ``images`` from each degree d into degree d + step.
-
-    Column j of the degree-d matrix holds the image of the j-th degree-d
-    generator; degrees where no generator has an image are left out.
-    """
-    position = _positions(doc.modules)
-    mats = {}
-    for d, names in doc.modules.items():
-        if not any(images.get(name) for name in names):
-            continue
-        t = shift_degree(d, step, doc.modulus)
-        rows: list[dict[int, NovikovElement]] = [{} for _ in doc.modules.get(t, ())]
-        for j, src in enumerate(names):
-            for elt, tgt in images.get(src, ()):
-                rows[position[tgt][1]][j] = elt
-        mats[d] = _from_entries(doc.lattice, len(names), rows)
-    return mats
-
-
 def build_complex(doc: ComplexDocument) -> BasedComplex:
-    diffs = _place(doc, doc.differential, 1)
-    return BasedComplex(doc.lattice, dict(doc.modules), diffs, doc.modulus)
+    return doc.complex
 
 
 def build_chain_map(doc: ComplexDocument, name: str, cplx: BasedComplex | None = None) -> ChainMap:
-    """A named endomorphism of the document's complex, as a chain map."""
+    """A named endomorphism of the document's complex, as a chain map; given
+    ``cplx``, the same blocks as an endomorphism of ``cplx``."""
     if name not in doc.maps:
         raise KeyError("no map named %r in document" % name)
-    if cplx is None:
-        cplx = build_complex(doc)
-    return ChainMap(cplx, cplx, _place(doc, doc.maps[name], 0))
+    f = doc.maps[name]
+    return f if cplx is None else ChainMap(cplx, cplx, f.matrices)
 
 
-def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str, tuple[Entry, ...]]:
-    """Inverse of ``_place``: the image line of each source generator.
+def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str, list[Entry]]:
+    """The image line of each source generator of ``mats``, the blocks from
+    each degree d into degree d + step, with its live entries in row order.
 
-    An entry is kept when it is nonzero or carries a cutoff; generators
-    whose column keeps no entry get no line.
+    Generators whose column has no live entry get no line.
     """
     images: dict[str, list[Entry]] = {}
     for d, mat in mats.items():
@@ -373,19 +355,20 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
         for row, tgt in zip(mat.live, cplx.generators(cplx.shift(d, step))):
             for j, e in row.items():
                 images.setdefault(sources[j], []).append((e, tgt))
-    return {src: tuple(entries) for src, entries in images.items()}
+    return images
 
 
 def document_from_complex(cplx: BasedComplex, maps: dict[str, ChainMap] | None = None) -> ComplexDocument:
-    map_blocks: dict[str, dict[str, tuple[Entry, ...]]] = {}
-    for name, f in (maps or {}).items():
+    """The document of ``cplx`` and its named endomorphisms ``maps``.
+
+    Raises ValueError on a map of other complexes, and on a generator or map
+    name that ``render`` could not write so that ``parse`` reads it back.
+    """
+    maps = dict(maps or {})
+    for f in maps.values():
         if f.source != cplx or f.target != cplx:
             raise ValueError("documents can only carry endomorphisms of their complex")
-        map_blocks[name] = _images(cplx, f.matrices, 0)
-    return ComplexDocument(
-        lattice=cplx.lattice,
-        modules=dict(cplx.modules),
-        differential=_images(cplx, cplx.differentials, 1),
-        maps=map_blocks,
-        modulus=cplx.modulus,
-    )
+    for name in [*maps, *(gen for gens in cplx.modules.values() for gen in gens)]:
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+            raise ValueError("name %r cannot be written in a document" % (name,))
+    return ComplexDocument(cplx, maps)

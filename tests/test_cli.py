@@ -409,7 +409,7 @@ READ_ONLY_FIELDS = {
     "ChainMap": "matrices",
     "BasisChangeClass": "representative",
     "WhiteheadClass": "representative",
-    "ComplexDocument": "differential",
+    "ComplexDocument": "complex",
     "TorusSystem": "b",
     "Arc": "sign",
     "PeriodicOrbit": "monodromy",

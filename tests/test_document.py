@@ -186,7 +186,7 @@ def test_element_literals():
 
 def test_zero_image_line():
     doc = parse_document(TWO_TERM.replace("(1 - 1*g(1))*b", "0"))
-    assert doc.differential == {}
+    assert doc.complex.differentials == {}
     assert build_complex(doc).homology_ranks().ranks == {1: 1, 2: 1}
 
 
@@ -219,11 +219,11 @@ x: (2)*x
 y: (1 + 1*g(0,2))*y
 """
     doc = parse_document(text)
-    assert doc.modulus == 4
+    assert doc.complex.modulus == 4
     rendered = render_document(doc)
     assert parse_document(rendered) == doc
     f = build_chain_map(doc, "h")
-    assert f.block(0)[0][0] == 2 * NovikovElement.one(doc.lattice)
+    assert f.block(0)[0][0] == 2 * NovikovElement.one(doc.complex.lattice)
 
 
 def test_document_complex_round_trip():
@@ -245,18 +245,61 @@ def test_maps_must_exist_and_be_endomorphisms():
         document_from_complex(cplx, {"f": ChainMap(cplx, other, {})})
 
 
-def test_built_documents_keep_their_live_record_and_reject_foreign_entries():
-    from novtorsion.document import ComplexDocument
-    from novtorsion.series import LatticeMismatchError
+ZEROS = """
+[group]
+rank: 1
+phi: 1
+c1: 0
 
-    modules = {0: ("a", "b"), 1: ("c", "d")}
-    trunc_zero = NovikovElement.zero(LAT, cutoff=3)
-    differential = {"a": ((Z, "d"), (NovikovElement.zero(LAT), "c")), "b": ((trunc_zero, "c"),)}
-    cplx = build_complex(ComplexDocument(LAT, modules, differential, {}, None))
-    d0 = cplx.differential(0)
+[module 0]
+a
+b
+
+[module 1]
+c
+d
+
+[differential]
+a: (0)*c + (1*g(1))*d
+b: (0 @cutoff=3)*c
+"""
+
+
+def test_parsed_documents_keep_truncated_zeros_and_drop_exact_ones():
+    doc = parse_document(ZEROS)
+    d0 = doc.complex.differential(0)
     # the exact zero given for (c <- a) is not live; the truncated zero is
     assert [list(row) for row in d0.live] == [[1], [0]]
-    assert document_from_complex(cplx).differential == {"a": ((Z, "d"),), "b": ((trunc_zero, "c"),)}
-    foreign = NovikovElement.one(Lattice(1, [2], [0]))
-    with pytest.raises(LatticeMismatchError):
-        build_complex(ComplexDocument(LAT, modules, {"a": ((foreign, "c"),)}, {}, None))
+    assert d0.live[0][1] == NovikovElement.zero(LAT, cutoff=3)
+    rendered = render_document(doc)
+    assert rendered.endswith("[differential]\na: (1*g(1))*d\nb: (0 @cutoff=3)*c\n")
+    assert parse_document(rendered) == doc
+    # documents that differ only by an exact-zero entry are equal
+    assert parse_document(ZEROS.replace("(0)*c + ", "")) == doc
+    assert parse_document(ZEROS.replace("(0 @cutoff=3)*c", "0")) != doc
+
+
+FIXTURES = sorted(name for name in os.listdir(DATA) if name.endswith(".cplx") and name != "bad_parse.cplx")
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_documents_round_trip(name):
+    """Every parseable fixture renders to text that parses back to the same
+    document and renders the same way again."""
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        doc = parse_document(fh.read())
+    text = render_document(doc)
+    assert parse_document(text) == doc
+    assert render_document(parse_document(text)) == text
+
+
+@pytest.mark.parametrize("bad", ["#b", "a b", "1a", "a:b", "", "[x]", "b\n"])
+def test_names_the_format_cannot_write_back_are_refused(bad):
+    cplx = BasedComplex(LAT, {0: ("a", bad)}, {})
+    with pytest.raises(ValueError, match="^name %s cannot be written in a document$" % re.escape(repr(bad))):
+        document_from_complex(cplx)
+    single = BasedComplex(LAT, {0: ("a",)}, {})
+    with pytest.raises(ValueError, match="^name %s cannot be written in a document$" % re.escape(repr(bad))):
+        document_from_complex(single, {bad: ChainMap(single, single, {})})
+    doc = document_from_complex(single, {"f": ChainMap(single, single, {})})
+    assert parse_document(render_document(doc)) == doc

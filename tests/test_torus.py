@@ -379,6 +379,28 @@ def test_refine_refuses_an_unconverged_integrator():
         find_orbits(TorusSystem(), search_steps=128, refine_steps=16)
 
 
+def test_find_orbits_refuses_a_search_that_converges_nowhere(monkeypatch):
+    # one Newton step from the scan's seeds meets no tolerance
+    monkeypatch.setattr(torus, "_MAX_NEWTON_ITER", 1)
+    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 40 candidate seeds$"):
+        find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
+
+
+def test_refine_refuses_a_degenerate_orbit(monkeypatch):
+    monkeypatch.setattr(torus, "NONDEGENERACY_TOL", 100)
+    with pytest.raises(OrbitSearchError, match=r"^orbit at x=0\.146468 is degenerate: \|det\(I-M\)\| = 3\.35524$"):
+        find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
+
+
+def test_conley_zehnder_refuses_an_elliptic_endpoint_on_a_grading_boundary():
+    # determinant 1 throughout, trace 2 - 1e-8 at the end: elliptic, but
+    # the reference vector turns by about 1e-8, a whole multiple of pi
+    t = np.linspace(0.0, 1.0, 50)
+    path = np.stack([np.ones_like(t), -t, 1e-8 * t, 1.0 - 1e-8 * t**2], axis=1).reshape(-1, 2, 2)
+    with pytest.raises(DegenerateEndpointError, match="^elliptic rotation lands on a grading boundary$"):
+        conley_zehnder(path)
+
+
 def test_assembled_complex(torus_report):
     for convention, want in (("plus", 1), ("minus", -1)):
         cplx = torus_report.complexes[convention]
