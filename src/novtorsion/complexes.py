@@ -61,6 +61,8 @@ def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]
             mat = foreign = None
         except LatticeMismatchError:
             foreign = True
+        except TypeError as exc:  # an entry that is not a NovikovElement
+            raise ComplexStructureError("%s at degree %d: %s" % (what, d, exc)) from None
         if foreign:
             raise ComplexStructureError("%s at degree %d has an entry over a different lattice" % (what, d))
         if mat is None or len(mat) != nrows:

@@ -1,19 +1,19 @@
 """Small sparse matrices over Novikov elements.
 
-A ``Matrix`` stores only its live entries, per row a ``{column: entry}``
-dict in increasing column order; live means not an exact zero (a truncated
-zero stays live for its cutoff).  It also records its column count and
-lattice, so a matrix with no rows or no columns keeps its shape and
-products through an empty dimension come out the right size.  Dense rows,
-the exact zero off the live entries, are a read-only view.  One
-constructor, ``_from_entries``, lays out every matrix: it checks the
-lattice of each given entry and leaves out exact zeros.  ``mat_mul`` is a
-row-wise (Gustavson) product, so an output entry that no product reaches
-is the exact zero.  Determinants use a division-free subset expansion so
-truncation bookkeeping stays with the ring operations; pivot selection
-uses fraction-free column reduction where every pivot must carry an
-unambiguous invertible leading term, and each step updates only the live
-entries of the unused rows of later columns, multiplying by no exact zero.
+A ``Matrix`` is a read-only record of its live entries, per row a ``{column:
+entry}`` dict in increasing column order; live means not an exact zero (a
+truncated zero stays live for its cutoff).  It also records its column count
+and lattice, so a matrix with no rows or no columns keeps its shape and
+products through an empty dimension come out the right size.  Dense rows go
+in through ``as_matrix`` and are never kept.  One constructor,
+``_from_entries``, lays out every matrix: it checks the lattice of each
+given entry and leaves out exact zeros.  ``mat_mul`` is a row-wise
+(Gustavson) product, so an output entry that no product reaches is the exact
+zero.  Determinants use a division-free subset expansion so truncation
+bookkeeping stays with the ring operations; pivot selection uses
+fraction-free column reduction where every pivot must carry an unambiguous
+invertible leading term, and each step updates only the live entries of the
+unused rows of later columns, multiplying by no exact zero.
 """
 
 from __future__ import annotations
@@ -41,19 +41,17 @@ def _is_live(e: NovikovElement) -> bool:
     return bool(e._num) or e._ck is not None
 
 
-class Matrix:
+class Matrix(_ReadOnly):
     """A matrix as its live entries, with a known ``ncols`` and ``lattice``.
 
     ``live[i]`` maps the columns of row i's live entries, in increasing
-    order, to the entries.  ``m[i]``, ``iter``, ``len``, ``==`` and ``repr``
-    are those of the dense row tuples, a view the algebra never reads.
-    ``lattice`` is None only for a matrix given without entries.
+    order, to the entries; ``lattice`` is None only for a matrix given
+    without entries.  Matrices compare by ``ncols`` and ``live``, and do
+    not hash.
     """
 
-    __slots__ = ("live", "ncols", "lattice")
-
-    def __init__(self, live: tuple[dict[int, NovikovElement], ...], ncols: int, lattice: Lattice | None):
-        self.live, self.ncols, self.lattice = live, ncols, lattice
+    __slots__ = _fields = ("live", "ncols", "lattice")
+    __hash__ = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,20 +61,14 @@ class Matrix:
         return len(self.live)
 
     def __getitem__(self, i: int) -> tuple[NovikovElement, ...]:
-        """Row i as a dense tuple, the exact zero off its live entries."""
+        """Row i as a dense tuple, the exact zero off its live entries; only ``replay_milnor`` in bench/replay.py reads it."""
         row, z = self.live[i], NovikovElement.zero(self.lattice)
         return tuple(row.get(j, z) for j in range(self.ncols))
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.live)))
-
     def __eq__(self, other):
-        if isinstance(other, Matrix):
-            return self.ncols == other.ncols and tuple(self) == tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.ncols == other.ncols and self.live == other.live
 
 
 def _from_entries(lattice: Lattice | None, ncols: int, rows_of_entries) -> Matrix:
@@ -105,14 +97,22 @@ def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
     return _from_entries(lattice, ncols, rows)
 
 
+def _count(what: str, n) -> int:
+    """``n`` as a row or column count: ShapeError unless an int of at least 0 and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ShapeError("%s must be an int of at least 0, not %r" % (what, n))
+    return n
+
+
 def as_matrix(rows, ncols: int | None = None) -> Matrix:
     """The matrix with these rows; a row-less input needs ``ncols``.
 
-    Raises ShapeError on ragged rows or a column count they contradict, and
-    LatticeMismatchError on entries over different lattices.
+    Raises ShapeError on ragged rows, a column count they contradict or one
+    that is not a count, TypeError on an entry that is not a NovikovElement,
+    and LatticeMismatchError on entries over different lattices.
     """
     if isinstance(rows, Matrix):
-        if ncols is not None and ncols != rows.ncols:
+        if ncols is not None and _count("column count", ncols) != rows.ncols:
             raise ShapeError("matrix has %d columns, expected %d" % (rows.ncols, ncols))
         return rows
     rows = tuple(tuple(r) for r in rows)
@@ -120,19 +120,25 @@ def as_matrix(rows, ncols: int | None = None) -> Matrix:
         if not rows:
             raise ShapeError("column count required for a matrix with no rows")
         ncols = len(rows[0])
+    _count("column count", ncols)
     if any(len(r) != ncols for r in rows):
         raise ShapeError("ragged matrix: every row needs %d entries" % ncols)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if not isinstance(e, NovikovElement):
+                raise TypeError("matrix entry (%d, %d) is of type %r, not a NovikovElement" % (i, j, type(e).__name__))
     lattice = rows[0][0].lattice if rows and ncols else None
     return _from_entries(lattice, ncols, (dict(enumerate(r)) for r in rows))
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:
-    return _from_entries(lattice, ncols, ({} for _ in range(nrows)))
+    _count("row count", nrows)
+    return _from_entries(lattice, _count("column count", ncols), ({} for _ in range(nrows)))
 
 
 def identity(lattice: Lattice, n: int) -> Matrix:
     one = NovikovElement.one(lattice)
-    return _from_entries(lattice, n, ({i: one} for i in range(n)))
+    return _from_entries(lattice, _count("size", n), ({i: one} for i in range(n)))
 
 
 def _operands(a, b) -> tuple[Matrix, Matrix, Lattice | None]:

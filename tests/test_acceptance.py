@@ -30,6 +30,7 @@ from novtorsion.torus import run_example
 from support import (
     CUT,
     compose,
+    dense,
     elementary_word,
     graded_transition_class,
     iso_map,
@@ -71,7 +72,7 @@ def test_criterion_1_torus_end_to_end():
 
     for convention, sign in (("plus", 1), ("minus", -1)):
         cplx = report.complexes[convention]
-        entry = cplx.differentials[1][0][0]
+        entry = cplx.differentials[1].live[0][0]
         lat = cplx.lattice
         assert entry == NovikovElement.one(lat) + NovikovElement.monomial(lat, sign, (1,))
         cls = report.torsions[convention]
@@ -112,8 +113,8 @@ def _suite_block_triangular(rng):
         a, _, _ = elementary_word(rng, LAT, 2, 2)
         b, _, _ = elementary_word(rng, LAT, 2, 2)
         c = [[rand_element(rng, LAT, 1) for _ in range(2)] for _ in range(2)]
-        top = [list(a[i]) + list(c[i]) for i in range(2)]
-        bot = [[zero] * 2 + list(b[i]) for i in range(2)]
+        top = [list(ra) + rc for ra, rc in zip(dense(a), c)]
+        bot = [[zero] * 2 + list(rb) for rb in dense(b)]
         parts[parity] = (as_matrix(top + bot), a, b)
     whole = basis_change_class(parts[0][0], parts[1][0], LAT, CUT)
     first = basis_change_class(parts[0][1], parts[1][1], LAT, CUT)

@@ -403,6 +403,7 @@ READ_ONLY_FIELDS = {
     "Lattice": "rank",
     "LeadingTerm": "coefficient",
     "PivotSelection": "pivots",
+    "Matrix": "ncols",
     "ValidationReport": "valid",
     "RanksReport": "ranks",
     "BasedComplex": "modulus",
@@ -430,6 +431,7 @@ def read_only_record(name, request):
         "Lattice": lambda: cplx.lattice,
         "LeadingTerm": unit.leading_term,
         "PivotSelection": lambda: select_column_pivots(cplx.lattice, d),
+        "Matrix": lambda: d,
         "ValidationReport": cplx.validate,
         "RanksReport": cplx.homology_ranks,
         "BasedComplex": lambda: cplx,
@@ -470,6 +472,7 @@ def test_records_compare_print_copy_and_pickle_by_their_fields(name, request):
     values = [getattr(record, f) for f in record._fields]
     rebuilt = type(record)(*values)
     assert rebuilt == record
+    assert record != tuple(values) and not record == tuple(values)
     assert rebuilt == type(record)(**dict(zip(record._fields, values)))
     if all(map(hashable, values)):
         assert hash(rebuilt) == hash(record)

@@ -223,7 +223,7 @@ y: (1 + 1*g(0,2))*y
     rendered = render_document(doc)
     assert parse_document(rendered) == doc
     f = build_chain_map(doc, "h")
-    assert f.block(0)[0][0] == 2 * NovikovElement.one(doc.complex.lattice)
+    assert f.block(0).live[0][0] == 2 * NovikovElement.one(doc.complex.lattice)
 
 
 def test_document_complex_round_trip():

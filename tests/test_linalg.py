@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from novtorsion.series import AmbiguousLeadingTermError, ExpansionLimitError, La
 
 from support import (
     assert_live_record,
+    dense,
     elementary_word,
     k1_lattice,
     k2_lattice,
@@ -108,13 +110,53 @@ def test_determinant_mask_budget():
 def test_products_through_empty_dimensions_keep_their_shape():
     prod = mat_mul(zeros(LAT, 2, 0), zeros(LAT, 0, 3))
     assert prod.shape == (2, 3)
-    assert all(e.is_zero and e.is_exact and e.lattice == LAT for row in prod for e in row)
+    assert all(e.is_zero and e.is_exact and e.lattice == LAT for row in dense(prod) for e in row)
     assert mat_mul(((ONE, Z),), zeros(LAT, 2, 0)).shape == (1, 0)
     assert mat_mul(zeros(LAT, 0, 2), ((ONE,), (Z,))).shape == (0, 1)
     assert mat_mul(as_matrix((), 2), zeros(LAT, 2, 4)).shape == (0, 4)
     assert mat_add(zeros(LAT, 0, 4), as_matrix((), 4)).shape == (0, 4)
     assert mat_sub(zeros(LAT, 3, 0), ((), (), ())).shape == (3, 0)
-    assert mat_mul(((ONE, Z),), ((Z,), (ONE,))) == ((2 * Z,),)
+    assert mat_mul(((ONE, Z),), ((Z,), (ONE,))) == as_matrix(((2 * Z,),))
+
+
+def test_counts_that_are_not_counts_are_refused():
+    for bad in (-1, -2, 2.5, True, False, "2", None):
+        calls = [("row count", lambda: zeros(LAT, bad, 2)), ("column count", lambda: zeros(LAT, 1, bad)), ("size", lambda: identity(LAT, bad))]
+        if bad is not None:  # None asks as_matrix to count the columns itself
+            calls += [
+                ("column count", lambda: as_matrix((), bad)),
+                ("column count", lambda: as_matrix(identity(LAT, 1), bad)),  # True would pass as 1
+                ("column count", lambda: select_column_pivots(LAT, (), bad)),
+            ]
+        for what, call in calls:
+            with pytest.raises(ShapeError, match="^%s must be an int of at least 0, not %s$" % (what, re.escape(repr(bad)))):
+                call()
+    assert zeros(LAT, 0, 0).shape == identity(LAT, 0).shape == as_matrix((), 0).shape == (0, 0)
+
+
+def test_entries_that_are_not_elements_are_refused():
+    cases = [
+        (lambda: as_matrix(((1,),)), "(0, 0)", "int"),
+        (lambda: as_matrix(((ONE, Z), (ONE, 2.5))), "(1, 1)", "float"),
+        (lambda: determinant(LAT, ((2,),)), "(0, 0)", "int"),
+        (lambda: mat_mul(((ONE,),), ((2,),)), "(0, 0)", "int"),
+        (lambda: select_column_pivots(LAT, (("x",),)), "(0, 0)", "str"),
+    ]
+    for call, where, kind in cases:
+        with pytest.raises(TypeError, match=r"^matrix entry %s is of type '%s', not a NovikovElement$" % (re.escape(where), kind)):
+            call()
+
+
+def test_matrices_are_records_of_their_live_entries():
+    m = as_matrix(((ONE, ZERO), (ZERO, Z)))
+    assert m.live == ({0: ONE}, {1: Z}) and m.ncols == 2 and m.lattice is LAT
+    assert repr(m) == "Matrix(live=%r, ncols=2, lattice=%r)" % (m.live, LAT)
+    assert m == as_matrix(((ONE, ZERO), (ZERO, Z)), 2) and m != identity(LAT, 2)
+    assert m != ((ONE, ZERO), (ZERO, Z))  # never equal to its dense rows
+    assert as_matrix((), 3) == zeros(LAT, 0, 3) and as_matrix(((), ()), 0) == zeros(LAT, 2, 0)
+    assert as_matrix((), 3) != as_matrix((), 2)
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 def test_shape_mismatch_with_empty_operand_raises():
@@ -204,6 +246,7 @@ def test_truncated_zero_certification():
 def full_update_pivots(lattice, rows, ncols):
     """Reference column reduction that rewrites every row of every other
     column after each pivot, including entries no later step reads."""
+    rows = dense(as_matrix(rows, ncols))
     m = len(rows)
     cols = [[rows[i][j] for i in range(m)] for j in range(ncols)]
     used = [False] * m
@@ -270,7 +313,7 @@ def test_report_cutoffs_match_the_fraction_reference():
             cplx, _ = random_acyclic(rng, lat, pairs=rng.randint(2, 5), length=5, tail=tail)
         diffs = cplx.differentials
         squares = [mat_mul(diffs[cplx.shift(d, 1)], m) for d, m in diffs.items() if cplx.shift(d, 1) in diffs]
-        square = ref_min(*(e.cutoff for m in squares for row in m for e in row if e.is_zero))
+        square = ref_min(*(e.cutoff for m in squares for row in m.live for e in row.values() if e.is_zero))
         assert cplx.validate().cutoff == square
         pivots = ref_min(*(full_update_pivots(lat, m, m.ncols).cutoff for m in diffs.values()))
         try:
@@ -322,7 +365,7 @@ def test_live_submatrix_update_matches_full_update_reference():
             rows = mat_mul(left, right)
         perm = list(range(n))  # permuted column j is column perm[j]
         rng.shuffle(perm)
-        permuted = as_matrix([[row[j] for j in perm] for row in rows], n)
+        permuted = as_matrix([[row[j] for j in perm] for row in dense(rows)], n)
         want = pivot_outcome(full_update_pivots, lat, permuted, n)
         got = pivot_outcome(select_column_pivots, lat, permuted, n)
         assert got == want
@@ -353,7 +396,7 @@ def _reference_determinant(lattice, rows):
     rows = as_matrix(rows, len(rows))
     n = len(rows)
     prev = {0: NovikovElement.one(lattice)}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(dense(rows)):
         cur = {}
         for mask, val in prev.items():
             if val.is_zero and val.is_exact:
@@ -420,7 +463,7 @@ def _reference_mat_mul(a, b):
             acc = acc + x * y
         return acc
 
-    return as_matrix([[dot(row, col) for col in zip(*b)] for row in a], b.ncols)
+    return as_matrix([[dot(row, col) for col in zip(*dense(b))] for row in dense(a)], b.ncols)
 
 
 def test_mat_mul_matches_dense_reference():
@@ -434,22 +477,22 @@ def test_mat_mul_matches_dense_reference():
         if r and c and k >= 2 and rng.random() < 0.4:
             # repeat a row of b and negate its column of a: the two products cancel
             i, j = rng.sample(range(k), 2)
-            rows_b = [list(row) for row in b]
+            rows_b = [list(row) for row in dense(b)]
             rows_b[j] = rows_b[i]
             b = as_matrix(rows_b)
-            a = as_matrix([[(-row[i] if col == j else e) for col, e in enumerate(row)] for row in a])
+            a = as_matrix([[(-row[i] if col == j else e) for col, e in enumerate(row)] for row in dense(a)])
             seen["cancelling rows"] += 1
         if 0 in (r, k, c):
             seen["empty dimension"] += 1
         want = _reference_mat_mul(a, b)
         got = mat_mul(a, b)
         assert got == want and got.shape == want.shape, (a, b)
-        for got_row, want_row in zip(got, want):
+        for got_row, want_row in zip(dense(got), dense(want)):
             for x, y in zip(got_row, want_row):
                 assert x.terms == y.terms and x.cutoff == y.cutoff
         for mat in (a, b, got):
             assert_live_record(mat)
-        for e in (e for row in got for e in row):
+        for e in (e for row in dense(got) for e in row):
             seen["exact zero" if e.is_zero and e.is_exact else "truncated" if e.cutoff is not None else "exact"] += 1
     assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
@@ -463,7 +506,7 @@ def test_live_record_of_every_builder():
         a, b = rand_sparse_matrix(rng, lat, r, c), rand_sparse_matrix(rng, lat, r, c)
         square = rand_sparse_matrix(rng, lat, c, c)
         built = [
-            as_matrix([list(row) for row in a], c),
+            as_matrix(dense(a), c),
             zeros(lat, r, c),
             identity(lat, c),
             mat_add(a, b),

@@ -24,6 +24,7 @@ from novtorsion.torsion import BasisChangeClass, WhiteheadClass, milnor_torsion_
 from support import (
     CUT,
     compose,
+    dense,
     diag_model,
     elementary_word,
     graded_transition_class,
@@ -184,8 +185,8 @@ def _padded_transition_torsion(cplx, cutoff) -> BasisChangeClass:
     _, _, d0, d1 = cplx.collapse()
     sel0 = select_column_pivots(lattice, d0)
     sel1 = select_column_pivots(lattice, d1)
-    cols0, cols1 = tuple(zip(*d0)), tuple(zip(*d1))
-    e0, e1 = identity(lattice, d0.ncols), identity(lattice, d1.ncols)
+    cols0, cols1 = tuple(zip(*dense(d0))), tuple(zip(*dense(d1)))
+    e0, e1 = dense(identity(lattice, d0.ncols)), dense(identity(lattice, d1.ncols))
     even = [cols1[j] for j in sel1.columns] + [e0[j] for j in sel0.columns]
     odd = [cols0[j] for j in sel0.columns] + [e1[j] for j in sel1.columns]
     rep = divide(determinant(lattice, tuple(zip(*even))), determinant(lattice, tuple(zip(*odd))), cutoff)
@@ -200,7 +201,7 @@ def _truncate_entries(rng, cplx: BasedComplex) -> BasedComplex:
         return e.truncate(e.min_weight() + rng.randint(1, 8)) if e.terms else e
 
     diffs = {
-        d: as_matrix([[cut(e) for e in row] for row in m], m.ncols) for d, m in cplx.differentials.items()
+        d: as_matrix([[cut(e) for e in row] for row in dense(m)], m.ncols) for d, m in cplx.differentials.items()
     }
     return BasedComplex(cplx.lattice, cplx.modules, diffs, cplx.modulus)
 
@@ -365,8 +366,8 @@ def test_block_triangular_additivity():
             a, _, _ = elementary_word(rng, LAT, 2)
             b, _, _ = elementary_word(rng, LAT, 2)
             c = [[rand_element(rng, LAT, 2) for _ in range(2)] for _ in range(2)]
-            top = [list(a[i]) + list(c[i]) for i in range(2)]
-            bot = [[ZERO] * 2 + list(b[i]) for i in range(2)]
+            top = [list(ra) + rc for ra, rc in zip(dense(a), c)]
+            bot = [[ZERO] * 2 + list(rb) for rb in dense(b)]
             blocks[parity] = (as_matrix(top + bot), a, b)
         whole = basis_change_class(blocks[0][0], blocks[1][0], LAT, CUT)
         first = basis_change_class(blocks[0][1], blocks[1][1], LAT, CUT)
@@ -455,7 +456,7 @@ def test_homotopy_identity_detects_garbage():
     g, h = perturb_by_homotopy(rng, f)
     d = next(iter(g.matrices))
     broken = {dd: m for dd, m in g.matrices.items()}
-    rows = [list(r) for r in broken[d]]
+    rows = [list(r) for r in dense(broken[d])]
     rows[0][0] = rows[0][0] + ONE
     broken[d] = as_matrix(rows)
     g_bad = ChainMap.__new__(ChainMap)
@@ -526,7 +527,7 @@ def _extension(rng, sub: BasedComplex, quot: BasedComplex) -> BasedComplex:
     for d in degrees:
         d_sub, d_quot = sub.differential(d), quot.differential(d)
         x = mat_sub(mat_mul(d_sub, y[d]), mat_mul(y[d + 1], d_quot))
-        rows = [top + right for top, right in zip(d_sub, x)]
-        rows += [(zero,) * d_sub.ncols + row for row in d_quot]
+        rows = [top + right for top, right in zip(dense(d_sub), dense(x))]
+        rows += [(zero,) * d_sub.ncols + row for row in dense(d_quot)]
         diffs[d] = as_matrix(rows, d_sub.ncols + d_quot.ncols)
     return BasedComplex(lat, modules, diffs, None)

@@ -408,7 +408,7 @@ def test_assembled_complex(torus_report):
         report = cplx.validate()
         assert report.valid
         assert cplx.homology_ranks().acyclic
-        entry = cplx.differentials[1][0][0]
+        entry = cplx.differentials[1].live[0][0]
         lat = cplx.lattice
         assert entry == NovikovElement.one(lat) + NovikovElement.monomial(lat, want, (1,))
 
@@ -422,6 +422,21 @@ def test_torus_torsion(torus_report):
         rep = cls.representative
         assert rep.coefficient((0,)) == 1
         assert abs(rep.coefficient((1,))) == 1
+
+
+def test_pipeline_searches_when_given_no_orbits_or_complex(torus_report):
+    # one search per call, so one convention each: both fallbacks run
+    assert assemble_floer(TorusSystem(), "plus") == torus_report.complexes["plus"]
+    assert torus_torsion(TorusSystem(), "minus") == torus_report.torsions["minus"]
+
+
+def test_package_loads_the_torus_names_on_first_access():
+    import novtorsion
+
+    assert novtorsion.run_example is torus.run_example
+    assert "find_orbits" in dir(novtorsion)
+    with pytest.raises(AttributeError, match="^module 'novtorsion' has no attribute 'no_such_name'$"):
+        novtorsion.no_such_name
 
 
 def test_torsion_invariant_under_lift_relabeling(torus_report):
