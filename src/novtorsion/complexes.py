@@ -9,6 +9,8 @@ text documents can reference them without degree qualifiers.
 
 from __future__ import annotations
 
+import operator
+
 from .lattice import GroupElement, Lattice, _ReadOnly, g_neg
 from .linalg import (
     IndeterminatePivotError,
@@ -47,12 +49,20 @@ class DegenerateEndpointError(ArithmeticError):
     """Index of a symplectic path with eigenvalue 1 at the endpoint."""
 
 
+def _degree(d, what: str = "degree") -> int:
+    """``d`` as an int, refusing with ComplexStructureError a bool or a non-integer
+    such as 1.5 or "1", which int() would truncate, parse or merge."""
+    if isinstance(d, bool) or not hasattr(type(d), "__index__"):
+        raise ComplexStructureError("%s %r is not an int" % (what, d))
+    return operator.index(d)
+
+
 def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]:
     """``mats`` keyed by int degree, each block a ``shape(d)`` matrix over ``lattice``
     (else ComplexStructureError), without the blocks with no rows or no columns."""
     out = {}
     for d, mat in mats.items():
-        d = int(d)
+        d = _degree(d, what + " degree")
         nrows, ncols = shape(d)
         try:
             mat = as_matrix(mat, ncols)
@@ -126,9 +136,11 @@ class BasedComplex(_ReadOnly):
         modulus: int | None = None,
     ):
         if modulus is not None:
+            modulus = _degree(modulus, "grading modulus")
             if modulus < 2 or modulus % 2:
                 raise ComplexStructureError("grading modulus must be even and >= 2")
-        modules = {int(d): tuple(names) for d, names in modules.items() if names}
+        modules = {_degree(d): tuple(names) for d, names in modules.items()}
+        modules = {d: names for d, names in modules.items() if names}
         seen = set()
         for d, names in modules.items():
             if modulus is not None and not 0 <= d < modulus:
@@ -318,6 +330,8 @@ def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[in
     inverse, typically built alongside it from elementary operations.  The
     differential transforms to T_{d+1}^{-1} D_d T_d.
     """
+    transitions = {_degree(d, "transition degree"): t for d, t in transitions.items()}
+    inverses = {_degree(d, "inverse degree"): t for d, t in inverses.items()}
     for d, t in transitions.items():
         n = cplx.rank(d)
         if as_matrix(t).shape != (n, n):
@@ -356,6 +370,7 @@ def relabel_lifts(cplx: BasedComplex, shifts: dict[int, tuple[GroupElement, ...]
     transitions = {}
     inverses = {}
     for d, elems in shifts.items():
+        d = _degree(d, "lift shift degree")
         if len(elems) != cplx.rank(d):
             raise ShapeError("need one group element per degree-%d generator" % d)
         transitions[d] = diagonal(elems)

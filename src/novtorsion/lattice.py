@@ -53,9 +53,11 @@ def _coordinate(x) -> int:
 
 
 def _rational(x) -> Fraction:
-    """Fraction(x), refusing a float such as 0.1 that Fraction() would read as its binary value."""
+    """Fraction(x), refusing a float such as 0.1 that Fraction() would read as its binary value, and a bool."""
     if type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        raise ValueError("%r is a bool, not a rational" % (x,))
     if isinstance(x, float) and not x.is_integer():
         raise ValueError("%r is not an exact rational; pass a Fraction or a string" % (x,))
     return Fraction(x)

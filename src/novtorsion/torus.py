@@ -86,36 +86,6 @@ class TorusSystem(_ReadOnly):
             bf = math.inf if self.b > 0 else -math.inf
         object.__setattr__(self, "bf", bf)
 
-    # profile functions, numpy friendly
-    def lam(self, x):
-        return 1.0 + self.bf * np.cos(TWO_PI * x)
-
-    def dlam(self, x):
-        return -TWO_PI * self.bf * np.sin(TWO_PI * x)
-
-    def d2lam(self, x):
-        return -(TWO_PI**2) * self.bf * np.cos(TWO_PI * x)
-
-    def nu(self, y):
-        return (
-            1.0
-            + NU_A1 * (np.cos(TWO_PI * y) - 1.0)
-            + NU_A2 * (np.cos(2 * TWO_PI * y) - 1.0)
-        )
-
-    def dnu(self, y):
-        return -TWO_PI * NU_A1 * np.sin(TWO_PI * y) - 2 * TWO_PI * NU_A2 * np.sin(
-            2 * TWO_PI * y
-        )
-
-    def d2nu(self, y):
-        return -(TWO_PI**2) * NU_A1 * np.cos(TWO_PI * y) - (2 * TWO_PI) ** 2 * NU_A2 * np.cos(
-            2 * TWO_PI * y
-        )
-
-    def hamiltonian(self, x, y, t):
-        return self.lam(x) * self.nu(y - t)
-
     def check(self) -> tuple[float, float]:
         """Verify that b is admissible and return the two equilibria.
 
@@ -136,50 +106,13 @@ class TorusSystem(_ReadOnly):
 
 
 def _field_constants(bf: float):
-    """lam1n, lam2, nu1n, nu2, nu1dn, nu2d: the field's constants, those it negates stored negated."""
+    """lam1n, lam2, nu1n, nu2, nu1dn, nu2d: the field's constants, those it negates stored negated
+    (exactly, so -lam'' = lam2 cos(2 pi x) is the unfolded expression's value bit for bit)."""
     return (
         -(TWO_PI * bf), TWO_PI**2 * bf,
         -(TWO_PI * NU_A1), 2 * TWO_PI * NU_A2,
         -(TWO_PI**2 * NU_A1), (2 * TWO_PI) ** 2 * NU_A2,
     )
-
-
-def _flow_field(bf: float, cos, sin):
-    """Derivatives of (x, y, m11, m12, m21, m22) under the flow and M' = A M.
-
-    Only arithmetic and the given cos/sin; on numpy values it is the field
-    of vector_field.  The RK4 kernels write out the same operations in the
-    same order: _rk4_point inline on floats, _rk4_batch in place on rows.
-    One cos/sin pair of 2 pi x and one of 2 pi (y - t) feed every profile
-    derivative; nu's second harmonic comes from the double-angle formulas.
-    Constants the field negates are stored negated, and -lam'' is taken as
-    lam2 cos(2 pi x): negation is exact, so the values are those of the
-    unfolded expressions bit for bit.
-    """
-    lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
-
-    def rhs(t, x, y, m11, m12, m21, m22):
-        u = TWO_PI * x
-        cx, sx = cos(u), sin(u)
-        s = TWO_PI * (y - t)
-        c1, s1 = cos(s), sin(s)
-        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
-        lam, dlam = 1.0 + bf * cx, lam1n * sx
-        nu = 1.0 + NU_A1 * (c1 - 1.0) + NU_A2 * (c2 - 1.0)
-        dnu, d2nu = nu1n * s1 - nu2 * s2, nu1dn * c1 - nu2d * c2
-        a11, a12, a21 = dlam * dnu, lam * d2nu, lam2 * cx * nu
-        return (
-            lam * dnu, -dlam * nu,
-            a11 * m11 + a12 * m21, a11 * m12 + a12 * m22,
-            a21 * m11 - a11 * m21, a21 * m12 - a11 * m22,
-        )
-
-    return rhs
-
-
-def vector_field(sys: TorusSystem, x, y, t):
-    """Hamiltonian vector field (dh/dy, -dh/dx) of h = lam(x) nu(y - t)."""
-    return _flow_field(sys.bf, np.cos, np.sin)(t, x, y, 1.0, 0.0, 0.0, 1.0)[:2]
 
 
 def _is_int(value) -> bool:
@@ -197,9 +130,10 @@ def _integrate(sys: TorusSystem, points, steps: int):
 
     Up to _FLOAT_BATCH_MAX points run one at a time on plain floats in the
     fused kernel _rk4_point, a larger batch as one stacked (6, n) array in
-    the fused kernel _rk4_batch; both do _flow_field's float operations per
-    point, in its order.  Returns the endpoints (n, 2) and monodromies
-    (n, 2, 2).  ``steps`` must be an int of at least 1.
+    the fused kernel _rk4_batch; both do the same float operations per
+    point, in the same order, which the tests' reference kernels pin bit
+    for bit.  Returns the endpoints (n, 2) and monodromies (n, 2, 2).
+    ``steps`` must be an int of at least 1.
     """
     _check_count("steps", steps)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -215,9 +149,9 @@ def _integrate(sys: TorusSystem, points, steps: int):
 def _rk4_point(bf: float, state, steps: int, record: bool):
     """RK4 of one point on floats as one fused kernel, its four stages inline.
 
-    Each stage evaluates _flow_field's field on locals, with its operations
-    in its order and A = [[p, q], [r, -p]]; the slopes are named by stage
-    (a, b, c, d) and component, a stage's state X, Y, n11 to n22.  The
+    Each stage evaluates the field on locals, in the operation order that
+    _rk4_batch shares, with A = [[p, q], [r, -p]]; the slopes are named by
+    stage (a, b, c, d) and component, a stage's state X, Y, n11 to n22.  The
     constants and cos/sin are bound to locals once per call: calling the
     field once per stage, with its seven arguments and returned 6-tuple,
     cost about a quarter of the step.  Returns the (steps+1, 6) states when
@@ -313,7 +247,7 @@ def _rk4_batch(bf: float, state, steps: int):
     full rows so that nearly every call has operands of one shape (numpy's
     cheapest call), and rows that share a formula go through one call on a
     contiguous stacked view.  Each element sees the float operations of
-    _flow_field and _rk4_point in the same order; only a - b is taken as
+    _rk4_point in the same order; only a - b is taken as
     a + (-b) and -(p q) as (-p) q, which are exact.  Returns the last
     (6, n) state, ``state`` itself.
     """

@@ -44,6 +44,7 @@ from support import (
     random_acyclic,
     scramble,
 )
+from torus_oracle import d2lam, lam
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 LAT = k1_lattice()
@@ -84,7 +85,7 @@ def test_criterion_1_torus_end_to_end():
 def test_criterion_2_monodromy_closed_form(torus_report):
     for o in torus_report.orbits:
         s = torus_report.system
-        a = np.array([[0.0, -s.lam(o.x)], [-s.d2lam(o.x), 0.0]])
+        a = np.array([[0.0, -lam(s, o.x)], [-d2lam(s, o.x), 0.0]])
         gap = np.abs(o.monodromy - expm(a)).max()
         assert gap < 1e-6, "monodromy differs from closed form by %g" % gap
     _report(2, "monodromy matches constant-matrix exponential at 1e-6")

@@ -372,6 +372,36 @@ def test_rebase_and_relabel_check_their_inputs():
         relabel_lifts(c, {1: ((1,), (2,))})
 
 
+def _identity_map():
+    c = floer_like()
+    return ChainMap(c, c, {1: ((ONE,),), 2: ((ONE,),)})
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: BasedComplex(LAT, {0: ("a",), 1.5: ("b",)}, {0: ((ONE,),)}), "degree 1.5"),
+        (lambda: BasedComplex(LAT, {1: ("a",), "1": ("b",)}, {}), "degree '1'"),
+        (lambda: BasedComplex(LAT, {True: ("a",)}, {}), "degree True"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, 4.0), "grading modulus 4.0"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, "4"), "grading modulus '4'"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, True), "grading modulus True"),
+        (lambda: BasedComplex(LAT, {0: ("a",), 1: ("b",)}, {0.7: ((ONE,),)}), "differential degree 0.7"),
+        (lambda: ChainMap(floer_like(), floer_like(), {1.0: ((ONE,),)}), "chain map block degree 1.0"),
+        (lambda: homotopy_equivalent(_identity_map(), _identity_map(), {"2": ((ONE,),)}), "homotopy degree '2'"),
+        (lambda: rebase(floer_like(), {"1": ((ONE,),)}, {1: ((ONE,),)}), "transition degree '1'"),
+        (lambda: rebase(floer_like(), {}, {1.0: ((ONE,),)}), "inverse degree 1.0"),
+        (lambda: relabel_lifts(floer_like(), {"1": ((1,),)}), "lift shift degree '1'"),
+    ],
+    ids=["module", "module-str", "module-bool", "modulus", "modulus-str", "modulus-bool", "differential",
+         "chain-map", "homotopy", "transition", "inverse", "relabel"],
+)
+def test_degrees_and_moduli_that_are_not_ints_are_refused(make, message):
+    # int() would truncate 1.5 and 0.7, parse "1" into a key that merges with 1, and read True as 1
+    with pytest.raises(ComplexStructureError, match="^%s is not an int$" % re.escape(message)):
+        make()
+
+
 def test_relabel_lifts_changes_entries_by_monomials():
     c = floer_like()
     shifted = relabel_lifts(c, {1: ((2,),), 2: ((0,),)})

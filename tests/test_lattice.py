@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from novtorsion import DimensionMismatchError, Lattice, NovikovElement, divide
+from novtorsion import DimensionMismatchError, Lattice, NovikovElement, divide, milnor_torsion, two_term_complex
 from novtorsion.lattice import _BOX, g_add, g_neg
 from novtorsion.series import ExpansionLimitError
 
@@ -62,6 +62,21 @@ K1_UNIT = NovikovElement(Lattice(1, [1], [0]), {(0,): 1, (1,): 1})
 )
 def test_non_integral_floats_as_weights_and_cutoffs_are_rejected(make):
     with pytest.raises(ValueError, match=r"^0\.1 is not an exact rational; pass a Fraction or a string$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Lattice(1, [True], [0]),
+        lambda: NovikovElement(K1_ONE.lattice, {(1,): True}),
+        lambda: NovikovElement(K1_ONE.lattice, {(0,): 1}, cutoff=True),
+        lambda: milnor_torsion(two_term_complex(K1_ONE.lattice, K1_UNIT), cutoff=True),
+    ],
+    ids=["phi", "coefficient", "cutoff", "torsion-cutoff"],
+)
+def test_bools_as_weights_coefficients_and_cutoffs_are_rejected(make):
+    with pytest.raises(ValueError, match="^True is a bool, not a rational$"):
         make()
 
 

@@ -18,7 +18,6 @@ from novtorsion.torus import (
     TorusSystem,
     _FLOAT_BATCH_MAX,
     _distinct,
-    _flow_field,
     _integrate,
     _newton_search,
     _refine_orbit,
@@ -34,8 +33,9 @@ from novtorsion.torus import (
     monodromy,
     reduced_equilibria,
     torus_torsion,
-    vector_field,
 )
+
+from torus_oracle import d2lam, d2nu, dlam, dnu, flow_field, hamiltonian, lam, nu, vector_field
 
 TWO_PI = 2 * math.pi
 
@@ -70,11 +70,11 @@ def oracle_equilibria(b: float) -> tuple[float, float]:
 
 def test_profile_jets():
     s = TorusSystem()
-    assert s.nu(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert s.dnu(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert s.d2nu(0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert nu(s, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert dnu(s, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert d2nu(s, 0.0) == pytest.approx(-1.0, abs=1e-12)
     # the second critical level must be low enough to carry no orbits
-    assert abs(s.nu(0.5)) < 1.0 / (TWO_PI * s.bf)
+    assert abs(nu(s, 0.5)) < 1.0 / (TWO_PI * s.bf)
 
 
 def test_profile_bounds_checked():
@@ -90,6 +90,8 @@ def test_amplitude_is_read_as_an_exact_rational():
     for call in (TorusSystem, torus.run_example):
         with pytest.raises(ValueError, match="0.2 is not an exact rational"):
             call(0.2)
+        with pytest.raises(ValueError, match="^True is a bool, not a rational$"):
+            call(True)
     for b, want in ((Fraction(1, 5), Fraction(1, 5)), ("1/5", Fraction(1, 5)), (1, Fraction(1)), (2.0, Fraction(2))):
         assert TorusSystem(b).b == want
         assert type(TorusSystem(b).b) is Fraction
@@ -119,8 +121,8 @@ def test_vector_field_is_hamiltonian():
     eps = 1e-6
     for _ in range(25):
         x, y, t = rng.uniform(0, 1, 3)
-        dh_dy = (s.hamiltonian(x, y + eps, t) - s.hamiltonian(x, y - eps, t)) / (2 * eps)
-        dh_dx = (s.hamiltonian(x + eps, y, t) - s.hamiltonian(x - eps, y, t)) / (2 * eps)
+        dh_dy = (hamiltonian(s, x, y + eps, t) - hamiltonian(s, x, y - eps, t)) / (2 * eps)
+        dh_dx = (hamiltonian(s, x + eps, y, t) - hamiltonian(s, x - eps, y, t)) / (2 * eps)
         dx, dy = vector_field(s, x, y, t)
         assert dx == pytest.approx(dh_dy, abs=1e-7)
         assert dy == pytest.approx(-dh_dx, abs=1e-7)
@@ -149,26 +151,26 @@ def test_admissible_interval_implies_the_profile_conditions(b):
     assert 1 / 8 < x0 < 1 / 4 < x1 < 3 / 8
     for x in (x0, x1):
         assert math.sin(TWO_PI * x) == pytest.approx(target, abs=1e-12)
-        assert 0.0 < abs(s.d2lam(x)) < TWO_PI
-        assert 0.0 < abs(s.lam(x)) < TWO_PI
+        assert 0.0 < abs(d2lam(s, x)) < TWO_PI
+        assert 0.0 < abs(lam(s, x)) < TWO_PI
     # the reduced flow 1 + lam' is negative strictly between the roots, positive outside
     inside = np.linspace(x0, x1, 66)[1:-1]
     outside = np.linspace(x1, x0 + 1.0, 258)[1:-1]
-    assert (1.0 + s.dlam(inside) < 0.0).all()
-    assert (1.0 + s.dlam(outside) > 0.0).all()
+    assert (1.0 + dlam(s, inside) < 0.0).all()
+    assert (1.0 + dlam(s, outside) > 0.0).all()
     # nu' changes sign only at 1/2 and 0 on the circle, and nu(1/2) = 2/5 < 1/(2 pi b)
     ys = (np.arange(4096) + 0.5) / 4096
-    signs = np.sign(s.dnu(ys))
+    signs = np.sign(dnu(s, ys))
     assert (signs != 0).all()
     flips = ys[signs != np.roll(signs, -1)] + 0.5 / 4096
     assert flips == pytest.approx([0.5, 1.0], abs=1e-12)
-    assert s.nu(0.5) == pytest.approx(0.4, abs=1e-12)
-    assert s.nu(0.5) < target
+    assert nu(s, 0.5) == pytest.approx(0.4, abs=1e-12)
+    assert nu(s, 0.5) < target
     # count_connecting's arcs carry the sign of the flow on them
     arcs = count_connecting(s)
     assert [arc.sign for arc in arcs] == [-1, 1]
     for arc in arcs:
-        assert np.sign(1.0 + s.dlam(0.5 * (arc.lower + arc.upper))) == arc.sign
+        assert np.sign(1.0 + dlam(s, 0.5 * (arc.lower + arc.upper))) == arc.sign
 
 
 def test_find_orbits_default(torus_report):
@@ -195,14 +197,14 @@ def test_refine_rejects_a_point_off_the_orbit(torus_report):
 def test_monodromy_matches_constant_matrix_exponential(torus_report):
     s = torus_report.system
     for o in torus_report.orbits:
-        a = np.array([[0.0, -s.lam(o.x)], [-s.d2lam(o.x), 0.0]])
+        a = np.array([[0.0, -lam(s, o.x)], [-d2lam(s, o.x), 0.0]])
         assert np.abs(o.monodromy - expm(a)).max() < 1e-6
 
 
 def test_monodromy_type_matches_sign(torus_report):
     s = torus_report.system
     for o in torus_report.orbits:
-        elliptic = s.d2lam(o.x) * s.lam(o.x) < 0
+        elliptic = d2lam(s, o.x) * lam(s, o.x) < 0
         tr = o.monodromy[0, 0] + o.monodromy[1, 1]
         assert (abs(tr) < 2) == elliptic
 
@@ -210,7 +212,7 @@ def test_monodromy_type_matches_sign(torus_report):
 def test_indices(torus_report):
     s = torus_report.system
     for o in torus_report.orbits:
-        negatives = sum(1 for v in (s.d2lam(o.x), -s.lam(o.x)) if v < 0)
+        negatives = sum(1 for v in (d2lam(s, o.x), -lam(s, o.x)) if v < 0)
         assert o.cz_index == negatives
     assert sorted(o.cz_index for o in torus_report.orbits) == [1, 2]
 
@@ -292,10 +294,10 @@ def test_connecting_flow_direction_by_integration(torus_report):
     def flow(x, sgn, time=60.0, steps=6000):
         h = sgn * time / steps
         for _ in range(steps):
-            k1 = 1.0 + s.dlam(x)
-            k2 = 1.0 + s.dlam(x + 0.5 * h * k1)
-            k3 = 1.0 + s.dlam(x + 0.5 * h * k2)
-            k4 = 1.0 + s.dlam(x + h * k3)
+            k1 = 1.0 + dlam(s, x)
+            k2 = 1.0 + dlam(s, x + 0.5 * h * k1)
+            k3 = 1.0 + dlam(s, x + 0.5 * h * k2)
+            k4 = 1.0 + dlam(s, x + h * k3)
             x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
 
@@ -457,7 +459,7 @@ def test_flow_preserves_area_and_energy_bounded(n):
     ts = np.linspace(0.0, 1.0, 513)
     for x, y in pts:
         traj = _rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), 512, True)
-        h = s.hamiltonian(traj[:, 0], traj[:, 1], ts)
+        h = hamiltonian(s, traj[:, 0], traj[:, 1], ts)
         assert np.isfinite(h).all()
         assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
 
@@ -465,7 +467,7 @@ def test_flow_preserves_area_and_energy_bounded(n):
 def reference_integrate(s, points, steps):
     """Numpy RK4 on stacked (n, 6) states with the 2x2 product A @ M.
 
-    Built from the profile methods of TorusSystem, independently of the
+    Built from the oracle's profile functions, independently of the
     kernel's shared trigonometry; the kernel must reproduce it to round-off.
     """
 
@@ -473,12 +475,12 @@ def reference_integrate(s, points, steps):
         x, y = state[:, 0], state[:, 1]
         u = y - t
         a = np.empty((len(state), 2, 2))
-        a[:, 0, 0] = s.dlam(x) * s.dnu(u)
-        a[:, 0, 1] = s.lam(x) * s.d2nu(u)
-        a[:, 1, 0] = -s.d2lam(x) * s.nu(u)
+        a[:, 0, 0] = dlam(s, x) * dnu(s, u)
+        a[:, 0, 1] = lam(s, x) * d2nu(s, u)
+        a[:, 1, 0] = -d2lam(s, x) * nu(s, u)
         a[:, 1, 1] = -a[:, 0, 0]
         dm = a @ state[:, 2:].reshape(-1, 2, 2)
-        field = np.stack([s.lam(x) * s.dnu(u), -s.dlam(x) * s.nu(u)], axis=1)
+        field = np.stack([lam(s, x) * dnu(s, u), -dlam(s, x) * nu(s, u)], axis=1)
         return np.concatenate([field, dm.reshape(-1, 4)], axis=1)
 
     state = np.concatenate([points, np.tile([1.0, 0.0, 0.0, 1.0], (len(points), 1))], axis=1)
@@ -494,13 +496,13 @@ def reference_integrate(s, points, steps):
 
 
 def reference_stacked(s, points, steps):
-    """The stacked RK4 step that the fused kernel replaced: _flow_field's
+    """The stacked RK4 step that the fused kernel replaced: flow_field's
     numpy closure called four times a step, each result stacked by np.array.
 
     Returns what _integrate returns.  The kernel does the same float
     operations in the same order, so it must match bit for bit.
     """
-    rhs = _flow_field(s.bf, np.cos, np.sin)
+    rhs = flow_field(s.bf, np.cos, np.sin)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     state = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
@@ -530,13 +532,13 @@ def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n, monke
 
 
 def reference_point(bf, state, steps, record):
-    """The float RK4 step that the fused kernel replaced: _flow_field's
+    """The float RK4 step that the fused kernel replaced: flow_field's
     closure on math.cos/math.sin called four times a step.
 
     Returns what _rk4_point returns.  The kernel does the same float
     operations in the same order, so it must match bit for bit.
     """
-    rhs = _flow_field(bf, math.cos, math.sin)
+    rhs = flow_field(bf, math.cos, math.sin)
     x, y, m11, m12, m21, m22 = state
     h = 1.0 / steps
     h2, h6 = h / 2, h / 6
@@ -598,7 +600,7 @@ def test_monodromy_at_equilibria_is_expm(b):
     # lam'(x) = -1, so the return map is exp(A) for the constant A
     s = TorusSystem(b)
     for x in oracle_equilibria(s.bf):
-        a = np.array([[0.0, -s.lam(x)], [-s.d2lam(x), 0.0]])
+        a = np.array([[0.0, -lam(s, x)], [-d2lam(s, x), 0.0]])
         assert np.abs(monodromy(s, (x, 0.0)) - expm(a)).max() < 1e-9
 
 
