@@ -9,9 +9,7 @@ text documents can reference them without degree qualifiers.
 
 from __future__ import annotations
 
-import operator
-
-from .lattice import GroupElement, Lattice, _ReadOnly, g_neg
+from .lattice import GroupElement, Lattice, _index, _ReadOnly, g_neg
 from .linalg import (
     IndeterminatePivotError,
     Matrix,
@@ -49,20 +47,12 @@ class DegenerateEndpointError(ArithmeticError):
     """Index of a symplectic path with eigenvalue 1 at the endpoint."""
 
 
-def _degree(d, what: str = "degree") -> int:
-    """``d`` as an int, refusing with ComplexStructureError a bool or a non-integer
-    such as 1.5 or "1", which int() would truncate, parse or merge."""
-    if isinstance(d, bool) or not hasattr(type(d), "__index__"):
-        raise ComplexStructureError("%s %r is not an int" % (what, d))
-    return operator.index(d)
-
-
 def _blocks(mats: dict, lattice: Lattice, shape, what: str) -> dict[int, Matrix]:
     """``mats`` keyed by int degree, each block a ``shape(d)`` matrix over ``lattice``
     (else ComplexStructureError), without the blocks with no rows or no columns."""
     out = {}
     for d, mat in mats.items():
-        d = _degree(d, what + " degree")
+        d = _index(d, what + " degree", ComplexStructureError)
         nrows, ncols = shape(d)
         try:
             mat = as_matrix(mat, ncols)
@@ -136,10 +126,10 @@ class BasedComplex(_ReadOnly):
         modulus: int | None = None,
     ):
         if modulus is not None:
-            modulus = _degree(modulus, "grading modulus")
+            modulus = _index(modulus, "grading modulus", ComplexStructureError)
             if modulus < 2 or modulus % 2:
                 raise ComplexStructureError("grading modulus must be even and >= 2")
-        modules = {_degree(d): tuple(names) for d, names in modules.items()}
+        modules = {_index(d, "degree", ComplexStructureError): tuple(names) for d, names in modules.items()}
         modules = {d: names for d, names in modules.items() if names}
         seen = set()
         for d, names in modules.items():
@@ -330,8 +320,8 @@ def rebase(cplx: BasedComplex, transitions: dict[int, Matrix], inverses: dict[in
     inverse, typically built alongside it from elementary operations.  The
     differential transforms to T_{d+1}^{-1} D_d T_d.
     """
-    transitions = {_degree(d, "transition degree"): t for d, t in transitions.items()}
-    inverses = {_degree(d, "inverse degree"): t for d, t in inverses.items()}
+    transitions = {_index(d, "transition degree", ComplexStructureError): t for d, t in transitions.items()}
+    inverses = {_index(d, "inverse degree", ComplexStructureError): t for d, t in inverses.items()}
     for d, t in transitions.items():
         n = cplx.rank(d)
         if as_matrix(t).shape != (n, n):
@@ -370,7 +360,7 @@ def relabel_lifts(cplx: BasedComplex, shifts: dict[int, tuple[GroupElement, ...]
     transitions = {}
     inverses = {}
     for d, elems in shifts.items():
-        d = _degree(d, "lift shift degree")
+        d = _index(d, "lift shift degree", ComplexStructureError)
         if len(elems) != cplx.rank(d):
             raise ShapeError("need one group element per degree-%d generator" % d)
         transitions[d] = diagonal(elems)

@@ -47,9 +47,17 @@ class ComplexDocument(_ReadOnly):
     __slots__ = _fields = ("complex", "maps")
 
 
+def _numeral(text: str) -> str:
+    """The numeral ``text``, stripped for int() or Fraction(); ValueError on an underscore, which both would skip."""
+    text = text.strip()
+    if "_" in text:
+        raise ValueError("underscore in number %r" % text)
+    return text
+
+
 def _parse_rational(text: str, line: int, what: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return Fraction(_numeral(text))
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(line, "invalid rational %r in %s" % (text.strip(), what))
 
@@ -91,7 +99,7 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
             raw = m.group(2).strip()
             parts = [p.strip() for p in raw.split(",")] if raw else []
             try:
-                coords = tuple(int(p) for p in parts)
+                coords = tuple(int(_numeral(p)) for p in parts)
             except ValueError:
                 raise DocumentParseError(line, "invalid coordinates %r" % m.group(2))
             if len(coords) != lattice.rank:
@@ -168,7 +176,7 @@ def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, i
         raise DocumentParseError(line_no, "group block is missing 'rank'")
     ln, raw = fields["rank"]
     try:
-        rank = int(raw)
+        rank = int(_numeral(raw))
     except ValueError:
         raise DocumentParseError(ln, "invalid rank %r" % raw)
     if rank < 0:
@@ -177,7 +185,7 @@ def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, i
     phis = [_parse_rational(p, ln, "phi") for p in raw.split()]
     ln, raw = fields.get("c1", (line_no, ""))
     try:
-        c1s = [int(p) for p in raw.split()]
+        c1s = [int(_numeral(p)) for p in raw.split()]
     except ValueError:
         raise DocumentParseError(ln, "invalid c1 entries %r" % raw)
     if len(phis) != rank or len(c1s) != rank:
@@ -186,7 +194,7 @@ def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, i
     if "modulus" in fields:
         ln, raw = fields["modulus"]
         try:
-            modulus = int(raw)
+            modulus = int(_numeral(raw))
         except ValueError:
             raise DocumentParseError(ln, "invalid modulus %r" % raw)
         if modulus < 2 or modulus % 2:
@@ -216,7 +224,12 @@ def parse(text: str) -> ComplexDocument:
     line_no = 0
     for line_no, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
+            continue
+        if not raw_line.isascii():
+            ch = next(c for c in raw_line if not c.isascii())
+            raise DocumentParseError(line_no, "non-ASCII character %r (U+%04X)" % (ch, ord(ch)))
+        if not line:
             continue
         if line.startswith("["):
             m = _HEADER_RE.match(line)
@@ -234,7 +247,7 @@ def parse(text: str) -> ComplexDocument:
                 if arg is None:
                     raise DocumentParseError(line_no, "[module] header needs a degree")
                 try:
-                    degree = int(arg)
+                    degree = int(_numeral(arg))
                 except ValueError:
                     raise DocumentParseError(line_no, "invalid degree %r" % arg)
                 if modulus is not None and not 0 <= degree < modulus:

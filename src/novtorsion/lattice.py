@@ -38,8 +38,8 @@ class DimensionMismatchError(ValueError):
 
 
 def _integer(x) -> int:
-    """int(x), refusing a value such as 0.5 or 2.9 that int() would truncate."""
-    if isinstance(x, str) or int(x) == x:
+    """int(x), refusing a value such as 0.5 or 2.9 that int() would truncate, and a bool."""
+    if not isinstance(x, bool) and (isinstance(x, str) or int(x) == x):
         return int(x)
     raise ValueError("%r is not an integer" % (x,))
 
@@ -61,6 +61,16 @@ def _rational(x) -> Fraction:
     if isinstance(x, float) and not x.is_integer():
         raise ValueError("%r is not an exact rational; pass a Fraction or a string" % (x,))
     return Fraction(x)
+
+
+def _index(x, what: str, error=ValueError, least=None) -> int:
+    """``operator.index(x)`` for an int or numpy integer, the rule for every count, degree and modulus;
+    ``error`` for a bool, for 2.0, "2" or anything else without ``__index__``, and for a value below ``least``."""
+    if not isinstance(x, bool) and hasattr(type(x), "__index__"):
+        n = operator.index(x)
+        if least is None or n >= least:
+            return n
+    raise error("%s must be an int%s, not %r" % (what, "" if least is None else " of at least %d" % least, x))
 
 
 class _ReadOnly:

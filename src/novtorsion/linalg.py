@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .lattice import Lattice, _ReadOnly
+from .lattice import Lattice, _index, _ReadOnly
 from .series import AmbiguousLeadingTermError, ExpansionLimitError, LatticeMismatchError, NovikovElement, _report_cutoff
 
 _DET_MASKS = math.comb(14, 7)  # partial expansions one determinant row may hold: a dense 14x14's peak
@@ -97,13 +97,6 @@ def _from_blocks(lattice: Lattice, nrows: int, ncols: int, blocks) -> Matrix:
     return _from_entries(lattice, ncols, rows)
 
 
-def _count(what: str, n) -> int:
-    """``n`` as a row or column count: ShapeError unless an int of at least 0 and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ShapeError("%s must be an int of at least 0, not %r" % (what, n))
-    return n
-
-
 def as_matrix(rows, ncols: int | None = None) -> Matrix:
     """The matrix with these rows; a row-less input needs ``ncols``.
 
@@ -112,7 +105,7 @@ def as_matrix(rows, ncols: int | None = None) -> Matrix:
     and LatticeMismatchError on entries over different lattices.
     """
     if isinstance(rows, Matrix):
-        if ncols is not None and _count("column count", ncols) != rows.ncols:
+        if ncols is not None and _index(ncols, "column count", ShapeError, 0) != rows.ncols:
             raise ShapeError("matrix has %d columns, expected %d" % (rows.ncols, ncols))
         return rows
     rows = tuple(tuple(r) for r in rows)
@@ -120,7 +113,7 @@ def as_matrix(rows, ncols: int | None = None) -> Matrix:
         if not rows:
             raise ShapeError("column count required for a matrix with no rows")
         ncols = len(rows[0])
-    _count("column count", ncols)
+    ncols = _index(ncols, "column count", ShapeError, 0)
     if any(len(r) != ncols for r in rows):
         raise ShapeError("ragged matrix: every row needs %d entries" % ncols)
     for i, row in enumerate(rows):
@@ -132,13 +125,13 @@ def as_matrix(rows, ncols: int | None = None) -> Matrix:
 
 
 def zeros(lattice: Lattice, nrows: int, ncols: int) -> Matrix:
-    _count("row count", nrows)
-    return _from_entries(lattice, _count("column count", ncols), ({} for _ in range(nrows)))
+    nrows = _index(nrows, "row count", ShapeError, 0)
+    return _from_entries(lattice, _index(ncols, "column count", ShapeError, 0), ({} for _ in range(nrows)))
 
 
 def identity(lattice: Lattice, n: int) -> Matrix:
     one = NovikovElement.one(lattice)
-    return _from_entries(lattice, _count("size", n), ({i: one} for i in range(n)))
+    return _from_entries(lattice, _index(n, "size", ShapeError, 0), ({i: one} for i in range(n)))
 
 
 def _operands(a, b) -> tuple[Matrix, Matrix, Lattice | None]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import (
-    BasedComplex, ChainMap, NotAcyclicError, _certify_square_zero, _degree, _nonzero_entries, mapping_cone,
+    BasedComplex, ChainMap, ComplexStructureError, NotAcyclicError, _certify_square_zero, _nonzero_entries, mapping_cone,
 )
-from .lattice import _ReadOnly, g_neg
+from .lattice import _index, _ReadOnly, g_neg
 from .linalg import (
     IndeterminatePivotError,
     Matrix,
@@ -201,7 +201,7 @@ def homotopy_equivalent(f: ChainMap, g: ChainMap, homotopy: dict[int, Matrix]) -
 
     ``homotopy[d]`` maps degree d of the source to degree d-1 of the target.
     """
-    homotopy = {_degree(d, "homotopy degree"): h for d, h in homotopy.items()}
+    homotopy = {_index(d, "homotopy degree", ComplexStructureError): h for d, h in homotopy.items()}
     if f.source is not g.source and f.source != g.source:
         raise ShapeError("chain maps must share a source")
     if f.target is not g.target and f.target != g.target:

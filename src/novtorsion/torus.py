@@ -29,12 +29,13 @@ assembled and fed to the torsion machinery.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from .complexes import BasedComplex, DegenerateEndpointError, OrbitSearchError, ProfileError, two_term_complex
-from .lattice import Lattice, _rational, _ReadOnly
+from .lattice import Lattice, _index, _rational, _ReadOnly
 from .series import DEFAULT_CUTOFF, NovikovElement
 from .torsion import WhiteheadClass, milnor_torsion
 
@@ -115,16 +116,6 @@ def _field_constants(bf: float):
     )
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name, value):
-    if not (_is_int(value) and value >= 1):
-        raise ValueError("%s must be an int of at least 1, got %r" % (name, value))
-
-
 def _integrate(sys: TorusSystem, points, steps: int):
     """Flow points for one period with classical RK4, carrying M alongside.
 
@@ -135,7 +126,7 @@ def _integrate(sys: TorusSystem, points, steps: int):
     for bit.  Returns the endpoints (n, 2) and monodromies (n, 2, 2).
     ``steps`` must be an int of at least 1.
     """
-    _check_count("steps", steps)
+    steps = _index(steps, "steps", least=1)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(points)
     start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
@@ -484,14 +475,12 @@ def find_orbits(
     gap and index, sorted by x.  Exhaustiveness is guaranteed only up to
     the scan resolution: an orbit that no scanned seed leads to is missed.
     """
-    if not (hasattr(grid, "__len__") and len(grid) == 2 and all(map(_is_int, grid))):
+    if not (hasattr(grid, "__len__") and len(grid) == 2):
         raise ValueError("grid %r needs two int counts" % (grid,))
-    grid = tuple(grid)
-    if min(grid) < 1:
-        raise ValueError("grid %dx%d needs at least one point on each axis" % grid)
-    _check_count("search_steps", search_steps)
-    _check_count("refine_steps", refine_steps)
-    if isinstance(tol, bool) or not 0 < tol < math.inf:
+    grid = tuple(_index(n, "grid count", least=1) for n in grid)
+    search_steps = _index(search_steps, "search_steps", least=1)
+    refine_steps = _index(refine_steps, "refine_steps", least=1)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     sys.check()
     seeds, f, mons = _scan_candidates(sys, grid, search_steps)

@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from novtorsion import (
@@ -380,25 +381,31 @@ def _identity_map():
 @pytest.mark.parametrize(
     "make,message",
     [
-        (lambda: BasedComplex(LAT, {0: ("a",), 1.5: ("b",)}, {0: ((ONE,),)}), "degree 1.5"),
-        (lambda: BasedComplex(LAT, {1: ("a",), "1": ("b",)}, {}), "degree '1'"),
-        (lambda: BasedComplex(LAT, {True: ("a",)}, {}), "degree True"),
-        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, 4.0), "grading modulus 4.0"),
-        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, "4"), "grading modulus '4'"),
-        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, True), "grading modulus True"),
-        (lambda: BasedComplex(LAT, {0: ("a",), 1: ("b",)}, {0.7: ((ONE,),)}), "differential degree 0.7"),
-        (lambda: ChainMap(floer_like(), floer_like(), {1.0: ((ONE,),)}), "chain map block degree 1.0"),
-        (lambda: homotopy_equivalent(_identity_map(), _identity_map(), {"2": ((ONE,),)}), "homotopy degree '2'"),
-        (lambda: rebase(floer_like(), {"1": ((ONE,),)}, {1: ((ONE,),)}), "transition degree '1'"),
-        (lambda: rebase(floer_like(), {}, {1.0: ((ONE,),)}), "inverse degree 1.0"),
-        (lambda: relabel_lifts(floer_like(), {"1": ((1,),)}), "lift shift degree '1'"),
+        (lambda: BasedComplex(LAT, {0: ("a",), 1.5: ("b",)}, {0: ((ONE,),)}), "degree must be an int, not 1.5"),
+        (lambda: BasedComplex(LAT, {1: ("a",), "1": ("b",)}, {}), "degree must be an int, not '1'"),
+        (lambda: BasedComplex(LAT, {True: ("a",)}, {}), "degree must be an int, not True"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, 4.0), "grading modulus must be an int, not 4.0"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, "4"), "grading modulus must be an int, not '4'"),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, True), "grading modulus must be an int, not True"),
+        (lambda: BasedComplex(LAT, {0: ("a",), 1: ("b",)}, {0.7: ((ONE,),)}), "differential degree must be an int, not 0.7"),
+        (lambda: ChainMap(floer_like(), floer_like(), {1.0: ((ONE,),)}), "chain map block degree must be an int, not 1.0"),
+        (lambda: homotopy_equivalent(_identity_map(), _identity_map(), {"2": ((ONE,),)}), "homotopy degree must be an int, not '2'"),
+        (lambda: rebase(floer_like(), {"1": ((ONE,),)}, {1: ((ONE,),)}), "transition degree must be an int, not '1'"),
+        (lambda: rebase(floer_like(), {}, {1.0: ((ONE,),)}), "inverse degree must be an int, not 1.0"),
+        (lambda: relabel_lifts(floer_like(), {"1": ((1,),)}), "lift shift degree must be an int, not '1'"),
+        (lambda: BasedComplex(LAT, {np.True_: ("a",)}, {}), "degree must be an int, not %r" % np.True_),
+        (lambda: BasedComplex(LAT, {0: ("a",)}, {}, np.True_), "grading modulus must be an int, not %r" % np.True_),
+        (lambda: relabel_lifts(floer_like(), {np.True_: ((1,),)}), "lift shift degree must be an int, not %r" % np.True_),
+        (lambda: BasedComplex(LAT, {np.int64(2): ("a",)}, {}, np.int64(2)), "degree 2 outside Z_2"),
     ],
     ids=["module", "module-str", "module-bool", "modulus", "modulus-str", "modulus-bool", "differential",
-         "chain-map", "homotopy", "transition", "inverse", "relabel"],
+         "chain-map", "homotopy", "transition", "inverse", "relabel", "module-numpy-bool", "modulus-numpy-bool",
+         "relabel-numpy-bool", "numpy-ints-pass"],
 )
 def test_degrees_and_moduli_that_are_not_ints_are_refused(make, message):
-    # int() would truncate 1.5 and 0.7, parse "1" into a key that merges with 1, and read True as 1
-    with pytest.raises(ComplexStructureError, match="^%s is not an int$" % re.escape(message)):
+    # int() would truncate 1.5 and 0.7, parse "1" into a key that merges with 1, and read True as 1;
+    # numpy integers pass as ints, and reach the next check
+    with pytest.raises(ComplexStructureError, match="^%s$" % re.escape(message)):
         make()
 
 

@@ -120,6 +120,33 @@ def test_parse_error_line_and_message(case):
     assert (err.value.line, err.value.message) == (case["line"], case["message"])
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("rank: 1", "rank: 1_0", 3, "invalid rank '1_0'"),
+        ("phi: 1\n", "phi: 1_0\n", 4, "invalid rational '1_0' in phi"),
+        ("c1: 0", "c1: 0_0", 5, "invalid c1 entries '0_0'"),
+        ("c1: 0", "c1: 0\nmodulus: 2_0", 6, "invalid modulus '2_0'"),
+        ("[module 1]", "[module 1_0]", 7, "invalid degree '1_0'"),
+        ("g(1)", "g(1_0)", 14, "invalid coordinates '1_0'"),
+        ("g(1))", "g(1) @cutoff=1_0)", 14, "invalid rational '1_0' in cutoff"),
+        ("g(1)", "g(\u0663)", 14, "non-ASCII character '\u0663' (U+0663)"),
+        ("[module 1]", "[module \u0661]", 7, "non-ASCII character '\u0661' (U+0661)"),
+        ("(1 - ", "(\u0661 - ", 14, "non-ASCII character '\u0661' (U+0661)"),
+        ("rank: 1", "rank: 1\u00a0", 3, "non-ASCII character '\\xa0' (U+00A0)"),
+    ],
+    ids=["rank", "phi", "c1", "modulus", "degree", "coordinates", "cutoff", "coordinate-digit", "degree-digit",
+         "coefficient-digit", "no-break-space"],
+)
+def test_numbers_are_ascii_decimal(old, new, line, message):
+    """int() and Fraction() would read 1_0 as 10 and any Unicode decimal digit as
+    its ASCII one; a comment may still hold either."""
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(TWO_TERM.replace(old, new, 1))
+    assert (err.value.line, err.value.message) == (line, message)
+    assert parse_document("# %s\n%s" % (new.replace("\n", " "), TWO_TERM)) == parse_document(TWO_TERM)
+
+
 def test_readme_format_example():
     """The example under README's "File format" parses, round-trips, and
     its complex and map are valid."""

@@ -28,8 +28,12 @@ def test_weight_examples():
         (lambda: Lattice(1, [1], [0]).weight((2.9,)), "2.9"),
         (lambda: Lattice(1, [1], [0]).chern((Fraction(-1, 3),)), r"Fraction\(-1, 3\)"),
         (lambda: NovikovElement.monomial(Lattice(1, [1], [0]), 1, (0.5,)), "0.5"),
+        (lambda: Lattice(True, [1], [0]), "True"),
+        (lambda: Lattice(1, [1], [True]), "True"),
+        (lambda: Lattice(1, [1], [0]).chern((True,)), "True"),
+        (lambda: NovikovElement.monomial(Lattice(1, [1], [0]), 1, (False,)), "False"),
     ],
-    ids=["c1", "rank", "c1-fraction", "weight", "chern", "monomial"],
+    ids=["c1", "rank", "c1-fraction", "weight", "chern", "monomial", "rank-bool", "c1-bool", "chern-bool", "monomial-bool"],
 )
 def test_non_integral_values_are_rejected(make, value):
     with pytest.raises(ValueError, match="^%s is not an integer$" % value):
@@ -41,7 +45,7 @@ def test_integral_values_of_other_types_are_accepted():
     assert lat.rank == 2 and lat.c1 == (2, 2)
     assert all(type(c) is int for c in lat.c1)
     assert lat.weight((1.0, Fraction(3))) == 4
-    assert lat.chern((True, -1.0)) == 0
+    assert lat.chern((1, -1.0)) == 0
 
 
 K1_ONE = NovikovElement.one(Lattice(1, [1], [0]))

@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from novtorsion import BasedComplex, ChainMap, IndeterminatePivotError, Lattice, NovikovElement, ShapeError, determinant
@@ -120,7 +121,7 @@ def test_products_through_empty_dimensions_keep_their_shape():
 
 
 def test_counts_that_are_not_counts_are_refused():
-    for bad in (-1, -2, 2.5, True, False, "2", None):
+    for bad in (-1, -2, 2.5, True, False, np.True_, "2", None):
         calls = [("row count", lambda: zeros(LAT, bad, 2)), ("column count", lambda: zeros(LAT, 1, bad)), ("size", lambda: identity(LAT, bad))]
         if bad is not None:  # None asks as_matrix to count the columns itself
             calls += [
@@ -132,6 +133,10 @@ def test_counts_that_are_not_counts_are_refused():
             with pytest.raises(ShapeError, match="^%s must be an int of at least 0, not %s$" % (what, re.escape(repr(bad)))):
                 call()
     assert zeros(LAT, 0, 0).shape == identity(LAT, 0).shape == as_matrix((), 0).shape == (0, 0)
+    n = np.int64(2)  # a numpy integer counts, and is kept as an int
+    for m in (zeros(LAT, n, n), identity(LAT, n), as_matrix((), n), as_matrix(identity(LAT, 2), n)):
+        assert m.ncols == 2 and type(m.ncols) is int
+    assert select_column_pivots(LAT, (), n).rank == 0
 
 
 def test_entries_that_are_not_elements_are_refused():

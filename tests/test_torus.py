@@ -317,31 +317,40 @@ def test_count_connecting_needs_equilibria():
 @pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3), [0, 5]])
 def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
     monkeypatch.setattr(torus, "_integrate", lambda *args, **kwargs: pytest.fail("integrated"))
-    with pytest.raises(ValueError, match="^grid %dx%d needs at least one point on each axis$" % tuple(grid)):
+    with pytest.raises(ValueError, match="^grid count must be an int of at least 1, not %d$" % min(grid)):
         find_orbits(TorusSystem(), grid=grid)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda s: find_orbits(s, grid=(2.5, 3)), r"grid \(2\.5, 3\) needs two int counts", id="float-grid"),
-        pytest.param(lambda s: find_orbits(s, grid=(True, 24)), r"grid \(True, 24\) needs two int counts", id="bool-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=(2.5, 3)), r"grid count must be an int of at least 1, not 2\.5", id="float-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=(True, 24)), "grid count must be an int of at least 1, not True", id="bool-grid"),
+        pytest.param(lambda s: find_orbits(s, grid=(48, np.True_)), "grid count must be an int of at least 1, not %s" % re.escape(repr(np.True_)), id="numpy-bool-grid"),
         pytest.param(lambda s: find_orbits(s, grid=5), "grid 5 needs two int counts", id="int-grid"),
         pytest.param(lambda s: find_orbits(s, grid=None), "grid None needs two int counts", id="none-grid"),
-        pytest.param(lambda s: find_orbits(s, search_steps=0), "search_steps must be an int of at least 1, got 0", id="search-0"),
-        pytest.param(lambda s: find_orbits(s, search_steps=True), "search_steps must be an int of at least 1, got True", id="search-bool"),
-        pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 1, got 0", id="refine-0"),
-        pytest.param(lambda s: find_orbits(s, refine_steps=512.0), r"refine_steps must be an int of at least 1, got 512\.0", id="refine-float"),
+        pytest.param(lambda s: find_orbits(s, search_steps=0), "search_steps must be an int of at least 1, not 0", id="search-0"),
+        pytest.param(lambda s: find_orbits(s, search_steps=True), "search_steps must be an int of at least 1, not True", id="search-bool"),
+        pytest.param(lambda s: find_orbits(s, search_steps=np.True_), "search_steps must be an int of at least 1, not %s" % re.escape(repr(np.True_)), id="search-numpy-bool"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 1, not 0", id="refine-0"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=512.0), r"refine_steps must be an int of at least 1, not 512\.0", id="refine-float"),
         pytest.param(lambda s: find_orbits(s, tol=math.nan), "tol must be finite and positive, got nan", id="tol-nan"),
         pytest.param(lambda s: find_orbits(s, tol=-1.0), r"tol must be finite and positive, got -1\.0", id="tol-negative"),
         pytest.param(lambda s: find_orbits(s, tol=0.0), r"tol must be finite and positive, got 0\.0", id="tol-zero"),
         pytest.param(lambda s: find_orbits(s, tol=math.inf), "tol must be finite and positive, got inf", id="tol-inf"),
         pytest.param(lambda s: find_orbits(s, tol=True), "tol must be finite and positive, got True", id="tol-bool"),
-        pytest.param(lambda s: monodromy(s, (0.2, 0.0), 0), "steps must be an int of at least 1, got 0", id="monodromy-0"),
-        pytest.param(lambda s: monodromy(s, (0.2, 0.0), -1), "steps must be an int of at least 1, got -1", id="monodromy-negative"),
+        pytest.param(lambda s: find_orbits(s, tol="1e-10"), "tol must be finite and positive, got '1e-10'", id="tol-str"),
+        pytest.param(lambda s: find_orbits(s, tol=None), "tol must be finite and positive, got None", id="tol-none"),
+        pytest.param(
+            lambda s: find_orbits(s, tol=1e-10j, grid=(np.int64(48), np.int64(24)), search_steps=np.int64(256), refine_steps=np.int64(512)),
+            r"tol must be finite and positive, got 1e-10j", id="numpy-int-counts-pass",
+        ),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), 0), "steps must be an int of at least 1, not 0", id="monodromy-0"),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), -1), "steps must be an int of at least 1, not -1", id="monodromy-negative"),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), np.True_), "steps must be an int of at least 1, not %s" % re.escape(repr(np.True_)), id="monodromy-numpy-bool"),
         pytest.param(lambda s: monodromy(s, (math.nan, 0.0)), r"base must be two finite coordinates, got \(nan, 0\.0\)", id="monodromy-nan"),
         pytest.param(lambda s: monodromy(s, (0.2,)), r"base must be two finite coordinates, got \(0\.2,\)", id="monodromy-short"),
-        pytest.param(lambda s: _integrate(s, np.zeros((40, 2)), 2.5), r"steps must be an int of at least 1, got 2\.5", id="integrate-float"),
+        pytest.param(lambda s: _integrate(s, np.zeros((40, 2)), 2.5), r"steps must be an int of at least 1, not 2\.5", id="integrate-float"),
     ],
 )
 def test_bad_counts_and_tolerances_are_refused_before_integrating(monkeypatch, call, message):
