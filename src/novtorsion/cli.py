@@ -5,7 +5,8 @@ Commands read the text document format and print line-oriented
 relied on.  Exit codes: 0 success, 1 usage (bad invocation, missing file),
 2 parse failure, 3 validation failure (including non-acyclicity and bad
 profile parameters), 4 indeterminate arithmetic (ambiguous leading terms,
-uncertifiable pivots, degenerate endpoints).
+uncertifiable pivots, degenerate endpoints).  Flags read numbers by the
+file format's rule, ``document._numeral``: ASCII, without an underscore.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .complexes import ComplexStructureError, DegenerateEndpointError, NotAcyclicError, OrbitSearchError, ProfileError
-from .document import DocumentParseError, document_from_complex, parse, render
+from .document import DocumentParseError, _lines, _numeral, document_from_complex, parse, render
 from .linalg import IndeterminatePivotError, ShapeError
 from .series import AmbiguousLeadingTermError, DEFAULT_CUTOFF, ExpansionLimitError, NotInvertibleError, format_element
 from .torsion import milnor_torsion, relative_torsion
@@ -38,14 +39,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _numeral(text, Fraction)
     except (ValueError, ZeroDivisionError):
         raise _UsageError("invalid rational %r" % text)
 
 
 def _grid(text: str) -> tuple[int, int]:
     try:
-        nx, ny = (int(n) for n in text.lower().split("x"))
+        nx, ny = map(_numeral, text.lower().split("x"))
     except ValueError:
         raise _UsageError("invalid grid %r, expected like 12x6" % text)
     if nx < 1 or ny < 1:
@@ -55,7 +56,7 @@ def _grid(text: str) -> tuple[int, int]:
 
 def _tolerance(text: str) -> float:
     try:
-        tol = float(text)
+        tol = _numeral(text, float)
     except ValueError:
         raise _UsageError("invalid tolerance %r" % text)
     if not 0 < tol < math.inf:
@@ -105,7 +106,7 @@ def _load(path: str):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())  # numbered as parse numbers lines
+        line = len(_lines(data[: exc.start].decode("utf-8") + "."))  # "." holds the bad byte's place
         raise DocumentParseError(line, "byte 0x%02x is not valid UTF-8" % data[exc.start]) from None
     return parse(text)
 

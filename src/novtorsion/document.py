@@ -16,7 +16,9 @@ as a bare rational, and a trailing ``@cutoff=p/q`` marks a truncated
 element.  ``0`` denotes the zero element or an empty line image.  A line
 whose first non-blank character is ``#`` is a comment; there are no
 trailing comments, so ``#`` anywhere else is part of the line.  Rendering
-drops exact-zero entries such as ``(0)*c``; a truncated zero stays.
+drops exact-zero entries such as ``(0)*c``; a truncated zero stays.  The
+text rules, shared with the command line's flags: a line ends at LF, CR LF
+or CR only, and a number is an ASCII numeral without an underscore.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .series import NovikovElement
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
 _HEADER_RE = re.compile(r"\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
-_TERM_RE = re.compile(r"(\d+(?:\s*/\s*\d+)?)\s*(?:\*\s*g\(\s*([^)]*?)\s*\))?")
+_TERM_RE = re.compile(r"(([0-9]+)(?:\s*/\s*([0-9]+))?)\s*(?:\*\s*g\(\s*([^)]*?)\s*\))?")
 
 Entry = tuple[NovikovElement, str]
 
@@ -47,17 +49,30 @@ class ComplexDocument(_ReadOnly):
     __slots__ = _fields = ("complex", "maps")
 
 
-def _numeral(text: str) -> str:
-    """The numeral ``text``, stripped for int() or Fraction(); ValueError on an underscore, which both would skip."""
-    text = text.strip()
-    if "_" in text:
-        raise ValueError("underscore in number %r" % text)
-    return text
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, at least one, each ending at LF, CR LF or CR; a line end closing the text opens none."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+
+
+def _numeral(text: str, read=int):
+    """``read`` of stripped ``text``, the rule for every number in text: ValueError on non-ASCII or ``_``, which
+    int(), Fraction() and float() read as digits or skip, and what ``read`` raises, as on 4301 digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("%r is not an ASCII numeral" % text)
+    return read(text.strip())
+
+
+def _int(text: str, line: int, what: str, field: str | None = None) -> int:
+    """``text`` as an int, else the parse error "invalid <what> <field>" at ``line``; ``field`` defaults to ``text``."""
+    try:
+        return _numeral(text)
+    except ValueError:
+        raise DocumentParseError(line, "invalid %s %r" % (what, text if field is None else field)) from None
 
 
 def _parse_rational(text: str, line: int, what: str) -> Fraction:
     try:
-        return Fraction(_numeral(text))
+        return _numeral(text, Fraction)
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(line, "invalid rational %r in %s" % (text.strip(), what))
 
@@ -89,25 +104,21 @@ def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
         m = _TERM_RE.match(body, pos)
         if not m:
             raise DocumentParseError(line, "malformed term at %r" % body[pos : pos + 20])
-        try:
-            coeff = Fraction("".join(m.group(1).split()))
-        except ZeroDivisionError:
-            raise DocumentParseError(line, "zero denominator in %r" % m.group(1))
-        if m.group(2) is None:
+        coeff, num, den, raw = m.groups()
+        num = sign * _int(num, line, "coefficient", coeff)
+        den = _int(den, line, "coefficient", coeff) if den else 1
+        if not den:
+            raise DocumentParseError(line, "zero denominator in %r" % coeff)
+        if raw is None:
             coords = lattice.identity()
         else:
-            raw = m.group(2).strip()
-            parts = [p.strip() for p in raw.split(",")] if raw else []
-            try:
-                coords = tuple(int(_numeral(p)) for p in parts)
-            except ValueError:
-                raise DocumentParseError(line, "invalid coordinates %r" % m.group(2))
+            coords = tuple(_int(p, line, "coordinates", raw) for p in raw.split(",")) if raw else ()
             if len(coords) != lattice.rank:
                 raise DocumentParseError(
                     line,
                     "element has %d coordinates, lattice rank is %d" % (len(coords), lattice.rank),
                 )
-        terms.append((coords, sign * coeff))
+        terms.append((coords, num if den == 1 else Fraction(num, den)))
         pos = m.end()
         first = False
     if first:
@@ -175,28 +186,19 @@ def _group(fields: dict[str, tuple[int, str]], line_no: int) -> tuple[Lattice, i
     if "rank" not in fields:
         raise DocumentParseError(line_no, "group block is missing 'rank'")
     ln, raw = fields["rank"]
-    try:
-        rank = int(_numeral(raw))
-    except ValueError:
-        raise DocumentParseError(ln, "invalid rank %r" % raw)
+    rank = _int(raw, ln, "rank")
     if rank < 0:
         raise DocumentParseError(ln, "rank must be non-negative")
     ln, raw = fields.get("phi", (line_no, ""))
     phis = [_parse_rational(p, ln, "phi") for p in raw.split()]
     ln, raw = fields.get("c1", (line_no, ""))
-    try:
-        c1s = [int(_numeral(p)) for p in raw.split()]
-    except ValueError:
-        raise DocumentParseError(ln, "invalid c1 entries %r" % raw)
+    c1s = [_int(p, ln, "c1 entries", raw) for p in raw.split()]
     if len(phis) != rank or len(c1s) != rank:
         raise DocumentParseError(line_no, "phi and c1 must each list %d entries" % rank)
     modulus = None
     if "modulus" in fields:
         ln, raw = fields["modulus"]
-        try:
-            modulus = int(_numeral(raw))
-        except ValueError:
-            raise DocumentParseError(ln, "invalid modulus %r" % raw)
+        modulus = _int(raw, ln, "modulus")
         if modulus < 2 or modulus % 2:
             raise DocumentParseError(ln, "modulus must be even and >= 2")
     return Lattice(rank, phis, c1s), modulus
@@ -221,8 +223,7 @@ def parse(text: str) -> ComplexDocument:
     books: dict[str | None, dict[int, dict[int, dict[int, NovikovElement]]]] = {None: {}}
     filled: set[tuple[str | None, str]] = set()  # (block, source) of every image line
     section = degree = arg = None
-    line_no = 0
-    for line_no, raw_line in enumerate(text.splitlines(), 1):
+    for line_no, raw_line in enumerate(_lines(text), 1):
         line = raw_line.strip()
         if line.startswith("#"):
             continue
@@ -246,10 +247,7 @@ def parse(text: str) -> ComplexDocument:
             if section == "module":
                 if arg is None:
                     raise DocumentParseError(line_no, "[module] header needs a degree")
-                try:
-                    degree = int(_numeral(arg))
-                except ValueError:
-                    raise DocumentParseError(line_no, "invalid degree %r" % arg)
+                degree = _int(arg, line_no, "degree")
                 if modulus is not None and not 0 <= degree < modulus:
                     raise DocumentParseError(line_no, "degree %d outside Z_%d" % (degree, modulus))
                 modules.setdefault(degree, [])
@@ -307,7 +305,7 @@ def parse(text: str) -> ComplexDocument:
         else:
             raise DocumentParseError(line_no, "content before any block header: %r" % line)
     if lattice is None:
-        lattice, modulus = _group(fields, max(line_no, 1))
+        lattice, modulus = _group(fields, line_no)
     names = {d: tuple(gens) for d, gens in modules.items() if gens}
 
     def matrices(book, step):

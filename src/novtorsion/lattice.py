@@ -22,6 +22,7 @@ box), keys sort as ``(W(g), g)`` does, and ``W(g) < B`` exactly when
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterable
 from fractions import Fraction
@@ -38,8 +39,8 @@ class DimensionMismatchError(ValueError):
 
 
 def _integer(x) -> int:
-    """int(x), refusing a value such as 0.5 or 2.9 that int() would truncate, and a bool."""
-    if not isinstance(x, bool) and (isinstance(x, str) or int(x) == x):
+    """int(x) of a str or a ``numbers.Number``, refusing 0.5 or 2.9 that int() would truncate, and a bool, numpy's too."""
+    if isinstance(x, str) or isinstance(x, numbers.Number) and not isinstance(x, bool) and int(x) == x:
         return int(x)
     raise ValueError("%r is not an integer" % (x,))
 

@@ -129,6 +129,35 @@ def test_torus_example_rejects_unparsable_grid_and_tolerance(capsys):
         assert report_value(out, "message") == message, flag
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("torsion", fixture("two_term.cplx"), "--cutoff", "1_0"), "invalid rational '1_0'"),
+        (("torsion", fixture("two_term.cplx"), "--cutoff", "\u0661\u0660"), "invalid rational '\u0661\u0660'"),
+        (("torus-example", "--b", "1_0/50"), "invalid rational '1_0/50'"),
+        (("torus-example", "--grid", "4_8x2_4"), "invalid grid '4_8x2_4', expected like 12x6"),
+        (("torus-example", "--tol", "1_0e-10"), "invalid tolerance '1_0e-10'"),
+    ],
+    ids=["cutoff-underscore", "cutoff-arabic-indic", "b-underscore", "grid-underscore", "tol-underscore"],
+)
+def test_number_flags_read_numerals_by_the_file_format_rule(capsys, argv, message):
+    """Fraction(), int() and float() would read 1_0 as 10 and any Unicode digit as its ASCII one."""
+    code, out = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert report_value(out, "category") == "usage"
+    assert report_value(out, "message") == message
+
+
+def test_5000_digit_coefficient_is_a_parse_error(capsys, tmp_path):
+    with open(fixture("two_term.cplx"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "long_coefficient.cplx"
+    path.write_text(text.replace("(1 - 1*g(1))", "(1 - %s*g(1))" % ("7" * 5000)), encoding="utf-8")
+    code, out = run(capsys, "validate", str(path))
+    assert code == EXIT_PARSE
+    assert report_value(out, "message") == "line 14: invalid coefficient '%s'" % ("7" * 5000)
+
+
 def test_torus_example_grid_without_candidates_is_validate(capsys):
     code, out = run(capsys, "torus-example", "--grid", "1x1")
     assert code == EXIT_VALIDATE

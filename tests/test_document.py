@@ -147,6 +147,53 @@ def test_numbers_are_ascii_decimal(old, new, line, message):
     assert parse_document("# %s\n%s" % (new.replace("\n", " "), TWO_TERM)) == parse_document(TWO_TERM)
 
 
+@pytest.mark.parametrize(
+    "ch, message",
+    [(ch, "invalid generator name %r" % ("a%sc" % ch)) for ch in "\x0b\x0c\x1c\x1d\x1e"]
+    + [(ch, "non-ASCII character %r (U+%04X)" % (ch, ord(ch))) for ch in "\x85\u2028\u2029"],
+    ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+)
+def test_only_lf_cr_lf_and_cr_end_a_line(ch, message):
+    """str.splitlines() also breaks at these characters; in a document they
+    stay inside their line, in a comment too."""
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(TWO_TERM.replace("[module 1]\na", "[module 1]\na%sc" % ch))
+    assert (err.value.line, err.value.message) == (8, message)
+    assert parse_document("# x%s[group]\n%s" % (ch, TWO_TERM)) == parse_document(TWO_TERM)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_line_ends_read_as_lf(end):
+    for name in FIXTURES:
+        with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+            text = fh.read()
+        assert parse_document(text.replace("\n", end)) == parse_document(text), name
+    for case in PARSE_ERRORS:
+        with pytest.raises(DocumentParseError) as err:
+            parse_document(case["text"].replace("\n", end))
+        assert (err.value.line, err.value.message) == (case["line"], case["message"]), case["name"]
+
+
+@pytest.mark.parametrize("coeff", ["7" * 5000, "1/" + "7" * 5000], ids=["numerator", "denominator"])
+def test_coefficient_python_will_not_read_is_a_parse_error(coeff):
+    """int() refuses a numeral of more than 4300 digits, here as in every other field."""
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(TWO_TERM.replace("1*g(1))", "%s*g(1))" % coeff))
+    assert (err.value.line, err.value.message) == (14, "invalid coefficient %r" % coeff)
+
+
+def test_parse_element_reads_ascii_numerals_only():
+    """parse() refuses non-ASCII lines; parse_element() reads a numeral by the same rule on its own."""
+    for text, message in [
+        ("\u0661", "malformed term at '\u0661'"),
+        ("1*g(\u0663)", "invalid coordinates '\u0663'"),
+        ("1 @cutoff=\u0661", "invalid rational '\u0661' in cutoff"),
+    ]:
+        with pytest.raises(DocumentParseError) as err:
+            parse_element(text, LAT, 3)
+        assert (err.value.line, err.value.message) == (3, message)
+
+
 def test_readme_format_example():
     """The example under README's "File format" parses, round-trips, and
     its complex and map are valid."""

@@ -1,6 +1,8 @@
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +34,12 @@ def test_weight_examples():
         (lambda: Lattice(1, [1], [True]), "True"),
         (lambda: Lattice(1, [1], [0]).chern((True,)), "True"),
         (lambda: NovikovElement.monomial(Lattice(1, [1], [0]), 1, (False,)), "False"),
+        (lambda: Lattice(np.True_, [1], [0]), re.escape(repr(np.True_))),
+        (lambda: Lattice(1, [1], [np.True_]), re.escape(repr(np.True_))),
+        (lambda: Lattice(1, [1], [0]).chern((np.False_,)), re.escape(repr(np.False_))),
     ],
-    ids=["c1", "rank", "c1-fraction", "weight", "chern", "monomial", "rank-bool", "c1-bool", "chern-bool", "monomial-bool"],
+    ids=["c1", "rank", "c1-fraction", "weight", "chern", "monomial", "rank-bool", "c1-bool", "chern-bool", "monomial-bool",
+         "rank-numpy-bool", "c1-numpy-bool", "chern-numpy-bool"],
 )
 def test_non_integral_values_are_rejected(make, value):
     with pytest.raises(ValueError, match="^%s is not an integer$" % value):
