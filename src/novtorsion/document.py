@@ -18,7 +18,10 @@ whose first non-blank character is ``#`` is a comment; there are no
 trailing comments, so ``#`` anywhere else is part of the line.  Rendering
 drops exact-zero entries such as ``(0)*c``; a truncated zero stays.  The
 text rules, shared with the command line's flags: a line ends at LF, CR LF
-or CR only, and a number is an ASCII numeral without an underscore.
+or CR only, and a number is an ASCII numeral without an underscore.  A
+coefficient, ``phi`` entry or cutoff is ``[+-]?[0-9]+(/[0-9]+)?``, never a
+decimal or exponent form, and a module degree, like a coordinate, lies in
+the box ``|d| < 2**31``.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ import re
 from fractions import Fraction
 
 from .complexes import BasedComplex, ChainMap, shift_degree
-from .lattice import Lattice, _ReadOnly
+from .lattice import _BOX, Lattice, _ReadOnly
 from .linalg import Matrix, _from_entries, _is_live
 from .series import NovikovElement
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
 _HEADER_RE = re.compile(r"\[\s*([a-z]+)(?:\s+(\S+))?\s*\]$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _TERM_RE = re.compile(r"(([0-9]+)(?:\s*/\s*([0-9]+))?)\s*(?:\*\s*g\(\s*([^)]*?)\s*\))?")
 
 Entry = tuple[NovikovElement, str]
@@ -71,10 +75,14 @@ def _int(text: str, line: int, what: str, field: str | None = None) -> int:
 
 
 def _parse_rational(text: str, line: int, what: str) -> Fraction:
+    """``text`` in the coefficients' grammar, else the parse error "invalid rational ... in <what>" at ``line``:
+    Fraction() would also read a decimal or exponent form, with which a short numeral stands for any size."""
     try:
-        return _numeral(text, Fraction)
+        if _RATIONAL_RE.fullmatch(text.strip()):
+            return _numeral(text, Fraction)
     except (ValueError, ZeroDivisionError):
-        raise DocumentParseError(line, "invalid rational %r in %s" % (text.strip(), what))
+        pass
+    raise DocumentParseError(line, "invalid rational %r in %s" % (text.strip(), what))
 
 
 def parse_element(text: str, lattice: Lattice, line: int) -> NovikovElement:
@@ -248,6 +256,8 @@ def parse(text: str) -> ComplexDocument:
                 if arg is None:
                     raise DocumentParseError(line_no, "[module] header needs a degree")
                 degree = _int(arg, line_no, "degree")
+                if not -_BOX < degree < _BOX:
+                    raise DocumentParseError(line_no, "degree %d outside |d| < 2**31" % degree)
                 if modulus is not None and not 0 <= degree < modulus:
                     raise DocumentParseError(line_no, "degree %d outside Z_%d" % (degree, modulus))
                 modules.setdefault(degree, [])
@@ -372,13 +382,16 @@ def _images(cplx: BasedComplex, mats: dict[int, Matrix], step: int) -> dict[str,
 def document_from_complex(cplx: BasedComplex, maps: dict[str, ChainMap] | None = None) -> ComplexDocument:
     """The document of ``cplx`` and its named endomorphisms ``maps``.
 
-    Raises ValueError on a map of other complexes, and on a generator or map
-    name that ``render`` could not write so that ``parse`` reads it back.
+    Raises ValueError on a map of other complexes, and on a degree, generator
+    or map name that ``render`` could not write so that ``parse`` reads it back.
     """
     maps = dict(maps or {})
     for f in maps.values():
         if f.source != cplx or f.target != cplx:
             raise ValueError("documents can only carry endomorphisms of their complex")
+    for d in cplx.degrees():
+        if not -_BOX < d < _BOX:
+            raise ValueError("degree %d cannot be written in a document" % d)
     for name in [*maps, *(gen for gens in cplx.modules.values() for gen in gens)]:
         if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
             raise ValueError("name %r cannot be written in a document" % (name,))

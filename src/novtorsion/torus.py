@@ -65,12 +65,11 @@ _PATIENCE = 3
 #: Torus distance below which two converged points are the same orbit.
 _DEDUPE_RADIUS = 1e-5
 
-#: Largest batch that _integrate flows point by point on floats, the measured
-#: crossover: per 256 steps one point costs 0.84 ms in the fused float kernel,
-#: and a batch 13.4 ms plus 0.06 ms per point in the fused stacked kernel, so
-#: floats win below 13.4 / 0.79 = 17.0 points (2 vCPUs, Python 3.11, numpy
-#: 2.4.6; five alternated runs put the crossover at 16 to 19).
-_FLOAT_BATCH_MAX = 17
+#: Most seeds the scan hands to Newton, the first of its residual-ordered,
+#: separated list: at or below the float kernel's measured crossover against
+#: the stacked one (16 to 19 points, BENCH_27.json), so Newton runs on floats.
+#: Newton from up to 40 seeds finds the same distinct orbits, bit for bit.
+_MAX_SEEDS = 16
 
 
 class TorusSystem(_ReadOnly):
@@ -119,22 +118,16 @@ def _field_constants(bf: float):
 def _integrate(sys: TorusSystem, points, steps: int):
     """Flow points for one period with classical RK4, carrying M alongside.
 
-    Up to _FLOAT_BATCH_MAX points run one at a time on plain floats in the
-    fused kernel _rk4_point, a larger batch as one stacked (6, n) array in
-    the fused kernel _rk4_batch; both do the same float operations per
-    point, in the same order, which the tests' reference kernels pin bit
-    for bit.  Returns the endpoints (n, 2) and monodromies (n, 2, 2).
+    Each point runs on plain floats in the fused kernel _rk4_point: Newton
+    flows at most _MAX_SEEDS points a step, refine's step-halving check and
+    monodromy one; only the grid scan flows its whole grid at once, in
+    _rk4_batch.  Returns the endpoints (n, 2) and monodromies (n, 2, 2).
     ``steps`` must be an int of at least 1.
     """
     steps = _index(steps, "steps", least=1)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    start = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
-    if n <= _FLOAT_BATCH_MAX:
-        final = np.concatenate([_rk4_point(sys.bf, p, steps, False) for p in start.T.tolist()])
-    else:
-        final = _rk4_batch(sys.bf, start, steps).T
-    return final[:, :2], final[:, 2:].reshape(n, 2, 2)
+    final = np.array([_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[0] for x, y in points.tolist()])
+    return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
 
 
 def _rk4_point(bf: float, state, steps: int, record: bool):
@@ -412,8 +405,9 @@ def _scan_candidates(sys, grid, steps):
     """Well-separated grid points of lowest residual, in increasing residual,
     with the residuals and monodromies the scan found at them.
 
-    One batched integration scans the grid; at most 40 points with residual
-    at most 1/2 are kept, each farther than one grid spacing from the others.
+    The whole grid flows as one stacked batch in _rk4_batch, the only
+    caller of that kernel; at most _MAX_SEEDS points with residual at most
+    1/2 are kept, each farther than one grid spacing from those before it.
     Returns (seeds, f, mons) as arrays of shape (k, 2), (k, 2), (k, 2, 2):
     Newton's first step at the seeds, without integrating them again.
     """
@@ -421,12 +415,14 @@ def _scan_candidates(sys, grid, steps):
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    f, mons = _residual(sys, seeds, steps)
+    n = len(seeds)
+    final = _rk4_batch(sys.bf, np.concatenate([seeds.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)]), steps).T
+    f, mons = final[:, :2] - seeds - np.array([0.0, 1.0]), final[:, 2:].reshape(n, 2, 2)
     res = np.abs(f).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
     for i in np.argsort(res):
-        if res[i] > 0.5 or len(chosen) >= 40:
+        if res[i] > 0.5 or len(chosen) >= _MAX_SEEDS:
             break
         if (_torus_dist(seeds[i], seeds[chosen]) > separation).all():
             chosen.append(i)
@@ -461,19 +457,20 @@ def find_orbits(
     """Locate the period-1 orbits of vertical winding 1.
 
     The residual of the winding-1 return condition is scanned on the grid
-    in one batched integration; Newton iteration (solved in the universal
-    cover, with a step clamp) then runs from the well-separated lowest
-    residual seeds, and the scan's residuals and monodromies at those seeds
-    are its first step, so the search integrates no point twice.  A seed is
-    retired once its residual has gone three iterations without beating its
-    own best, or once its step lands within the dedupe radius (1e-5) of a
-    converged point; the iteration ends when every seed has converged,
-    failed or been retired, after at most 20 steps.  Converged points are
-    deduplicated with the wrap-around metric, re-integrated at
-    ``refine_steps`` to check that they still close within ``tol``, and
-    returned with monodromy, a step-halving consistency gap, non-degeneracy
-    gap and index, sorted by x.  Exhaustiveness is guaranteed only up to
-    the scan resolution: an orbit that no scanned seed leads to is missed.
+    in one stacked integration; Newton iteration (solved in the universal
+    cover, with a step clamp) then runs on floats from at most _MAX_SEEDS
+    (16) well-separated lowest residual seeds, and the scan's residuals and
+    monodromies at those seeds are its first step, so the search integrates
+    no point twice.  A seed is retired once its residual has gone three
+    iterations without beating its own best, or once its step lands within
+    the dedupe radius (1e-5) of a converged point; the iteration ends when
+    every seed has converged, failed or been retired, after at most 20
+    steps.  Converged points are deduplicated with the wrap-around metric,
+    re-integrated at ``refine_steps`` to check that they still close within
+    ``tol``, and returned with monodromy, a step-halving consistency gap,
+    non-degeneracy gap and index, sorted by x.  Exhaustiveness is guaranteed
+    only up to the scan resolution: an orbit that no scanned seed leads to
+    is missed.
     """
     if not (hasattr(grid, "__len__") and len(grid) == 2):
         raise ValueError("grid %r needs two int counts" % (grid,))

@@ -158,6 +158,32 @@ def test_5000_digit_coefficient_is_a_parse_error(capsys, tmp_path):
     assert report_value(out, "message") == "line 14: invalid coefficient '%s'" % ("7" * 5000)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("phi: 1", "phi: 1e5000", "line 4: invalid rational '1e5000' in phi"),
+        ("g(1))", "g(1) @cutoff=1e1000000)", "line 14: invalid rational '1e1000000' in cutoff"),
+    ],
+    ids=["phi-exponent", "cutoff-exponent"],
+)
+def test_exponent_forms_in_a_document_are_parse_errors(capsys, tmp_path, old, new, message):
+    with open(fixture("two_term.cplx"), encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "large.cplx"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    code, out = run(capsys, "validate", str(path))
+    assert code == EXIT_PARSE
+    assert report_value(out, "message") == message
+
+
+def test_4300_digit_degree_with_a_differential_into_degree_0_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "long_degree.cplx"
+    path.write_text("[group]\nrank: 1\nphi: 1\nc1: 0\n\n[module %s]\na\n\n[module 0]\nb\n\n[differential]\na: (1)*b\n" % ("9" * 4300))
+    code, out = run(capsys, "validate", str(path))
+    assert code == EXIT_PARSE
+    assert report_value(out, "message") == "line 6: degree %s outside |d| < 2**31" % ("9" * 4300)
+
+
 def test_torus_example_grid_without_candidates_is_validate(capsys):
     code, out = run(capsys, "torus-example", "--grid", "1x1")
     assert code == EXIT_VALIDATE

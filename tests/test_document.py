@@ -182,6 +182,49 @@ def test_coefficient_python_will_not_read_is_a_parse_error(coeff):
     assert (err.value.line, err.value.message) == (14, "invalid coefficient %r" % coeff)
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("phi: 1\n", "phi: 1e5000\n", 4, "invalid rational '1e5000' in phi"),
+        ("phi: 1\n", "phi: 0.5\n", 4, "invalid rational '0.5' in phi"),
+        ("phi: 1\n", "phi: 1/2e3\n", 4, "invalid rational '1/2e3' in phi"),
+        ("g(1))", "g(1) @cutoff=1e1000000)", 14, "invalid rational '1e1000000' in cutoff"),
+        ("g(1))", "g(1) @cutoff=2.5)", 14, "invalid rational '2.5' in cutoff"),
+        ("g(1))", "g(1) @cutoff=-.5)", 14, "invalid rational '-.5' in cutoff"),
+        ("g(1))", "g(1) @cutoff=inf)", 14, "invalid rational 'inf' in cutoff"),
+    ],
+    ids=["phi-exponent", "phi-decimal", "phi-denominator-exponent", "cutoff-exponent", "cutoff-decimal",
+         "cutoff-bare-decimal", "cutoff-inf"],
+)
+def test_phi_and_cutoff_read_the_coefficients_grammar(old, new, line, message):
+    """[+-]?[0-9]+(/[0-9]+)? as a coefficient is: Fraction() would read a decimal or
+    exponent form, so that 1e5000 parsed and then failed to render."""
+    with pytest.raises(DocumentParseError) as err:
+        parse_document(TWO_TERM.replace(old, new, 1))
+    assert (err.value.line, err.value.message) == (line, message)
+
+
+def test_phi_and_cutoff_keep_signed_integers_and_fractions():
+    doc = parse_document(TWO_TERM.replace("phi: 1\n", "phi: +3/2\n").replace("g(1))", "g(1) @cutoff=-7/2)"))
+    assert doc.complex.lattice.phi == (Fraction(3, 2),)
+    assert doc.complex.differentials[1].live[0][0].cutoff == Fraction(-7, 2)
+
+
+def test_module_degrees_lie_in_the_coordinate_box():
+    """|d| < 2**31, like a coordinate: a 4300-digit degree used to escape as a bare
+    ValueError when its differential's message formatted d + 1."""
+    for d in (2**31 - 1, -(2**31) + 1):
+        doc = parse_document(TWO_TERM + "\n[module %d]\nc\n" % d)
+        assert doc.complex.modules[d] == ("c",)
+        assert parse_document(render_document(doc)) == doc
+    for d in (2**31, -(2**31), int("9" * 4300)):
+        with pytest.raises(DocumentParseError) as err:
+            parse_document(TWO_TERM.replace("[module 1]", "[module %d]" % d))
+        assert (err.value.line, err.value.message) == (7, "degree %d outside |d| < 2**31" % d)
+        with pytest.raises(ValueError, match="^degree %d cannot be written in a document$" % d):
+            document_from_complex(BasedComplex(LAT, {d: ("a",)}, {}))
+
+
 def test_parse_element_reads_ascii_numerals_only():
     """parse() refuses non-ASCII lines; parse_element() reads a numeral by the same rule on its own."""
     for text, message in [

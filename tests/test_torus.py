@@ -16,12 +16,13 @@ from novtorsion.torus import (
     PeriodicOrbit,
     ProfileError,
     TorusSystem,
-    _FLOAT_BATCH_MAX,
+    _MAX_SEEDS,
     _distinct,
     _integrate,
     _newton_search,
     _refine_orbit,
     _residual,
+    _rk4_batch,
     _rk4_point,
     _scan_candidates,
     _torus_dist,
@@ -42,9 +43,21 @@ TWO_PI = 2 * math.pi
 #: The amplitudes the torus benchmark runs.
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
-#: Batch sizes on either side of the crossover of _integrate: the largest
-#: batch flowed point by point on floats, and the smallest stacked one.
-BOTH_PATHS = [pytest.param(_FLOAT_BATCH_MAX, id="float"), pytest.param(_FLOAT_BATCH_MAX + 1, id="array")]
+#: The two RK4 kernels: _rk4_point on floats, which _integrate runs point by
+#: point, and _rk4_batch on a stacked array, which only the grid scan runs.
+KERNELS = [pytest.param("float", id="float"), pytest.param("array", id="array")]
+
+
+def flow(kernel, s, points, steps):
+    """What _integrate returns, from one kernel called directly: "float" runs
+    _rk4_point point by point, "array" one stacked (6, n) _rk4_batch."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    start = np.concatenate([points, np.tile([1.0, 0.0, 0.0, 1.0], (len(points), 1))], axis=1)
+    if kernel == "float":
+        final = np.concatenate([_rk4_point(s.bf, p, steps, False) for p in start.tolist()])
+    else:
+        final = _rk4_batch(s.bf, start.T.copy(), steps).T
+    return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
 
 
 def oracle_equilibria(b: float) -> tuple[float, float]:
@@ -316,7 +329,8 @@ def test_count_connecting_needs_equilibria():
 
 @pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3), [0, 5]])
 def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
-    monkeypatch.setattr(torus, "_integrate", lambda *args, **kwargs: pytest.fail("integrated"))
+    for kernel in ("_rk4_point", "_rk4_batch"):
+        monkeypatch.setattr(torus, kernel, lambda *args, **kwargs: pytest.fail("integrated"))
     with pytest.raises(ValueError, match="^grid count must be an int of at least 1, not %d$" % min(grid)):
         find_orbits(TorusSystem(), grid=grid)
 
@@ -393,7 +407,7 @@ def test_refine_refuses_an_unconverged_integrator():
 def test_find_orbits_refuses_a_search_that_converges_nowhere(monkeypatch):
     # one Newton step from the scan's seeds meets no tolerance
     monkeypatch.setattr(torus, "_MAX_NEWTON_ITER", 1)
-    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 40 candidate seeds$"):
+    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 16 candidate seeds$"):
         find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
 
 
@@ -456,12 +470,12 @@ def test_torsion_invariant_under_lift_relabeling(torus_report):
     assert milnor_torsion(shifted) == torus_report.torsions["minus"]
 
 
-@pytest.mark.parametrize("n", BOTH_PATHS)
-def test_flow_preserves_area_and_energy_bounded(n):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_flow_preserves_area_and_energy_bounded(kernel):
     s = TorusSystem()
     rng = np.random.RandomState(11)
-    pts = rng.uniform(0, 1, (n, 2))
-    _, mons = _integrate(s, pts, 512)
+    pts = rng.uniform(0, 1, (_MAX_SEEDS, 2))  # Newton's largest batch
+    _, mons = flow(kernel, s, pts, 512)
     dets = np.linalg.det(mons)
     assert np.abs(dets - 1.0).max() < 1e-8
     # the energy along each trajectory, sampled by the float kernel
@@ -508,7 +522,7 @@ def reference_stacked(s, points, steps):
     """The stacked RK4 step that the fused kernel replaced: flow_field's
     numpy closure called four times a step, each result stacked by np.array.
 
-    Returns what _integrate returns.  The kernel does the same float
+    Returns what flow("array", ...) returns.  The kernel does the same float
     operations in the same order, so it must match bit for bit.
     """
     rhs = flow_field(s.bf, np.cos, np.sin)
@@ -528,15 +542,14 @@ def reference_stacked(s, points, steps):
 
 @pytest.mark.parametrize("b", AMPLITUDES)
 @pytest.mark.parametrize("n", [13, 40, 48 * 24])
-def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n, monkeypatch):
-    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", 0)  # every n on the stacked kernel, whatever the crossover
+def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
     s = TorusSystem(b)
     if n == 48 * 24:  # the default scan grid
         pts = np.array([((i + 0.5) / 48, (j + 0.5) / 24) for i in range(48) for j in range(24)])
     else:
         pts = np.random.RandomState(n).uniform(-0.25, 1.25, (n, 2))
     want = reference_stacked(s, pts, 128)
-    got = _integrate(s, pts, 128)
+    got = flow("array", s, pts, 128)
     assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -588,11 +601,12 @@ def test_fused_float_kernel_matches_the_reference_point_step_bit_for_bit(b, step
             assert np.array_equal(_rk4_point(s.bf, state, steps, record), want)
 
 
-@pytest.mark.parametrize("n", BOTH_PATHS)
-def test_float_and_array_paths_agree(n):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_float_and_array_paths_agree(kernel):
     s = TorusSystem()
+    n = _MAX_SEEDS  # Newton's largest batch
     pts = np.random.RandomState(3).uniform(0, 1, (n, 2))
-    ends, mons = _integrate(s, pts, 128)
+    ends, mons = flow(kernel, s, pts, 128)
     assert ends.shape == (n, 2) and mons.shape == (n, 2, 2)
     for k, p in enumerate(pts):
         end, mon = _integrate(s, p, 128)
@@ -613,15 +627,23 @@ def test_monodromy_at_equilibria_is_expm(b):
         assert np.abs(monodromy(s, (x, 0.0)) - expm(a)).max() < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 3, *BOTH_PATHS])
-def test_recorded_path_ends_at_the_plain_result(n):
+@pytest.mark.parametrize(
+    "n, kernel",
+    [
+        pytest.param(1, "float", id="1"),
+        pytest.param(3, "float", id="3"),
+        pytest.param(_MAX_SEEDS, "float", id="float"),
+        pytest.param(_MAX_SEEDS, "array", id="array"),
+    ],
+)
+def test_recorded_path_ends_at_the_plain_result(n, kernel):
     # the float kernel's recorded path, which refine samples, starts at the
-    # point and ends where _integrate does: bit for bit on the float path,
+    # point and ends where the unrecorded kernels do: bit for bit on floats,
     # to rounding on the stacked one
     s = TorusSystem()
     pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
-    ends, mons = _integrate(s, pts, 64)
-    tol = 0.0 if n <= _FLOAT_BATCH_MAX else 1e-12
+    ends, mons = flow(kernel, s, pts, 64)
+    tol = 0.0 if kernel == "float" else 1e-12
     for k, (x, y) in enumerate(pts):
         state = (x, y, 1.0, 0.0, 0.0, 1.0)
         path = _rk4_point(s.bf, state, 64, True)
@@ -633,12 +655,14 @@ def test_recorded_path_ends_at_the_plain_result(n):
 
 
 def test_path_choice_changes_no_orbit(monkeypatch):
-    # every batch on the stacked array step, then every point on floats
-    runs = []
-    for crossover in (0, 10**6):
-        monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", crossover)
-        runs.append(find_orbits(TorusSystem(), search_steps=128, refine_steps=512))
-    arrays, floats = runs
+    # every point on floats, the grid scan's included, then every integration
+    # but refine's recorded path on the stacked array step
+    pointwise = lambda bf, state, steps: np.concatenate([_rk4_point(bf, p, steps, False) for p in state.T.tolist()]).T
+    monkeypatch.setattr(torus, "_rk4_batch", pointwise)
+    floats = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
+    monkeypatch.undo()
+    monkeypatch.setattr(torus, "_integrate", lambda s, points, steps: flow("array", s, points, steps))
+    arrays = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
     assert len(arrays) == len(floats) == 2
     for a, f in zip(arrays, floats):
         assert abs(a.x - f.x) <= 1e-12 and abs(a.y - f.y) <= 1e-12
@@ -719,16 +743,14 @@ def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
-def test_scan_hands_over_the_residuals_at_its_candidates(b, monkeypatch):
+def test_scan_hands_over_the_residuals_at_its_candidates(b):
     s = TorusSystem(b)
     seeds, f, mons = _scan_candidates(s, (48, 24), 128)
     assert seeds.shape == f.shape == (len(seeds), 2) and mons.shape == (len(seeds), 2, 2)
     # the scan runs the stacked array step, so a fresh array-path residual
-    # at the candidates is bit-identical; the float path agrees to rounding
-    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", 0)
-    array_f, array_mons = _residual(s, seeds, 128)
-    assert np.array_equal(f, array_f) and np.array_equal(mons, array_mons)
-    monkeypatch.setattr(torus, "_FLOAT_BATCH_MAX", len(seeds))
+    # at the candidates is bit-identical; Newton's float residual agrees to rounding
+    array_ends, array_mons = flow("array", s, seeds, 128)
+    assert np.array_equal(f, array_ends - seeds - np.array([0.0, 1.0])) and np.array_equal(mons, array_mons)
     float_f, float_mons = _residual(s, seeds, 128)
     assert np.abs(f - float_f).max() < 1e-12 and np.abs(mons - float_mons).max() < 1e-12
 
@@ -744,8 +766,13 @@ def test_seed_retirement_keeps_the_first_found_points(b):
 
 
 def test_newton_search_stops_early(monkeypatch):
+    batches = []
     calls = []
     scans = []
+
+    def batch(bf, state, steps):
+        batches.append(state.shape)
+        return _rk4_batch(bf, state, steps)
 
     def counting(sys, points, steps):
         calls.append(np.array(points))
@@ -755,31 +782,36 @@ def test_newton_search_stops_early(monkeypatch):
         scans.append(_scan_candidates(sys, grid, steps))
         return scans[-1]
 
+    monkeypatch.setattr(torus, "_rk4_batch", batch)
     monkeypatch.setattr(torus, "_residual", counting)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
     assert len(find_orbits(TorusSystem())) == 2
-    # the first batched call is the grid scan, every later one a Newton step
-    # after the first, which takes the scan's residuals; without retirement
-    # all 20 steps run (6 seeds still wander at the end)
-    assert len(calls[0]) == 48 * 24
-    assert len(calls) - 1 <= 9
+    # the grid scan is the one stacked integration; every residual is a Newton
+    # step after the first, which takes the scan's residuals, and flows at
+    # most _MAX_SEEDS points on floats; without retirement all 20 steps run
+    assert batches == [(6, 48 * 24)]
     candidates = scans[0][0]
-    assert not any(np.array_equal(points, candidates) for points in calls[1:])
+    assert len(candidates) == _MAX_SEEDS
+    assert 1 <= len(calls) <= 9
+    assert max(len(points) for points in calls) <= _MAX_SEEDS
+    assert not any(np.array_equal(points, candidates) for points in calls)
 
 
-def reference_scan_candidates(sys, grid, steps):
-    """_scan_candidates with its separation test pair by pair, one
-    _torus_dist call per chosen seed, as it was before one call per candidate."""
+def reference_scan_candidates(sys, grid, steps, cap):
+    """_scan_candidates keeping at most ``cap`` seeds, with its separation
+    test pair by pair, one _torus_dist call per chosen seed, as it was before
+    one call per candidate."""
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    f, mons = _residual(sys, seeds, steps)
+    ends, mons = flow("array", sys, seeds, steps)
+    f = ends - seeds - np.array([0.0, 1.0])
     res = np.abs(f).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
     for i in np.argsort(res):
-        if res[i] > 0.5 or len(chosen) >= 40:
+        if res[i] > 0.5 or len(chosen) >= cap:
             break
         if all(_torus_dist(seeds[i], seeds[j]) > separation for j in chosen):
             chosen.append(i)
@@ -792,6 +824,36 @@ def reference_scan_candidates(sys, grid, steps):
 def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(grid, steps):
     s = TorusSystem()
     got = _scan_candidates(s, grid, steps)
-    want = reference_scan_candidates(s, grid, steps)
+    want = reference_scan_candidates(s, grid, steps, _MAX_SEEDS)
     assert len(got) == len(want) == 3
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+#: Amplitudes across the admissible interval (0.159155, 0.225079), both ends included.
+CAP_AMPLITUDES = [Fraction(n, 10000) for n in (1601, 1620, 1650, 1700, 1800, 1900, 2000, 2100, 2200, 2249)]
+
+
+#: Grids on which a 40-seed scan keeps 17 to 40 seeds at these amplitudes, so
+#: the cap applies; at 32x16 and coarser it keeps at most 15.
+@pytest.mark.parametrize("grid", [(40, 20), (48, 24), (64, 32)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("b", CAP_AMPLITUDES, ids=str)
+def test_capped_search_finds_the_points_of_the_40_seed_search(b, grid):
+    # the scan's seeds are the first _MAX_SEEDS of a 40-seed scan's, and Newton
+    # from them alone converges to the same distinct points, bit for bit
+    s = TorusSystem(b)
+    seeds, f, mons = _scan_candidates(s, grid, 128)
+    wide = reference_scan_candidates(s, grid, 128, 40)[0]
+    assert len(seeds) == _MAX_SEEDS < len(wide) <= 40
+    assert np.array_equal(seeds, wide[: len(seeds)])
+    got = _distinct(_newton_search(s, seeds, f, mons, 128, NEWTON_TOL))
+    want = _distinct(_reference_newton_search(s, wide, 128, NEWTON_TOL))
+    assert len(want) == 2
+    assert np.array_equal(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("b", [Fraction(4, 25), Fraction(2249, 10000)], ids=str)
+def test_default_search_finds_both_orbits_near_the_interval_ends(b):
+    # a seed filter that kept only the scan's local residual minima found one
+    # orbit at b = 4/25 on this grid; the capped list finds both
+    orbits = find_orbits(TorusSystem(b))
+    assert sorted(o.cz_index for o in orbits) == [1, 2]
