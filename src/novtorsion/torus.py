@@ -59,17 +59,20 @@ _DEGENERACY_TOL = 1e-9
 _MAX_NEWTON_ITER = 20
 _NEWTON_CLAMP = 0.25
 
-#: Newton iterations a seed may go without beating its own best residual
-#: before it is retired as wandering.
-_PATIENCE = 3
 #: Torus distance below which two converged points are the same orbit.
 _DEDUPE_RADIUS = 1e-5
 
 #: Most seeds the scan hands to Newton, the first of its residual-ordered,
-#: separated list: at or below the float kernel's measured crossover against
-#: the stacked one (16 to 19 points, BENCH_27.json), so Newton runs on floats.
-#: Newton from up to 40 seeds finds the same distinct orbits, bit for bit.
+#: separated list.  Newton from up to 40 seeds finds the same distinct
+#: orbits, bit for bit (a tier-1 test checks 30 amplitude and grid cases).
 _MAX_SEEDS = 16
+
+#: Steps per period of the grid scan, which only ranks seeds: an orbit is an
+#: exact fixed point of the RK4 map at any step count (see _refine_orbit).
+#: On 240 cases (20 amplitudes, grids 12x6 to 64x32, 128 and 256 search
+#: steps) Newton's distinct points matched a scan at ``search_steps`` bit for
+#: bit in 236, and found a second orbit that one missed in the other 4.
+_SCAN_STEPS = 64
 
 
 class TorusSystem(_ReadOnly):
@@ -120,9 +123,9 @@ def _integrate(sys: TorusSystem, points, steps: int):
 
     Each point runs on plain floats in the fused kernel _rk4_point: Newton
     flows at most _MAX_SEEDS points a step, refine's step-halving check and
-    monodromy one; only the grid scan flows its whole grid at once, in
-    _rk4_batch.  Returns the endpoints (n, 2) and monodromies (n, 2, 2).
-    ``steps`` must be an int of at least 1.
+    monodromy one; only the grid scan's positions flow in _rk4_batch.
+    Returns the endpoints (n, 2) and monodromies (n, 2, 2).  ``steps`` must
+    be an int of at least 1.
     """
     steps = _index(steps, "steps", least=1)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -224,61 +227,45 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
 
 
 def _rk4_batch(bf: float, state, steps: int):
-    """RK4 of a stacked (6, n) state as one fused kernel, updating ``state``.
+    """RK4 of the stacked (2, n) positions ``state`` as one fused kernel, in place.
 
-    Every buffer, constant row and row view is made once per batch.  Each
-    ufunc then writes through its positional ``out``, constants come as
-    full rows so that nearly every call has operands of one shape (numpy's
-    cheapest call), and rows that share a formula go through one call on a
-    contiguous stacked view.  Each element sees the float operations of
-    _rk4_point in the same order; only a - b is taken as
-    a + (-b) and -(p q) as (-p) q, which are exact.  Returns the last
-    (6, n) state, ``state`` itself.
+    This is _rk4_point's flow without the variational matrix, which the
+    positions never read.  Every buffer, constant row and row view is made
+    once per batch; each ufunc writes through its positional ``out``,
+    constants come as full rows so that nearly every call has operands of
+    one shape (numpy's cheapest call), and rows that share a formula go
+    through one call on a contiguous stacked view.  Each element sees
+    _rk4_point's float operations on x and y in the same order, only
+    -(p q) taken as (-p) q, which is exact.  Returns ``state``.
     """
     n = state.shape[1]
-    mul, add, sub, neg, cos, sin = np.multiply, np.add, np.subtract, np.negative, np.cos, np.sin
+    mul, add, sub, cos, sin = np.multiply, np.add, np.subtract, np.cos, np.sin
 
     def rows(*column):
         return np.repeat(np.array(column, dtype=float)[:, None], n, axis=1)
 
-    lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
-    bf_row, lam1_row, lam2_row, nu1d_row, nu1_row = rows(bf, -lam1n, lam2, nu1dn, nu1n)
-    two_pi, nu_a, nu2_pair = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows(nu2d, nu2)
+    lam1n, _, nu1n, nu2, _, _ = _field_constants(bf)
+    bf_row, lam1_row = rows(bf, -lam1n)
+    two_pi, nu_a, nu_pair = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows(nu1n, nu2)
     h = 1.0 / steps
     h2, h6 = h / 2, h / 6
-    ones, twos, h_rows, h2_rows, h6_rows = (np.full((6, n), c) for c in (1.0, 2.0, h, h2, h6))
-    one, one_pair, two = ones[0], ones[:2], twos[0]
+    ones, twos, h_rows, h2_rows, h6_rows = (np.full((2, n), c) for c in (1.0, 2.0, h, h2, h6))
+    one, two = ones[0], twos[0]
     shift = np.zeros((2, n))  # 0, t
     arg = np.empty((2, n))  # 2 pi x, 2 pi (y - t)
-    # cos 2 pi x, c1, c2, s2, sin 2 pi x, s1 with ck, sk = cos, sin of k 2 pi (y - t):
-    # the order that makes cos's and sin's outputs, c1 c2 and c2 s2 contiguous
+    # cos 2 pi x, c1, c2, sin 2 pi x, s1, s2 with ck, sk = cos, sin of k 2 pi (y - t):
+    # the order that makes cos's and sin's outputs, c1 c2 and s1 s2 contiguous
     trig = np.empty((6, n))
-    cx, c1, c2, s2, sx, s1 = trig
-    cos_out, sin_out, c12, cs2 = trig[0:2], trig[4:6], trig[1:3], trig[2:4]
-    p, q = np.empty((2, n)), np.empty((2, n))  # nu1d c1, nu1 s1 and nu2d c2, nu2 s2
+    cx, c1, c2, sx, s1, s2 = trig
+    cos_out, sin_out, c12, s12 = trig[0:2], trig[3:5], trig[1:3], trig[4:6]
+    terms = np.empty((2, n))  # nu1 s1, nu2 s2
     harmonics = np.empty((2, n))  # NU_A1 (c1 - 1), NU_A2 (c2 - 1)
-    jets = np.empty((3, n))  # nu'', nu', nu
+    jets = np.empty((2, n))  # nu', nu
     lam = np.empty((2, n))  # lam, -lam'
-    a = np.empty((4, n))  # a12, -a11, a11, a21 of A = [[a11, a12], [a21, -a11]]
-    left, right = np.empty((2, 2, n)), np.empty((2, 2, n))
-    y, k, acc = np.empty((6, n)), np.empty((6, n)), np.empty((6, n))
-    shift_t, (p1, p2), (nu_c1, nu_c2), (lam0, dlam_n) = shift[1], p, harmonics, lam
-    d2nu_dnu, dnu_nu, nu = jets[0:2], jets[1:3], jets[2]
-    a_right, a11n, a11, a21 = a[0:2], a[1], a[2], a[3]
-    a_col0, a_col1 = a[2:4].reshape(2, 1, n), a[0:2].reshape(2, 1, n)
+    y, k, acc = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
+    shift_t, (nu_s1, nu_s2), (nu_c1, nu_c2), (dnu, nu), (lam0, dlam_n) = shift[1], terms, harmonics, jets, lam
 
-    def inputs(buf):
-        m = buf[2:].reshape(2, 2, n)
-        return buf[:2], m[:1], m[1:]
-
-    def outputs(buf):
-        return buf[:2], buf[2:].reshape(2, 2, n)
-
-    state_in, y_in, acc_out, k_out = inputs(state), inputs(y), outputs(acc), outputs(k)
-
-    def field(t, src, out):
-        xy, m_top, m_bottom = src
-        dxy, dm = out
+    def field(t, xy, dxy):
         shift_t.fill(t)
         sub(xy, shift, arg)
         mul(arg, two_pi, arg)
@@ -289,42 +276,33 @@ def _rk4_batch(bf: float, state, steps: int):
         sub(c2, one, c2)
         mul(s1, two, s2)
         mul(s2, c1, s2)
-        mul(c1, nu1d_row, p1)
-        mul(s1, nu1_row, p2)
-        mul(cs2, nu2_pair, q)
-        sub(p, q, d2nu_dnu)
-        sub(c12, one_pair, harmonics)
+        mul(s12, nu_pair, terms)
+        sub(nu_s1, nu_s2, dnu)
+        sub(c12, ones, harmonics)
         mul(harmonics, nu_a, harmonics)
         add(nu_c1, one, nu_c1)
         add(nu_c1, nu_c2, nu)
         mul(cx, bf_row, lam0)
         add(lam0, one, lam0)
         mul(sx, lam1_row, dlam_n)
-        mul(lam, dnu_nu, dxy)
-        mul(lam, d2nu_dnu, a_right)
-        neg(a11n, a11)
-        mul(cx, lam2_row, a21)
-        mul(a21, nu, a21)
-        mul(a_col0, m_top, left)
-        mul(a_col1, m_bottom, right)
-        add(left, right, dm)
+        mul(lam, jets, dxy)
 
     t = 0.0
     for _ in range(steps):
-        field(t, state_in, acc_out)
+        field(t, state, acc)
         mul(acc, h2_rows, y)
         add(state, y, y)
-        field(t + h2, y_in, k_out)
+        field(t + h2, y, k)
         mul(k, h2_rows, y)
         add(state, y, y)
         mul(k, twos, k)
         add(acc, k, acc)
-        field(t + h2, y_in, k_out)
+        field(t + h2, y, k)
         mul(k, h_rows, y)
         add(state, y, y)
         mul(k, twos, k)
         add(acc, k, acc)
-        field(t + h, y_in, k_out)
+        field(t + h, y, k)
         add(acc, k, acc)
         mul(acc, h6_rows, acc)
         add(state, acc, state)
@@ -354,29 +332,21 @@ def _residual(sys, points, steps):
     return f, mons
 
 
-def _newton_search(sys, seeds, f, mons, steps, tol):
+def _newton_search(sys, seeds, steps, tol):
     """Clamped Newton iteration from all seeds in one batch; returns the
-    converged points in the order they converged.  ``f`` and ``mons`` are
-    the residuals and monodromies at the seeds, so the first step integrates
-    nothing and each later one only the seeds still moving.  A seed retired
-    within the dedupe radius of a converged point would only be merged with it."""
+    converged points in the order they converged.  Each step integrates the
+    seeds still moving at ``steps``.  A seed retired within the dedupe
+    radius of a converged point would only be merged with it."""
     pts = np.array(seeds, dtype=float)
     active = np.ones(len(pts), dtype=bool)
-    best = np.full(len(pts), np.inf)
-    stalls = np.zeros(len(pts), dtype=int)
     found = []
-    idx = np.arange(len(pts))
-    for i in range(_MAX_NEWTON_ITER):
-        if i:
-            idx = np.flatnonzero(active)
-            if not idx.size:
-                break
-            f, mons = _residual(sys, pts[idx], steps)
+    for _ in range(_MAX_NEWTON_ITER):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
         cur = pts[idx]
+        f, mons = _residual(sys, cur, steps)
         res = np.abs(f).max(axis=1)
-        improved = res < best[idx]
-        best[idx[improved]] = res[improved]
-        stalls[idx] = np.where(improved, 0, stalls[idx] + 1)
         a = mons[:, 0, 0] - 1.0
         b = mons[:, 0, 1]
         c = mons[:, 1, 0]
@@ -393,7 +363,7 @@ def _newton_search(sys, seeds, f, mons, steps, tol):
         converged = res < tol
         found.extend(cur[converged])
         bad = ~ok | ~np.isfinite(step).all(axis=1)
-        keep = ~(converged | bad | (stalls[idx] >= _PATIENCE))
+        keep = ~(converged | bad)
         pts[idx[keep]] = cur[keep] + step[keep]
         active[idx[~keep]] = False
         if found:
@@ -401,23 +371,19 @@ def _newton_search(sys, seeds, f, mons, steps, tol):
     return found
 
 
-def _scan_candidates(sys, grid, steps):
-    """Well-separated grid points of lowest residual, in increasing residual,
-    with the residuals and monodromies the scan found at them.
+def _scan_candidates(sys, grid):
+    """Well-separated grid points of lowest residual, in increasing residual.
 
-    The whole grid flows as one stacked batch in _rk4_batch, the only
-    caller of that kernel; at most _MAX_SEEDS points with residual at most
-    1/2 are kept, each farther than one grid spacing from those before it.
-    Returns (seeds, f, mons) as arrays of shape (k, 2), (k, 2), (k, 2, 2):
-    Newton's first step at the seeds, without integrating them again.
+    The whole grid's positions flow at _SCAN_STEPS as one stacked batch in
+    _rk4_batch, the only caller of that kernel; at most _MAX_SEEDS points
+    with residual at most 1/2 are kept, each farther than one grid spacing
+    from those before it.  Returns the seeds as an array of shape (k, 2).
     """
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    n = len(seeds)
-    final = _rk4_batch(sys.bf, np.concatenate([seeds.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)]), steps).T
-    f, mons = final[:, :2] - seeds - np.array([0.0, 1.0]), final[:, 2:].reshape(n, 2, 2)
+    f = _rk4_batch(sys.bf, np.array(seeds.T), _SCAN_STEPS).T - seeds - np.array([0.0, 1.0])
     res = np.abs(f).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
@@ -426,8 +392,7 @@ def _scan_candidates(sys, grid, steps):
             break
         if (_torus_dist(seeds[i], seeds[chosen]) > separation).all():
             chosen.append(i)
-    chosen = np.array(chosen, dtype=int)
-    return seeds[chosen], f[chosen], mons[chosen]
+    return seeds[np.array(chosen, dtype=int)]
 
 
 def _distinct(found):
@@ -457,13 +422,12 @@ def find_orbits(
     """Locate the period-1 orbits of vertical winding 1.
 
     The residual of the winding-1 return condition is scanned on the grid
-    in one stacked integration; Newton iteration (solved in the universal
-    cover, with a step clamp) then runs on floats from at most _MAX_SEEDS
-    (16) well-separated lowest residual seeds, and the scan's residuals and
-    monodromies at those seeds are its first step, so the search integrates
-    no point twice.  A seed is retired once its residual has gone three
-    iterations without beating its own best, or once its step lands within
-    the dedupe radius (1e-5) of a converged point; the iteration ends when
+    in one stacked integration of positions at _SCAN_STEPS (64), which only
+    ranks the seeds; Newton iteration (solved in the universal cover, with a
+    step clamp) then runs on floats at ``search_steps`` from at most
+    _MAX_SEEDS (16) well-separated lowest residual seeds, integrating every
+    point it steps from.  A seed is retired once its step lands within the
+    dedupe radius (1e-5) of a converged point; the iteration ends when
     every seed has converged, failed or been retired, after at most 20
     steps.  Converged points are deduplicated with the wrap-around metric,
     re-integrated at ``refine_steps`` to check that they still close within
@@ -480,10 +444,10 @@ def find_orbits(
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     sys.check()
-    seeds, f, mons = _scan_candidates(sys, grid, search_steps)
+    seeds = _scan_candidates(sys, grid)
     if not len(seeds):
         raise OrbitSearchError("no seed on the %dx%d grid is near a winding-1 fixed point" % grid)
-    found = _newton_search(sys, seeds, f, mons, search_steps, tol)
+    found = _newton_search(sys, seeds, search_steps, tol)
     if not found:
         raise OrbitSearchError(
             "Newton iteration converged from none of %d candidate seeds" % len(seeds)

@@ -17,6 +17,7 @@ from novtorsion.torus import (
     ProfileError,
     TorusSystem,
     _MAX_SEEDS,
+    _SCAN_STEPS,
     _distinct,
     _integrate,
     _newton_search,
@@ -44,19 +45,19 @@ TWO_PI = 2 * math.pi
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
 #: The two RK4 kernels: _rk4_point on floats, which _integrate runs point by
-#: point, and _rk4_batch on a stacked array, which only the grid scan runs.
+#: point, and _rk4_batch on stacked positions, which only the grid scan runs.
 KERNELS = [pytest.param("float", id="float"), pytest.param("array", id="array")]
 
 
 def flow(kernel, s, points, steps):
-    """What _integrate returns, from one kernel called directly: "float" runs
-    _rk4_point point by point, "array" one stacked (6, n) _rk4_batch."""
+    """Endpoints (n, 2) and monodromies (n, 2, 2) from one kernel called
+    directly: "float" runs _rk4_point point by point, as _integrate does;
+    "array" one stacked (2, n) _rk4_batch, which flows positions only, so
+    its monodromies are None."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    start = np.concatenate([points, np.tile([1.0, 0.0, 0.0, 1.0], (len(points), 1))], axis=1)
-    if kernel == "float":
-        final = np.concatenate([_rk4_point(s.bf, p, steps, False) for p in start.tolist()])
-    else:
-        final = _rk4_batch(s.bf, start.T.copy(), steps).T
+    if kernel == "array":
+        return _rk4_batch(s.bf, np.array(points.T), steps).T, None
+    final = np.concatenate([_rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False) for x, y in points.tolist()])
     return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
 
 
@@ -475,10 +476,14 @@ def test_flow_preserves_area_and_energy_bounded(kernel):
     s = TorusSystem()
     rng = np.random.RandomState(11)
     pts = rng.uniform(0, 1, (_MAX_SEEDS, 2))  # Newton's largest batch
-    _, mons = flow(kernel, s, pts, 512)
-    dets = np.linalg.det(mons)
-    assert np.abs(dets - 1.0).max() < 1e-8
-    # the energy along each trajectory, sampled by the float kernel
+    ends, mons = flow(kernel, s, pts, 512)
+    if mons is not None:  # the stacked kernel flows positions only
+        dets = np.linalg.det(mons)
+        assert np.abs(dets - 1.0).max() < 1e-8
+    # the energy at the kernel's endpoints and along each trajectory,
+    # sampled by the float kernel
+    h = hamiltonian(s, ends[:, 0], ends[:, 1], 1.0)
+    assert np.isfinite(h).all() and np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
     ts = np.linspace(0.0, 1.0, 513)
     for x, y in pts:
         traj = _rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), 512, True)
@@ -522,8 +527,9 @@ def reference_stacked(s, points, steps):
     """The stacked RK4 step that the fused kernel replaced: flow_field's
     numpy closure called four times a step, each result stacked by np.array.
 
-    Returns what flow("array", ...) returns.  The kernel does the same float
-    operations in the same order, so it must match bit for bit.
+    Returns endpoints and monodromies; the kernel does the same float
+    operations on the positions in the same order, so its endpoints must
+    match the first bit for bit.
     """
     rhs = flow_field(s.bf, np.cos, np.sin)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -548,9 +554,9 @@ def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
         pts = np.array([((i + 0.5) / 48, (j + 0.5) / 24) for i in range(48) for j in range(24)])
     else:
         pts = np.random.RandomState(n).uniform(-0.25, 1.25, (n, 2))
-    want = reference_stacked(s, pts, 128)
-    got = flow("array", s, pts, 128)
-    assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = reference_stacked(s, pts, 128)[0]
+    got, _ = flow("array", s, pts, 128)
+    assert got.shape == (n, 2) and np.array_equal(got, want)
 
 
 def reference_point(bf, state, steps, record):
@@ -607,14 +613,14 @@ def test_float_and_array_paths_agree(kernel):
     n = _MAX_SEEDS  # Newton's largest batch
     pts = np.random.RandomState(3).uniform(0, 1, (n, 2))
     ends, mons = flow(kernel, s, pts, 128)
-    assert ends.shape == (n, 2) and mons.shape == (n, 2, 2)
+    assert ends.shape == (n, 2) and (mons is None) == (kernel == "array")
     for k, p in enumerate(pts):
         end, mon = _integrate(s, p, 128)
         assert np.abs(end[0] - ends[k]).max() <= 1e-12
-        assert np.abs(mon[0] - mons[k]).max() <= 1e-12
+        assert mons is None or np.abs(mon[0] - mons[k]).max() <= 1e-12
     ref_ends, ref_mons = reference_integrate(s, pts, 128)
     assert np.abs(ends - ref_ends).max() <= 1e-12
-    assert np.abs(mons - ref_mons).max() <= 1e-12
+    assert mons is None or np.abs(mons - ref_mons).max() <= 1e-12
 
 
 @pytest.mark.parametrize("b", [Fraction(17, 100), Fraction(1, 5), Fraction(11, 50)])
@@ -639,7 +645,7 @@ def test_monodromy_at_equilibria_is_expm(b):
 def test_recorded_path_ends_at_the_plain_result(n, kernel):
     # the float kernel's recorded path, which refine samples, starts at the
     # point and ends where the unrecorded kernels do: bit for bit on floats,
-    # to rounding on the stacked one
+    # to rounding on the stacked one, which flows positions only
     s = TorusSystem()
     pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
     ends, mons = flow(kernel, s, pts, 64)
@@ -651,18 +657,17 @@ def test_recorded_path_ends_at_the_plain_result(n, kernel):
         assert np.array_equal(path[0], state)
         assert np.array_equal(path[-1:], _rk4_point(s.bf, state, 64, False))
         assert np.abs(path[-1, :2] - ends[k]).max() <= tol
-        assert np.abs(path[-1, 2:].reshape(2, 2) - mons[k]).max() <= tol
+        assert mons is None or np.abs(path[-1, 2:].reshape(2, 2) - mons[k]).max() <= tol
 
 
 def test_path_choice_changes_no_orbit(monkeypatch):
-    # every point on floats, the grid scan's included, then every integration
-    # but refine's recorded path on the stacked array step
-    pointwise = lambda bf, state, steps: np.concatenate([_rk4_point(bf, p, steps, False) for p in state.T.tolist()]).T
+    # the grid scan on floats, point by point, finds the orbits of the stacked scan
+    arrays = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
+    pointwise = lambda bf, state, steps: np.concatenate(
+        [_rk4_point(bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[:, :2] for x, y in state.T.tolist()]
+    ).T
     monkeypatch.setattr(torus, "_rk4_batch", pointwise)
     floats = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
-    monkeypatch.undo()
-    monkeypatch.setattr(torus, "_integrate", lambda s, points, steps: flow("array", s, points, steps))
-    arrays = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
     assert len(arrays) == len(floats) == 2
     for a, f in zip(arrays, floats):
         assert abs(a.x - f.x) <= 1e-12 and abs(a.y - f.y) <= 1e-12
@@ -743,23 +748,10 @@ def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
-def test_scan_hands_over_the_residuals_at_its_candidates(b):
-    s = TorusSystem(b)
-    seeds, f, mons = _scan_candidates(s, (48, 24), 128)
-    assert seeds.shape == f.shape == (len(seeds), 2) and mons.shape == (len(seeds), 2, 2)
-    # the scan runs the stacked array step, so a fresh array-path residual
-    # at the candidates is bit-identical; Newton's float residual agrees to rounding
-    array_ends, array_mons = flow("array", s, seeds, 128)
-    assert np.array_equal(f, array_ends - seeds - np.array([0.0, 1.0])) and np.array_equal(mons, array_mons)
-    float_f, float_mons = _residual(s, seeds, 128)
-    assert np.abs(f - float_f).max() < 1e-12 and np.abs(mons - float_mons).max() < 1e-12
-
-
-@pytest.mark.parametrize("b", AMPLITUDES)
 def test_seed_retirement_keeps_the_first_found_points(b):
     s = TorusSystem(b)
-    seeds, f, mons = _scan_candidates(s, (48, 24), 128)
-    got = _distinct(_newton_search(s, seeds, f, mons, 128, NEWTON_TOL))
+    seeds = _scan_candidates(s, (48, 24))
+    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
     want = _distinct(_reference_newton_search(s, seeds, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
@@ -778,36 +770,35 @@ def test_newton_search_stops_early(monkeypatch):
         calls.append(np.array(points))
         return _residual(sys, points, steps)
 
-    def scanning(sys, grid, steps):
-        scans.append(_scan_candidates(sys, grid, steps))
+    def scanning(sys, grid):
+        scans.append(_scan_candidates(sys, grid))
         return scans[-1]
 
     monkeypatch.setattr(torus, "_rk4_batch", batch)
     monkeypatch.setattr(torus, "_residual", counting)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
     assert len(find_orbits(TorusSystem())) == 2
-    # the grid scan is the one stacked integration; every residual is a Newton
-    # step after the first, which takes the scan's residuals, and flows at
-    # most _MAX_SEEDS points on floats; without retirement all 20 steps run
-    assert batches == [(6, 48 * 24)]
-    candidates = scans[0][0]
+    # the grid scan of positions is the one stacked integration; every
+    # residual is a Newton step, the first at the scan's candidates, and flows
+    # at most _MAX_SEEDS points on floats, within the iteration cap
+    assert batches == [(2, 48 * 24)]
+    candidates = scans[0]
     assert len(candidates) == _MAX_SEEDS
-    assert 1 <= len(calls) <= 9
+    assert 1 <= len(calls) <= 20
     assert max(len(points) for points in calls) <= _MAX_SEEDS
-    assert not any(np.array_equal(points, candidates) for points in calls)
+    assert np.array_equal(calls[0], candidates)
 
 
 def reference_scan_candidates(sys, grid, steps, cap):
-    """_scan_candidates keeping at most ``cap`` seeds, with its separation
-    test pair by pair, one _torus_dist call per chosen seed, as it was before
-    one call per candidate."""
+    """_scan_candidates flowing at ``steps`` and keeping at most ``cap``
+    seeds, with its separation test pair by pair, one _torus_dist call per
+    chosen seed, as it was before one call per candidate."""
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    ends, mons = flow("array", sys, seeds, steps)
-    f = ends - seeds - np.array([0.0, 1.0])
-    res = np.abs(f).max(axis=1)
+    ends, _ = flow("array", sys, seeds, steps)
+    res = np.abs(ends - seeds - np.array([0.0, 1.0])).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
     for i in np.argsort(res):
@@ -815,18 +806,28 @@ def reference_scan_candidates(sys, grid, steps, cap):
             break
         if all(_torus_dist(seeds[i], seeds[j]) > separation for j in chosen):
             chosen.append(i)
-    chosen = np.array(chosen, dtype=int)
-    return seeds[chosen], f[chosen], mons[chosen]
+    return seeds[np.array(chosen, dtype=int)]
 
 
 @pytest.mark.parametrize("steps", [128, 256])
 @pytest.mark.parametrize("grid", [(48, 24), (64, 32), (7, 5), (1, 1)], ids="{0[0]}x{0[1]}".format)
-def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(grid, steps):
+def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(monkeypatch, grid, steps):
+    # the seeds are the pairwise test's at _SCAN_STEPS, and find_orbits hands
+    # them to Newton whatever its search_steps (the 1x1 grid keeps none)
     s = TorusSystem()
-    got = _scan_candidates(s, grid, steps)
-    want = reference_scan_candidates(s, grid, steps, _MAX_SEEDS)
-    assert len(got) == len(want) == 3
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    want = reference_scan_candidates(s, grid, _SCAN_STEPS, _MAX_SEEDS)
+    assert np.array_equal(_scan_candidates(s, grid), want)
+    handed = []
+
+    def newton(sys, seeds, search_steps, tol):
+        handed.append((seeds, search_steps))
+        return []
+
+    monkeypatch.setattr(torus, "_newton_search", newton)
+    with pytest.raises(OrbitSearchError):
+        find_orbits(s, grid=grid, search_steps=steps)
+    assert len(handed) == (1 if len(want) else 0)
+    assert all(np.array_equal(seeds, want) and n == steps for seeds, n in handed)
 
 
 #: Amplitudes across the admissible interval (0.159155, 0.225079), both ends included.
@@ -838,14 +839,15 @@ CAP_AMPLITUDES = [Fraction(n, 10000) for n in (1601, 1620, 1650, 1700, 1800, 190
 @pytest.mark.parametrize("grid", [(40, 20), (48, 24), (64, 32)], ids="{0[0]}x{0[1]}".format)
 @pytest.mark.parametrize("b", CAP_AMPLITUDES, ids=str)
 def test_capped_search_finds_the_points_of_the_40_seed_search(b, grid):
-    # the scan's seeds are the first _MAX_SEEDS of a 40-seed scan's, and Newton
-    # from them alone converges to the same distinct points, bit for bit
+    # the coarse scan's seeds are the first _MAX_SEEDS of a 40-seed scan's at
+    # the search's own 128 steps, and Newton from them alone converges to the
+    # same distinct points, bit for bit
     s = TorusSystem(b)
-    seeds, f, mons = _scan_candidates(s, grid, 128)
-    wide = reference_scan_candidates(s, grid, 128, 40)[0]
+    seeds = _scan_candidates(s, grid)
+    wide = reference_scan_candidates(s, grid, 128, 40)
     assert len(seeds) == _MAX_SEEDS < len(wide) <= 40
     assert np.array_equal(seeds, wide[: len(seeds)])
-    got = _distinct(_newton_search(s, seeds, f, mons, 128, NEWTON_TOL))
+    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
     want = _distinct(_reference_newton_search(s, wide, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
@@ -856,4 +858,13 @@ def test_default_search_finds_both_orbits_near_the_interval_ends(b):
     # a seed filter that kept only the scan's local residual minima found one
     # orbit at b = 4/25 on this grid; the capped list finds both
     orbits = find_orbits(TorusSystem(b))
+    assert sorted(o.cz_index for o in orbits) == [1, 2]
+
+
+@pytest.mark.parametrize("steps", [128, 256])
+@pytest.mark.parametrize("b", [Fraction(19, 100), Fraction(2087, 10000)], ids=str)
+def test_coarse_grid_search_keeps_every_seed_that_leads_to_an_orbit(b, steps):
+    # retiring a seed whose residual stalled for three steps dropped the only
+    # 12x6 seed that leads to one of these orbits
+    orbits = find_orbits(TorusSystem(b), grid=(12, 6), search_steps=steps, refine_steps=512)
     assert sorted(o.cz_index for o in orbits) == [1, 2]
