@@ -10,6 +10,7 @@ from novtorsion import NovikovElement, milnor_torsion, relabel_lifts, torus, two
 from novtorsion.torus import (
     NEWTON_TOL,
     REFINE_STEPS,
+    SEARCH_STEPS,
     Arc,
     DegenerateEndpointError,
     OrbitSearchError,
@@ -861,10 +862,35 @@ def test_default_search_finds_both_orbits_near_the_interval_ends(b):
     assert sorted(o.cz_index for o in orbits) == [1, 2]
 
 
-@pytest.mark.parametrize("steps", [128, 256])
+@pytest.mark.parametrize("steps", [pytest.param(SEARCH_STEPS, id="default"), 128, 256])
 @pytest.mark.parametrize("b", [Fraction(19, 100), Fraction(2087, 10000)], ids=str)
 def test_coarse_grid_search_keeps_every_seed_that_leads_to_an_orbit(b, steps):
     # retiring a seed whose residual stalled for three steps dropped the only
-    # 12x6 seed that leads to one of these orbits
+    # 12x6 seed that leads to one of these orbits; at 64 and 96 search steps
+    # Newton from that seed misses the index-1 orbit at b = 2087/10000
     orbits = find_orbits(TorusSystem(b), grid=(12, 6), search_steps=steps, refine_steps=512)
     assert sorted(o.cz_index for o in orbits) == [1, 2]
+
+
+#: Amplitude, grid and position bound of the step-count comparison.  At
+#: b = 2087/10000 on the 12x6 grid Newton's iterates at 128 and 256 steps part
+#: before they converge, so the two points agree only within the closure
+#: tolerance (4.6e-12 apart); elsewhere they agree to 5e-16.
+STEP_COUNT_CASES = [
+    pytest.param(b, grid, bound, id="%s-%dx%d" % (b, *grid))
+    for b, grid, bound in [(b, grid, 1e-12) for grid in [(16, 8), (48, 24), (64, 32)] for b in AMPLITUDES]
+    + [(Fraction(19, 100), (12, 6), 1e-12), (Fraction(2087, 10000), (12, 6), NEWTON_TOL)]
+]
+
+
+@pytest.mark.parametrize("b, grid, bound", STEP_COUNT_CASES)
+def test_search_step_count_does_not_move_the_orbits(b, grid, bound):
+    # an orbit is a fixed point of the RK4 map at any step count, so Newton
+    # at the default steps and at 256 hands refine the same orbits
+    s = TorusSystem(b)
+    got = find_orbits(s, grid=grid, refine_steps=512)
+    want = find_orbits(s, grid=grid, search_steps=256, refine_steps=512)
+    assert [o.cz_index for o in got] == [o.cz_index for o in want]
+    for g, w in zip(got, want):
+        assert abs(g.x - w.x) <= bound and abs(g.y - w.y) <= bound
+        assert abs(g.det_gap - w.det_gap) <= 1e-9
