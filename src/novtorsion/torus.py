@@ -126,11 +126,11 @@ def _field_constants(bf: float):
 def _integrate(sys: TorusSystem, points, steps: int):
     """Flow points for one period with classical RK4, carrying M alongside.
 
-    Each point runs on plain floats in the fused kernel _rk4_point: Newton
-    flows at most _MAX_SEEDS points a step, refine's step-halving check and
-    monodromy one; only the grid scan's positions flow in _rk4_batch.
-    Returns the endpoints (n, 2) and monodromies (n, 2, 2).  ``steps`` must
-    be an int of at least 1.
+    Each point runs on plain floats in the fused kernel _rk4_point.  Refine's
+    step-halving check and monodromy call this; Newton calls _rk4_point
+    itself, and only the grid scan's positions flow in _rk4_batch.  Returns
+    the endpoints (n, 2) and monodromies (n, 2, 2).  ``steps`` must be an
+    int of at least 1.
     """
     steps = _index(steps, "steps", least=1)
     points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -232,87 +232,36 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
 
 
 def _rk4_batch(bf: float, state, steps: int):
-    """RK4 of the stacked (2, n) positions ``state`` as one fused kernel, in place.
+    """RK4 of the stacked (2, n) positions ``state``; returns the (2, n) endpoints.
 
     This is _rk4_point's flow without the variational matrix, which the
-    positions never read.  Every buffer, constant row and row view is made
-    once per batch; each ufunc writes through its positional ``out``,
-    constants come as full rows so that nearly every call has operands of
-    one shape (numpy's cheapest call), and rows that share a formula go
-    through one call on a contiguous stacked view.  Each element sees
-    _rk4_point's float operations on x and y in the same order, only
-    -(p q) taken as (-p) q, which is exact.  Returns ``state``.
+    positions never read: one field closure in _rk4_point's operation order,
+    so each element sees its float operations on x and y in the same order.
     """
-    n = state.shape[1]
-    mul, add, sub, cos, sin = np.multiply, np.add, np.subtract, np.cos, np.sin
-
-    def rows(*column):
-        return np.repeat(np.array(column, dtype=float)[:, None], n, axis=1)
-
     lam1n, _, nu1n, nu2, _, _ = _field_constants(bf)
-    bf_row, lam1_row = rows(bf, -lam1n)
-    two_pi, nu_a, nu_pair = rows(TWO_PI, TWO_PI), rows(NU_A1, NU_A2), rows(nu1n, nu2)
+
+    def field(x, y, t):
+        u = TWO_PI * x
+        s = TWO_PI * (y - t)
+        c1, s1 = np.cos(s), np.sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * np.cos(u), lam1n * np.sin(u)
+        nu = 1.0 + NU_A1 * (c1 - 1.0) + NU_A2 * (c2 - 1.0)
+        return lam * (nu1n * s1 - nu2 * s2), -dlam * nu
+
+    x, y = state
     h = 1.0 / steps
     h2, h6 = h / 2, h / 6
-    ones, twos, h_rows, h2_rows, h6_rows = (np.full((2, n), c) for c in (1.0, 2.0, h, h2, h6))
-    one, two = ones[0], twos[0]
-    shift = np.zeros((2, n))  # 0, t
-    arg = np.empty((2, n))  # 2 pi x, 2 pi (y - t)
-    # cos 2 pi x, c1, c2, sin 2 pi x, s1, s2 with ck, sk = cos, sin of k 2 pi (y - t):
-    # the order that makes cos's and sin's outputs, c1 c2 and s1 s2 contiguous
-    trig = np.empty((6, n))
-    cx, c1, c2, sx, s1, s2 = trig
-    cos_out, sin_out, c12, s12 = trig[0:2], trig[3:5], trig[1:3], trig[4:6]
-    terms = np.empty((2, n))  # nu1 s1, nu2 s2
-    harmonics = np.empty((2, n))  # NU_A1 (c1 - 1), NU_A2 (c2 - 1)
-    jets = np.empty((2, n))  # nu', nu
-    lam = np.empty((2, n))  # lam, -lam'
-    y, k, acc = np.empty((2, n)), np.empty((2, n)), np.empty((2, n))
-    shift_t, (nu_s1, nu_s2), (nu_c1, nu_c2), (dnu, nu), (lam0, dlam_n) = shift[1], terms, harmonics, jets, lam
-
-    def field(t, xy, dxy):
-        shift_t.fill(t)
-        sub(xy, shift, arg)
-        mul(arg, two_pi, arg)
-        cos(arg, cos_out)
-        sin(arg, sin_out)
-        mul(c1, two, c2)
-        mul(c2, c1, c2)
-        sub(c2, one, c2)
-        mul(s1, two, s2)
-        mul(s2, c1, s2)
-        mul(s12, nu_pair, terms)
-        sub(nu_s1, nu_s2, dnu)
-        sub(c12, ones, harmonics)
-        mul(harmonics, nu_a, harmonics)
-        add(nu_c1, one, nu_c1)
-        add(nu_c1, nu_c2, nu)
-        mul(cx, bf_row, lam0)
-        add(lam0, one, lam0)
-        mul(sx, lam1_row, dlam_n)
-        mul(lam, jets, dxy)
-
     t = 0.0
     for _ in range(steps):
-        field(t, state, acc)
-        mul(acc, h2_rows, y)
-        add(state, y, y)
-        field(t + h2, y, k)
-        mul(k, h2_rows, y)
-        add(state, y, y)
-        mul(k, twos, k)
-        add(acc, k, acc)
-        field(t + h2, y, k)
-        mul(k, h_rows, y)
-        add(state, y, y)
-        mul(k, twos, k)
-        add(acc, k, acc)
-        field(t + h, y, k)
-        add(acc, k, acc)
-        mul(acc, h6_rows, acc)
-        add(state, acc, state)
+        ax, ay = field(x, y, t)
+        bx, by = field(x + h2 * ax, y + h2 * ay, t + h2)
+        cx, cy = field(x + h2 * bx, y + h2 * by, t + h2)
+        dx, dy = field(x + h * cx, y + h * cy, t + h)
+        x = x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
         t += h
-    return state
+    return np.array([x, y])
 
 
 class PeriodicOrbit(_ReadOnly):
@@ -331,48 +280,33 @@ class PeriodicOrbit(_ReadOnly):
         )
 
 
-def _residual(sys, points, steps):
-    ends, mons = _integrate(sys, points, steps)
-    f = ends - points - np.array([0.0, 1.0])
-    return f, mons
-
-
 def _newton_search(sys, seeds, steps, tol):
-    """Clamped Newton iteration from all seeds in one batch; returns the
-    converged points in the order they converged.  Each step integrates the
-    seeds still moving at ``steps``.  A seed retired within the dedupe
-    radius of a converged point would only be merged with it."""
-    pts = np.array(seeds, dtype=float)
-    active = np.ones(len(pts), dtype=bool)
+    """Clamped Newton iteration on floats from each seed in turn, integrating
+    every point it steps from at ``steps``; returns the converged points mod 1
+    in the order found.  A seed stops, before any step, once it lies within
+    the dedupe radius of a point already found, so the points are distinct."""
     found = []
-    for _ in range(_MAX_NEWTON_ITER):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        cur = pts[idx]
-        f, mons = _residual(sys, cur, steps)
-        res = np.abs(f).max(axis=1)
-        a = mons[:, 0, 0] - 1.0
-        b = mons[:, 0, 1]
-        c = mons[:, 1, 0]
-        d = mons[:, 1, 1] - 1.0
-        det = a * d - b * c
-        ok = np.abs(det) > 1e-12
-        safe = np.where(ok, det, 1.0)
-        du = np.where(ok, (-f[:, 0] * d + f[:, 1] * b) / safe, np.nan)
-        dv = np.where(ok, (f[:, 0] * c - f[:, 1] * a) / safe, np.nan)
-        step = np.stack([du, dv], axis=1)
-        norm = np.abs(step).max(axis=1)
-        too_big = norm > _NEWTON_CLAMP
-        step[too_big] *= (_NEWTON_CLAMP / norm[too_big])[:, None]
-        converged = res < tol
-        found.extend(cur[converged])
-        bad = ~ok | ~np.isfinite(step).all(axis=1)
-        keep = ~(converged | bad)
-        pts[idx[keep]] = cur[keep] + step[keep]
-        active[idx[~keep]] = False
-        if found:
-            active &= _torus_dist(pts[:, None], np.array(found)).min(axis=1) >= _DEDUPE_RADIUS
+    for x, y in np.asarray(seeds, dtype=float).tolist():
+        for _ in range(_MAX_NEWTON_ITER):
+            if found and _torus_dist((x, y), found).min() < _DEDUPE_RADIUS:
+                break
+            ex, ey, m11, m12, m21, m22 = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[0].tolist()
+            fx, fy = ex - x, ey - y - 1.0
+            # each component on its own: Python's max can drop a nan
+            if abs(fx) < tol and abs(fy) < tol:
+                found.append(np.mod((x, y), 1.0))
+                break
+            a, b, c, d = m11 - 1.0, m12, m21, m22 - 1.0
+            det = a * d - b * c
+            if not abs(det) > 1e-12:
+                break
+            du, dv = (-fx * d + fy * b) / det, (fx * c - fy * a) / det
+            if not (math.isfinite(du) and math.isfinite(dv)):
+                break
+            norm = max(abs(du), abs(dv))
+            if norm > _NEWTON_CLAMP:
+                du, dv = du * (_NEWTON_CLAMP / norm), dv * (_NEWTON_CLAMP / norm)
+            x, y = x + du, y + dv
     return found
 
 
@@ -400,16 +334,6 @@ def _scan_candidates(sys, grid):
     return seeds[np.array(chosen, dtype=int)]
 
 
-def _distinct(found):
-    """Points reduced mod 1, dropping each within the dedupe radius of an earlier one."""
-    unique: list[np.ndarray] = []
-    for p in found:
-        q = np.mod(p, 1.0)
-        if not any(_torus_dist(q, u) < _DEDUPE_RADIUS for u in unique):
-            unique.append(q)
-    return unique
-
-
 def _wrap01(v: float) -> float:
     w = float(np.mod(v, 1.0))
     if w > 1.0 - 1e-9:
@@ -435,15 +359,14 @@ def find_orbits(
     is the constant (0, 1), which RK4 follows exactly at any step count, so
     ``search_steps`` only says where the orbits are: 128 steps found the
     orbits of 256 in 162 of 162 amplitude and grid cases, where 64 and 96
-    missed one.  A seed is retired once its step lands within the
-    dedupe radius (1e-5) of a converged point; the iteration ends when
-    every seed has converged, failed or been retired, after at most 20
-    steps.  Converged points are deduplicated with the wrap-around metric,
-    re-integrated at ``refine_steps`` to check that they still close within
-    ``tol``, and returned with monodromy, a step-halving consistency gap,
-    non-degeneracy gap and index, sorted by x.  Exhaustiveness is guaranteed
-    only up to the scan resolution: an orbit that no scanned seed leads to
-    is missed.
+    missed one.  Newton runs from each seed in turn, for at most 20 steps,
+    and a seed stops once it lies within the dedupe radius (1e-5, in the
+    wrap-around metric) of a point already found, so the converged points
+    are distinct.  They are re-integrated at ``refine_steps`` to check that
+    they still close within ``tol``, and returned with monodromy, a
+    step-halving consistency gap, non-degeneracy gap and index, sorted by x.
+    Exhaustiveness is guaranteed only up to the scan resolution: an orbit
+    that no scanned seed leads to is missed.
     """
     if not (hasattr(grid, "__len__") and len(grid) == 2):
         raise ValueError("grid %r needs two int counts" % (grid,))
@@ -461,10 +384,7 @@ def find_orbits(
         raise OrbitSearchError(
             "Newton iteration converged from none of %d candidate seeds" % len(seeds)
         )
-    return [
-        _refine_orbit(sys, p, refine_steps, tol)
-        for p in sorted(_distinct(found), key=lambda u: u[0])
-    ]
+    return [_refine_orbit(sys, p, refine_steps, tol) for p in sorted(found, key=lambda u: u[0])]
 
 
 def _torus_dist(p, q):
@@ -671,6 +591,11 @@ def run_example(
     sys = TorusSystem(b)
     orbits = find_orbits(sys, tol, grid, search_steps, refine_steps)
     counts = count_connecting(sys)
+    expected = len(reduced_equilibria(sys))  # one orbit per equilibrium
+    if len(orbits) < expected:
+        raise OrbitSearchError(
+            "the search on the %dx%d grid found %d of the %d orbits" % (*grid, len(orbits), expected)
+        )
     complexes = {}
     torsions = {}
     for convention in ("plus", "minus"):

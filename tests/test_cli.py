@@ -191,6 +191,14 @@ def test_torus_example_grid_without_candidates_is_validate(capsys):
     assert report_value(out, "message") == "no seed on the 1x1 grid is near a winding-1 fixed point"
 
 
+def test_torus_example_coarse_grid_short_of_the_orbits_is_validate(capsys):
+    # at b = 1/5 the 16x8 grid leads Newton to the index-2 orbit only
+    code, out = run(capsys, "torus-example", "--grid", "16x8")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == "the search on the 16x8 grid found 1 of the 2 orbits"
+
+
 def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
     code, out = run(capsys, "torus-example", "--b", "1/10", "--grid", "2x3", "--tol", "1e-6")
     assert code == EXIT_VALIDATE

@@ -17,13 +17,12 @@ from novtorsion.torus import (
     PeriodicOrbit,
     ProfileError,
     TorusSystem,
+    _DEDUPE_RADIUS,
     _MAX_SEEDS,
     _SCAN_STEPS,
-    _distinct,
     _integrate,
     _newton_search,
     _refine_orbit,
-    _residual,
     _rk4_batch,
     _rk4_point,
     _scan_candidates,
@@ -45,16 +44,17 @@ TWO_PI = 2 * math.pi
 #: The amplitudes the torus benchmark runs.
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
-#: The two RK4 kernels: _rk4_point on floats, which _integrate runs point by
-#: point, and _rk4_batch on stacked positions, which only the grid scan runs.
+#: The two RK4 kernels: _rk4_point on floats, which Newton, refine and
+#: _integrate run point by point, and _rk4_batch, plain numpy on stacked
+#: positions, which only the grid scan runs.
 KERNELS = [pytest.param("float", id="float"), pytest.param("array", id="array")]
 
 
 def flow(kernel, s, points, steps):
     """Endpoints (n, 2) and monodromies (n, 2, 2) from one kernel called
-    directly: "float" runs _rk4_point point by point, as _integrate does;
-    "array" one stacked (2, n) _rk4_batch, which flows positions only, so
-    its monodromies are None."""
+    directly: "float" runs _rk4_point point by point, as Newton and
+    _integrate do; "array" one stacked (2, n) _rk4_batch, as the grid scan
+    does, which flows positions only, so its monodromies are None."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     if kernel == "array":
         return _rk4_batch(s.bf, np.array(points.T), steps).T, None
@@ -476,7 +476,7 @@ def test_torsion_invariant_under_lift_relabeling(torus_report):
 def test_flow_preserves_area_and_energy_bounded(kernel):
     s = TorusSystem()
     rng = np.random.RandomState(11)
-    pts = rng.uniform(0, 1, (_MAX_SEEDS, 2))  # Newton's largest batch
+    pts = rng.uniform(0, 1, (_MAX_SEEDS, 2))  # as many as Newton's seeds
     ends, mons = flow(kernel, s, pts, 512)
     if mons is not None:  # the stacked kernel flows positions only
         dets = np.linalg.det(mons)
@@ -525,8 +525,8 @@ def reference_integrate(s, points, steps):
 
 
 def reference_stacked(s, points, steps):
-    """The stacked RK4 step that the fused kernel replaced: flow_field's
-    numpy closure called four times a step, each result stacked by np.array.
+    """A stacked RK4 step with the variational matrix: flow_field's numpy
+    closure called four times a step, each result stacked by np.array.
 
     Returns endpoints and monodromies; the kernel does the same float
     operations on the positions in the same order, so its endpoints must
@@ -611,7 +611,7 @@ def test_fused_float_kernel_matches_the_reference_point_step_bit_for_bit(b, step
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_float_and_array_paths_agree(kernel):
     s = TorusSystem()
-    n = _MAX_SEEDS  # Newton's largest batch
+    n = _MAX_SEEDS  # as many as Newton's seeds
     pts = np.random.RandomState(3).uniform(0, 1, (n, 2))
     ends, mons = flow(kernel, s, pts, 128)
     assert ends.shape == (n, 2) and (mons is None) == (kernel == "array")
@@ -713,46 +713,47 @@ def test_torus_torsion_inverts_the_circle_complex(b):
 
 
 def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
-    """Newton loop without seed retirement: every seed runs until it
-    converges, its step fails, or max_iter iterations have passed."""
-    pts = np.array(seeds, dtype=float)
-    active = np.ones(len(pts), dtype=bool)
+    """Newton from each seed in turn without seed retirement: every seed
+    runs until it converges, its step fails, or max_iter iterations have
+    passed.  Returns every converged point, duplicates included."""
     found = []
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        cur = pts[active]
-        f, mons = _residual(sys, cur, steps)
-        res = np.abs(f).max(axis=1)
-        a = mons[:, 0, 0] - 1.0
-        b = mons[:, 0, 1]
-        c = mons[:, 1, 0]
-        d = mons[:, 1, 1] - 1.0
-        det = a * d - b * c
-        ok = np.abs(det) > 1e-12
-        safe = np.where(ok, det, 1.0)
-        du = np.where(ok, (-f[:, 0] * d + f[:, 1] * b) / safe, np.nan)
-        dv = np.where(ok, (f[:, 0] * c - f[:, 1] * a) / safe, np.nan)
-        step = np.stack([du, dv], axis=1)
-        norm = np.abs(step).max(axis=1)
-        too_big = norm > clamp
-        step[too_big] *= (clamp / norm[too_big])[:, None]
-        converged = res < tol
-        idx = np.flatnonzero(active)
-        for local in np.flatnonzero(converged):
-            found.append(cur[local])
-        bad = ~ok | ~np.isfinite(step).all(axis=1)
-        keep = ~(converged | bad)
-        pts[idx[keep]] = cur[keep] + step[keep]
-        active[idx[~keep]] = False
+    for p in np.array(seeds, dtype=float):
+        for _ in range(max_iter):
+            ends, mons = _integrate(sys, p, steps)
+            f = ends[0] - p - np.array([0.0, 1.0])
+            if np.abs(f).max() < tol:
+                found.append(p)
+                break
+            (a, b), (c, d) = mons[0] - np.eye(2)
+            det = a * d - b * c
+            if not abs(det) > 1e-12:
+                break
+            step = np.array([-f[0] * d + f[1] * b, f[0] * c - f[1] * a]) / det
+            norm = np.abs(step).max()
+            if norm > clamp:
+                step *= clamp / norm
+            if not np.isfinite(step).all():
+                break
+            p = p + step
     return found
+
+
+def _distinct(found):
+    """Points reduced mod 1, dropping each within the dedupe radius of an earlier one."""
+    unique = []
+    for p in found:
+        q = np.mod(p, 1.0)
+        if not any(_torus_dist(q, u) < _DEDUPE_RADIUS for u in unique):
+            unique.append(q)
+    return unique
 
 
 @pytest.mark.parametrize("b", AMPLITUDES)
 def test_seed_retirement_keeps_the_first_found_points(b):
+    # a seed stopped near a found point would only have found it again
     s = TorusSystem(b)
     seeds = _scan_candidates(s, (48, 24))
-    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
+    got = _newton_search(s, seeds, 128, NEWTON_TOL)
     want = _distinct(_reference_newton_search(s, seeds, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
@@ -767,27 +768,43 @@ def test_newton_search_stops_early(monkeypatch):
         batches.append(state.shape)
         return _rk4_batch(bf, state, steps)
 
-    def counting(sys, points, steps):
-        calls.append(np.array(points))
-        return _residual(sys, points, steps)
+    def point(bf, state, steps, record):
+        if steps == SEARCH_STEPS and not record:
+            calls.append(tuple(state[:2]))
+        return _rk4_point(bf, state, steps, record)
 
     def scanning(sys, grid):
         scans.append(_scan_candidates(sys, grid))
         return scans[-1]
 
     monkeypatch.setattr(torus, "_rk4_batch", batch)
-    monkeypatch.setattr(torus, "_residual", counting)
+    monkeypatch.setattr(torus, "_rk4_point", point)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
-    assert len(find_orbits(TorusSystem())) == 2
+    assert len(find_orbits(TorusSystem(Fraction(1, 5)))) == 2
     # the grid scan of positions is the one stacked integration; every
-    # residual is a Newton step, the first at the scan's candidates, and flows
-    # at most _MAX_SEEDS points on floats, within the iteration cap
+    # unrecorded point integration at SEARCH_STEPS is a Newton step, and
+    # Newton runs from the scan's seeds in turn, each within the iteration cap
     assert batches == [(2, 48 * 24)]
-    candidates = scans[0]
-    assert len(candidates) == _MAX_SEEDS
-    assert 1 <= len(calls) <= 20
-    assert max(len(points) for points in calls) <= _MAX_SEEDS
-    assert np.array_equal(calls[0], candidates)
+    seeds = [tuple(p) for p in scans[0].tolist()]
+    assert len(seeds) == _MAX_SEEDS
+    starts = [i for i, p in enumerate(calls) if p in seeds]
+    assert starts[0] == 0
+    started = [calls[i] for i in starts]
+    assert started == [p for p in seeds if p in started]
+    assert len(started) <= _MAX_SEEDS
+    assert max(np.diff(starts + [len(calls)])) <= 20
+    # all seeds in one lockstep batch made 99 point integrations at b = 1/5
+    assert len(calls) < 99
+
+
+def test_newton_search_records_no_point_whose_residual_is_nan(monkeypatch):
+    # the flow closes in x and returns a nan y: a max over the two residual
+    # components that drops the nan would take the seed as converged
+    def closing_in_x(bf, state, steps, record):
+        return np.array([(state[0], math.nan, 2.0, 0.0, 0.0, 2.0)])
+
+    monkeypatch.setattr(torus, "_rk4_point", closing_in_x)
+    assert len(_newton_search(TorusSystem(), np.array([(0.3, 0.4)]), SEARCH_STEPS, NEWTON_TOL)) == 0
 
 
 def reference_scan_candidates(sys, grid, steps, cap):
@@ -848,7 +865,7 @@ def test_capped_search_finds_the_points_of_the_40_seed_search(b, grid):
     wide = reference_scan_candidates(s, grid, 128, 40)
     assert len(seeds) == _MAX_SEEDS < len(wide) <= 40
     assert np.array_equal(seeds, wide[: len(seeds)])
-    got = _distinct(_newton_search(s, seeds, 128, NEWTON_TOL))
+    got = _newton_search(s, seeds, 128, NEWTON_TOL)
     want = _distinct(_reference_newton_search(s, wide, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
