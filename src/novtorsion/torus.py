@@ -74,10 +74,11 @@ _MAX_SEEDS = 16
 
 #: Steps per period of the grid scan, which only ranks seeds: an orbit is an
 #: exact fixed point of the RK4 map at any step count (see _refine_orbit).
-#: On 240 cases (20 amplitudes, grids 12x6 to 64x32, 128 and 256 search
-#: steps) Newton's distinct points matched a scan at ``search_steps`` bit for
-#: bit in 236, and found a second orbit that one missed in the other 4.
-_SCAN_STEPS = 64
+#: On 216 cases (27 amplitudes, grids 12x6 to 96x48) a scan at 6 steps gave
+#: the orbits of a scan at 64 in 215, to 9 digits, and in the other found a
+#: second orbit that one missed; every count from 4 to 12 but 6 lost an orbit
+#: in 1 to 3 cases, all on the 16x8 grid.
+_SCAN_STEPS = 6
 
 
 class TorusSystem(_ReadOnly):
@@ -123,31 +124,17 @@ def _field_constants(bf: float):
     )
 
 
-def _integrate(sys: TorusSystem, points, steps: int):
-    """Flow points for one period with classical RK4, carrying M alongside.
-
-    Each point runs on plain floats in the fused kernel _rk4_point.  Refine's
-    step-halving check and monodromy call this; Newton calls _rk4_point
-    itself, and only the grid scan's positions flow in _rk4_batch.  Returns
-    the endpoints (n, 2) and monodromies (n, 2, 2).  ``steps`` must be an
-    int of at least 1.
-    """
-    steps = _index(steps, "steps", least=1)
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    final = np.array([_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[0] for x, y in points.tolist()])
-    return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
-
-
 def _rk4_point(bf: float, state, steps: int, record: bool):
     """RK4 of one point on floats as one fused kernel, its four stages inline.
 
-    Each stage evaluates the field on locals, in the operation order that
-    _rk4_batch shares, with A = [[p, q], [r, -p]]; the slopes are named by
-    stage (a, b, c, d) and component, a stage's state X, Y, n11 to n22.  The
-    constants and cos/sin are bound to locals once per call: calling the
-    field once per stage, with its seven arguments and returned 6-tuple,
-    cost about a quarter of the step.  Returns the (steps+1, 6) states when
-    recording, else the (1, 6) last.
+    The only integrator of the field: the grid scan, Newton, refine and
+    monodromy all run it point by point.  Each stage evaluates the field on
+    locals with A = [[p, q], [r, -p]]; the slopes are named by stage (a, b,
+    c, d) and component, a stage's state X, Y, n11 to n22.  The constants
+    and cos/sin are bound to locals once per call: calling the field once
+    per stage, with its seven arguments and returned 6-tuple, cost about a
+    quarter of the step.  Returns the (steps+1, 6) states when recording,
+    else the last state as a 6-tuple of floats.
     """
     cos, sin, two_pi, a1, a2 = math.cos, math.sin, TWO_PI, NU_A1, NU_A2
     lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
@@ -228,40 +215,7 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
         t += h
         if record:
             states.append((x, y, m11, m12, m21, m22))
-    return np.array(states if record else [(x, y, m11, m12, m21, m22)])
-
-
-def _rk4_batch(bf: float, state, steps: int):
-    """RK4 of the stacked (2, n) positions ``state``; returns the (2, n) endpoints.
-
-    This is _rk4_point's flow without the variational matrix, which the
-    positions never read: one field closure in _rk4_point's operation order,
-    so each element sees its float operations on x and y in the same order.
-    """
-    lam1n, _, nu1n, nu2, _, _ = _field_constants(bf)
-
-    def field(x, y, t):
-        u = TWO_PI * x
-        s = TWO_PI * (y - t)
-        c1, s1 = np.cos(s), np.sin(s)
-        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
-        lam, dlam = 1.0 + bf * np.cos(u), lam1n * np.sin(u)
-        nu = 1.0 + NU_A1 * (c1 - 1.0) + NU_A2 * (c2 - 1.0)
-        return lam * (nu1n * s1 - nu2 * s2), -dlam * nu
-
-    x, y = state
-    h = 1.0 / steps
-    h2, h6 = h / 2, h / 6
-    t = 0.0
-    for _ in range(steps):
-        ax, ay = field(x, y, t)
-        bx, by = field(x + h2 * ax, y + h2 * ay, t + h2)
-        cx, cy = field(x + h2 * bx, y + h2 * by, t + h2)
-        dx, dy = field(x + h * cx, y + h * cy, t + h)
-        x = x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
-        y = y + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
-        t += h
-    return np.array([x, y])
+    return np.array(states) if record else (x, y, m11, m12, m21, m22)
 
 
 class PeriodicOrbit(_ReadOnly):
@@ -290,7 +244,7 @@ def _newton_search(sys, seeds, steps, tol):
         for _ in range(_MAX_NEWTON_ITER):
             if found and _torus_dist((x, y), found).min() < _DEDUPE_RADIUS:
                 break
-            ex, ey, m11, m12, m21, m22 = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[0].tolist()
+            ex, ey, m11, m12, m21, m22 = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)
             fx, fy = ex - x, ey - y - 1.0
             # each component on its own: Python's max can drop a nan
             if abs(fx) < tol and abs(fy) < tol:
@@ -313,16 +267,17 @@ def _newton_search(sys, seeds, steps, tol):
 def _scan_candidates(sys, grid):
     """Well-separated grid points of lowest residual, in increasing residual.
 
-    The whole grid's positions flow at _SCAN_STEPS as one stacked batch in
-    _rk4_batch, the only caller of that kernel; at most _MAX_SEEDS points
-    with residual at most 1/2 are kept, each farther than one grid spacing
-    from those before it.  Returns the seeds as an array of shape (k, 2).
+    Each grid point flows on floats in _rk4_point at _SCAN_STEPS; at most
+    _MAX_SEEDS points with residual at most 1/2 are kept, each farther than
+    one grid spacing from those before it.  Returns the seeds as an array
+    of shape (k, 2).
     """
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    f = _rk4_batch(sys.bf, np.array(seeds.T), _SCAN_STEPS).T - seeds - np.array([0.0, 1.0])
+    ends = np.array([_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), _SCAN_STEPS, False)[:2] for x, y in seeds.tolist()])
+    f = ends - seeds - np.array([0.0, 1.0])
     res = np.abs(f).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
@@ -350,19 +305,19 @@ def find_orbits(
 ) -> list[PeriodicOrbit]:
     """Locate the period-1 orbits of vertical winding 1.
 
-    The residual of the winding-1 return condition is scanned on the grid
-    in one stacked integration of positions at _SCAN_STEPS (64), which only
-    ranks the seeds; Newton iteration (solved in the universal cover, with a
-    step clamp) then runs on floats at ``search_steps`` (SEARCH_STEPS, 128)
-    from at most _MAX_SEEDS (16) well-separated lowest residual seeds,
-    integrating every point it steps from.  At an orbit the co-moving field
-    is the constant (0, 1), which RK4 follows exactly at any step count, so
-    ``search_steps`` only says where the orbits are: 128 steps found the
-    orbits of 256 in 162 of 162 amplitude and grid cases, where 64 and 96
-    missed one.  Newton runs from each seed in turn, for at most 20 steps,
-    and a seed stops once it lies within the dedupe radius (1e-5, in the
-    wrap-around metric) of a point already found, so the converged points
-    are distinct.  They are re-integrated at ``refine_steps`` to check that
+    The residual of the winding-1 return condition is scanned on the grid,
+    each point integrated at _SCAN_STEPS (6), which only ranks the seeds;
+    Newton iteration (solved in the universal cover, with a step clamp)
+    then runs at ``search_steps`` (SEARCH_STEPS, 128) from at most
+    _MAX_SEEDS (16) well-separated lowest residual seeds, integrating every
+    point it steps from; every integration runs _rk4_point on floats.  At
+    an orbit the co-moving field is the constant (0, 1), which RK4 follows
+    exactly at any step count, so ``search_steps`` only says where the
+    orbits are: 128 steps found the orbits of 256 in 162 of 162 amplitude
+    and grid cases, where 64 and 96 missed one.  Newton runs from each seed
+    in turn, for at most 20 steps, and a seed stops once it lies within the
+    dedupe radius (1e-5, in the wrap-around metric) of a point already
+    found, so the converged points are distinct.  They are re-integrated at ``refine_steps`` to check that
     they still close within ``tol``, and returned with monodromy, a
     step-halving consistency gap, non-degeneracy gap and index, sorted by x.
     Exhaustiveness is guaranteed only up to the scan resolution: an orbit
@@ -408,21 +363,20 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
         raise OrbitSearchError(
             "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (p[0], miss, steps, tol)
         )
-    monodromy = var[-1]
-    _, mons2 = _integrate(sys, p, 2 * steps)
-    richardson = float(np.abs(mons2[0] - monodromy).max())
+    end = var[-1]
+    richardson = float(np.abs(monodromy(sys, p, 2 * steps) - end).max())
     if richardson > 1e-6:
         raise OrbitSearchError(
             "integrator is not converged: step-halving changes the monodromy by %g" % richardson
         )
-    gap = float(abs(np.linalg.det(np.eye(2) - monodromy)))
+    gap = float(abs(np.linalg.det(np.eye(2) - end)))
     if gap <= NONDEGENERACY_TOL:
         raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (p[0], gap))
     index = conley_zehnder(var)
     return PeriodicOrbit(
         x=_wrap01(p[0]),
         y=_wrap01(p[1]),
-        monodromy=monodromy,
+        monodromy=end,
         cz_index=index,
         det_gap=gap,
         variational_path=var,
@@ -434,8 +388,9 @@ def monodromy(sys: TorusSystem, base: tuple[float, float], steps: int = REFINE_S
     """Linearized time-1 return map along the trajectory through base."""
     if np.shape(base) != (2,) or not np.isfinite(base).all():
         raise ValueError("base must be two finite coordinates, got %r" % (base,))
-    _, mons = _integrate(sys, base, steps)
-    return mons[0]
+    steps = _index(steps, "steps", least=1)
+    x, y = np.asarray(base, dtype=float).tolist()
+    return np.array(_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[2:]).reshape(2, 2)
 
 
 def _winding(path, v):

@@ -20,10 +20,8 @@ from novtorsion.torus import (
     _DEDUPE_RADIUS,
     _MAX_SEEDS,
     _SCAN_STEPS,
-    _integrate,
     _newton_search,
     _refine_orbit,
-    _rk4_batch,
     _rk4_point,
     _scan_candidates,
     _torus_dist,
@@ -44,21 +42,16 @@ TWO_PI = 2 * math.pi
 #: The amplitudes the torus benchmark runs.
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
-#: The two RK4 kernels: _rk4_point on floats, which Newton, refine and
-#: _integrate run point by point, and _rk4_batch, plain numpy on stacked
-#: positions, which only the grid scan runs.
-KERNELS = [pytest.param("float", id="float"), pytest.param("array", id="array")]
+#: As many points as Newton has seeds, with the id of the one RK4 kernel,
+#: _rk4_point on floats.
+SEED_COUNT = [pytest.param(_MAX_SEEDS, id="float")]
 
 
-def flow(kernel, s, points, steps):
-    """Endpoints (n, 2) and monodromies (n, 2, 2) from one kernel called
-    directly: "float" runs _rk4_point point by point, as Newton and
-    _integrate do; "array" one stacked (2, n) _rk4_batch, as the grid scan
-    does, which flows positions only, so its monodromies are None."""
+def flow(s, points, steps):
+    """Endpoints (n, 2) and monodromies (n, 2, 2) of _rk4_point run point
+    by point, as the grid scan, Newton and monodromy do."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    if kernel == "array":
-        return _rk4_batch(s.bf, np.array(points.T), steps).T, None
-    final = np.concatenate([_rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False) for x, y in points.tolist()])
+    final = np.array([_rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False) for x, y in points.tolist()])
     return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
 
 
@@ -331,8 +324,7 @@ def test_count_connecting_needs_equilibria():
 
 @pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3), [0, 5]])
 def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
-    for kernel in ("_rk4_point", "_rk4_batch"):
-        monkeypatch.setattr(torus, kernel, lambda *args, **kwargs: pytest.fail("integrated"))
+    monkeypatch.setattr(torus, "_rk4_point", lambda *args, **kwargs: pytest.fail("integrated"))
     with pytest.raises(ValueError, match="^grid count must be an int of at least 1, not %d$" % min(grid)):
         find_orbits(TorusSystem(), grid=grid)
 
@@ -366,12 +358,11 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
         pytest.param(lambda s: monodromy(s, (0.2, 0.0), np.True_), "steps must be an int of at least 1, not %s" % re.escape(repr(np.True_)), id="monodromy-numpy-bool"),
         pytest.param(lambda s: monodromy(s, (math.nan, 0.0)), r"base must be two finite coordinates, got \(nan, 0\.0\)", id="monodromy-nan"),
         pytest.param(lambda s: monodromy(s, (0.2,)), r"base must be two finite coordinates, got \(0\.2,\)", id="monodromy-short"),
-        pytest.param(lambda s: _integrate(s, np.zeros((40, 2)), 2.5), r"steps must be an int of at least 1, not 2\.5", id="integrate-float"),
+        pytest.param(lambda s: monodromy(s, (0.2, 0.0), 2.5), r"steps must be an int of at least 1, not 2\.5", id="monodromy-float"),
     ],
 )
 def test_bad_counts_and_tolerances_are_refused_before_integrating(monkeypatch, call, message):
-    for kernel in ("_rk4_point", "_rk4_batch"):
-        monkeypatch.setattr(torus, kernel, lambda *args, **kwargs: pytest.fail("integrated"))
+    monkeypatch.setattr(torus, "_rk4_point", lambda *args, **kwargs: pytest.fail("integrated"))
     with pytest.raises(ValueError, match="^%s$" % message):
         call(TorusSystem())
 
@@ -472,17 +463,15 @@ def test_torsion_invariant_under_lift_relabeling(torus_report):
     assert milnor_torsion(shifted) == torus_report.torsions["minus"]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_flow_preserves_area_and_energy_bounded(kernel):
+@pytest.mark.parametrize("n", SEED_COUNT)
+def test_flow_preserves_area_and_energy_bounded(n):
     s = TorusSystem()
     rng = np.random.RandomState(11)
-    pts = rng.uniform(0, 1, (_MAX_SEEDS, 2))  # as many as Newton's seeds
-    ends, mons = flow(kernel, s, pts, 512)
-    if mons is not None:  # the stacked kernel flows positions only
-        dets = np.linalg.det(mons)
-        assert np.abs(dets - 1.0).max() < 1e-8
-    # the energy at the kernel's endpoints and along each trajectory,
-    # sampled by the float kernel
+    pts = rng.uniform(0, 1, (n, 2))
+    ends, mons = flow(s, pts, 512)
+    dets = np.linalg.det(mons)
+    assert np.abs(dets - 1.0).max() < 1e-8
+    # the energy at the kernel's endpoints and along each recorded trajectory
     h = hamiltonian(s, ends[:, 0], ends[:, 1], 1.0)
     assert np.isfinite(h).all() and np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
     ts = np.linspace(0.0, 1.0, 513)
@@ -522,42 +511,6 @@ def reference_integrate(s, points, steps):
         state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
     return state[:, :2], state[:, 2:].reshape(-1, 2, 2)
-
-
-def reference_stacked(s, points, steps):
-    """A stacked RK4 step with the variational matrix: flow_field's numpy
-    closure called four times a step, each result stacked by np.array.
-
-    Returns endpoints and monodromies; the kernel does the same float
-    operations on the positions in the same order, so its endpoints must
-    match the first bit for bit.
-    """
-    rhs = flow_field(s.bf, np.cos, np.sin)
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = len(points)
-    state = np.concatenate([points.T, np.repeat([[1.0], [0.0], [0.0], [1.0]], n, axis=1)])
-    h, t = 1.0 / steps, 0.0
-    for _ in range(steps):
-        k1 = np.array(rhs(t, *state))
-        k2 = np.array(rhs(t + h / 2, *(state + (h / 2) * k1)))
-        k3 = np.array(rhs(t + h / 2, *(state + (h / 2) * k2)))
-        k4 = np.array(rhs(t + h, *(state + h * k3)))
-        state = state + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return state[:2].T, state[2:].T.reshape(n, 2, 2)
-
-
-@pytest.mark.parametrize("b", AMPLITUDES)
-@pytest.mark.parametrize("n", [13, 40, 48 * 24])
-def test_fused_kernel_matches_the_reference_stacked_step_bit_for_bit(b, n):
-    s = TorusSystem(b)
-    if n == 48 * 24:  # the default scan grid
-        pts = np.array([((i + 0.5) / 48, (j + 0.5) / 24) for i in range(48) for j in range(24)])
-    else:
-        pts = np.random.RandomState(n).uniform(-0.25, 1.25, (n, 2))
-    want = reference_stacked(s, pts, 128)[0]
-    got, _ = flow("array", s, pts, 128)
-    assert got.shape == (n, 2) and np.array_equal(got, want)
 
 
 def reference_point(bf, state, steps, record):
@@ -605,23 +558,23 @@ def test_fused_float_kernel_matches_the_reference_point_step_bit_for_bit(b, step
         for record in (False, True):
             want = reference_point(s.bf, state, steps, record)
             assert want.shape == ((steps + 1, 6) if record else (1, 6))
-            assert np.array_equal(_rk4_point(s.bf, state, steps, record), want)
+            got = _rk4_point(s.bf, state, steps, record)
+            assert record or type(got) is tuple
+            assert np.array_equal(got, want if record else want[0])
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_float_and_array_paths_agree(kernel):
+@pytest.mark.parametrize("n", SEED_COUNT)
+def test_float_and_array_paths_agree(n):
+    # the float kernel, one point at a time, against the stacked numpy reference
     s = TorusSystem()
-    n = _MAX_SEEDS  # as many as Newton's seeds
     pts = np.random.RandomState(3).uniform(0, 1, (n, 2))
-    ends, mons = flow(kernel, s, pts, 128)
-    assert ends.shape == (n, 2) and (mons is None) == (kernel == "array")
+    ends, mons = flow(s, pts, 128)
+    assert ends.shape == (n, 2) and mons.shape == (n, 2, 2)
     for k, p in enumerate(pts):
-        end, mon = _integrate(s, p, 128)
-        assert np.abs(end[0] - ends[k]).max() <= 1e-12
-        assert mons is None or np.abs(mon[0] - mons[k]).max() <= 1e-12
+        assert np.array_equal(monodromy(s, p, 128), mons[k])
     ref_ends, ref_mons = reference_integrate(s, pts, 128)
     assert np.abs(ends - ref_ends).max() <= 1e-12
-    assert mons is None or np.abs(mons - ref_mons).max() <= 1e-12
+    assert np.abs(mons - ref_mons).max() <= 1e-12
 
 
 @pytest.mark.parametrize("b", [Fraction(17, 100), Fraction(1, 5), Fraction(11, 50)])
@@ -634,46 +587,21 @@ def test_monodromy_at_equilibria_is_expm(b):
         assert np.abs(monodromy(s, (x, 0.0)) - expm(a)).max() < 1e-9
 
 
-@pytest.mark.parametrize(
-    "n, kernel",
-    [
-        pytest.param(1, "float", id="1"),
-        pytest.param(3, "float", id="3"),
-        pytest.param(_MAX_SEEDS, "float", id="float"),
-        pytest.param(_MAX_SEEDS, "array", id="array"),
-    ],
-)
-def test_recorded_path_ends_at_the_plain_result(n, kernel):
-    # the float kernel's recorded path, which refine samples, starts at the
-    # point and ends where the unrecorded kernels do: bit for bit on floats,
-    # to rounding on the stacked one, which flows positions only
+@pytest.mark.parametrize("n", [pytest.param(1, id="1"), pytest.param(3, id="3"), *SEED_COUNT])
+def test_recorded_path_ends_at_the_plain_result(n):
+    # the recorded path, which refine samples, starts at the point and ends
+    # where the unrecorded kernel does, bit for bit
     s = TorusSystem()
     pts = np.random.RandomState(8).uniform(0, 1, (n, 2))
-    ends, mons = flow(kernel, s, pts, 64)
-    tol = 0.0 if kernel == "float" else 1e-12
+    ends, mons = flow(s, pts, 64)
     for k, (x, y) in enumerate(pts):
         state = (x, y, 1.0, 0.0, 0.0, 1.0)
         path = _rk4_point(s.bf, state, 64, True)
         assert path.shape == (65, 6)
         assert np.array_equal(path[0], state)
-        assert np.array_equal(path[-1:], _rk4_point(s.bf, state, 64, False))
-        assert np.abs(path[-1, :2] - ends[k]).max() <= tol
-        assert mons is None or np.abs(path[-1, 2:].reshape(2, 2) - mons[k]).max() <= tol
-
-
-def test_path_choice_changes_no_orbit(monkeypatch):
-    # the grid scan on floats, point by point, finds the orbits of the stacked scan
-    arrays = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
-    pointwise = lambda bf, state, steps: np.concatenate(
-        [_rk4_point(bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[:, :2] for x, y in state.T.tolist()]
-    ).T
-    monkeypatch.setattr(torus, "_rk4_batch", pointwise)
-    floats = find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
-    assert len(arrays) == len(floats) == 2
-    for a, f in zip(arrays, floats):
-        assert abs(a.x - f.x) <= 1e-12 and abs(a.y - f.y) <= 1e-12
-        assert np.abs(a.monodromy - f.monodromy).max() <= 1e-12
-        assert a.cz_index == f.cz_index
+        assert np.array_equal(path[-1], _rk4_point(s.bf, state, 64, False))
+        assert np.array_equal(path[-1, :2], ends[k])
+        assert np.array_equal(path[-1, 2:].reshape(2, 2), mons[k])
 
 
 def test_orbit_set_stable_under_denser_seed_grid(torus_report):
@@ -719,7 +647,7 @@ def _reference_newton_search(sys, seeds, steps, tol, max_iter=20, clamp=0.25):
     found = []
     for p in np.array(seeds, dtype=float):
         for _ in range(max_iter):
-            ends, mons = _integrate(sys, p, steps)
+            ends, mons = flow(sys, p, steps)
             f = ends[0] - p - np.array([0.0, 1.0])
             if np.abs(f).max() < tol:
                 found.append(p)
@@ -760,15 +688,13 @@ def test_seed_retirement_keeps_the_first_found_points(b):
 
 
 def test_newton_search_stops_early(monkeypatch):
-    batches = []
+    scanned = []
     calls = []
     scans = []
 
-    def batch(bf, state, steps):
-        batches.append(state.shape)
-        return _rk4_batch(bf, state, steps)
-
     def point(bf, state, steps, record):
+        if steps == _SCAN_STEPS and not record:
+            scanned.append(tuple(state[:2]))
         if steps == SEARCH_STEPS and not record:
             calls.append(tuple(state[:2]))
         return _rk4_point(bf, state, steps, record)
@@ -777,14 +703,13 @@ def test_newton_search_stops_early(monkeypatch):
         scans.append(_scan_candidates(sys, grid))
         return scans[-1]
 
-    monkeypatch.setattr(torus, "_rk4_batch", batch)
     monkeypatch.setattr(torus, "_rk4_point", point)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
     assert len(find_orbits(TorusSystem(Fraction(1, 5)))) == 2
-    # the grid scan of positions is the one stacked integration; every
+    # the grid scan integrates each grid point once at _SCAN_STEPS; every
     # unrecorded point integration at SEARCH_STEPS is a Newton step, and
     # Newton runs from the scan's seeds in turn, each within the iteration cap
-    assert batches == [(2, 48 * 24)]
+    assert len(scanned) == len(set(scanned)) == 48 * 24
     seeds = [tuple(p) for p in scans[0].tolist()]
     assert len(seeds) == _MAX_SEEDS
     starts = [i for i, p in enumerate(calls) if p in seeds]
@@ -801,21 +726,45 @@ def test_newton_search_records_no_point_whose_residual_is_nan(monkeypatch):
     # the flow closes in x and returns a nan y: a max over the two residual
     # components that drops the nan would take the seed as converged
     def closing_in_x(bf, state, steps, record):
-        return np.array([(state[0], math.nan, 2.0, 0.0, 0.0, 2.0)])
+        return (state[0], math.nan, 2.0, 0.0, 0.0, 2.0)
 
     monkeypatch.setattr(torus, "_rk4_point", closing_in_x)
     assert len(_newton_search(TorusSystem(), np.array([(0.3, 0.4)]), SEARCH_STEPS, NEWTON_TOL)) == 0
 
 
-def reference_scan_candidates(sys, grid, steps, cap):
+def test_newton_search_stops_a_seed_at_a_singular_jacobian(monkeypatch):
+    # a return map that misses by 0.1 in x with monodromy I gives det(M - I)
+    # = 0, so each seed stops after its first integration
+    calls = []
+
+    def identity_monodromy(bf, state, steps, record):
+        if steps != SEARCH_STEPS or record:
+            return _rk4_point(bf, state, steps, record)
+        calls.append(tuple(state[:2]))
+        return (state[0] + 0.1, state[1] + 1.0, 1.0, 0.0, 0.0, 1.0)
+
+    seeds = _scan_candidates(TorusSystem(), (48, 24))
+    monkeypatch.setattr(torus, "_rk4_point", identity_monodromy)
+    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 16 candidate seeds$"):
+        find_orbits(TorusSystem())
+    assert calls == [tuple(p) for p in seeds.tolist()]
+
+
+def reference_scan_candidates(sys, grid, steps, cap, stacked=False):
     """_scan_candidates flowing at ``steps`` and keeping at most ``cap``
     seeds, with its separation test pair by pair, one _torus_dist call per
-    chosen seed, as it was before one call per candidate."""
+    chosen seed, as it was before one call per candidate.  Each grid point
+    flows in reference_point, bit for bit the kernel's, or with ``stacked``
+    the whole grid in reference_integrate, which is within 1e-12 of it and
+    far faster at 128 steps."""
     nx, ny = grid
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     seeds = np.array([(x, y) for x in xs for y in ys])
-    ends, _ = flow("array", sys, seeds, steps)
+    if stacked:
+        ends, _ = reference_integrate(sys, seeds, steps)
+    else:
+        ends = np.array([reference_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[0, :2] for x, y in seeds.tolist()])
     res = np.abs(ends - seeds - np.array([0.0, 1.0])).max(axis=1)
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
@@ -857,14 +806,16 @@ CAP_AMPLITUDES = [Fraction(n, 10000) for n in (1601, 1620, 1650, 1700, 1800, 190
 @pytest.mark.parametrize("grid", [(40, 20), (48, 24), (64, 32)], ids="{0[0]}x{0[1]}".format)
 @pytest.mark.parametrize("b", CAP_AMPLITUDES, ids=str)
 def test_capped_search_finds_the_points_of_the_40_seed_search(b, grid):
-    # the coarse scan's seeds are the first _MAX_SEEDS of a 40-seed scan's at
-    # the search's own 128 steps, and Newton from them alone converges to the
-    # same distinct points, bit for bit
+    # the scan's seeds are the first _MAX_SEEDS of a 40-seed scan's at
+    # _SCAN_STEPS, and Newton from them alone converges to the same distinct
+    # points, bit for bit, as Newton from a 40-seed scan's at the search's
+    # own 128 steps, whose first _MAX_SEEDS seeds differ in most of these cases
     s = TorusSystem(b)
     seeds = _scan_candidates(s, grid)
-    wide = reference_scan_candidates(s, grid, 128, 40)
-    assert len(seeds) == _MAX_SEEDS < len(wide) <= 40
-    assert np.array_equal(seeds, wide[: len(seeds)])
+    longer = reference_scan_candidates(s, grid, _SCAN_STEPS, 40)
+    assert len(seeds) == _MAX_SEEDS < len(longer) <= 40
+    assert np.array_equal(seeds, longer[: len(seeds)])
+    wide = reference_scan_candidates(s, grid, 128, 40, stacked=True)
     got = _newton_search(s, seeds, 128, NEWTON_TOL)
     want = _distinct(_reference_newton_search(s, wide, 128, NEWTON_TOL))
     assert len(want) == 2
@@ -886,6 +837,15 @@ def test_coarse_grid_search_keeps_every_seed_that_leads_to_an_orbit(b, steps):
     # 12x6 seed that leads to one of these orbits; at 64 and 96 search steps
     # Newton from that seed misses the index-1 orbit at b = 2087/10000
     orbits = find_orbits(TorusSystem(b), grid=(12, 6), search_steps=steps, refine_steps=512)
+    assert sorted(o.cz_index for o in orbits) == [1, 2]
+
+
+@pytest.mark.parametrize("b", [Fraction(n, 10000) for n in (1826, 1841, 1851, 1865, 1876, 1889)], ids=str)
+def test_coarse_grid_search_finds_both_orbits_at_the_scan_step_count(b):
+    # on the 16x8 grid the scan's step count decides which seeds Newton gets:
+    # with _SCAN_STEPS at 4, 5, 7, 8 or 12 the search loses one of these
+    # amplitudes' orbits, at 6 it finds both
+    orbits = find_orbits(TorusSystem(b), grid=(16, 8), refine_steps=512)
     assert sorted(o.cz_index for o in orbits) == [1, 2]
 
 
