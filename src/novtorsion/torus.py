@@ -32,8 +32,6 @@ import math
 import numbers
 from fractions import Fraction
 
-import numpy as np
-
 from .complexes import BasedComplex, DegenerateEndpointError, OrbitSearchError, ProfileError, two_term_complex
 from .lattice import Lattice, _index, _rational, _ReadOnly
 from .series import DEFAULT_CUTOFF, NovikovElement
@@ -133,8 +131,8 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
     c, d) and component, a stage's state X, Y, n11 to n22.  The constants
     and cos/sin are bound to locals once per call: calling the field once
     per stage, with its seven arguments and returned 6-tuple, cost about a
-    quarter of the step.  Returns the (steps+1, 6) states when recording,
-    else the last state as a 6-tuple of floats.
+    quarter of the step.  Returns the list of the steps+1 states, ``state``
+    first, when recording, else the last state as a 6-tuple of floats.
     """
     cos, sin, two_pi, a1, a2 = math.cos, math.sin, TWO_PI, NU_A1, NU_A2
     lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
@@ -215,23 +213,14 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
         t += h
         if record:
             states.append((x, y, m11, m12, m21, m22))
-    return np.array(states) if record else (x, y, m11, m12, m21, m22)
+    return states if record else (x, y, m11, m12, m21, m22)
 
 
 class PeriodicOrbit(_ReadOnly):
-    __slots__ = _fields = ("x", "y", "monodromy", "cz_index", "det_gap", "variational_path", "richardson_gap")
-    __hash__ = None
+    """A point (x, y) in [0, 1)^2 with its monodromy ((a, b), (c, d)) and variational path, a tuple
+    of such float 2x2 tuples from the identity to the monodromy; its index and two gaps."""
 
-    def __eq__(self, other):
-        """Field by field, the two array fields by np.array_equal."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            if f in ("monodromy", "variational_path")
-            else getattr(self, f) == getattr(other, f)
-            for f in self._fields
-        )
+    __slots__ = _fields = ("x", "y", "monodromy", "cz_index", "det_gap", "variational_path", "richardson_gap")
 
 
 def _newton_search(sys, seeds, steps, tol):
@@ -240,15 +229,15 @@ def _newton_search(sys, seeds, steps, tol):
     in the order found.  A seed stops, before any step, once it lies within
     the dedupe radius of a point already found, so the points are distinct."""
     found = []
-    for x, y in np.asarray(seeds, dtype=float).tolist():
+    for x, y in seeds:
         for _ in range(_MAX_NEWTON_ITER):
-            if found and _torus_dist((x, y), found).min() < _DEDUPE_RADIUS:
+            if any(_torus_dist((x, y), q) < _DEDUPE_RADIUS for q in found):
                 break
             ex, ey, m11, m12, m21, m22 = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)
             fx, fy = ex - x, ey - y - 1.0
             # each component on its own: Python's max can drop a nan
             if abs(fx) < tol and abs(fy) < tol:
-                found.append(np.mod((x, y), 1.0))
+                found.append((x % 1.0, y % 1.0))
                 break
             a, b, c, d = m11 - 1.0, m12, m21, m22 - 1.0
             det = a * d - b * c
@@ -269,28 +258,25 @@ def _scan_candidates(sys, grid):
 
     Each grid point flows on floats in _rk4_point at _SCAN_STEPS; at most
     _MAX_SEEDS points with residual at most 1/2 are kept, each farther than
-    one grid spacing from those before it.  Returns the seeds as an array
-    of shape (k, 2).
+    one grid spacing from those before it.  Returns the seeds as a list of
+    (x, y) tuples.
     """
     nx, ny = grid
-    xs = (np.arange(nx) + 0.5) / nx
-    ys = (np.arange(ny) + 0.5) / ny
-    seeds = np.array([(x, y) for x in xs for y in ys])
-    ends = np.array([_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), _SCAN_STEPS, False)[:2] for x, y in seeds.tolist()])
-    f = ends - seeds - np.array([0.0, 1.0])
-    res = np.abs(f).max(axis=1)
+    seeds = [((i + 0.5) / nx, (j + 0.5) / ny) for i in range(nx) for j in range(ny)]
+    ends = [_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), _SCAN_STEPS, False)[:2] for x, y in seeds]
+    res = [max(abs(ex - x), abs(ey - y - 1.0)) for (x, y), (ex, ey) in zip(seeds, ends)]
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
-    for i in np.argsort(res):
+    for i in sorted(range(len(seeds)), key=res.__getitem__):
         if res[i] > 0.5 or len(chosen) >= _MAX_SEEDS:
             break
-        if (_torus_dist(seeds[i], seeds[chosen]) > separation).all():
-            chosen.append(i)
-    return seeds[np.array(chosen, dtype=int)]
+        if all(_torus_dist(seeds[i], p) > separation for p in chosen):
+            chosen.append(seeds[i])
+    return chosen
 
 
 def _wrap01(v: float) -> float:
-    w = float(np.mod(v, 1.0))
+    w = v % 1.0
     if w > 1.0 - 1e-9:
         w = 0.0
     return w
@@ -343,9 +329,9 @@ def find_orbits(
 
 
 def _torus_dist(p, q):
-    """Max-norm distance of points mod 1, broadcast over leading axes."""
-    d = np.abs(np.asarray(p) - np.asarray(q)) % 1.0
-    return np.minimum(d, 1.0 - d).max(axis=-1)
+    """Max-norm distance of two points mod 1."""
+    dx, dy = abs(p[0] - q[0]) % 1.0, abs(p[1] - q[1]) % 1.0
+    return max(min(dx, 1.0 - dx), min(dy, 1.0 - dy))
 
 
 def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
@@ -355,27 +341,29 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
     follows exactly at any step count, so a point that met ``tol`` in the
     search meets it here; a miss raises OrbitSearchError.
     """
-    p = np.array(point, dtype=float)
-    path = _rk4_point(sys.bf, (*p.tolist(), 1.0, 0.0, 0.0, 1.0), steps, True)
-    var = path[:, 2:].reshape(steps + 1, 2, 2)
-    miss = float(np.abs(path[-1, :2] - p - np.array([0.0, 1.0])).max())
+    x, y = point
+    path = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, True)
+    var = tuple(((m11, m12), (m21, m22)) for _, _, m11, m12, m21, m22 in path)
+    ex, ey = path[-1][:2]
+    miss = max(abs(ex - x), abs(ey - y - 1.0))
     if not miss < tol:
         raise OrbitSearchError(
-            "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (p[0], miss, steps, tol)
+            "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (x, miss, steps, tol)
         )
-    end = var[-1]
-    richardson = float(np.abs(monodromy(sys, p, 2 * steps) - end).max())
+    end = (a, b), (c, d) = var[-1]
+    (a2, b2), (c2, d2) = monodromy(sys, (x, y), 2 * steps)
+    richardson = max(abs(a2 - a), abs(b2 - b), abs(c2 - c), abs(d2 - d))
     if richardson > 1e-6:
         raise OrbitSearchError(
             "integrator is not converged: step-halving changes the monodromy by %g" % richardson
         )
-    gap = float(abs(np.linalg.det(np.eye(2) - end)))
+    gap = abs((1.0 - a) * (1.0 - d) - b * c)
     if gap <= NONDEGENERACY_TOL:
-        raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (p[0], gap))
+        raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (x, gap))
     index = conley_zehnder(var)
     return PeriodicOrbit(
-        x=_wrap01(p[0]),
-        y=_wrap01(p[1]),
+        x=_wrap01(x),
+        y=_wrap01(y),
         monodromy=end,
         cz_index=index,
         det_gap=gap,
@@ -385,22 +373,24 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
 
 
 def monodromy(sys: TorusSystem, base: tuple[float, float], steps: int = REFINE_STEPS):
-    """Linearized time-1 return map along the trajectory through base."""
-    if np.shape(base) != (2,) or not np.isfinite(base).all():
+    """Linearized time-1 return map along the trajectory through base, as
+    the float tuple ((a, b), (c, d))."""
+    if not (hasattr(base, "__len__") and len(base) == 2
+            and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in base)):
         raise ValueError("base must be two finite coordinates, got %r" % (base,))
     steps = _index(steps, "steps", least=1)
-    x, y = np.asarray(base, dtype=float).tolist()
-    return np.array(_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[2:]).reshape(2, 2)
+    _, _, m11, m12, m21, m22 = _rk4_point(sys.bf, (float(base[0]), float(base[1]), 1.0, 0.0, 0.0, 1.0), steps, False)
+    return (m11, m12), (m21, m22)
 
 
 def _winding(path, v):
-    u = path @ np.asarray(v, dtype=float)
-    angles = np.arctan2(u[:, 1], u[:, 0])
-    inc = np.diff(angles)
-    inc = (inc + math.pi) % (2 * math.pi) - math.pi
-    if np.abs(inc).max() > 1.2:
+    """Angle swept by the image of v along the path, summed sample to sample."""
+    v1, v2 = v
+    angles = [math.atan2(c * v1 + d * v2, a * v1 + b * v2) for (a, b), (c, d) in path]
+    inc = [(t - s + math.pi) % TWO_PI - math.pi for s, t in zip(angles, angles[1:])]
+    if max(map(abs, inc)) > 1.2:
         raise ValueError("symplectic path sampled too coarsely to track the rotation")
-    return float(inc.sum())
+    return sum(inc)
 
 
 def conley_zehnder(path) -> int:
@@ -411,21 +401,27 @@ def conley_zehnder(path) -> int:
     an elliptic endpoint, an eigenvector for a hyperbolic one).  Normalized
     so that for exp(t*A) with A = [[0, -p], [-q, 0]] and |p|, |q| < 2 pi it
     agrees with the number of negative eigenvalues of diag(q, -p); a
-    prepended full counterclockwise rotation adds 2.
+    prepended full counterclockwise rotation adds 2.  ``path`` is any (n, 2, 2)
+    sequence of matrices ((a, b), (c, d)): nested tuples or lists, or an ndarray.
     """
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 3 or path.shape[1:] != (2, 2):
+    try:
+        path = [((float(a), float(b)), (float(c), float(d))) for (a, b), (c, d) in path]
+    except (TypeError, ValueError):
+        path = []
+    if not path:
         raise ValueError("path must be a sequence of 2x2 matrices")
-    if not np.isfinite(path).all():
+    if not all(math.isfinite(v) for m in path for row in m for v in row):
         raise ValueError("path must have finite entries")
-    if np.abs(path[0] - np.eye(2)).max() > 1e-8:
+    (a, b), (c, d) = path[0]
+    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) > 1e-8:
         raise ValueError("path must start at the identity")
-    end = path[-1]
-    if abs(np.linalg.det(end) - 1.0) > 1e-6:
-        raise ValueError("endpoint is not symplectic: det = %g" % np.linalg.det(end))
-    if abs(np.linalg.det(end - np.eye(2))) < _DEGENERACY_TOL:
+    (a, b), (c, d) = path[-1]
+    det = a * d - b * c
+    if abs(det - 1.0) > 1e-6:
+        raise ValueError("endpoint is not symplectic: det = %g" % det)
+    if abs((a - 1.0) * (d - 1.0) - b * c) < _DEGENERACY_TOL:
         raise DegenerateEndpointError("endpoint has eigenvalue 1 within tolerance")
-    trace = end[0, 0] + end[1, 1]
+    trace = a + d
     if abs(trace) < 2.0:
         delta = _winding(path, (1.0, 0.0))
         frac = (delta / math.pi) % 1.0
@@ -433,11 +429,11 @@ def conley_zehnder(path) -> int:
             raise DegenerateEndpointError("elliptic rotation lands on a grading boundary")
         base = 2 * math.floor(delta / (2 * math.pi)) + 1
     else:
-        eigvals, eigvecs = np.linalg.eig(end)
-        k = int(np.argmax(np.abs(np.real(eigvals))))
-        v = np.real(eigvecs[:, k])
-        v = v / np.linalg.norm(v)
-        delta = _winding(path, v)
+        # an eigenvector of the eigenvalue of larger modulus, from whichever
+        # row of M - lam I gives the longer one; M = -I has every vector
+        lam = (trace + math.copysign(math.sqrt(max(trace * trace - 4.0 * det, 0.0)), trace)) / 2.0
+        v = max((b, lam - a), (lam - d, c), key=lambda u: abs(u[0]) + abs(u[1]))
+        delta = _winding(path, v if v != (0.0, 0.0) else (1.0, 0.0))
         ratio = delta / math.pi
         base = round(ratio)
         if abs(ratio - base) > 0.25:

@@ -1,4 +1,4 @@
-"""Shared builders for randomized algebra tests.
+"""Shared builders for randomized algebra tests, and the torus report check.
 
 Random acyclic complexes are built as direct sums of two-term models with
 unit differential entries and then rewritten in scrambled bases via words
@@ -336,3 +336,19 @@ def assert_live_record(mat):
     assert len(mat.live) == len(mat)
     assert all(list(cols) == sorted(set(cols)) for cols in mat.live)
     assert {(i, j) for i, cols in enumerate(mat.live) for j in cols} == not_exact_zero(dense(mat))
+
+
+def assert_torus_report(out, golden):
+    """torus-example stdout against golden text, line by line; the
+    step-halving gaps are round-off, so they are only bounded.  It needs
+    neither pytest nor numpy, so CI runs it on the oldest Python too."""
+    want = golden.splitlines()
+    got = out.splitlines()
+    assert len(got) == len(want)
+    for line, expected in zip(got, want):
+        key, _, value = line.partition(":")
+        if key.endswith(" step-halving-gap"):
+            assert key == expected.partition(":")[0]
+            assert float(value) < 1e-6
+        else:
+            assert line == expected

@@ -24,6 +24,8 @@ from novtorsion.linalg import select_column_pivots
 from novtorsion.series import LeadingTerm, NovikovElement
 from novtorsion.torsion import BasisChangeClass, whitehead_normalize
 
+from support import assert_torus_report
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -370,21 +372,6 @@ def test_torus_example_report(capsys):
     assert "o1: (1 - 1*g(1))*o2" in out
 
 
-def assert_torus_report(out, golden):
-    """torus-example stdout against golden text, line by line; the
-    step-halving gaps are round-off, so they are only bounded."""
-    want = golden.splitlines()
-    got = out.splitlines()
-    assert len(got) == len(want)
-    for line, expected in zip(got, want):
-        key, _, value = line.partition(":")
-        if key.endswith(" step-halving-gap"):
-            assert key == expected.partition(":")[0]
-            assert float(value) < 1e-6
-        else:
-            assert line == expected
-
-
 def test_torus_example_matches_golden(capsys):
     """Full torus-example stdout at the default b = 1/5 against torus_golden.txt."""
     code, out = run(capsys, "torus-example")
@@ -406,7 +393,8 @@ def test_torus_example_matches_golden_at_benchmark_amplitudes(capsys, b):
 
 
 # The tests below run a fresh interpreter: tests/conftest.py imports numpy,
-# so in this process the torus module and numpy are always loaded already.
+# and other tests import the torus module, so in this process both are
+# loaded already.
 
 TORUS_NAMES = (
     "TorusSystem",
@@ -456,10 +444,25 @@ def test_import_loads_no_numpy_torus_dataclasses_or_inspect(module):
 
 
 def test_torus_import_loads_no_dataclasses():
-    # numpy itself loads inspect and typing, so only dataclasses is checked here
-    probe = "import sys, novtorsion.torus; assert 'dataclasses' not in sys.modules"
+    probe = "import sys, novtorsion.torus; loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); assert not loaded, loaded"
     proc = fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import novtorsion.torus
+from novtorsion import cli
+sys.exit(cli.main(["torus-example"]))
+"""
+
+
+def test_torus_example_runs_without_numpy():
+    proc = fresh_python("-c", NO_NUMPY)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    with open(fixture("torus_golden.txt"), encoding="utf-8") as fh:
+        assert_torus_report(proc.stdout, fh.read())
 
 
 READ_ONLY_FIELDS = {

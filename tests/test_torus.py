@@ -213,7 +213,7 @@ def test_monodromy_type_matches_sign(torus_report):
     s = torus_report.system
     for o in torus_report.orbits:
         elliptic = d2lam(s, o.x) * lam(s, o.x) < 0
-        tr = o.monodromy[0, 0] + o.monodromy[1, 1]
+        tr = o.monodromy[0][0] + o.monodromy[1][1]
         assert (abs(tr) < 2) == elliptic
 
 
@@ -283,6 +283,50 @@ def test_conley_zehnder_checks_its_path():
     coarse = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in (0.0, 1.5 * math.pi, 3 * math.pi)])
     with pytest.raises(ValueError, match="^symplectic path sampled too coarsely to track the rotation$"):
         conley_zehnder(coarse)
+
+
+def _rotation(t):
+    return [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+
+
+def _then(path, tail):
+    """``path`` followed by its endpoint times each sample of ``tail``, a path from the identity."""
+    end = np.array(path[-1])
+    return [*path, *((end @ np.array(m)).tolist() for m in tail[1:])]
+
+
+_TS = [k / 64 for k in range(65)]
+_HALF_TURN = [_rotation(math.pi * t) for t in _TS]
+_STRETCH = [[[math.exp(0.7 * t), 0.0], [0.0, math.exp(-0.7 * t)]] for t in _TS]
+
+
+@pytest.mark.parametrize(
+    "path,want",
+    [
+        pytest.param(_HALF_TURN, 2, id="half-turn-to-minus-identity"),
+        pytest.param([_rotation(3 * math.pi * k / 192) for k in range(193)], 4, id="three-half-turns"),
+        pytest.param(_then(_HALF_TURN, [[[1.0, 0.5 * t], [0.0, 1.0]] for t in _TS]), 2, id="half-turn-then-shear"),
+        pytest.param(_then(_HALF_TURN, [[[1.0, 0.0], [0.7 * t, 1.0]] for t in _TS]), 2, id="half-turn-then-lower-shear"),
+        pytest.param(_then(_HALF_TURN, _STRETCH), 2, id="half-turn-then-stretch"),
+        pytest.param(_then([_rotation(2 * math.pi * k / 128) for k in range(129)], _STRETCH), 3, id="full-turn-then-stretch"),
+    ],
+)
+def test_conley_zehnder_reads_arrays_lists_and_tuples(path, want):
+    # the endpoints -I, -[[1, s], [0, 1]] and +-diag(e^r, e^-r) take the
+    # eigenvector branch; each index is numpy's eigenvector's, and a path
+    # gives it as an ndarray, as nested lists and as nested tuples
+    for form in (np.array(path), path, tuple(tuple(tuple(row) for row in m) for m in path)):
+        assert conley_zehnder(form) == want
+
+
+@pytest.mark.parametrize(
+    "path",
+    [[], [[1.0, 0.0], [0.0, 1.0]], [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], [[[1.0, 0.0]]], "path", None, np.zeros((3, 2, 2, 1))],
+    ids=["empty", "one-matrix", "2x3", "1x2", "str", "none", "4d-array"],
+)
+def test_conley_zehnder_refuses_what_is_not_a_path_of_2x2_matrices(path):
+    with pytest.raises(ValueError, match="^path must be a sequence of 2x2 matrices$"):
+        conley_zehnder(path)
 
 
 def test_count_connecting(torus_report):
@@ -476,7 +520,7 @@ def test_flow_preserves_area_and_energy_bounded(n):
     assert np.isfinite(h).all() and np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
     ts = np.linspace(0.0, 1.0, 513)
     for x, y in pts:
-        traj = _rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), 512, True)
+        traj = np.array(_rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), 512, True))
         h = hamiltonian(s, traj[:, 0], traj[:, 1], ts)
         assert np.isfinite(h).all()
         assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
@@ -596,7 +640,7 @@ def test_recorded_path_ends_at_the_plain_result(n):
     ends, mons = flow(s, pts, 64)
     for k, (x, y) in enumerate(pts):
         state = (x, y, 1.0, 0.0, 0.0, 1.0)
-        path = _rk4_point(s.bf, state, 64, True)
+        path = np.array(_rk4_point(s.bf, state, 64, True))
         assert path.shape == (65, 6)
         assert np.array_equal(path[0], state)
         assert np.array_equal(path[-1], _rk4_point(s.bf, state, 64, False))
@@ -710,7 +754,7 @@ def test_newton_search_stops_early(monkeypatch):
     # unrecorded point integration at SEARCH_STEPS is a Newton step, and
     # Newton runs from the scan's seeds in turn, each within the iteration cap
     assert len(scanned) == len(set(scanned)) == 48 * 24
-    seeds = [tuple(p) for p in scans[0].tolist()]
+    seeds = scans[0]
     assert len(seeds) == _MAX_SEEDS
     starts = [i for i, p in enumerate(calls) if p in seeds]
     assert starts[0] == 0
@@ -747,7 +791,7 @@ def test_newton_search_stops_a_seed_at_a_singular_jacobian(monkeypatch):
     monkeypatch.setattr(torus, "_rk4_point", identity_monodromy)
     with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 16 candidate seeds$"):
         find_orbits(TorusSystem())
-    assert calls == [tuple(p) for p in seeds.tolist()]
+    assert calls == seeds
 
 
 def reference_scan_candidates(sys, grid, steps, cap, stacked=False):
@@ -783,7 +827,7 @@ def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(monkeypatch, grid,
     # them to Newton whatever its search_steps (the 1x1 grid keeps none)
     s = TorusSystem()
     want = reference_scan_candidates(s, grid, _SCAN_STEPS, _MAX_SEEDS)
-    assert np.array_equal(_scan_candidates(s, grid), want)
+    assert _scan_candidates(s, grid) == [tuple(p) for p in want.tolist()]
     handed = []
 
     def newton(sys, seeds, search_steps, tol):
