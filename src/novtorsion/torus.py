@@ -57,6 +57,9 @@ SEARCH_STEPS = 128
 REFINE_STEPS = 2048
 #: |det(M - I)| below which a path endpoint counts as having eigenvalue 1.
 _DEGENERACY_TOL = 1e-9
+#: About this many strides of the recorded path go into the index (129
+#: samples at REFINE_STEPS); the path itself keeps every sample.
+_INDEX_SAMPLES = 128
 
 #: Newton iterations per search and the max-norm clamp on each step.
 _MAX_NEWTON_ITER = 20
@@ -218,7 +221,9 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
 
 class PeriodicOrbit(_ReadOnly):
     """A point (x, y) in [0, 1)^2 with its monodromy ((a, b), (c, d)) and variational path, a tuple
-    of such float 2x2 tuples from the identity to the monodromy; its index and two gaps."""
+    of such float 2x2 tuples from the identity to the monodromy, every sample of refine's path;
+    its index, read from a strided sample of that path; and two gaps: det_gap = |det(I - M)| and
+    richardson_gap, the step-halving gap max |M_N - M_{N/2}| at N = refine_steps."""
 
     __slots__ = _fields = ("x", "y", "monodromy", "cz_index", "det_gap", "variational_path", "richardson_gap")
 
@@ -303,9 +308,12 @@ def find_orbits(
     and grid cases, where 64 and 96 missed one.  Newton runs from each seed
     in turn, for at most 20 steps, and a seed stops once it lies within the
     dedupe radius (1e-5, in the wrap-around metric) of a point already
-    found, so the converged points are distinct.  They are re-integrated at ``refine_steps`` to check that
-    they still close within ``tol``, and returned with monodromy, a
-    step-halving consistency gap, non-degeneracy gap and index, sorted by x.
+    found, so the converged points are distinct.  They are re-integrated
+    at ``refine_steps`` (N, at least 2) to check that they still close
+    within ``tol``, and returned sorted by x with the monodromy M_N, the
+    step-halving gap max |M_N - M_{N/2}| against an integration at
+    ``refine_steps // 2``, the non-degeneracy gap, and the index read from
+    a strided sample of the recorded path that keeps its last sample.
     Exhaustiveness is guaranteed only up to the scan resolution: an orbit
     that no scanned seed leads to is missed.
     """
@@ -313,7 +321,7 @@ def find_orbits(
         raise ValueError("grid %r needs two int counts" % (grid,))
     grid = tuple(_index(n, "grid count", least=1) for n in grid)
     search_steps = _index(search_steps, "search_steps", least=1)
-    refine_steps = _index(refine_steps, "refine_steps", least=1)
+    refine_steps = _index(refine_steps, "refine_steps", least=2)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     sys.check()
@@ -339,7 +347,12 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
 
     The co-moving field at an orbit is the constant (0, 1), which RK4
     follows exactly at any step count, so a point that met ``tol`` in the
-    search meets it here; a miss raises OrbitSearchError.
+    search meets it here; a miss raises OrbitSearchError.  The recorded
+    monodromy M_N (N = ``steps``) is checked against M_{N/2}, integrated at
+    ``steps // 2``: RK4's error is O(h^4), so max |M_N - M_{N/2}| is about
+    15 times the error of M_N, and above 1e-6 it raises.  The index reads
+    every (steps // _INDEX_SAMPLES)-th sample of the recorded path and its
+    last one; _winding refuses a stride too coarse to track the rotation.
     """
     x, y = point
     path = _rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, True)
@@ -351,7 +364,7 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
             "orbit at x=%.6f misses its return by %g at %d steps, tolerance %g" % (x, miss, steps, tol)
         )
     end = (a, b), (c, d) = var[-1]
-    (a2, b2), (c2, d2) = monodromy(sys, (x, y), 2 * steps)
+    (a2, b2), (c2, d2) = monodromy(sys, (x, y), steps // 2)
     richardson = max(abs(a2 - a), abs(b2 - b), abs(c2 - c), abs(d2 - d))
     if richardson > 1e-6:
         raise OrbitSearchError(
@@ -360,7 +373,8 @@ def _refine_orbit(sys, point, steps, tol) -> PeriodicOrbit:
     gap = abs((1.0 - a) * (1.0 - d) - b * c)
     if gap <= NONDEGENERACY_TOL:
         raise OrbitSearchError("orbit at x=%.6f is degenerate: |det(I-M)| = %g" % (x, gap))
-    index = conley_zehnder(var)
+    stride = max(1, steps // _INDEX_SAMPLES)
+    index = conley_zehnder(var[:-1:stride] + var[-1:])
     return PeriodicOrbit(
         x=_wrap01(x),
         y=_wrap01(y),

@@ -384,8 +384,9 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
         pytest.param(lambda s: find_orbits(s, search_steps=0), "search_steps must be an int of at least 1, not 0", id="search-0"),
         pytest.param(lambda s: find_orbits(s, search_steps=True), "search_steps must be an int of at least 1, not True", id="search-bool"),
         pytest.param(lambda s: find_orbits(s, search_steps=np.True_), "search_steps must be an int of at least 1, not %s" % re.escape(repr(np.True_)), id="search-numpy-bool"),
-        pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 1, not 0", id="refine-0"),
-        pytest.param(lambda s: find_orbits(s, refine_steps=512.0), r"refine_steps must be an int of at least 1, not 512\.0", id="refine-float"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=0), "refine_steps must be an int of at least 2, not 0", id="refine-0"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=1), "refine_steps must be an int of at least 2, not 1", id="refine-1"),
+        pytest.param(lambda s: find_orbits(s, refine_steps=512.0), r"refine_steps must be an int of at least 2, not 512\.0", id="refine-float"),
         pytest.param(lambda s: find_orbits(s, tol=math.nan), "tol must be finite and positive, got nan", id="tol-nan"),
         pytest.param(lambda s: find_orbits(s, tol=-1.0), r"tol must be finite and positive, got -1\.0", id="tol-negative"),
         pytest.param(lambda s: find_orbits(s, tol=0.0), r"tol must be finite and positive, got 0\.0", id="tol-zero"),
@@ -436,9 +437,36 @@ def test_periodic_orbit_compares_only_with_orbits(torus_report):
 
 def test_refine_refuses_an_unconverged_integrator():
     # at 16 steps the orbits still close (RK4 follows the constant co-moving
-    # field exactly), but 32 steps move the monodromy by about 1e-5
-    with pytest.raises(OrbitSearchError, match=r"^integrator is not converged: step-halving changes the monodromy by 9\.5\d*e-06$"):
+    # field exactly), but the monodromy at 8 steps differs by about 1e-4
+    with pytest.raises(OrbitSearchError, match=r"^integrator is not converged: step-halving changes the monodromy by 0\.00012451$"):
         find_orbits(TorusSystem(), search_steps=128, refine_steps=16)
+
+
+@pytest.mark.parametrize("steps", [1000, 96])
+@pytest.mark.parametrize("b", AMPLITUDES)
+def test_the_strided_index_is_the_index_of_the_whole_path(monkeypatch, b, steps):
+    # the index reads every (steps // 128)-th sample and the last one; at
+    # 1000 steps the stride 7 does not divide the count, at 96 it is 1.  At
+    # 96 steps b = 11/50 is refused: its monodromy at 48 steps differs by
+    # about 1.06e-6, above the 1e-6 gate
+    if (b, steps) == (Fraction(11, 50), 96):
+        with pytest.raises(OrbitSearchError, match=r"^integrator is not converged: step-halving changes the monodromy by 1\.05756e-06$"):
+            find_orbits(TorusSystem(b), refine_steps=steps)
+        return
+    read = []
+    monkeypatch.setattr(torus, "conley_zehnder", lambda path: read.append(path) or conley_zehnder(path))
+    orbits = find_orbits(TorusSystem(b), refine_steps=steps)
+    assert len(orbits) == len(read) == 2
+    stride = max(1, steps // 128)
+    for o, sampled in zip(orbits, read):
+        path = o.variational_path
+        assert len(path) == steps + 1 and o.monodromy == path[-1]
+        # the samples are the path's own, in order, ending at its last
+        at = {id(m): i for i, m in enumerate(path)}
+        where = [at[id(m)] for m in sampled]
+        assert where[0] == 0 and where[-1] == steps
+        assert all(0 < j - i <= stride for i, j in zip(where, where[1:]))
+        assert o.cz_index == conley_zehnder(path)
 
 
 def test_find_orbits_refuses_a_search_that_converges_nowhere(monkeypatch):
