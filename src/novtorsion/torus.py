@@ -308,14 +308,16 @@ def find_orbits(
     and grid cases, where 64 and 96 missed one.  Newton runs from each seed
     in turn, for at most 20 steps, and a seed stops once it lies within the
     dedupe radius (1e-5, in the wrap-around metric) of a point already
-    found, so the converged points are distinct.  They are re-integrated
-    at ``refine_steps`` (N, at least 2) to check that they still close
-    within ``tol``, and returned sorted by x with the monodromy M_N, the
-    step-halving gap max |M_N - M_{N/2}| against an integration at
-    ``refine_steps // 2``, the non-degeneracy gap, and the index read from
-    a strided sample of the recorded path that keeps its last sample.
-    Exhaustiveness is guaranteed only up to the scan resolution: an orbit
-    that no scanned seed leads to is missed.
+    found, so the converged points are distinct.  If their number is not
+    the closed form's count of equilibria (reduced_equilibria, which
+    ``sys.check()`` returns), as when a coarse grid leads Newton to too few
+    or a loose ``tol`` accepts non-orbits, it raises OrbitSearchError.
+    Otherwise refine re-integrates each at ``refine_steps`` (N, at least 2)
+    to check that it still closes within ``tol``; the result is one orbit
+    per equilibrium, sorted by x, with the monodromy M_N, the step-halving
+    gap max |M_N - M_{N/2}| against an integration at ``refine_steps // 2``,
+    the non-degeneracy gap, and the index read from a strided sample of the
+    recorded path that keeps its last sample.
     """
     if not (hasattr(grid, "__len__") and len(grid) == 2):
         raise ValueError("grid %r needs two int counts" % (grid,))
@@ -324,14 +326,14 @@ def find_orbits(
     refine_steps = _index(refine_steps, "refine_steps", least=2)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
-    sys.check()
+    expected = len(sys.check())
     seeds = _scan_candidates(sys, grid)
-    if not len(seeds):
-        raise OrbitSearchError("no seed on the %dx%d grid is near a winding-1 fixed point" % grid)
     found = _newton_search(sys, seeds, search_steps, tol)
-    if not found:
+    if len(found) != expected:
         raise OrbitSearchError(
-            "Newton iteration converged from none of %d candidate seeds" % len(seeds)
+            "the search on the %dx%d grid at tol %g converged to %d distinct point%s from %d seed%s;"
+            " the closed form has %d orbits"
+            % (*grid, tol, len(found), "" if len(found) == 1 else "s", len(seeds), "" if len(seeds) == 1 else "s", expected)
         )
     return [_refine_orbit(sys, p, refine_steps, tol) for p in sorted(found, key=lambda u: u[0])]
 
@@ -556,11 +558,6 @@ def run_example(
     sys = TorusSystem(b)
     orbits = find_orbits(sys, tol, grid, search_steps, refine_steps)
     counts = count_connecting(sys)
-    expected = len(reduced_equilibria(sys))  # one orbit per equilibrium
-    if len(orbits) < expected:
-        raise OrbitSearchError(
-            "the search on the %dx%d grid found %d of the %d orbits" % (*grid, len(orbits), expected)
-        )
     complexes = {}
     torsions = {}
     for convention in ("plus", "minus"):

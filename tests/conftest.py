@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 
@@ -8,8 +7,3 @@ def torus_report():
     from novtorsion.torus import run_example
 
     return run_example()
-
-
-@pytest.fixture(autouse=True)
-def _seed_numpy():
-    np.random.seed(0)

@@ -187,10 +187,13 @@ def test_4300_digit_degree_with_a_differential_into_degree_0_is_a_parse_error(ca
 
 
 def test_torus_example_grid_without_candidates_is_validate(capsys):
+    # the 1x1 grid keeps no seed, so Newton converges to no point
     code, out = run(capsys, "torus-example", "--grid", "1x1")
     assert code == EXIT_VALIDATE
     assert report_value(out, "category") == "validate"
-    assert report_value(out, "message") == "no seed on the 1x1 grid is near a winding-1 fixed point"
+    assert report_value(out, "message") == (
+        "the search on the 1x1 grid at tol 1e-10 converged to 0 distinct points from 0 seeds; the closed form has 2 orbits"
+    )
 
 
 def test_torus_example_coarse_grid_short_of_the_orbits_is_validate(capsys):
@@ -198,7 +201,19 @@ def test_torus_example_coarse_grid_short_of_the_orbits_is_validate(capsys):
     code, out = run(capsys, "torus-example", "--grid", "16x8")
     assert code == EXIT_VALIDATE
     assert report_value(out, "category") == "validate"
-    assert report_value(out, "message") == "the search on the 16x8 grid found 1 of the 2 orbits"
+    assert report_value(out, "message") == (
+        "the search on the 16x8 grid at tol 1e-10 converged to 1 distinct point from 4 seeds; the closed form has 2 orbits"
+    )
+
+
+def test_torus_example_loose_tolerance_is_validate(capsys):
+    # at tol 0.5 every seed passes as converged before any Newton step
+    code, out = run(capsys, "torus-example", "--tol", "0.5")
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "category") == "validate"
+    assert report_value(out, "message") == (
+        "the search on the 48x24 grid at tol 0.5 converged to 16 distinct points from 16 seeds; the closed form has 2 orbits"
+    )
 
 
 def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
@@ -392,9 +407,8 @@ def test_torus_example_matches_golden_at_benchmark_amplitudes(capsys, b):
     assert_torus_report(out, TORUS_GOLDEN[b])
 
 
-# The tests below run a fresh interpreter: tests/conftest.py imports numpy,
-# and other tests import the torus module, so in this process both are
-# loaded already.
+# The tests below run a fresh interpreter: other test modules import numpy
+# and the torus module, so in this process both are loaded already.
 
 TORUS_NAMES = (
     "TorusSystem",
@@ -584,7 +598,8 @@ def test_record_fields_must_each_be_given_once():
         (
             ["torus-example", "--grid", "1x1"],
             "status: error\ncategory: validate\n"
-            "message: no seed on the 1x1 grid is near a winding-1 fixed point\n",
+            "message: the search on the 1x1 grid at tol 1e-10 converged to 0 distinct points from 0 seeds;"
+            " the closed form has 2 orbits\n",
         ),
     ],
     ids=["amplitude", "selfmap", "grid"],

@@ -469,11 +469,30 @@ def test_the_strided_index_is_the_index_of_the_whole_path(monkeypatch, b, steps)
         assert o.cz_index == conley_zehnder(path)
 
 
+#: The verdict of a search whose count of distinct points is not the closed form's.
+VERDICT = "^the search on the %dx%d grid at tol %g converged to %d distinct points? from %d seeds?; the closed form has 2 orbits$"
+
+
 def test_find_orbits_refuses_a_search_that_converges_nowhere(monkeypatch):
     # one Newton step from the scan's seeds meets no tolerance
     monkeypatch.setattr(torus, "_MAX_NEWTON_ITER", 1)
-    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 16 candidate seeds$"):
+    with pytest.raises(OrbitSearchError, match=VERDICT % (48, 24, NEWTON_TOL, 0, 16)):
         find_orbits(TorusSystem(), search_steps=128, refine_steps=512)
+
+
+@pytest.mark.parametrize(
+    "grid, tol, points, seeds",
+    [
+        # the scan leads Newton to the index-2 orbit only
+        pytest.param((16, 8), NEWTON_TOL, 1, 4, id="coarse-grid"),
+        # every seed passes as converged before any Newton step
+        pytest.param((48, 24), 0.5, 16, 16, id="loose-tol"),
+    ],
+)
+def test_find_orbits_refuses_a_count_other_than_the_closed_forms_before_refine(monkeypatch, grid, tol, points, seeds):
+    monkeypatch.setattr(torus, "_refine_orbit", lambda *args: pytest.fail("refined"))
+    with pytest.raises(OrbitSearchError, match=VERDICT % (*grid, tol, points, seeds)):
+        find_orbits(TorusSystem(Fraction(1, 5)), tol, grid)
 
 
 def test_refine_refuses_a_degenerate_orbit(monkeypatch):
@@ -817,7 +836,7 @@ def test_newton_search_stops_a_seed_at_a_singular_jacobian(monkeypatch):
 
     seeds = _scan_candidates(TorusSystem(), (48, 24))
     monkeypatch.setattr(torus, "_rk4_point", identity_monodromy)
-    with pytest.raises(OrbitSearchError, match="^Newton iteration converged from none of 16 candidate seeds$"):
+    with pytest.raises(OrbitSearchError, match=VERDICT % (48, 24, NEWTON_TOL, 0, 16)):
         find_orbits(TorusSystem())
     assert calls == seeds
 
@@ -852,7 +871,8 @@ def reference_scan_candidates(sys, grid, steps, cap, stacked=False):
 @pytest.mark.parametrize("grid", [(48, 24), (64, 32), (7, 5), (1, 1)], ids="{0[0]}x{0[1]}".format)
 def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(monkeypatch, grid, steps):
     # the seeds are the pairwise test's at _SCAN_STEPS, and find_orbits hands
-    # them to Newton whatever its search_steps (the 1x1 grid keeps none)
+    # them to Newton whatever its search_steps (the 1x1 grid keeps none, and
+    # Newton gets the empty list)
     s = TorusSystem()
     want = reference_scan_candidates(s, grid, _SCAN_STEPS, _MAX_SEEDS)
     assert _scan_candidates(s, grid) == [tuple(p) for p in want.tolist()]
@@ -863,10 +883,9 @@ def test_scan_keeps_the_seeds_of_the_pairwise_separation_test(monkeypatch, grid,
         return []
 
     monkeypatch.setattr(torus, "_newton_search", newton)
-    with pytest.raises(OrbitSearchError):
+    with pytest.raises(OrbitSearchError, match=VERDICT % (*grid, NEWTON_TOL, 0, len(want))):
         find_orbits(s, grid=grid, search_steps=steps)
-    assert len(handed) == (1 if len(want) else 0)
-    assert all(np.array_equal(seeds, want) and n == steps for seeds, n in handed)
+    assert handed == [([tuple(p) for p in want.tolist()], steps)]
 
 
 #: Amplitudes across the admissible interval (0.159155, 0.225079), both ends included.
@@ -935,8 +954,19 @@ STEP_COUNT_CASES = [
 @pytest.mark.parametrize("b, grid, bound", STEP_COUNT_CASES)
 def test_search_step_count_does_not_move_the_orbits(b, grid, bound):
     # an orbit is a fixed point of the RK4 map at any step count, so Newton
-    # at the default steps and at 256 hands refine the same orbits
+    # at the default steps and at 256 converges to the same points and hands
+    # refine the same orbits; at b = 1/5 and 21/100 on the 16x8 grid, where
+    # it finds one orbit at both counts, both searches raise the same verdict
     s = TorusSystem(b)
+    seeds = _scan_candidates(s, grid)
+    points = [sorted(_newton_search(s, seeds, steps, NEWTON_TOL)) for steps in (SEARCH_STEPS, 256)]
+    assert len(points[0]) == len(points[1])
+    assert all(_torus_dist(g, w) <= bound for g, w in zip(*points))
+    if len(points[0]) != 2:
+        for steps in (SEARCH_STEPS, 256):
+            with pytest.raises(OrbitSearchError, match=VERDICT % (*grid, NEWTON_TOL, len(points[0]), len(seeds))):
+                find_orbits(s, grid=grid, search_steps=steps, refine_steps=512)
+        return
     got = find_orbits(s, grid=grid, refine_steps=512)
     want = find_orbits(s, grid=grid, search_steps=256, refine_steps=512)
     assert [o.cz_index for o in got] == [o.cz_index for o in want]
