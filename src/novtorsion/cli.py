@@ -2,17 +2,20 @@
 
 Commands read the text document format and print line-oriented
 ``key: value`` reports; every report carries the certification cutoff it
-relied on.  Exit codes: 0 success, 1 usage (bad invocation, missing file),
-2 parse failure, 3 validation failure (including non-acyclicity and bad
-profile parameters), 4 indeterminate arithmetic (ambiguous leading terms,
-uncertifiable pivots, degenerate endpoints).  Flags read numbers by the
-file format's rule, ``document._numeral``: ASCII, without an underscore.
+relied on.  Exit codes: 0 success, 1 usage (bad invocation, missing file,
+unwritable output), 2 parse failure, 3 validation failure (including
+non-acyclicity and bad profile parameters), 4 indeterminate arithmetic
+(ambiguous leading terms, uncertifiable pivots, degenerate endpoints).
+Flags read numbers by the file format's rule, ``document._numeral``:
+ASCII, without an underscore.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import sys
 from fractions import Fraction
 
 from .complexes import ComplexStructureError, DegenerateEndpointError, NotAcyclicError, OrbitSearchError, ProfileError
@@ -88,10 +91,14 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_rel_torsion)
 
     p = sub.add_parser("torus-example", help="run the torus pipeline end to end")
-    p.add_argument("--b", type=_rational, default=Fraction(1, 5))
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF)
-    p.add_argument("--grid", type=_grid, default=(48, 24))
+    p.add_argument("--b", type=_rational, default=Fraction(1, 5), help="amplitude in (1/(2 pi), 1/(pi sqrt 2)) (default 1/5)")
+    p.add_argument(
+        "--tol", type=_tolerance, default=1e-10,
+        help="Newton tolerance on the return (default 1e-10); at or above about 1e-5, the radius within which"
+        " two converged points count as one, Newton accepts points near an orbit more than once and the search refuses",
+    )
+    p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF, help="torsion cutoff (default %s)" % DEFAULT_CUTOFF)
+    p.add_argument("--grid", type=_grid, default=(48, 24), help="seed grid NXxNY of the orbit search (default 48x24)")
     p.set_defaults(func=_cmd_torus)
     return parser
 
@@ -243,7 +250,19 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    raise SystemExit(main())
+    try:
+        try:
+            code = main()
+        finally:  # a buffered report, or --help, fails to write only at this flush
+            sys.stdout.flush()
+    except OSError as exc:
+        # send what is still buffered nowhere, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("novtorsion: cannot write output: %s" % (exc.strerror or exc), file=sys.stderr)
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

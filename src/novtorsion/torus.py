@@ -126,16 +126,17 @@ def _field_constants(bf: float):
 
 
 def _rk4_point(bf: float, state, steps: int, record: bool):
-    """RK4 of one point on floats as one fused kernel, its four stages inline.
+    """RK4 of one point and its monodromy on floats as one fused kernel, its four stages inline.
 
-    The only integrator of the field: the grid scan, Newton, refine and
-    monodromy all run it point by point.  Each stage evaluates the field on
-    locals with A = [[p, q], [r, -p]]; the slopes are named by stage (a, b,
-    c, d) and component, a stage's state X, Y, n11 to n22.  The constants
-    and cos/sin are bound to locals once per call: calling the field once
-    per stage, with its seven arguments and returned 6-tuple, cost about a
-    quarter of the step.  Returns the list of the steps+1 states, ``state``
-    first, when recording, else the last state as a 6-tuple of floats.
+    Newton, refine and monodromy run it point by point; the grid scan,
+    which needs no monodromy, runs _rk4_flow.  Each stage evaluates the
+    field on locals with A = [[p, q], [r, -p]]; the slopes are named by
+    stage (a, b, c, d) and component, a stage's state X, Y, n11 to n22.
+    The constants and cos/sin are bound to locals once per call: calling
+    the field once per stage, with its seven arguments and returned
+    6-tuple, cost about a quarter of the step.  Returns the list of the
+    steps+1 states, ``state`` first, when recording, else the last state as
+    a 6-tuple of floats.
     """
     cos, sin, two_pi, a1, a2 = math.cos, math.sin, TWO_PI, NU_A1, NU_A2
     lam1n, lam2, nu1n, nu2, nu1dn, nu2d = _field_constants(bf)
@@ -219,6 +220,70 @@ def _rk4_point(bf: float, state, steps: int, record: bool):
     return states if record else (x, y, m11, m12, m21, m22)
 
 
+def _rk4_flow(bf: float, x: float, y: float, steps: int):
+    """The end (x, y) of _rk4_point's flow without the variational state.
+
+    _rk4_point with every line that reads or writes the monodromy removed,
+    about half of each step's float operations.  No position operation
+    reads a monodromy term, so the rest run in the same order on the same
+    floats and the end is _rk4_point's ``[:2]`` bit for bit.
+    """
+    cos, sin, two_pi, a1, a2 = math.cos, math.sin, TWO_PI, NU_A1, NU_A2
+    lam1n, _, nu1n, nu2, _, _ = _field_constants(bf)
+    h = 1.0 / steps
+    h2, h6 = h / 2, h / 6
+    t = 0.0
+    for _ in range(steps):
+        u = two_pi * x
+        cu, su = cos(u), sin(u)
+        s = two_pi * (y - t)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu = nu1n * s1 - nu2 * s2
+        ax, ay = lam * dnu, -dlam * nu
+
+        tm = t + h2
+        X, Y = x + h2 * ax, y + h2 * ay
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - tm)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu = nu1n * s1 - nu2 * s2
+        bx, by = lam * dnu, -dlam * nu
+
+        X, Y = x + h2 * bx, y + h2 * by
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - tm)
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu = nu1n * s1 - nu2 * s2
+        cx, cy = lam * dnu, -dlam * nu
+
+        X, Y = x + h * cx, y + h * cy
+        u = two_pi * X
+        cu, su = cos(u), sin(u)
+        s = two_pi * (Y - (t + h))
+        c1, s1 = cos(s), sin(s)
+        c2, s2 = 2.0 * c1 * c1 - 1.0, 2.0 * s1 * c1
+        lam, dlam = 1.0 + bf * cu, lam1n * su
+        nu = 1.0 + a1 * (c1 - 1.0) + a2 * (c2 - 1.0)
+        dnu = nu1n * s1 - nu2 * s2
+        dx, dy = lam * dnu, -dlam * nu
+
+        x = x + h6 * (ax + 2.0 * bx + 2.0 * cx + dx)
+        y = y + h6 * (ay + 2.0 * by + 2.0 * cy + dy)
+        t += h
+    return x, y
+
+
 class PeriodicOrbit(_ReadOnly):
     """A point (x, y) in [0, 1)^2 with its monodromy ((a, b), (c, d)) and variational path, a tuple
     of such float 2x2 tuples from the identity to the monodromy, every sample of refine's path;
@@ -261,14 +326,14 @@ def _newton_search(sys, seeds, steps, tol):
 def _scan_candidates(sys, grid):
     """Well-separated grid points of lowest residual, in increasing residual.
 
-    Each grid point flows on floats in _rk4_point at _SCAN_STEPS; at most
+    Each grid point flows on floats in _rk4_flow at _SCAN_STEPS; at most
     _MAX_SEEDS points with residual at most 1/2 are kept, each farther than
     one grid spacing from those before it.  Returns the seeds as a list of
     (x, y) tuples.
     """
     nx, ny = grid
     seeds = [((i + 0.5) / nx, (j + 0.5) / ny) for i in range(nx) for j in range(ny)]
-    ends = [_rk4_point(sys.bf, (x, y, 1.0, 0.0, 0.0, 1.0), _SCAN_STEPS, False)[:2] for x, y in seeds]
+    ends = [_rk4_flow(sys.bf, x, y, _SCAN_STEPS) for x, y in seeds]
     res = [max(abs(ex - x), abs(ey - y - 1.0)) for (x, y), (ex, ey) in zip(seeds, ends)]
     separation = max(1.0 / nx, 1.0 / ny)
     chosen = []
@@ -301,7 +366,8 @@ def find_orbits(
     Newton iteration (solved in the universal cover, with a step clamp)
     then runs at ``search_steps`` (SEARCH_STEPS, 128) from at most
     _MAX_SEEDS (16) well-separated lowest residual seeds, integrating every
-    point it steps from; every integration runs _rk4_point on floats.  At
+    point it steps from.  The scan runs _rk4_flow, positions only; Newton
+    and refine run _rk4_point, positions and monodromy, on floats.  At
     an orbit the co-moving field is the constant (0, 1), which RK4 follows
     exactly at any step count, so ``search_steps`` only says where the
     orbits are: 128 steps found the orbits of 256 in 162 of 162 amplitude

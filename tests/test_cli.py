@@ -216,6 +216,18 @@ def test_torus_example_loose_tolerance_is_validate(capsys):
     )
 
 
+@pytest.mark.parametrize("tol, shown, points", [("3e-5", "3e-05", 3), ("1e-4", "0.0001", 6), ("1e-3", "0.001", 10)])
+def test_torus_example_tolerance_above_the_dedupe_radius_is_validate(capsys, tol, shown, points):
+    # at or above about the dedupe radius 1e-5, Newton accepts points near an
+    # orbit more than once, 1e-5 apart or more, as the --tol help says
+    code, out = run(capsys, "torus-example", "--tol", tol)
+    assert code == EXIT_VALIDATE
+    assert report_value(out, "message") == (
+        "the search on the 48x24 grid at tol %s converged to %d distinct points from 16 seeds; the closed form has 2 orbits"
+        % (shown, points)
+    )
+
+
 def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
     code, out = run(capsys, "torus-example", "--b", "1/10", "--grid", "2x3", "--tol", "1e-6")
     assert code == EXIT_VALIDATE
@@ -607,3 +619,33 @@ def test_record_fields_must_each_be_given_once():
 def test_error_paths_in_a_fresh_interpreter(argv, stdout):
     proc = fresh_python("-m", "novtorsion.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATE, stdout, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device that refuses every write")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_an_unwritable_report_exits_1_with_one_line(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "novtorsion.cli", "torsion", fixture("two_term.cplx")],
+            cwd=ROOT, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "novtorsion: cannot write output: No space left on device\n")
+
+
+def test_torus_example_help_describes_every_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["torus-example", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, words in [
+        ("--b B", "amplitude"),
+        ("--tol TOL", "Newton tolerance"),
+        ("--cutoff CUTOFF", "torsion cutoff"),
+        ("--grid GRID", "seed grid"),
+    ]:
+        assert "%s %s" % (flag, words) in text
+    assert "at or above about 1e-5" in text and "the search refuses" in text

@@ -22,6 +22,7 @@ from novtorsion.torus import (
     _SCAN_STEPS,
     _newton_search,
     _refine_orbit,
+    _rk4_flow,
     _rk4_point,
     _scan_candidates,
     _torus_dist,
@@ -42,14 +43,14 @@ TWO_PI = 2 * math.pi
 #: The amplitudes the torus benchmark runs.
 AMPLITUDES = [Fraction(17, 100), Fraction(9, 50), Fraction(1, 5), Fraction(21, 100), Fraction(11, 50)]
 
-#: As many points as Newton has seeds, with the id of the one RK4 kernel,
-#: _rk4_point on floats.
+#: As many points as Newton has seeds, with the id of the RK4 kernel that
+#: integrates the monodromy, _rk4_point on floats.
 SEED_COUNT = [pytest.param(_MAX_SEEDS, id="float")]
 
 
 def flow(s, points, steps):
     """Endpoints (n, 2) and monodromies (n, 2, 2) of _rk4_point run point
-    by point, as the grid scan, Newton and monodromy do."""
+    by point, as Newton and monodromy do."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     final = np.array([_rk4_point(s.bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False) for x, y in points.tolist()])
     return final[:, :2], final[:, 2:].reshape(-1, 2, 2)
@@ -366,9 +367,15 @@ def test_count_connecting_needs_equilibria():
         count_connecting(TorusSystem(Fraction(1, 10)))
 
 
+def _refuse_integrating(monkeypatch):
+    """Fail the test on a call of either RK4 kernel."""
+    for kernel in ("_rk4_point", "_rk4_flow"):
+        monkeypatch.setattr(torus, kernel, lambda *args, **kwargs: pytest.fail("integrated"))
+
+
 @pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3), [0, 5]])
 def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid):
-    monkeypatch.setattr(torus, "_rk4_point", lambda *args, **kwargs: pytest.fail("integrated"))
+    _refuse_integrating(monkeypatch)
     with pytest.raises(ValueError, match="^grid count must be an int of at least 1, not %d$" % min(grid)):
         find_orbits(TorusSystem(), grid=grid)
 
@@ -407,7 +414,7 @@ def test_find_orbits_refuses_an_empty_grid_before_integrating(monkeypatch, grid)
     ],
 )
 def test_bad_counts_and_tolerances_are_refused_before_integrating(monkeypatch, call, message):
-    monkeypatch.setattr(torus, "_rk4_point", lambda *args, **kwargs: pytest.fail("integrated"))
+    _refuse_integrating(monkeypatch)
     with pytest.raises(ValueError, match="^%s$" % message):
         call(TorusSystem())
 
@@ -654,6 +661,17 @@ def test_fused_float_kernel_matches_the_reference_point_step_bit_for_bit(b, step
             assert np.array_equal(got, want if record else want[0])
 
 
+@pytest.mark.parametrize("steps", [1, _SCAN_STEPS, SEARCH_STEPS])
+def test_position_kernel_is_the_point_kernels_end_bit_for_bit(steps):
+    # the scan's kernel drops the monodromy, which no position operation reads
+    rng = np.random.RandomState(steps)
+    lo, hi = 1.0 / TWO_PI, math.sqrt(0.5) / math.pi
+    for bf in rng.uniform(lo, hi, 8).tolist():
+        points = np.concatenate([rng.uniform(0.0, 1.0, (3, 2)), rng.uniform(-1.0, 0.0, (2, 2)), rng.uniform(1.0, 2.0, (2, 2))])
+        for x, y in points.tolist():
+            assert _rk4_flow(bf, x, y, steps) == _rk4_point(bf, (x, y, 1.0, 0.0, 0.0, 1.0), steps, False)[:2]
+
+
 @pytest.mark.parametrize("n", SEED_COUNT)
 def test_float_and_array_paths_agree(n):
     # the float kernel, one point at a time, against the stacked numpy reference
@@ -783,9 +801,13 @@ def test_newton_search_stops_early(monkeypatch):
     calls = []
     scans = []
 
+    def position(bf, x, y, steps):
+        if steps == _SCAN_STEPS:
+            scanned.append((x, y))
+        return _rk4_flow(bf, x, y, steps)
+
     def point(bf, state, steps, record):
-        if steps == _SCAN_STEPS and not record:
-            scanned.append(tuple(state[:2]))
+        assert steps != _SCAN_STEPS
         if steps == SEARCH_STEPS and not record:
             calls.append(tuple(state[:2]))
         return _rk4_point(bf, state, steps, record)
@@ -794,12 +816,14 @@ def test_newton_search_stops_early(monkeypatch):
         scans.append(_scan_candidates(sys, grid))
         return scans[-1]
 
+    monkeypatch.setattr(torus, "_rk4_flow", position)
     monkeypatch.setattr(torus, "_rk4_point", point)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
     assert len(find_orbits(TorusSystem(Fraction(1, 5)))) == 2
-    # the grid scan integrates each grid point once at _SCAN_STEPS; every
-    # unrecorded point integration at SEARCH_STEPS is a Newton step, and
-    # Newton runs from the scan's seeds in turn, each within the iteration cap
+    # the grid scan integrates each grid point once, positions only, at
+    # _SCAN_STEPS; every unrecorded point integration at SEARCH_STEPS is a
+    # Newton step, and Newton runs from the scan's seeds in turn, each within
+    # the iteration cap
     assert len(scanned) == len(set(scanned)) == 48 * 24
     seeds = scans[0]
     assert len(seeds) == _MAX_SEEDS
