@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse's own swallows an OSError, and --help would then exit 0
+        # having written nothing; main_entry reports it
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -95,7 +101,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=_tolerance, default=1e-10,
         help="Newton tolerance on the return (default 1e-10); at or above about 1e-5, the radius within which"
-        " two converged points count as one, Newton accepts points near an orbit more than once and the search refuses",
+        " two converged points count as one, Newton can accept points near an orbit more than once before each orbit"
+        " has one, and then the search refuses",
     )
     p.add_argument("--cutoff", type=_rational, default=DEFAULT_CUTOFF, help="torsion cutoff (default %s)" % DEFAULT_CUTOFF)
     p.add_argument("--grid", type=_grid, default=(48, 24), help="seed grid NXxNY of the orbit search (default 48x24)")

@@ -297,9 +297,15 @@ def _newton_search(sys, seeds, steps, tol):
     """Clamped Newton iteration on floats from each seed in turn, integrating
     every point it steps from at ``steps``; returns the converged points mod 1
     in the order found.  A seed stops, before any step, once it lies within
-    the dedupe radius of a point already found, so the points are distinct."""
+    the dedupe radius of a point already found, so the points are distinct.
+    No further seed starts once each closed-form orbit (x_i, 0) of
+    reduced_equilibria has a point within that radius: a later seed could
+    only find one of them again, or a point that is no orbit."""
+    targets = [(x, 0.0) for x in reduced_equilibria(sys)]
     found = []
     for x, y in seeds:
+        if all(any(_torus_dist(t, q) < _DEDUPE_RADIUS for q in found) for t in targets):
+            break
         for _ in range(_MAX_NEWTON_ITER):
             if any(_torus_dist((x, y), q) < _DEDUPE_RADIUS for q in found):
                 break
@@ -374,10 +380,12 @@ def find_orbits(
     and grid cases, where 64 and 96 missed one.  Newton runs from each seed
     in turn, for at most 20 steps, and a seed stops once it lies within the
     dedupe radius (1e-5, in the wrap-around metric) of a point already
-    found, so the converged points are distinct.  If their number is not
-    the closed form's count of equilibria (reduced_equilibria, which
-    ``sys.check()`` returns), as when a coarse grid leads Newton to too few
-    or a loose ``tol`` accepts non-orbits, it raises OrbitSearchError.
+    found, so the converged points are distinct; no further seed starts
+    once each closed-form orbit (x_i, 0) has a point within that radius.
+    If their number is not the closed form's count of equilibria
+    (reduced_equilibria, which ``sys.check()`` returns), as when a coarse
+    grid leads Newton to too few or a loose ``tol`` accepts non-orbits, it
+    raises OrbitSearchError.
     Otherwise refine re-integrates each at ``refine_steps`` (N, at least 2)
     to check that it still closes within ``tol``; the result is one orbit
     per equilibrium, sorted by x, with the monodromy M_N, the step-halving

@@ -216,16 +216,30 @@ def test_torus_example_loose_tolerance_is_validate(capsys):
     )
 
 
-@pytest.mark.parametrize("tol, shown, points", [("3e-5", "3e-05", 3), ("1e-4", "0.0001", 6), ("1e-3", "0.001", 10)])
+@pytest.mark.parametrize("tol, shown, points", [("1e-4", "0.0001", 4), ("1e-3", "0.001", 5)])
 def test_torus_example_tolerance_above_the_dedupe_radius_is_validate(capsys, tol, shown, points):
-    # at or above about the dedupe radius 1e-5, Newton accepts points near an
-    # orbit more than once, 1e-5 apart or more, as the --tol help says
+    # at or above about the dedupe radius 1e-5, Newton can accept points near
+    # an orbit more than once, 1e-5 apart or more, before each orbit has one,
+    # as the --tol help says
     code, out = run(capsys, "torus-example", "--tol", tol)
     assert code == EXIT_VALIDATE
     assert report_value(out, "message") == (
         "the search on the 48x24 grid at tol %s converged to %d distinct points from 16 seeds; the closed form has 2 orbits"
         % (shown, points)
     )
+
+
+def test_torus_example_tolerance_above_the_dedupe_radius_answers_once_each_orbit_has_a_point(capsys):
+    # at 3e-5 the first two seeds accept a point near each orbit, so no seed
+    # starts that would accept a third; refine's check then holds at 3e-5
+    code, out = run(capsys, "torus-example", "--tol", "3e-5")
+    _, default = run(capsys, "torus-example")
+    assert code == EXIT_OK
+    assert report_value(out, "newton-tol") == "3e-05"
+    assert report_value(out, "orbit-count") == "2"
+    for i in (0, 1):
+        assert report_value(out, "orbit %d index" % i) == report_value(default, "orbit %d index" % i)
+        assert abs(float(report_value(out, "orbit %d x" % i)) - float(report_value(default, "orbit %d x" % i))) < 1e-8
 
 
 def test_torus_example_checks_amplitude_after_parsing_grid_and_tolerance(capsys):
@@ -628,12 +642,14 @@ def test_an_unwritable_report_exits_1_with_one_line(unbuffered):
     env["PYTHONPATH"] = os.path.join(ROOT, "src")
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "novtorsion.cli", "torsion", fixture("two_term.cplx")],
-            cwd=ROOT, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
-        )
-    assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "novtorsion: cannot write output: No space left on device\n")
+    # argparse prints --help through its own write, which swallows an OSError
+    for argv in (["torsion", fixture("two_term.cplx")], ["torus-example", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "novtorsion.cli", *argv],
+                cwd=ROOT, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, "novtorsion: cannot write output: No space left on device\n")
 
 
 def test_torus_example_help_describes_every_flag(capsys):

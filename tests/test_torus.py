@@ -816,10 +816,17 @@ def test_newton_search_stops_early(monkeypatch):
         scans.append(_scan_candidates(sys, grid))
         return scans[-1]
 
+    def newton(sys, seeds, steps, tol):
+        found.extend(_newton_search(sys, seeds, steps, tol))
+        return found
+
+    found = []
     monkeypatch.setattr(torus, "_rk4_flow", position)
     monkeypatch.setattr(torus, "_rk4_point", point)
     monkeypatch.setattr(torus, "_scan_candidates", scanning)
-    assert len(find_orbits(TorusSystem(Fraction(1, 5)))) == 2
+    monkeypatch.setattr(torus, "_newton_search", newton)
+    s = TorusSystem(Fraction(1, 5))
+    assert len(find_orbits(s)) == 2
     # the grid scan integrates each grid point once, positions only, at
     # _SCAN_STEPS; every unrecorded point integration at SEARCH_STEPS is a
     # Newton step, and Newton runs from the scan's seeds in turn, each within
@@ -831,10 +838,15 @@ def test_newton_search_stops_early(monkeypatch):
     assert starts[0] == 0
     started = [calls[i] for i in starts]
     assert started == [p for p in seeds if p in started]
-    assert len(started) <= _MAX_SEEDS
     assert max(np.diff(starts + [len(calls)])) <= 20
-    # all seeds in one lockstep batch made 99 point integrations at b = 1/5
-    assert len(calls) < 99
+    # a point is found at the integration from it that meets tol; the last
+    # closed-form orbit gets its point at the last integration, so no seed
+    # starts once each has one: 10 integrations from the first 2 seeds, where
+    # running every seed made 95
+    at = [[(x % 1.0, y % 1.0) for x, y in calls].index(q) for q in found]
+    covered = [min(i for i, q in zip(at, found) if _torus_dist(q, (x, 0.0)) < _DEDUPE_RADIUS) for x in reduced_equilibria(s)]
+    assert max(covered) == len(calls) - 1
+    assert started == seeds[:2] and len(calls) == 10
 
 
 def test_newton_search_records_no_point_whose_residual_is_nan(monkeypatch):
@@ -935,6 +947,23 @@ def test_capped_search_finds_the_points_of_the_40_seed_search(b, grid):
     want = _distinct(_reference_newton_search(s, wide, 128, NEWTON_TOL))
     assert len(want) == 2
     assert np.array_equal(np.array(got), np.array(want))
+
+
+@pytest.mark.parametrize("grid", [(12, 6), (16, 8)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("b", CAP_AMPLITUDES, ids=str)
+def test_stopping_at_closed_form_coverage_changes_no_answer(b, grid):
+    # Newton stops taking seeds once each closed-form orbit has a point; on
+    # these coarse grids, where some cases find one orbit, find_orbits gives
+    # the points, or the verdict, of Newton run from every seed to the end
+    s = TorusSystem(b)
+    seeds = _scan_candidates(s, grid)
+    want = _distinct(_reference_newton_search(s, seeds, SEARCH_STEPS, NEWTON_TOL))
+    if len(want) != 2:
+        with pytest.raises(OrbitSearchError, match=VERDICT % (*grid, NEWTON_TOL, len(want), len(seeds))):
+            find_orbits(s, grid=grid, refine_steps=512)
+        return
+    got = find_orbits(s, grid=grid, refine_steps=512)
+    assert [(o.x, o.y) for o in got] == sorted((torus._wrap01(x), torus._wrap01(y)) for x, y in np.array(want).tolist())
 
 
 @pytest.mark.parametrize("b", [Fraction(4, 25), Fraction(2249, 10000)], ids=str)
