@@ -54,7 +54,12 @@ NONDEGENERACY_TOL = 1e-6
 #: the orbits of 256, to 9 digits; at 64 and 96 steps b = 2087/10000 on the
 #: 12x6 grid loses its second orbit.
 SEARCH_STEPS = 128
-REFINE_STEPS = 2048
+#: Refine's steps per period, whose monodromy the 1e-6 step-halving and
+#: non-degeneracy gates read.  On 32 amplitudes (the five benchmark ones and
+#: 27 from 0.1601 to 0.2225) 1024 steps gave every orbit value of 2048 to 9
+#: digits, with step-halving gaps at most 9.2e-11 and max |M_1024 - M_2048|
+#: 5.8e-12; at 512 a monodromy entry of b = 1/5 moved in its 9th digit.
+REFINE_STEPS = 1024
 #: |det(M - I)| below which a path endpoint counts as having eigenvalue 1.
 _DEGENERACY_TOL = 1e-9
 #: About this many strides of the recorded path go into the index (129
@@ -386,12 +391,12 @@ def find_orbits(
     (reduced_equilibria, which ``sys.check()`` returns), as when a coarse
     grid leads Newton to too few or a loose ``tol`` accepts non-orbits, it
     raises OrbitSearchError.
-    Otherwise refine re-integrates each at ``refine_steps`` (N, at least 2)
-    to check that it still closes within ``tol``; the result is one orbit
-    per equilibrium, sorted by x, with the monodromy M_N, the step-halving
-    gap max |M_N - M_{N/2}| against an integration at ``refine_steps // 2``,
-    the non-degeneracy gap, and the index read from a strided sample of the
-    recorded path that keeps its last sample.
+    Otherwise refine re-integrates each at ``refine_steps`` (N, at least 2;
+    REFINE_STEPS, 1024) to check that it still closes within ``tol``; the
+    result is one orbit per equilibrium, sorted by x, with the monodromy
+    M_N, the step-halving gap max |M_N - M_{N/2}| against an integration
+    at ``refine_steps // 2``, the non-degeneracy gap, and the index read
+    from a strided sample of the recorded path that keeps its last sample.
     """
     if not (hasattr(grid, "__len__") and len(grid) == 2):
         raise ValueError("grid %r needs two int counts" % (grid,))

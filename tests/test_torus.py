@@ -36,7 +36,7 @@ from novtorsion.torus import (
     torus_torsion,
 )
 
-from torus_oracle import d2lam, d2nu, dlam, dnu, flow_field, hamiltonian, lam, nu, vector_field
+from torus_oracle import d2lam, d2nu, dlam, dnu, first_integral, flow_field, hamiltonian, lam, nu, vector_field
 
 TWO_PI = 2 * math.pi
 
@@ -199,7 +199,7 @@ def test_find_orbits_default(torus_report):
 def test_refine_rejects_a_point_off_the_orbit(torus_report):
     o = torus_report.orbits[0]
     x = o.x + 1e-3
-    with pytest.raises(OrbitSearchError, match=r"orbit at x=%.6f misses its return by \S+ at 2048 steps" % x):
+    with pytest.raises(OrbitSearchError, match=r"orbit at x=%.6f misses its return by \S+ at %d steps" % (x, REFINE_STEPS)):
         _refine_orbit(torus_report.system, (x, o.y), REFINE_STEPS, NEWTON_TOL)
 
 
@@ -442,6 +442,20 @@ def test_periodic_orbit_compares_only_with_orbits(torus_report):
     assert orbit != (orbit.x, orbit.y) and orbit == orbit
 
 
+@pytest.mark.parametrize("b", [Fraction(1593, 10000), *AMPLITUDES, Fraction(9, 40)])
+def test_refine_keeps_three_orders_under_its_gates(b):
+    # at the default step count, across the admissible interval, the
+    # step-halving gap and the change of the monodromy at twice the steps
+    # stay under 1e-9, 3 orders under the 1e-6 gates; at 512 steps the gap
+    # reaches 1.6e-9, and at 256 the monodromy moves by up to 1.6e-9
+    s = TorusSystem(b)
+    orbits, finer = find_orbits(s), find_orbits(s, refine_steps=2 * REFINE_STEPS)
+    assert [(o.x, o.cz_index) for o in orbits] == [(o.x, o.cz_index) for o in finer]
+    for o, f in zip(orbits, finer):
+        assert o.richardson_gap < 1e-9
+        assert np.abs(np.subtract(o.monodromy, f.monodromy)).max() < 1e-9
+
+
 def test_refine_refuses_an_unconverged_integrator():
     # at 16 steps the orbits still close (RK4 follows the constant co-moving
     # field exactly), but the monodromy at 8 steps differs by about 1e-4
@@ -578,6 +592,25 @@ def test_flow_preserves_area_and_energy_bounded(n):
         h = hamiltonian(s, traj[:, 0], traj[:, 1], ts)
         assert np.isfinite(h).all()
         assert np.abs(h).max() <= (1 + s.bf) * 1.0 + 1e-9
+
+
+def first_integral_drift(s, start, steps):
+    """Largest |K - K(start)| along _rk4_point's recorded path, in co-moving coordinates."""
+    traj = np.array(_rk4_point(s.bf, (*start, 1.0, 0.0, 0.0, 1.0), steps, True))
+    k = first_integral(s, traj[:, 0], traj[:, 1] - np.linspace(0.0, 1.0, steps + 1))
+    return np.abs(k - k[0]).max()
+
+
+@pytest.mark.parametrize("b", [Fraction(17, 100), Fraction(1, 5), Fraction(11, 50)])
+def test_the_refine_kernel_conserves_the_comoving_first_integral(b):
+    # off every orbit, at refine's step count K drifts by at most about
+    # 3.2e-11 over a period, and halving the step cuts the drift by about
+    # 16 = 2^4, RK4's order
+    s = TorusSystem(b)
+    for start in [(0.3, 0.37), (0.1, 0.8), (0.45, 0.05), (0.7, 0.6)]:
+        drift = first_integral_drift(s, start, REFINE_STEPS)
+        assert drift < 1e-9
+        assert 10 <= drift / first_integral_drift(s, start, 2 * REFINE_STEPS) <= 22
 
 
 def reference_integrate(s, points, steps):

@@ -34,6 +34,12 @@ def hamiltonian(s, x, y, t):
     return lam(s, x) * nu(s, y - t)
 
 
+def first_integral(s, X, Y):
+    """K(X, Y) = lam(X) nu(Y) + X in the co-moving coordinates (X, Y) = (x, y - t), where the flow is
+    autonomous and Hamiltonian for K: X' = K_Y = lam nu', Y' = -K_X = -lam' nu - 1."""
+    return lam(s, X) * nu(s, Y) + X
+
+
 def flow_field(bf: float, cos, sin):
     """Derivatives of (x, y, m11, m12, m21, m22) under the flow and M' = A M, on floats or numpy
     rows: one cos/sin pair of 2 pi x and one of 2 pi (y - t) feed every profile derivative, and
